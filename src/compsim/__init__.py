@@ -26,7 +26,7 @@ from .errors import (
     PrecodingError,
     ScenarioError,
 )
-from .precoding import Precoder, instantaneous_rate, sinr, zf_precoder
+from .precoding import instantaneous_rate, sinr, zf_precoder
 from .quantization import (
     Codebook,
     FeedbackConfig,
@@ -64,7 +64,6 @@ __all__ = [
     "Geometry",
     "LargeScaleMap",
     "PairingPolicy",
-    "Precoder",
     "PrecodingError",
     "RateLossParams",
     "RunResult",

@@ -231,12 +231,8 @@ def rate_loss_montecarlo(
         raise EstimationError("all trials failed")
     failures = int(trials - ok.sum())
     diffs = log.ideal[ok] - log.quantized[ok]
-    n = diffs.shape[0]
-    delta = diffs.mean(axis=0)
-    delta_se = diffs.std(axis=0, ddof=1) / np.sqrt(n) if n > 1 else np.full(diffs.shape[1], np.nan)
-    interf = log.interference[ok]
-    i_mean = interf.mean(axis=0)
-    i_se = interf.std(axis=0, ddof=1) / np.sqrt(n) if n > 1 else np.full(interf.shape[1], np.nan)
+    delta, delta_se = montecarlo._mean_se(diffs)
+    i_mean, i_se = montecarlo._mean_se(log.interference[ok])
     # interference_power already carries the tx_power factor
     log_bound = np.log2(1.0 + i_mean / ctx.noise_power)
     return RateLossEstimate(
@@ -265,11 +261,6 @@ class AppendixCheck:
     detail: str
 
 
-def _draw_channels(rng, count, n_bs, n_tx):
-    z = rng.standard_normal((count, n_bs, n_tx, 2))
-    return (z[..., 0] + 1j * z[..., 1]) / np.sqrt(2.0)
-
-
 def check_inverse_norm(
     large_scale: channel.LargeScaleMap,
     n_tx: int,
@@ -286,7 +277,7 @@ def check_inverse_norm(
     """
     alpha_sq = large_scale.alpha_sq[user]
     rng = rngmod.substream(master_seed, rngmod.APPENDIX, 1, user)
-    h = _draw_channels(rng, trials, alpha_sq.shape[0], n_tx)
+    h = channel.sample_small_scale(trials, alpha_sq.shape[0], n_tx, rng)
     norm_sq = (np.abs(h) ** 2).sum(axis=2) @ alpha_sq
     inv = 1.0 / norm_sq
     lhs = float(inv.mean())
@@ -395,8 +386,8 @@ def check_interference_moment(
     n_bs = large_scale.n_bs
     alpha = large_scale.alpha
 
-    hk = _draw_channels(rng, trials, n_bs, n_tx)
-    hj = _draw_channels(rng, trials, n_bs, n_tx)
+    hk = channel.sample_small_scale(trials, n_bs, n_tx, rng)
+    hj = channel.sample_small_scale(trials, n_bs, n_tx, rng)
     q = np.zeros(trials, dtype=complex)
     err_mean = np.zeros(n_bs)
     for b in range(n_bs):

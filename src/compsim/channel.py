@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError, DomainError, raise_problems
 
 DEFAULT_CELL_RADIUS_M = 250.0
 DEFAULT_PATHLOSS_EXPONENT = 3.76
@@ -38,26 +38,27 @@ class Geometry:
     d_min_m: float = DEFAULT_MIN_DISTANCE_M
     pathloss_sign: int = -1
 
+    def problems(self) -> list:
+        """(field, message) pairs for every invalid field."""
+        out = []
+        if self.n_cells < 1:
+            out.append(("n_cells", "must be >= 1"))
+        if self.cell_radius_m <= 0:
+            out.append(("cell_radius_m", "must be positive"))
+        if self.pathloss_exponent < 0:
+            out.append(("pathloss_exponent", "must be nonnegative"))
+        if self.d_min_m <= 0:
+            out.append(("d_min_m", "must be positive"))
+        if self.pathloss_sign not in (-1, 1):
+            out.append(("pathloss_sign", "must be -1 or +1"))
+        if np.shape(self.bs_positions) != (self.n_cells, 2):
+            out.append(("bs_positions", f"must have shape ({self.n_cells}, 2), "
+                                        f"got {np.shape(self.bs_positions)}"))
+        return out
+
     def __post_init__(self):
         self.bs_positions = np.asarray(self.bs_positions, dtype=float)
-        problems = []
-        if self.n_cells < 1:
-            problems.append("n_cells must be >= 1")
-        if self.cell_radius_m <= 0:
-            problems.append("cell_radius_m must be positive")
-        if self.pathloss_exponent < 0:
-            problems.append("pathloss_exponent must be nonnegative")
-        if self.d_min_m <= 0:
-            problems.append("d_min_m must be positive")
-        if self.pathloss_sign not in (-1, 1):
-            problems.append("pathloss_sign must be -1 or +1")
-        if self.bs_positions.shape != (self.n_cells, 2):
-            problems.append(
-                f"bs_positions must have shape ({self.n_cells}, 2), "
-                f"got {self.bs_positions.shape}"
-            )
-        if problems:
-            raise ConfigurationError("; ".join(problems))
+        raise_problems(self.problems())
 
 
 def two_cell_line(cell_radius_m: float = DEFAULT_CELL_RADIUS_M, **kwargs) -> Geometry:

@@ -23,9 +23,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import bounds, channel, montecarlo, quantization
-from . import rng as rngmod
 from . import scenario as scenariomod
-from .errors import CompsimError, ConfigurationError, EstimationError, PrecodingError
+from .errors import CompsimError, ConfigurationError, EstimationError
 
 CSV_HEADER = "experiment,arm,sweep,sweep_value,user,metric,value,trials,seed"
 
@@ -112,13 +111,9 @@ def _bound_per_user(scn: scenariomod.Scenario, ctx) -> np.ndarray | None:
     """Closed-form bound per user from the codebooks' cached expected errors."""
     if ctx.feedback.mode != "per_cell" or ctx.large_scale.n_users < 2:
         return None
-    expected = np.array(
-        [
-            [cb.training_meta["expected_error"]["mean"] for cb in row]
-            for row in ctx.feedback.per_link
-        ]
+    params = bounds.RateLossParams.from_large_scale(
+        ctx.large_scale, scn.n_tx, ctx.feedback.expected_error_matrix()
     )
-    params = bounds.RateLossParams.from_large_scale(ctx.large_scale, scn.n_tx, expected)
     out = np.zeros(ctx.large_scale.n_users)
     for k in range(ctx.large_scale.n_users):
         out[k], _ = bounds.rate_loss_bound_general(params, k)
@@ -129,8 +124,8 @@ def _simulate_run_rows(exp_name, label, scn, workers) -> list:
     rows = []
     sweep_name = "ms1_distance_m" if scn.placement.mode == "line_sweep" else ""
     for sweep_value, fixed in scenariomod.resolved_points(scn):
-        result = montecarlo.run(fixed, workers=workers)
         ctx = montecarlo.build_context(fixed)
+        result = montecarlo.aggregate(fixed, montecarlo.run_trials(ctx, fixed.trials, workers))
         bound_vals = _bound_per_user(fixed, ctx)
         for k in range(scn.n_users):
             metrics = [
@@ -219,12 +214,7 @@ def cmd_bound(args) -> int:
     if args.zero_error:
         expected = np.zeros_like(ctx.large_scale.alpha_sq)
     else:
-        expected = np.array(
-            [
-                [cb.training_meta["expected_error"]["mean"] for cb in row]
-                for row in ctx.feedback.per_link
-            ]
-        )
+        expected = ctx.feedback.expected_error_matrix()
     params = bounds.RateLossParams.from_large_scale(ctx.large_scale, scn.n_tx, expected)
 
     rows = []
@@ -269,7 +259,7 @@ def cmd_bound(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_train_codebook(args) -> int:
-    rng = rngmod.substream(args.seed, rngmod.TRAINING, args.dimension, args.bits)
+    sampler = None
     if args.config:
         # Train on the composite-direction distribution of one scenario user.
         with open(args.config, "r", encoding="utf-8") as fh:
@@ -278,6 +268,13 @@ def cmd_train_codebook(args) -> int:
             if args.at is None:
                 raise ConfigurationError("sweep scenario: pick the position with --at")
             scn = scenariomod.at_sweep_point(scn, args.at)
+        if not 0 <= args.user < scn.n_users:
+            raise ConfigurationError(f"--user must be a user index in [0, {scn.n_users})")
+        if args.dimension != scn.geometry.n_cells * scn.n_tx:
+            raise ConfigurationError(
+                f"--dimension must equal the composite length "
+                f"{scn.geometry.n_cells * scn.n_tx} of the scenario"
+            )
         large_scale = channel.build_large_scale(
             scn.placement.positions, scn.geometry,
             tx_power=scn.tx_power, noise_power=scn.noise_power,
@@ -285,41 +282,12 @@ def cmd_train_codebook(args) -> int:
         )
         row = large_scale.alpha_sq[args.user]
         sampler = quantization._composite_direction_sampler(row / row.sum(), scn.n_tx)
-        count = quantization.DEFAULT_LLOYD_OVERSAMPLING * 2**args.bits
-        samples = sampler(count, rng)
-        directions = sampler(
-            quantization.DEFAULT_ERROR_ESTIMATE_DRAWS,
-            rngmod.substream(args.seed, rngmod.ERROR_ESTIMATE, args.dimension, args.bits),
-        )
-    else:
-        samples = None
-        directions = None
 
-    if args.kind == "random":
-        cb = quantization.random_codebook(args.dimension, args.bits, rng)
-    else:
-        if samples is None:
-            count = quantization.DEFAULT_LLOYD_OVERSAMPLING * 2**args.bits
-            samples = quantization.isotropic_directions(count, args.dimension, rng)
-        cb = quantization.train_lloyd(args.dimension, args.bits, samples,
-                                      max_iters=args.max_iters, tol=args.tol, rng=rng)
-
-    if directions is None:
-        err_rng = rngmod.substream(args.seed, rngmod.ERROR_ESTIMATE, args.dimension, args.bits)
-        mean, se = quantization.expected_error(
-            cb, quantization.DEFAULT_ERROR_ESTIMATE_DRAWS, err_rng
-        )
-    else:
-        mean, se = quantization.expected_error(cb, directions=directions)
-    meta = dict(cb.training_meta or {})
-    meta["expected_error"] = {
-        "mean": mean, "se": se, "draws": quantization.DEFAULT_ERROR_ESTIMATE_DRAWS,
-    }
-    meta["seed"] = args.seed
-    cb.training_meta = meta
+    cb = quantization.build_codebook(args.dimension, args.bits, args.kind, args.seed, sampler,
+                                     max_iters=args.max_iters, tol=args.tol)
     quantization.save_codebook(cb, args.out)
     _progress(f"wrote {args.out}: dimension {cb.dimension}, bits {cb.bits}, "
-              f"E{{sin^2}} = {mean:.6f}")
+              f"E{{sin^2}} = {cb.training_meta['expected_error']['mean']:.6f}")
     return 0
 
 
@@ -385,17 +353,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (scenariomod.ScenarioError,) as exc:
+    except ConfigurationError as exc:
         for line in exc.errors:
             print(f"error: {line}", file=sys.stderr)
         return 2
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (PrecodingError, EstimationError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except CompsimError as exc:
+    except (CompsimError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

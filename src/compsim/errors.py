@@ -6,7 +6,14 @@ class CompsimError(Exception):
 
 
 class ConfigurationError(CompsimError, ValueError):
-    """A scenario, geometry, or codebook configuration is invalid."""
+    """A scenario, geometry, or codebook configuration is invalid.
+
+    ``errors`` holds one diagnostic per problem found.
+    """
+
+    def __init__(self, *errors):
+        self.errors = [str(e) for e in errors]
+        super().__init__("; ".join(self.errors))
 
 
 class DomainError(CompsimError, ValueError):
@@ -22,8 +29,10 @@ class EstimationError(CompsimError):
 
 
 class ScenarioError(ConfigurationError):
-    """Scenario validation failure carrying the full list of diagnostics."""
+    """A scenario document failed to parse; ``errors`` are located diagnostics."""
 
-    def __init__(self, errors):
-        self.errors = list(errors)
-        super().__init__("; ".join(self.errors))
+
+def raise_problems(problems) -> None:
+    """Raise (field, message) pairs as one ConfigurationError, if there are any."""
+    if problems:
+        raise ConfigurationError(*(f"{field}: {message}" for field, message in problems))

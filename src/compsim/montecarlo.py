@@ -95,10 +95,8 @@ def _evaluate_realization(ctx: TrialContext, realization, rng) -> tuple:
     if ctx.recon_transform is not None and report is not None:
         recon = ctx.recon_transform(report, ctx.n_tx, rng)
 
-    if ctx.pairing.mode == "sus_threshold":
-        pick = scheduling.select_pairing([[recon[k]] for k in range(g.shape[0])], ctx.pairing)
-        if pick is None:
-            return None
+    if ctx.pairing.mode == "sus_threshold" and not scheduling.select_pairing(recon, ctx.pairing):
+        return None
 
     try:
         ideal_pre = precoding.zf_precoder(g, ctx.cond_cap)
@@ -136,23 +134,23 @@ def _run_trial_range(args) -> tuple:
     return ideal, quant, interf, ok
 
 
-def _parallel_ranges(total: int, workers: int) -> list:
+def _map_ranges(fn, payload, total: int, workers: int) -> list:
+    """Apply ``fn((payload, start, stop))`` over contiguous ranges of
+    ``range(total)``, in range order, in a process pool when ``workers > 1``."""
     chunks = max(1, min(total, workers * 4))
     size = math.ceil(total / chunks)
-    return [(a, min(a + size, total)) for a in range(0, total, size)]
+    tasks = [(payload, a, min(a + size, total)) for a in range(0, total, size)]
+    if workers <= 1 or len(tasks) == 1:
+        return [fn(task) for task in tasks]
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, tasks))
 
 
 def run_trials(ctx: TrialContext, trials: int, workers: int = 1) -> TrialLog:
     """Evaluate ``trials`` independent trials; fold results in trial order."""
     if trials < 1:
         raise ConfigurationError("trials must be >= 1")
-    ranges = _parallel_ranges(trials, workers)
-    tasks = [(ctx, a, b) for a, b in ranges]
-    if workers <= 1 or len(ranges) == 1:
-        parts = [_run_trial_range(task) for task in tasks]
-    else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_run_trial_range, tasks))
+    parts = _map_ranges(_run_trial_range, ctx, trials, workers)
     ideal = np.concatenate([p[0] for p in parts], axis=0)
     quant = np.concatenate([p[1] for p in parts], axis=0)
     interf = np.concatenate([p[2] for p in parts], axis=0)
@@ -170,25 +168,19 @@ def _mean_se(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, se
 
 
-def build_context(scn: scenariomod.Scenario, recon_transform=None) -> TrialContext:
-    """Resolve a fixed-placement scenario into a trial context."""
-    if scn.placement.mode != "fixed":
-        raise ConfigurationError(
-            "build_context requires fixed placement; resolve sweeps with "
-            "scenario.resolved_points or use run_cdf for random placement"
-        )
+def _context(scn: scenariomod.Scenario, positions, require_one_per_cell: bool,
+             recon_transform=None) -> TrialContext:
     large_scale = channel.build_large_scale(
-        scn.placement.positions,
+        positions,
         scn.geometry,
         tx_power=scn.tx_power,
         noise_power=scn.noise_power,
-        require_one_per_cell=(scn.n_users == scn.geometry.n_cells),
+        require_one_per_cell=require_one_per_cell,
     )
-    resolved = quantization.resolve_codebooks(scn.feedback, scn.n_tx, large_scale)
     return TrialContext(
         large_scale=large_scale,
         n_tx=scn.n_tx,
-        feedback=resolved,
+        feedback=quantization.resolve_codebooks(scn.feedback, scn.n_tx, large_scale),
         pairing=scn.pairing,
         tx_power=scn.tx_power,
         noise_power=scn.noise_power,
@@ -197,12 +189,20 @@ def build_context(scn: scenariomod.Scenario, recon_transform=None) -> TrialConte
     )
 
 
-def run(scn: scenariomod.Scenario, workers: int = 1, recon_transform=None) -> RunResult:
-    """Run a fixed-placement scenario and aggregate its statistics."""
-    ctx = build_context(scn, recon_transform=recon_transform)
-    log = run_trials(ctx, scn.trials, workers=workers)
+def build_context(scn: scenariomod.Scenario, recon_transform=None) -> TrialContext:
+    """Resolve a fixed-placement scenario into a trial context."""
+    if scn.placement.mode != "fixed":
+        raise ConfigurationError(
+            "build_context requires fixed placement; resolve sweeps with "
+            "scenario.resolved_points or use run_cdf for random placement"
+        )
+    return _context(scn, scn.placement.positions, scn.n_users == scn.geometry.n_cells,
+                    recon_transform)
+
+
+def aggregate(scn: scenariomod.Scenario, log: TrialLog) -> RunResult:
+    """Fold a fixed-placement scenario's trial log into its statistics."""
     ok = log.ok
-    failures = int(scn.trials - ok.sum())
     if not ok.any():
         raise EstimationError("all trials failed (precoding rejected every pairing)")
     quant_ok = log.quantized[ok]
@@ -217,13 +217,19 @@ def run(scn: scenariomod.Scenario, workers: int = 1, recon_transform=None) -> Ru
         ideal_throughput_se=i_se,
         rate_loss=loss_mean,
         rate_loss_se=loss_se,
-        failures=failures,
+        failures=int(scn.trials - ok.sum()),
         trials=scn.trials,
         config_fingerprint=scenariomod.fingerprint(scn),
         seed=scn.master_seed,
         throughput_samples=quant_ok if scn.retain_samples else None,
         ideal_throughput_samples=ideal_ok if scn.retain_samples else None,
     )
+
+
+def run(scn: scenariomod.Scenario, workers: int = 1, recon_transform=None) -> RunResult:
+    """Run a fixed-placement scenario and aggregate its statistics."""
+    ctx = build_context(scn, recon_transform=recon_transform)
+    return aggregate(scn, run_trials(ctx, scn.trials, workers=workers))
 
 
 # ---------------------------------------------------------------------------
@@ -266,29 +272,12 @@ def _run_drop_range(args) -> tuple:
     for offset in range(count):
         d = start + offset
         rng = rngmod.substream(scn.master_seed, rngmod.DROP, d)
-        positions = _draw_positions(scn, rng)
-        large_scale = channel.build_large_scale(
-            positions,
-            scn.geometry,
-            tx_power=scn.tx_power,
-            noise_power=scn.noise_power,
-            require_one_per_cell=False,
-        )
-        resolved = quantization.resolve_codebooks(scn.feedback, scn.n_tx, large_scale)
-        ctx = TrialContext(
-            large_scale=large_scale,
-            n_tx=scn.n_tx,
-            feedback=resolved,
-            pairing=scn.pairing,
-            tx_power=scn.tx_power,
-            noise_power=scn.noise_power,
-            master_seed=scn.master_seed,
-        )
+        ctx = _context(scn, _draw_positions(scn, rng), require_one_per_cell=False)
         q_acc = np.zeros(n_users)
         i_acc = np.zeros(n_users)
         good = 0
         for _ in range(scn.trials_per_drop):
-            realization = channel.realize_channels(large_scale, scn.n_tx, rng)
+            realization = channel.realize_channels(ctx.large_scale, scn.n_tx, rng)
             outcome = _evaluate_realization(ctx, realization, rng)
             if outcome is None:
                 failed_draws += 1
@@ -317,13 +306,7 @@ def run_cdf(scn: scenariomod.Scenario, workers: int = 1) -> CdfResult:
                 "global lloyd feedback with random drops would retrain per drop; "
                 "use per_cell feedback or a random codebook"
             )
-    ranges = _parallel_ranges(scn.drops, workers)
-    tasks = [(scn, a, b) for a, b in ranges]
-    if workers <= 1 or len(ranges) == 1:
-        parts = [_run_drop_range(task) for task in tasks]
-    else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_run_drop_range, tasks))
+    parts = _map_ranges(_run_drop_range, scn, scn.drops, workers)
     quant = np.concatenate([p[0] for p in parts], axis=0)
     ideal = np.concatenate([p[1] for p in parts], axis=0)
     failed = int(sum(p[2] for p in parts))

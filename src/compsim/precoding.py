@@ -8,9 +8,6 @@ SINR_k = P |g_k v_k|^2 / (sigma^2 + P sum_{j != k} |g_k v_j|^2).
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DomainError, PrecodingError
@@ -18,27 +15,11 @@ from .errors import DomainError, PrecodingError
 DEFAULT_COND_CAP = 1e8
 
 
-def channel_hash(matrix: np.ndarray) -> str:
-    """Short identifier binding a precoder to the channel matrix it came from."""
-    m = np.ascontiguousarray(matrix)
-    digest = hashlib.sha256(m.tobytes() + repr(m.shape).encode())
-    return digest.hexdigest()[:16]
-
-
-@dataclass
-class Precoder:
-    """Unit-norm beamforming columns, one per user."""
-
-    columns: np.ndarray  # (n_bs * n_tx, n_users) complex
-    source_channel_hash: str
-
-    @property
-    def n_users(self) -> int:
-        return self.columns.shape[1]
-
-
-def zf_precoder(reconstructed: np.ndarray, cond_cap: float = DEFAULT_COND_CAP) -> Precoder:
+def zf_precoder(reconstructed: np.ndarray, cond_cap: float = DEFAULT_COND_CAP) -> np.ndarray:
     """Zero-forcing precoder from the stacked reconstructed channels.
+
+    Returns the unit-norm beamforming columns, one per user: a complex
+    (n_bs * n_tx, n_users) array.
 
     Computed through the SVD pseudo-inverse rather than an explicit Gram
     inversion; rank-deficient or ill-conditioned inputs (condition number
@@ -58,21 +39,20 @@ def zf_precoder(reconstructed: np.ndarray, cond_cap: float = DEFAULT_COND_CAP) -
             f"(condition number {s[0] / max(s[-1], np.finfo(float).tiny):.3e})"
         )
     pinv = vh.conj().T @ (u.conj().T / s[:, None])  # (dim, n_users)
-    cols = pinv / np.linalg.norm(pinv, axis=0, keepdims=True)
-    return Precoder(columns=cols, source_channel_hash=channel_hash(H))
+    return pinv / np.linalg.norm(pinv, axis=0, keepdims=True)
 
 
-def cross_gains(true_channels: np.ndarray, precoder: Precoder) -> np.ndarray:
+def cross_gains(true_channels: np.ndarray, precoder: np.ndarray) -> np.ndarray:
     """Matrix of complex gains g_k v_j; entry (k, j)."""
     g = np.asarray(true_channels, dtype=complex)
-    if g.ndim != 2 or g.shape[1] != precoder.columns.shape[0]:
+    if g.ndim != 2 or g.shape[1] != precoder.shape[0]:
         raise DomainError("true channel dimensions inconsistent with precoder")
-    return g @ precoder.columns
+    return g @ precoder
 
 
 def sinr(
     true_channels: np.ndarray,
-    precoder: Precoder,
+    precoder: np.ndarray,
     tx_power: float = 1.0,
     noise_power: float = 1.0,
 ) -> np.ndarray:
@@ -84,7 +64,7 @@ def sinr(
 
 
 def interference_power(
-    true_channels: np.ndarray, precoder: Precoder, tx_power: float = 1.0
+    true_channels: np.ndarray, precoder: np.ndarray, tx_power: float = 1.0
 ) -> np.ndarray:
     """Residual inter-user interference P * sum_{j != k} |g_k v_j|^2 per user."""
     power = tx_power * np.abs(cross_gains(true_channels, precoder)) ** 2

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import channel, rng as rngmod
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError, DomainError, raise_problems
 
 DEFAULT_LLOYD_OVERSAMPLING = 200  # training samples per codeword
 MIN_LLOYD_OVERSAMPLING = 100
@@ -459,6 +459,13 @@ def load_codebook(path) -> Codebook:
 # Scenario-level feedback configuration and codebook resolution
 # ---------------------------------------------------------------------------
 
+FEEDBACK_MODES = ("perfect", "per_cell", "global")
+
+
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
 @dataclass
 class FeedbackConfig:
     """Which CSI the transmitter gets and how its codebooks are built.
@@ -476,6 +483,30 @@ class FeedbackConfig:
     codebook_kind: str = "lloyd"
     training_seed: int = 7001
     codebook_files: dict | None = None
+
+    def problems(self) -> list:
+        """(field, message) pairs for every invalid field. The shape of the
+        per-cell bit matrix depends on the scenario and is checked there."""
+        out = []
+        if self.mode not in FEEDBACK_MODES:
+            out.append(("mode", f"must be one of {FEEDBACK_MODES}"))
+        if self.codebook_kind not in ("lloyd", "random"):
+            out.append(("codebook_kind", "must be 'lloyd' or 'random'"))
+        if self.training_seed < 0:
+            out.append(("training_seed", "must be nonnegative"))
+        if self.mode == "per_cell":
+            if not isinstance(self.bits, list) or not all(isinstance(r, list) for r in self.bits):
+                out.append(("bits", "must be a matrix (a list of rows) of bit counts"))
+            else:
+                out.extend((f"bits[{k}][{b}]", "must be a nonnegative integer")
+                           for k, row in enumerate(self.bits)
+                           for b, entry in enumerate(row) if not _is_count(entry))
+        elif self.mode == "global" and not _is_count(self.global_bits):
+            out.append(("global_bits", "must be a nonnegative integer"))
+        return out
+
+    def __post_init__(self):
+        raise_problems(self.problems())
 
 
 @dataclass
@@ -498,6 +529,21 @@ class ResolvedFeedback:
             return per_cell_feedback(realization, large_scale, self.per_link)
         return global_feedback(realization, large_scale, self.per_user_global)
 
+    def expected_error_matrix(self) -> np.ndarray:
+        """(n_users, n_bs) per-link E{sin^2 theta}: the estimate each per-cell
+        codebook carries in its training metadata."""
+        if self.mode != "per_cell":
+            raise ConfigurationError("per-link expected errors need per-cell feedback")
+        try:
+            return np.array([
+                [cb.training_meta["expected_error"]["mean"] for cb in row]
+                for row in self.per_link
+            ])
+        except (KeyError, TypeError):
+            raise ConfigurationError(
+                "a per-cell codebook carries no expected-error estimate"
+            ) from None
+
 
 _codebook_cache: dict = {}
 
@@ -506,31 +552,51 @@ def clear_codebook_cache() -> None:
     _codebook_cache.clear()
 
 
-def _train_or_draw(dimension, bits, kind, seed, sampler=None, sampler_key=()):
-    key = ("global" if sampler is not None else "percell", dimension, bits, kind, seed, sampler_key)
-    hit = _codebook_cache.get(key)
-    if hit is not None:
-        return hit
-    train_rng = rngmod.substream(seed, rngmod.TRAINING, dimension, bits, *_key_ints(sampler_key))
+def build_codebook(
+    dimension: int,
+    bits: int,
+    kind: str,
+    seed: int,
+    sampler=None,
+    sampler_key=(),
+    max_iters: int = DEFAULT_LLOYD_MAX_ITERS,
+    tol: float = DEFAULT_LLOYD_TOL,
+) -> Codebook:
+    """Train (or draw) one codebook and attach its expected-error estimate.
+
+    ``sampler(count, rng)`` draws the unit input directions used for Lloyd
+    training and for the error estimate; isotropic when None. Training and
+    estimation draw from the TRAINING and ERROR_ESTIMATE substreams of
+    ``seed`` keyed by (dimension, bits) and, when given, ``sampler_key``.
+    """
+    if dimension < 1:
+        raise ConfigurationError("dimension must be >= 1")
+    if bits < 0:
+        raise ConfigurationError("bits must be nonnegative")
+    if sampler is None:
+        def sampler(count, rng):
+            return isotropic_directions(count, dimension, rng)
+    labels = (dimension, bits, *_key_ints(sampler_key))
+    train_rng = rngmod.substream(seed, rngmod.TRAINING, *labels)
     if kind == "random":
         cb = random_codebook(dimension, bits, train_rng)
     else:
-        count = DEFAULT_LLOYD_OVERSAMPLING * 2**bits
-        samples = sampler(count, train_rng) if sampler is not None else isotropic_directions(
-            count, dimension, train_rng
-        )
-        cb = train_lloyd(dimension, bits, samples, rng=train_rng)
-    err_rng = rngmod.substream(seed, rngmod.ERROR_ESTIMATE, dimension, bits, *_key_ints(sampler_key))
-    if sampler is not None:
-        mean, se = expected_error(cb, directions=sampler(DEFAULT_ERROR_ESTIMATE_DRAWS, err_rng))
-    else:
-        mean, se = expected_error(cb, DEFAULT_ERROR_ESTIMATE_DRAWS, err_rng)
+        samples = sampler(DEFAULT_LLOYD_OVERSAMPLING * 2**bits, train_rng)
+        cb = train_lloyd(dimension, bits, samples, max_iters=max_iters, tol=tol, rng=train_rng)
+    err_rng = rngmod.substream(seed, rngmod.ERROR_ESTIMATE, *labels)
+    mean, se = expected_error(cb, directions=sampler(DEFAULT_ERROR_ESTIMATE_DRAWS, err_rng))
     meta = dict(cb.training_meta or {})
     meta["expected_error"] = {"mean": mean, "se": se, "draws": DEFAULT_ERROR_ESTIMATE_DRAWS}
     meta["seed"] = seed
     cb.training_meta = meta
-    _codebook_cache[key] = cb
     return cb
+
+
+def _cached_codebook(dimension, bits, kind, seed, sampler=None, sampler_key=()):
+    key = ("global" if sampler is not None else "percell", dimension, bits, kind, seed, sampler_key)
+    if key not in _codebook_cache:
+        _codebook_cache[key] = build_codebook(dimension, bits, kind, seed, sampler, sampler_key)
+    return _codebook_cache[key]
 
 
 def _key_ints(sampler_key) -> tuple:
@@ -594,37 +660,33 @@ def resolve_codebooks(
                     )
                 by_bits[b] = cb
             else:
-                by_bits[b] = _train_or_draw(n_tx, b, config.codebook_kind, config.training_seed)
+                by_bits[b] = _cached_codebook(n_tx, b, config.codebook_kind, config.training_seed)
         grid = [[by_bits[int(bits[k, b])] for b in range(n_bs)] for k in range(n_users)]
         return ResolvedFeedback(mode="per_cell", per_link=grid)
-    if config.mode == "global":
-        if config.global_bits is None:
-            raise ConfigurationError("global feedback requires global_bits")
-        dim = n_bs * n_tx
-        per_user = []
-        for k in range(n_users):
-            slot = f"user{k}"
-            if slot in files:
-                cb = load_codebook(files[slot])
-                if cb.dimension != dim or cb.bits != config.global_bits:
-                    raise ConfigurationError(f"codebook file {files[slot]} does not match {slot}")
-                per_user.append(cb)
-                continue
-            row = large_scale.alpha_sq[k]
-            total = row.sum()
-            if total <= 0:
-                raise ConfigurationError(f"user {k} has no link energy; cannot train codebook")
-            profile = row / total
-            profile_key = tuple(profile.tolist())
-            per_user.append(
-                _train_or_draw(
-                    dim,
-                    config.global_bits,
-                    config.codebook_kind,
-                    config.training_seed,
-                    sampler=_composite_direction_sampler(profile, n_tx),
-                    sampler_key=profile_key,
-                )
+    dim = n_bs * n_tx
+    per_user = []
+    for k in range(n_users):
+        slot = f"user{k}"
+        if slot in files:
+            cb = load_codebook(files[slot])
+            if cb.dimension != dim or cb.bits != config.global_bits:
+                raise ConfigurationError(f"codebook file {files[slot]} does not match {slot}")
+            per_user.append(cb)
+            continue
+        row = large_scale.alpha_sq[k]
+        total = row.sum()
+        if total <= 0:
+            raise ConfigurationError(f"user {k} has no link energy; cannot train codebook")
+        profile = row / total
+        profile_key = tuple(profile.tolist())
+        per_user.append(
+            _cached_codebook(
+                dim,
+                config.global_bits,
+                config.codebook_kind,
+                config.training_seed,
+                sampler=_composite_direction_sampler(profile, n_tx),
+                sampler_key=profile_key,
             )
-        return ResolvedFeedback(mode="global", per_user_global=per_user)
-    raise ConfigurationError(f"unknown feedback mode {config.mode!r}")
+        )
+    return ResolvedFeedback(mode="global", per_user_global=per_user)

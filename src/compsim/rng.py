@@ -12,18 +12,19 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ConfigurationError
+
 # Stream labels; first element of every spawn key.
 TRIAL = 0
 DROP = 1
 TRAINING = 2
 ERROR_ESTIMATE = 3
 APPENDIX = 4
-BOOTSTRAP = 5
 
 
 def substream(master_seed: int, *key: int) -> np.random.Generator:
     """Return the generator for substream ``key`` of ``master_seed``."""
     if master_seed < 0:
-        raise ValueError("master seed must be nonnegative")
+        raise ConfigurationError("master seed must be nonnegative")
     ss = np.random.SeedSequence(entropy=master_seed, spawn_key=tuple(int(k) for k in key))
     return np.random.default_rng(ss)

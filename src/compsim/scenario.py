@@ -13,20 +13,32 @@ import copy
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from types import SimpleNamespace
 
 import numpy as np
 
 from .channel import Geometry, single_cell, two_cell_line
-from .errors import ConfigurationError, ScenarioError
+from .errors import ConfigurationError, ScenarioError, raise_problems
 from .quantization import FeedbackConfig
 from .scheduling import PairingPolicy
 
 PLACEMENT_MODES = ("fixed", "line_sweep", "random_uniform")
-FEEDBACK_MODES = ("perfect", "per_cell", "global")
 
 ENV_SEED = "COMPSIM_SEED"
 ENV_TRIALS = "COMPSIM_TRIALS"
+
+
+def _is_xy(entry) -> bool:
+    return (isinstance(entry, list) and len(entry) == 2
+            and all(isinstance(c, (int, float)) for c in entry))
+
+
+def _distance_problem(geom: Geometry, distance_m) -> str | None:
+    """Why ``distance_m`` is not a valid distance from a user's own BS."""
+    if distance_m is None or not geom.d_min_m <= distance_m <= geom.cell_radius_m:
+        return f"must lie within [{geom.d_min_m}, {geom.cell_radius_m}] m"
+    return None
 
 
 @dataclass
@@ -64,6 +76,64 @@ class Scenario:
     tx_power: float = 1.0
     noise_power: float = 1.0
     output_csv: str | None = None  # default CSV destination, CLI --out wins
+
+    def problems(self) -> list:
+        """(field path, message) pairs for the scalar fields, the placement,
+        and the checks that tie the sections together. Geometry, feedback
+        and pairing check their own fields."""
+        geom, pl = self.geometry, self.placement
+        n_users, n_cells = self.n_users, geom.n_cells
+        out = [(name, message) for name, ok, message in (
+            ("n_tx", self.n_tx >= 2, "must be >= 2"),
+            ("n_users", n_users >= 1, "must be >= 1"),
+            ("trials", self.trials >= 1, "must be >= 1"),
+            ("drops", self.drops >= 0, "must be >= 0"),
+            ("trials_per_drop", self.trials_per_drop >= 1, "must be >= 1"),
+            ("master_seed", self.master_seed >= 0, "must be nonnegative"),
+            ("tx_power", self.tx_power > 0, "must be positive"),
+            ("noise_power", self.noise_power > 0, "must be positive"),
+        ) if not ok]
+
+        if pl.mode not in PLACEMENT_MODES:
+            out.append(("placement.mode", f"must be one of {PLACEMENT_MODES}"))
+        elif pl.mode == "random_uniform":
+            if self.drops < 1:
+                out.append(("drops", "random placement requires drops >= 1"))
+        else:
+            swept = pl.sweep_user if pl.mode == "line_sweep" else None
+            if not isinstance(pl.positions, list) or len(pl.positions) != n_users:
+                out.append(("placement.positions", f"must list exactly {n_users} entries"))
+            else:
+                out.extend((f"placement.positions[{i}]", "must be an [x, y] pair")
+                           for i, entry in enumerate(pl.positions)
+                           if not (_is_xy(entry) or (i == swept and entry is None)))
+            if pl.mode == "line_sweep":
+                if n_cells != 2:
+                    out.append(("placement.mode", "line_sweep needs the two-cell geometry"))
+                if swept is None or not 0 <= swept < n_users:
+                    out.append(("placement.sweep_user",
+                                f"must be a user index in [0, {n_users})"))
+                for name in ("start_m", "stop_m"):
+                    problem = _distance_problem(geom, getattr(pl, name))
+                    if problem:
+                        out.append((f"placement.{name}", problem))
+                if pl.steps is None or pl.steps < 1:
+                    out.append(("placement.steps", "must be >= 1"))
+
+        bits = self.feedback.bits
+        if self.feedback.mode == "per_cell" and not (
+            isinstance(bits, list) and len(bits) == n_users
+            and all(isinstance(row, list) and len(row) == n_cells for row in bits)
+        ):
+            out.append(("feedback.bits", f"must be an {n_users} x {n_cells} integer matrix"))
+        if pl.mode != "random_uniform" and n_cells != 1 and n_users != n_cells:
+            out.append(("n_users", "must equal geometry.n_cells for cooperative scenarios"))
+        if n_users > n_cells * self.n_tx:
+            out.append(("n_users", "cannot exceed total transmit antennas"))
+        return out
+
+    def __post_init__(self):
+        raise_problems(self.problems())
 
 
 @dataclass
@@ -114,7 +184,6 @@ def scenario_to_dict(s: Scenario) -> dict:
         "pairing": {
             "mode": s.pairing.mode,
             "threshold": s.pairing.threshold,
-            "candidate_pool_size": s.pairing.candidate_pool_size,
         },
         "trials": s.trials,
         "drops": s.drops,
@@ -144,43 +213,89 @@ def experiment_to_json(e: Experiment) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Parsing with total validation
+# Parsing
 # ---------------------------------------------------------------------------
 
-class _Checker:
-    """Accumulates located diagnostics while pulling typed fields from dicts."""
+# Every key of the document: section -> key -> (JSON type, required, default).
+# The default also stands in for a missing or mistyped value, so that the
+# value checks still run and report their own problems.
+_SCHEMA = {
+    "": {
+        "geometry": (dict, True, {}),
+        "n_tx": (int, True, 0),
+        "n_users": (int, True, 0),
+        "placement": (dict, True, {}),
+        "feedback": (dict, True, {}),
+        "pairing": (dict, True, {}),
+        "trials": (int, False, 1000),
+        "drops": (int, False, 0),
+        "trials_per_drop": (int, False, 1),
+        "master_seed": (int, False, 1),
+        "retain_samples": (bool, False, False),
+        "tx_power": (float, False, 1.0),
+        "noise_power": (float, False, 1.0),
+        "output_csv": (str, False, None),
+    },
+    "geometry": {
+        "n_cells": (int, True, 0),
+        "bs_positions": (list, True, []),
+        "cell_radius_m": (float, True, 250.0),
+        "pathloss_exponent": (float, False, 3.76),
+        "edge_snr_db": (float, False, 10.0),
+        "d_min_m": (float, False, 1.0),
+        "pathloss_sign": (int, False, -1),
+    },
+    "placement": {
+        "mode": (str, True, "fixed"),
+        "positions": (list, False, None),
+        "sweep_user": (int, False, None),
+        "start_m": (float, False, None),
+        "stop_m": (float, False, None),
+        "steps": (int, False, None),
+    },
+    "feedback": {
+        "mode": (str, True, "perfect"),
+        "bits": (list, False, None),
+        "global_bits": (int, False, None),
+        "codebook_kind": (str, False, "lloyd"),
+        "training_seed": (int, False, 7001),
+        "codebook_files": (dict, False, None),
+    },
+    "pairing": {
+        "mode": (str, False, "always_pair"),
+        "threshold": (float, False, 1.0),
+    },
+}
 
-    def __init__(self):
-        self.errors: list[str] = []
 
-    def fail(self, path: str, message: str):
-        self.errors.append(f"{path}: {message}")
+def _json_type_ok(value, kind) -> bool:
+    if kind is float:
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    if kind is int:
+        return isinstance(value, int) and not isinstance(value, bool)
+    return isinstance(value, kind)
 
-    def expect_keys(self, obj: dict, path: str, known: set):
-        for key in obj:
-            if key not in known:
-                self.fail(f"{path}.{key}" if path else key, "unknown key")
 
-    def get(self, obj: dict, path: str, key: str, kind, required=True, default=None):
-        if key not in obj or obj[key] is None:
+def _read_section(obj: dict, path: str, errors: list) -> dict:
+    """The typed fields of one section; unknown, missing and mistyped keys
+    are reported into ``errors`` and replaced by their defaults."""
+    schema = _SCHEMA[path]
+    prefix = f"{path}." if path else ""
+    errors.extend(f"{prefix}{key}: unknown key" for key in obj if key not in schema)
+    out = {}
+    for key, (kind, required, default) in schema.items():
+        value = obj.get(key)
+        if value is None:
             if required:
-                self.fail(f"{path}.{key}" if path else key, "missing")
-            return default
-        value = obj[key]
-        if kind is float and isinstance(value, (int, float)) and not isinstance(value, bool):
-            return float(value)
-        if kind is int and isinstance(value, int) and not isinstance(value, bool):
-            return value
-        if kind is bool and isinstance(value, bool):
-            return value
-        if kind is str and isinstance(value, str):
-            return value
-        if kind is list and isinstance(value, list):
-            return value
-        if kind is dict and isinstance(value, dict):
-            return value
-        self.fail(f"{path}.{key}" if path else key, f"expected {kind.__name__}")
-        return default
+                errors.append(f"{prefix}{key}: missing")
+            value = copy.deepcopy(default)
+        elif not _json_type_ok(value, kind):
+            errors.append(f"{prefix}{key}: expected {kind.__name__}")
+            value = copy.deepcopy(default)
+        elif kind is float:
+            value = float(value)
+        out[key] = value
+    return out
 
 
 def parse(text: str) -> Scenario:
@@ -189,238 +304,61 @@ def parse(text: str) -> Scenario:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ScenarioError([f"document: invalid JSON ({exc})"]) from exc
+        raise ScenarioError(f"document: invalid JSON ({exc})") from exc
     if not isinstance(doc, dict):
-        raise ScenarioError(["document: top level must be an object"])
+        raise ScenarioError("document: top level must be an object")
     return scenario_from_dict(doc)
 
 
 def scenario_from_dict(doc: dict) -> Scenario:
-    ck = _Checker()
-    known = {
-        "geometry", "n_tx", "n_users", "placement", "feedback", "pairing",
-        "trials", "drops", "trials_per_drop", "master_seed", "retain_samples",
-        "tx_power", "noise_power", "output_csv",
-    }
-    ck.expect_keys(doc, "", known)
+    """Build a scenario from its JSON object, reporting every problem at once.
 
-    geo = ck.get(doc, "", "geometry", dict, default={}) or {}
-    ck.expect_keys(geo, "geometry", {
-        "n_cells", "bs_positions", "cell_radius_m", "pathloss_exponent",
-        "edge_snr_db", "d_min_m", "pathloss_sign",
-    })
-    n_cells = ck.get(geo, "geometry", "n_cells", int, default=0)
-    bs_positions = ck.get(geo, "geometry", "bs_positions", list, default=[])
-    cell_radius = ck.get(geo, "geometry", "cell_radius_m", float, default=250.0)
-    pathloss_exp = ck.get(geo, "geometry", "pathloss_exponent", float, required=False, default=3.76)
-    edge_snr = ck.get(geo, "geometry", "edge_snr_db", float, required=False, default=10.0)
-    d_min = ck.get(geo, "geometry", "d_min_m", float, required=False, default=1.0)
-    pl_sign = ck.get(geo, "geometry", "pathloss_sign", int, required=False, default=-1)
-    if n_cells is not None and n_cells < 1:
-        ck.fail("geometry.n_cells", "must be >= 1")
-    if cell_radius is not None and cell_radius <= 0:
-        ck.fail("geometry.cell_radius_m", "must be positive")
-    if pathloss_exp is not None and pathloss_exp < 0:
-        ck.fail("geometry.pathloss_exponent", "must be nonnegative")
-    if d_min is not None and d_min <= 0:
-        ck.fail("geometry.d_min_m", "must be positive")
-    if pl_sign not in (-1, 1):
-        ck.fail("geometry.pathloss_sign", "must be -1 or +1")
-    positions_ok = isinstance(bs_positions, list) and all(
-        isinstance(p, list) and len(p) == 2 and all(isinstance(c, (int, float)) for c in p)
-        for p in bs_positions
-    )
-    if not positions_ok:
-        ck.fail("geometry.bs_positions", "must be a list of [x, y] pairs")
-    elif n_cells and len(bs_positions) != n_cells:
-        ck.fail("geometry.bs_positions", f"must have exactly {n_cells} entries")
+    This function checks only the document's shape: unknown, missing and
+    mistyped keys. The values are checked by the dataclasses. Their checks
+    run here on the raw fields first, since constructing a dataclass stops
+    at its own problems, and each is reported under its ``section.field``
+    path.
+    """
+    errors: list[str] = []
+    top = _read_section(copy.deepcopy(doc), "", errors)
+    sections = {name: SimpleNamespace(**_read_section(top.pop(name), name, errors))
+                for name in ("geometry", "placement", "feedback", "pairing")}
+    geometry = sections["geometry"]
+    if not all(_is_xy(p) for p in geometry.bs_positions):
+        errors.append("geometry.bs_positions: must be a list of [x, y] pairs")
+        geometry.bs_positions = []
 
-    n_tx = ck.get(doc, "", "n_tx", int, default=0)
-    n_users = ck.get(doc, "", "n_users", int, default=0)
-    if n_tx is not None and n_tx < 2:
-        ck.fail("n_tx", "must be >= 2")
-    if n_users is not None and n_users < 1:
-        ck.fail("n_users", "must be >= 1")
+    for name, cls in (("geometry", Geometry), ("feedback", FeedbackConfig),
+                      ("pairing", PairingPolicy)):
+        errors.extend(f"{name}.{field}: {message}"
+                      for field, message in cls.problems(sections[name]))
+    errors.extend(f"{field}: {message}"
+                  for field, message in Scenario.problems(SimpleNamespace(**top, **sections)))
+    if errors:
+        raise ScenarioError(*errors)
 
-    pl = ck.get(doc, "", "placement", dict, default={}) or {}
-    ck.expect_keys(pl, "placement", {
-        "mode", "positions", "sweep_user", "start_m", "stop_m", "steps",
-    })
-    pl_mode = ck.get(pl, "placement", "mode", str, default="fixed")
-    if pl_mode not in PLACEMENT_MODES:
-        ck.fail("placement.mode", f"must be one of {PLACEMENT_MODES}")
-    positions = pl.get("positions")
-    sweep_user = ck.get(pl, "placement", "sweep_user", int, required=False)
-    start_m = ck.get(pl, "placement", "start_m", float, required=False)
-    stop_m = ck.get(pl, "placement", "stop_m", float, required=False)
-    steps = ck.get(pl, "placement", "steps", int, required=False)
-
-    def _check_position(entry, path, allow_null):
-        if entry is None:
-            if not allow_null:
-                ck.fail(path, "must be an [x, y] pair")
-            return
-        if not (isinstance(entry, list) and len(entry) == 2
-                and all(isinstance(c, (int, float)) for c in entry)):
-            ck.fail(path, "must be an [x, y] pair")
-
-    if pl_mode == "fixed":
-        if not isinstance(positions, list) or (n_users and len(positions) != n_users):
-            ck.fail("placement.positions", f"must list exactly {n_users} [x, y] pairs")
-        else:
-            for i, entry in enumerate(positions):
-                _check_position(entry, f"placement.positions[{i}]", allow_null=False)
-    elif pl_mode == "line_sweep":
-        if sweep_user is None or (n_users and not 0 <= sweep_user < n_users):
-            ck.fail("placement.sweep_user", f"must be a user index in [0, {n_users})")
-        for name, value in (("start_m", start_m), ("stop_m", stop_m)):
-            if value is None or value <= 0:
-                ck.fail(f"placement.{name}", "must be a positive distance")
-        if steps is None or steps < 1:
-            ck.fail("placement.steps", "must be >= 1")
-        if not isinstance(positions, list) or (n_users and len(positions) != n_users):
-            ck.fail("placement.positions", f"must list exactly {n_users} entries")
-        else:
-            for i, entry in enumerate(positions):
-                _check_position(entry, f"placement.positions[{i}]",
-                                allow_null=(i == sweep_user))
-        if isinstance(cell_radius, float) and d_min:
-            for name, value in (("start_m", start_m), ("stop_m", stop_m)):
-                if value is not None and not d_min <= value <= cell_radius:
-                    ck.fail(f"placement.{name}",
-                            f"must lie within [{d_min}, {cell_radius}] m")
-
-    fb = ck.get(doc, "", "feedback", dict, default={}) or {}
-    ck.expect_keys(fb, "feedback", {
-        "mode", "bits", "global_bits", "codebook_kind", "training_seed",
-        "codebook_files",
-    })
-    fb_mode = ck.get(fb, "feedback", "mode", str, default="perfect")
-    if fb_mode not in FEEDBACK_MODES:
-        ck.fail("feedback.mode", f"must be one of {FEEDBACK_MODES}")
-    fb_bits = fb.get("bits")
-    fb_global_bits = ck.get(fb, "feedback", "global_bits", int, required=False)
-    fb_kind = ck.get(fb, "feedback", "codebook_kind", str, required=False, default="lloyd")
-    if fb_kind not in ("lloyd", "random"):
-        ck.fail("feedback.codebook_kind", "must be 'lloyd' or 'random'")
-    fb_seed = ck.get(fb, "feedback", "training_seed", int, required=False, default=7001)
-    if fb_seed is not None and fb_seed < 0:
-        ck.fail("feedback.training_seed", "must be nonnegative")
-    fb_files = ck.get(fb, "feedback", "codebook_files", dict, required=False)
-    if fb_mode == "per_cell":
-        n_bs = n_cells or 0
-        if not isinstance(fb_bits, list) or (n_users and len(fb_bits) != n_users):
-            ck.fail("feedback.bits", f"must be an {n_users} x {n_bs} integer matrix")
-        else:
-            for k, row in enumerate(fb_bits):
-                if not isinstance(row, list) or (n_bs and len(row) != n_bs):
-                    ck.fail(f"feedback.bits[{k}]", f"must list {n_bs} entries")
-                    continue
-                for b, entry in enumerate(row):
-                    if not isinstance(entry, int) or isinstance(entry, bool) or entry < 0:
-                        ck.fail(f"feedback.bits[{k}][{b}]", "must be a nonnegative integer")
-    elif fb_mode == "global":
-        if fb_global_bits is None or fb_global_bits < 0:
-            ck.fail("feedback.global_bits", "must be a nonnegative integer")
-
-    pr = ck.get(doc, "", "pairing", dict, default={}) or {}
-    ck.expect_keys(pr, "pairing", {"mode", "threshold", "candidate_pool_size"})
-    pr_mode = ck.get(pr, "pairing", "mode", str, required=False, default="always_pair")
-    pr_threshold = ck.get(pr, "pairing", "threshold", float, required=False, default=1.0)
-    pr_pool = ck.get(pr, "pairing", "candidate_pool_size", int, required=False, default=1)
-    if pr_mode not in ("fixed", "sus_threshold", "always_pair"):
-        ck.fail("pairing.mode", "must be fixed, sus_threshold, or always_pair")
-    if pr_threshold is not None and not 0.0 <= pr_threshold <= 1.0:
-        ck.fail("pairing.threshold", "must lie in [0, 1]")
-    if pr_pool is not None and pr_pool < 1:
-        ck.fail("pairing.candidate_pool_size", "must be >= 1")
-
-    trials = ck.get(doc, "", "trials", int, required=False, default=1000)
-    drops = ck.get(doc, "", "drops", int, required=False, default=0)
-    trials_per_drop = ck.get(doc, "", "trials_per_drop", int, required=False, default=1)
-    master_seed = ck.get(doc, "", "master_seed", int, required=False, default=1)
-    retain = ck.get(doc, "", "retain_samples", bool, required=False, default=False)
-    tx_power = ck.get(doc, "", "tx_power", float, required=False, default=1.0)
-    noise_power = ck.get(doc, "", "noise_power", float, required=False, default=1.0)
-    output_csv = ck.get(doc, "", "output_csv", str, required=False)
-    if trials is not None and trials < 1:
-        ck.fail("trials", "must be >= 1")
-    if drops is not None and drops < 0:
-        ck.fail("drops", "must be >= 0")
-    if pl_mode == "random_uniform" and (drops is None or drops < 1):
-        ck.fail("drops", "random placement requires drops >= 1")
-    if trials_per_drop is not None and trials_per_drop < 1:
-        ck.fail("trials_per_drop", "must be >= 1")
-    if master_seed is not None and master_seed < 0:
-        ck.fail("master_seed", "must be nonnegative")
-    if tx_power is not None and tx_power <= 0:
-        ck.fail("tx_power", "must be positive")
-    if noise_power is not None and noise_power <= 0:
-        ck.fail("noise_power", "must be positive")
-    if n_users and n_cells and pl_mode != "random_uniform" and n_users != n_cells:
-        if n_cells != 1:
-            ck.fail("n_users", "must equal geometry.n_cells for cooperative scenarios")
-    if n_users and n_tx and n_cells and n_users > n_cells * n_tx:
-        ck.fail("n_users", "cannot exceed total transmit antennas")
-
-    if ck.errors:
-        raise ScenarioError(ck.errors)
-
-    geometry = Geometry(
-        n_cells=n_cells,
-        bs_positions=np.asarray(bs_positions, dtype=float),
-        cell_radius_m=cell_radius,
-        pathloss_exponent=pathloss_exp,
-        edge_snr_db=edge_snr,
-        d_min_m=d_min,
-        pathloss_sign=pl_sign,
-    )
-    placement = Placement(
-        mode=pl_mode,
-        positions=copy.deepcopy(positions),
-        sweep_user=sweep_user,
-        start_m=start_m,
-        stop_m=stop_m,
-        steps=steps,
-    )
-    feedback = FeedbackConfig(
-        mode=fb_mode,
-        bits=copy.deepcopy(fb_bits),
-        global_bits=fb_global_bits,
-        codebook_kind=fb_kind,
-        training_seed=fb_seed,
-        codebook_files=copy.deepcopy(fb_files),
-    )
-    pairing = PairingPolicy(
-        mode=pr_mode, threshold=pr_threshold, candidate_pool_size=pr_pool
-    )
     return Scenario(
-        geometry=geometry,
-        n_tx=n_tx,
-        n_users=n_users,
-        placement=placement,
-        feedback=feedback,
-        pairing=pairing,
-        trials=trials,
-        drops=drops,
-        trials_per_drop=trials_per_drop,
-        master_seed=master_seed,
-        retain_samples=retain,
-        tx_power=tx_power,
-        noise_power=noise_power,
-        output_csv=output_csv,
+        geometry=Geometry(**vars(geometry)),
+        placement=Placement(**vars(sections["placement"])),
+        feedback=FeedbackConfig(**vars(sections["feedback"])),
+        pairing=PairingPolicy(**vars(sections["pairing"])),
+        **top,
     )
 
 
 def apply_env_overrides(s: Scenario, env=None) -> Scenario:
     """Apply the seed / trial-count environment overrides (only those two)."""
     env = os.environ if env is None else env
-    out = s
-    if ENV_SEED in env:
-        out = replace(out, master_seed=int(env[ENV_SEED]))
-    if ENV_TRIALS in env:
-        out = replace(out, trials=int(env[ENV_TRIALS]))
-    return out
+    changes = {}
+    for name, field_name in ((ENV_SEED, "master_seed"), (ENV_TRIALS, "trials")):
+        if name in env:
+            try:
+                changes[field_name] = int(env[name])
+            except ValueError:
+                raise ConfigurationError(
+                    f"{name}: expected an integer, got {env[name]!r}"
+                ) from None
+    return replace(s, **changes) if changes else s
 
 
 # ---------------------------------------------------------------------------
@@ -429,8 +367,6 @@ def apply_env_overrides(s: Scenario, env=None) -> Scenario:
 
 def _line_position(geom: Geometry, user: int, distance_m: float) -> list:
     """Position of ``user`` on the inter-BS axis at ``distance_m`` from its BS."""
-    if geom.n_cells != 2:
-        raise ConfigurationError("line placement requires the two-cell geometry")
     serving = geom.bs_positions[user]
     other = geom.bs_positions[1 - user]
     direction = (other - serving) / np.linalg.norm(other - serving)
@@ -447,6 +383,9 @@ def at_sweep_point(s: Scenario, distance_m: float) -> Scenario:
     """Resolve a line-sweep scenario to fixed positions at one sweep distance."""
     if s.placement.mode != "line_sweep":
         raise ConfigurationError("scenario has no sweep to resolve")
+    problem = _distance_problem(s.geometry, distance_m)
+    if problem:
+        raise ConfigurationError(f"sweep distance {distance_m:g} m {problem}")
     positions = copy.deepcopy(s.placement.positions)
     positions[s.placement.sweep_user] = _line_position(
         s.geometry, s.placement.sweep_user, distance_m

@@ -1,10 +1,10 @@
 """User pairing over quantized composite channels.
 
 The correlation statistic between two reconstructed channels is
-|g_hat_k g_hat_j^H| / (||g_hat_k|| ||g_hat_j||). The semi-orthogonal mode
-greedily admits, cell by cell, the highest-norm candidate whose correlation
-with everyone already selected stays below the threshold; the fixed and
-always-pair modes serve the designated users unconditionally.
+|g_hat_k g_hat_j^H| / (||g_hat_k|| ||g_hat_j||). Each cell schedules one
+user; the semi-orthogonal mode serves the users together only while every
+pairwise correlation stays below the threshold, and the fixed and
+always-pair modes serve them unconditionally.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError, DomainError, raise_problems
 
 PAIRING_MODES = ("fixed", "sus_threshold", "always_pair")
 
@@ -22,15 +22,18 @@ PAIRING_MODES = ("fixed", "sus_threshold", "always_pair")
 class PairingPolicy:
     mode: str = "always_pair"
     threshold: float = 1.0  # used by sus_threshold only
-    candidate_pool_size: int = 1
+
+    def problems(self) -> list:
+        """(field, message) pairs for every invalid field."""
+        out = []
+        if self.mode not in PAIRING_MODES:
+            out.append(("mode", f"must be one of {PAIRING_MODES}"))
+        if not 0.0 <= self.threshold <= 1.0:
+            out.append(("threshold", "must lie in [0, 1]"))
+        return out
 
     def __post_init__(self):
-        if self.mode not in PAIRING_MODES:
-            raise ConfigurationError(f"unknown pairing mode {self.mode!r}")
-        if not 0.0 <= self.threshold <= 1.0:
-            raise ConfigurationError("pairing threshold must lie in [0, 1]")
-        if self.candidate_pool_size < 1:
-            raise ConfigurationError("candidate_pool_size must be >= 1")
+        raise_problems(self.problems())
 
 
 def quantized_correlation(a: np.ndarray, b: np.ndarray) -> float:
@@ -43,44 +46,19 @@ def quantized_correlation(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.abs(np.vdot(b, a)) / (na * nb))
 
 
-def select_pairing(candidates, policy: PairingPolicy, rng=None):
-    """Pick one user per cell, or None if the semi-orthogonal constraint rejects.
+def select_pairing(vectors, policy: PairingPolicy) -> bool:
+    """Whether the policy serves the scheduled users together.
 
-    ``candidates`` is a per-cell list of reconstructed channel vectors.
-    fixed/always_pair return the first (designated) candidate of every cell.
-    sus_threshold scans each cell's pool in descending reconstructed-norm
-    order (ties to the lower index) and admits the first candidate whose
-    correlation with all previously selected users is below the threshold.
+    ``vectors`` holds one reconstructed channel per cell, in cell order.
+    fixed/always_pair always pair; sus_threshold rejects when the correlation
+    of any later user with an earlier one is not below the threshold.
     """
-    if not candidates or any(len(pool) == 0 for pool in candidates):
-        raise ConfigurationError("every cell needs at least one candidate")
-    if policy.mode in ("fixed", "always_pair"):
-        return tuple(0 for _ in candidates)
-
-    selected: list[int] = []
-    chosen_vectors: list[np.ndarray] = []
-    for pool in candidates:
-        norms = [np.linalg.norm(np.asarray(v)) for v in pool]
-        order = sorted(range(len(pool)), key=lambda i: (-norms[i], i))
-        pick = None
-        for i in order:
-            if all(
-                quantized_correlation(pool[i], prev) < policy.threshold
-                for prev in chosen_vectors
-            ):
-                pick = i
-                break
-        if pick is None:
-            return None
-        selected.append(pick)
-        chosen_vectors.append(np.asarray(pool[pick], dtype=complex))
-
-    # Hard guarantee on anything returned in sus mode.
-    for i in range(len(chosen_vectors)):
-        for j in range(i + 1, len(chosen_vectors)):
-            corr = quantized_correlation(chosen_vectors[i], chosen_vectors[j])
-            if corr >= policy.threshold:
-                raise AssertionError(
-                    f"selected pair violates the correlation constraint ({corr:.6f})"
-                )
-    return tuple(selected)
+    if len(vectors) == 0:
+        raise ConfigurationError("pairing needs at least one scheduled user")
+    if policy.mode != "sus_threshold":
+        return True
+    return all(
+        quantized_correlation(vectors[i], vectors[j]) < policy.threshold
+        for i in range(1, len(vectors))
+        for j in range(i)
+    )

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from compsim import channel, montecarlo, quantization, scenario
+from compsim import channel, quantization, scenario
 
 
 def two_cell_map(d1_m: float, d2_m: float, **geom_kwargs) -> channel.LargeScaleMap:
@@ -24,16 +24,6 @@ def fig3_fixed(ms2_distance_m: float, ms1_distance_m: float, **overrides) -> sce
     if overrides:
         fixed = replace(fixed, **overrides)
     return fixed
-
-
-def expected_error_matrix(ctx: montecarlo.TrialContext) -> np.ndarray:
-    """Per-link E{sin^2 theta} pulled from the resolved codebooks' metadata."""
-    return np.array(
-        [
-            [cb.training_meta["expected_error"]["mean"] for cb in row]
-            for row in ctx.feedback.per_link
-        ]
-    )
 
 
 def inverse_norm_moment(alpha_sq_row, n_tx: int) -> float:

@@ -139,7 +139,7 @@ def test_criterion_04_bound_containment_on_grid():
         interf = log.interference[log.ok][:, 0]
         full = (log.ideal[log.ok] - log.quantized[log.ok])[:, 0]
         params = RateLossParams.from_large_scale(
-            ctx.large_scale, fixed.n_tx, _support.expected_error_matrix(ctx)
+            ctx.large_scale, fixed.n_tx, ctx.feedback.expected_error_matrix()
         )
         bound, _ = rate_loss_bound_general(params, 0)
         n = len(interf)
@@ -255,11 +255,11 @@ def test_criterion_08_zero_forcing_invariants():
         except Exception:
             continue
         successes += 1
-        cross = rep.reconstructed @ pre.columns
+        cross = rep.reconstructed @ pre
         off = np.abs(cross - np.diag(np.diagonal(cross)))
         worst_off = max(worst_off, float(off.max()))
         worst_norm = max(
-            worst_norm, float(np.abs(np.linalg.norm(pre.columns, axis=0) - 1.0).max())
+            worst_norm, float(np.abs(np.linalg.norm(pre, axis=0) - 1.0).max())
         )
     # orthogonal special case: the precoder reduces to the matched filter
     worst_mf = 0.0
@@ -271,7 +271,7 @@ def test_criterion_08_zero_forcing_invariants():
         pre = zf_precoder(g_orth)
         for k in range(2):
             ref = g_orth[k].conj() / np.linalg.norm(g_orth[k])
-            worst_mf = max(worst_mf, float(np.abs(pre.columns[:, k] - ref).max()))
+            worst_mf = max(worst_mf, float(np.abs(pre[:, k] - ref).max()))
     ok = (successes >= 990 and worst_off <= 1e-9 and worst_norm <= 1e-12
           and worst_mf <= 1e-12)
     report(8, ok,

@@ -173,7 +173,7 @@ class TestRateLossMonteCarlo:
                                    retain_samples=True)
         ctx = montecarlo.build_context(fixed)
         params = RateLossParams.from_large_scale(
-            ctx.large_scale, 4, _support.expected_error_matrix(ctx)
+            ctx.large_scale, 4, ctx.feedback.expected_error_matrix()
         )
         bound, _ = rate_loss_bound_general(params, 0)
         diffs = est.loss_samples[:, 0]

@@ -160,3 +160,37 @@ class TestArgumentErrors:
         with pytest.raises(SystemExit) as exc:
             run_cli("simulate")
         assert exc.value.code == 2
+
+
+@pytest.fixture
+def fig3_arm_config(tmp_path):
+    path = tmp_path / "fig3_arm.json"
+    path.write_text(scenario.serialize(scenario.preset("fig3").arms[0].scenario))
+    return path
+
+
+@pytest.mark.parametrize("env, argv", [
+    ({scenario.ENV_TRIALS: "abc"}, ["simulate", "--preset", "fig3"]),
+    ({scenario.ENV_SEED: "x"}, ["simulate", "--preset", "fig3"]),
+    ({}, ["simulate", "--preset", "fig3", "--seed", "-1"]),
+    ({}, ["bound", "--preset", "fig3", "--at", "300"]),
+    ({}, ["train-codebook", "--dimension", "4", "--bits", "-1"]),
+    ({}, ["train-codebook", "--dimension", "4", "--bits", "2", "--seed", "-1"]),
+    ({}, ["train-codebook", "--config", "{config}", "--at", "100", "--user", "5",
+          "--dimension", "8", "--bits", "2"]),
+    ({}, ["train-codebook", "--kind", "random", "--config", "{config}", "--at", "100",
+          "--dimension", "4", "--bits", "2"]),
+], ids=["env-trials", "env-seed", "negative-seed", "bound-outside-cell", "negative-bits",
+        "negative-training-seed", "user-out-of-range", "dimension-not-composite"])
+def test_bad_input_exits_2_with_error_line(env, argv, fig3_arm_config, tmp_path, monkeypatch,
+                                           capsys):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    argv = [a.replace("{config}", str(fig3_arm_config)) for a in argv]
+    if argv[0] == "train-codebook":
+        argv += ["--out", str(tmp_path / "cb.cbk")]
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "cb.cbk").exists()

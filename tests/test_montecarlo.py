@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from compsim import channel, montecarlo, quantization, scenario
 from compsim.errors import ConfigurationError, EstimationError
@@ -186,6 +187,27 @@ class TestRunCdf:
         c = montecarlo.run_cdf(self._cdf_scenario())
         gaps = c.ideal - c.quantized
         assert np.nanmean(gaps) > 0.0
+
+
+class TestWorkerInvariance:
+    @settings(max_examples=5, deadline=None)
+    @given(master_seed=st.integers(0, 2**32 - 1), trials=st.integers(1, 40),
+           drops=st.integers(1, 6))
+    def test_pool_results_bit_identical_at_one_and_two_workers(self, master_seed, trials,
+                                                               drops):
+        ctx = montecarlo.build_context(small_fixed(master_seed=master_seed))
+        one = montecarlo.run_trials(ctx, trials, workers=1)
+        two = montecarlo.run_trials(ctx, trials, workers=2)
+        for name in ("ideal", "quantized", "interference", "ok"):
+            assert np.array_equal(getattr(one, name), getattr(two, name), equal_nan=True)
+
+        scn = replace(scenario.preset("fig5").arms[0].scenario, drops=drops,
+                      trials_per_drop=2, master_seed=master_seed)
+        c1 = montecarlo.run_cdf(scn, workers=1)
+        c2 = montecarlo.run_cdf(scn, workers=2)
+        assert np.array_equal(c1.quantized, c2.quantized, equal_nan=True)
+        assert np.array_equal(c1.ideal, c2.ideal, equal_nan=True)
+        assert (c1.failed_draws, c1.dead_drops) == (c2.failed_draws, c2.dead_drops)
 
 
 class TestEmpiricalCdf:

@@ -3,9 +3,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from compsim import scenario
+from compsim import channel, scenario
 from compsim.errors import ConfigurationError, ScenarioError
+from compsim.quantization import FEEDBACK_MODES, FeedbackConfig
+from compsim.scheduling import PAIRING_MODES, PairingPolicy
 
 
 class TestPresets:
@@ -136,6 +139,16 @@ class TestValidation:
         with pytest.raises(ScenarioError):
             scenario.parse("{not json")
 
+    def test_line_sweep_needs_two_cells(self):
+        doc = self._doc()
+        doc["geometry"] = {"n_cells": 1, "bs_positions": [[0.0, 0.0]], "cell_radius_m": 250.0}
+        doc["n_users"] = 1
+        doc["placement"]["positions"] = [None]
+        doc["feedback"] = {"mode": "perfect"}
+        with pytest.raises(ScenarioError) as err:
+            scenario.scenario_from_dict(doc)
+        assert err.value.errors == ["placement.mode: line_sweep needs the two-cell geometry"]
+
     def test_user_count_tied_to_cells_for_cooperation(self):
         doc = self._doc()
         doc["n_users"] = 3
@@ -193,3 +206,147 @@ class TestEnvOverrides:
     def test_no_overrides_is_identity(self):
         s = scenario.preset("fig3").arms[0].scenario
         assert scenario.apply_env_overrides(s, env={}) == s
+
+
+class TestSweepPointBounds:
+    def test_point_outside_the_cell_rejected(self):
+        s = scenario.preset("fig3").arms[0].scenario
+        with pytest.raises(ConfigurationError):
+            scenario.at_sweep_point(s, 300.0)
+        with pytest.raises(ConfigurationError):
+            scenario.at_sweep_point(s, 0.5)
+
+
+# ---------------------------------------------------------------------------
+# Properties of the scenario format
+# ---------------------------------------------------------------------------
+
+_floats = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def valid_scenarios(draw):
+    radius = draw(st.floats(10.0, 1000.0))
+    d_min = draw(st.floats(0.01, radius / 2))
+    geom_kwargs = dict(
+        pathloss_exponent=draw(st.floats(0.0, 6.0)),
+        edge_snr_db=draw(st.floats(-30.0, 40.0)),
+        d_min_m=d_min,
+        pathloss_sign=draw(st.sampled_from((-1, 1))),
+    )
+    mode = draw(st.sampled_from(scenario.PLACEMENT_MODES))
+    n_tx = draw(st.integers(2, 8))
+    if mode == "random_uniform" and draw(st.booleans()):
+        geometry = channel.single_cell(radius, **geom_kwargs)
+        n_users = draw(st.integers(1, n_tx))
+    else:
+        geometry = channel.two_cell_line(radius, **geom_kwargs)
+        n_users = 2
+    n_cells = geometry.n_cells
+
+    xy = st.lists(_floats, min_size=2, max_size=2)
+    distance = st.floats(d_min, radius)
+    if mode == "fixed":
+        placement = scenario.Placement(positions=draw(st.lists(xy, min_size=n_users,
+                                                               max_size=n_users)))
+    elif mode == "line_sweep":
+        sweep_user = draw(st.integers(0, n_users - 1))
+        positions = draw(st.lists(xy, min_size=n_users, max_size=n_users))
+        positions[sweep_user] = None
+        placement = scenario.Placement(mode=mode, positions=positions, sweep_user=sweep_user,
+                                       start_m=draw(distance), stop_m=draw(distance),
+                                       steps=draw(st.integers(1, 20)))
+    else:
+        placement = scenario.Placement(mode=mode)
+
+    fb_mode = draw(st.sampled_from(FEEDBACK_MODES))
+    bits = st.integers(0, 8)
+    feedback = FeedbackConfig(
+        mode=fb_mode,
+        bits=draw(st.lists(st.lists(bits, min_size=n_cells, max_size=n_cells),
+                           min_size=n_users, max_size=n_users)) if fb_mode == "per_cell" else None,
+        global_bits=draw(bits) if fb_mode == "global" else None,
+        codebook_kind=draw(st.sampled_from(("lloyd", "random"))),
+        training_seed=draw(st.integers(0, 2**63)),
+        codebook_files=draw(st.none() | st.dictionaries(st.text(max_size=6),
+                                                        st.text(max_size=12), max_size=2)),
+    )
+    positive = st.floats(1e-6, 1e6)
+    return scenario.Scenario(
+        geometry=geometry,
+        n_tx=n_tx,
+        n_users=n_users,
+        placement=placement,
+        feedback=feedback,
+        pairing=PairingPolicy(mode=draw(st.sampled_from(PAIRING_MODES)),
+                              threshold=draw(st.floats(0.0, 1.0))),
+        trials=draw(st.integers(1, 10**6)),
+        drops=draw(st.integers(1 if mode == "random_uniform" else 0, 10**4)),
+        trials_per_drop=draw(st.integers(1, 100)),
+        master_seed=draw(st.integers(0, 2**63)),
+        retain_samples=draw(st.booleans()),
+        tx_power=draw(positive),
+        noise_power=draw(positive),
+        output_csv=draw(st.none() | st.text(max_size=12)),
+    )
+
+
+# field path -> values outside its range, whatever the rest of the scenario
+_BAD_VALUES = {
+    "n_tx": st.integers(-5, 1),
+    "n_users": st.integers(-5, 0),
+    "trials": st.integers(-5, 0),
+    "drops": st.integers(-5, -1),
+    "trials_per_drop": st.integers(-5, 0),
+    "master_seed": st.integers(-(2**31), -1),
+    "tx_power": st.floats(-1e6, 0.0),
+    "noise_power": st.floats(-1e6, 0.0),
+    "geometry.n_cells": st.integers(-5, 0),
+    "geometry.cell_radius_m": st.floats(-1e6, 0.0),
+    "geometry.pathloss_exponent": st.floats(-1e6, -1e-9),
+    "geometry.d_min_m": st.floats(-1e6, 0.0),
+    "geometry.pathloss_sign": st.integers(-5, 5).filter(lambda v: v not in (-1, 1)),
+    "placement.mode": st.text(max_size=8).filter(lambda v: v not in scenario.PLACEMENT_MODES),
+    "feedback.mode": st.text(max_size=8).filter(lambda v: v not in FEEDBACK_MODES),
+    "feedback.codebook_kind": st.text(max_size=8).filter(lambda v: v not in ("lloyd", "random")),
+    "feedback.training_seed": st.integers(-(2**31), -1),
+    "pairing.mode": st.text(max_size=8).filter(lambda v: v not in PAIRING_MODES),
+    "pairing.threshold": st.floats(1.0, 1e6, exclude_min=True) | st.floats(-1e6, 0.0,
+                                                                           exclude_max=True),
+}
+_BAD_SWEEP_VALUES = {
+    "placement.sweep_user": st.integers(2, 10) | st.integers(-10, -1),
+    "placement.steps": st.integers(-5, 0),
+    "placement.start_m": st.floats(1e4, 1e6),
+    "placement.stop_m": st.floats(-1e6, 0.0),
+}
+
+
+class TestFormatProperties:
+    @settings(max_examples=50, deadline=None)
+    @given(valid_scenarios())
+    def test_serialize_parse_serialize_is_a_fixed_point(self, scn):
+        text = scenario.serialize(scn)
+        assert scenario.serialize(scenario.parse(text)) == text
+
+    @settings(max_examples=50, deadline=None)
+    @given(valid_scenarios(), st.data())
+    def test_out_of_range_field_is_reported_at_its_path(self, scn, data):
+        doc = json.loads(scenario.serialize(scn))
+        bad = dict(_BAD_VALUES)
+        if scn.placement.mode == "line_sweep":
+            bad.update(_BAD_SWEEP_VALUES)
+        path = data.draw(st.sampled_from(sorted(bad)), label="path")
+        *sections, key = path.split(".")
+        target = doc[sections[0]] if sections else doc
+        target[key] = data.draw(bad[path], label="value")
+        with pytest.raises(ScenarioError) as err:
+            scenario.scenario_from_dict(doc)
+        assert any(e.startswith(f"{path}: ") for e in err.value.errors), err.value.errors
+
+    def test_removed_candidate_pool_size_is_an_unknown_key(self):
+        doc = json.loads(scenario.serialize(scenario.preset("fig3").arms[0].scenario))
+        doc["pairing"]["candidate_pool_size"] = 1
+        with pytest.raises(ScenarioError) as err:
+            scenario.scenario_from_dict(doc)
+        assert err.value.errors == ["pairing.candidate_pool_size: unknown key"]

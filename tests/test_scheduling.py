@@ -48,66 +48,43 @@ class TestSelectPairing:
             PairingPolicy(mode="sus_threshold", threshold=1.5)
 
     def test_always_pair_returns_designated_users(self):
-        pools = [random_pool(3, 8, 84), random_pool(3, 8, 85)]
-        assert select_pairing(pools, PairingPolicy(mode="always_pair")) == (0, 0)
-        assert select_pairing(pools, PairingPolicy(mode="fixed")) == (0, 0)
-
-    def test_threshold_one_never_rejects_and_picks_by_norm(self):
-        pools = [random_pool(5, 8, 86), random_pool(5, 8, 87)]
-        policy = PairingPolicy(mode="sus_threshold", threshold=1.0)
-        picked = select_pairing(pools, policy)
-        assert picked is not None
-        norms0 = [np.linalg.norm(v) for v in pools[0]]
-        assert picked[0] == int(np.argmax(norms0))
+        users = random_pool(2, 8, 84)
+        users[1] = 3.0 * users[0]  # fully correlated: still served together
+        assert select_pairing(users, PairingPolicy(mode="always_pair")) is True
+        assert select_pairing(users, PairingPolicy(mode="fixed")) is True
 
     def test_threshold_zero_rejects_generic_channels(self):
         # exact orthogonality has probability zero for continuous draws
-        pools = [random_pool(10, 8, 88), random_pool(10, 8, 89)]
+        users = random_pool(2, 8, 88)
         policy = PairingPolicy(mode="sus_threshold", threshold=0.0)
-        assert select_pairing(pools, policy) is None
+        assert select_pairing(users, policy) is False
 
     def test_matches_brute_force_oracle(self):
-        threshold = 0.3
-        pools = [random_pool(50, 8, 90), random_pool(50, 8, 91)]
-        policy = PairingPolicy(mode="sus_threshold", threshold=threshold,
-                               candidate_pool_size=50)
-        picked = select_pairing(pools, policy)
-
-        # independent oracle: re-scan in descending-norm order, re-checking
-        # every constraint with plain loops
-        chosen_idx, chosen_vec = [], []
-        feasible = True
-        for pool in pools:
-            order = sorted(range(len(pool)),
-                           key=lambda i: (-np.linalg.norm(pool[i]), i))
-            found = None
-            for i in order:
-                if all(
-                    abs(np.vdot(pool[i], c))
-                    / (np.linalg.norm(pool[i]) * np.linalg.norm(c))
-                    < threshold
-                    for c in chosen_vec
-                ):
-                    found = i
-                    break
-            if found is None:
-                feasible = False
-                break
-            chosen_idx.append(found)
-            chosen_vec.append(pool[found])
-
-        if not feasible:
-            assert picked is None
-        else:
-            assert picked == tuple(chosen_idx)
-            corr = quantized_correlation(pools[0][picked[0]], pools[1][picked[1]])
-            assert corr < threshold
+        # independent oracle: every later user against every earlier one,
+        # re-checked with plain loops, on three-user draws
+        for threshold in (0.0, 0.3, 1.0):
+            policy = PairingPolicy(mode="sus_threshold", threshold=threshold)
+            outcomes = set()
+            for seed in range(50):
+                users = random_pool(3, 4, 900 + seed)
+                expected = True
+                for i in range(1, len(users)):
+                    for j in range(i):
+                        corr = abs(np.vdot(users[j], users[i])) / (
+                            np.linalg.norm(users[i]) * np.linalg.norm(users[j])
+                        )
+                        if corr >= threshold:
+                            expected = False
+                assert select_pairing(users, policy) is expected
+                outcomes.add(expected)
+            if threshold == 0.3:
+                assert outcomes == {True, False}  # the draws exercise both branches
 
     def test_selection_is_deterministic(self):
-        pools = [random_pool(20, 8, 92), random_pool(20, 8, 93)]
+        users = random_pool(2, 8, 92)
         policy = PairingPolicy(mode="sus_threshold", threshold=0.5)
-        assert select_pairing(pools, policy) == select_pairing(pools, policy)
+        assert select_pairing(users, policy) == select_pairing(users, policy)
 
     def test_empty_pool_rejected(self):
         with pytest.raises(ConfigurationError):
-            select_pairing([[], random_pool(2, 8, 94)], PairingPolicy())
+            select_pairing([], PairingPolicy())
