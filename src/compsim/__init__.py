@@ -34,7 +34,7 @@ from .quantization import (
     global_feedback,
     load_codebook,
     per_cell_feedback,
-    quantize_direction,
+    quantize_many,
     random_codebook,
     save_codebook,
     train_lloyd,
@@ -77,7 +77,7 @@ __all__ = [
     "parse",
     "per_cell_feedback",
     "preset",
-    "quantize_direction",
+    "quantize_many",
     "quantized_correlation",
     "random_codebook",
     "rate_loss_bound_general",

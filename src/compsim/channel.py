@@ -23,12 +23,7 @@ DEFAULT_MIN_DISTANCE_M = 1.0
 
 @dataclass
 class Geometry:
-    """Static cell layout plus the distance -> receive-SNR model.
-
-    ``pathloss_sign`` scales the ``10 * eps * log10(d / r)`` term: -1 (the
-    default) attenuates with distance; +1 is kept only so the opposite
-    convention can be audited, it is not physically meaningful.
-    """
+    """Static cell layout plus the distance -> receive-SNR model."""
 
     n_cells: int
     bs_positions: np.ndarray  # (n_cells, 2) meters
@@ -36,7 +31,6 @@ class Geometry:
     pathloss_exponent: float = DEFAULT_PATHLOSS_EXPONENT
     edge_snr_db: float = DEFAULT_EDGE_SNR_DB
     d_min_m: float = DEFAULT_MIN_DISTANCE_M
-    pathloss_sign: int = -1
 
     def problems(self) -> list:
         """(field, message) pairs for every invalid field."""
@@ -49,8 +43,6 @@ class Geometry:
             out.append(("pathloss_exponent", "must be nonnegative"))
         if self.d_min_m <= 0:
             out.append(("d_min_m", "must be positive"))
-        if self.pathloss_sign not in (-1, 1):
-            out.append(("pathloss_sign", "must be -1 or +1"))
         if np.shape(self.bs_positions) != (self.n_cells, 2):
             out.append(("bs_positions", f"must have shape ({self.n_cells}, 2), "
                                         f"got {np.shape(self.bs_positions)}"))
@@ -93,9 +85,7 @@ def receive_snr_db(distance_m, geom: Geometry):
     if np.any(d <= 0.0):
         raise DomainError("distance must be positive")
     d = np.maximum(d, geom.d_min_m)
-    out = geom.edge_snr_db + geom.pathloss_sign * 10.0 * geom.pathloss_exponent * np.log10(
-        d / geom.cell_radius_m
-    )
+    out = geom.edge_snr_db - 10.0 * geom.pathloss_exponent * np.log10(d / geom.cell_radius_m)
     if np.isscalar(distance_m) or np.ndim(distance_m) == 0:
         return float(out)
     return out

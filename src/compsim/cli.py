@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import bounds, channel, montecarlo, quantization
+from . import bounds, montecarlo, quantization
 from . import scenario as scenariomod
 from .errors import CompsimError, ConfigurationError, EstimationError
 
@@ -235,7 +235,7 @@ def cmd_bound(args) -> int:
 
     if args.verify_appendix:
         checks = bounds.verify_appendix(
-            scn.n_tx, ctx.large_scale, ctx.feedback.per_link,
+            scn.n_tx, ctx.large_scale, ctx.feedback.codebooks,
             args.trials or 100_000, scn.master_seed,
         )
         lines.append("derivation-step checks:")
@@ -275,12 +275,7 @@ def cmd_train_codebook(args) -> int:
                 f"--dimension must equal the composite length "
                 f"{scn.geometry.n_cells * scn.n_tx} of the scenario"
             )
-        large_scale = channel.build_large_scale(
-            scn.placement.positions, scn.geometry,
-            tx_power=scn.tx_power, noise_power=scn.noise_power,
-            require_one_per_cell=(scn.n_users == scn.geometry.n_cells),
-        )
-        row = large_scale.alpha_sq[args.user]
+        row = montecarlo.large_scale_map(scn, scn.placement.positions).alpha_sq[args.user]
         sampler = quantization._composite_direction_sampler(row / row.sum(), scn.n_tx)
 
     cb = quantization.build_codebook(args.dimension, args.bits, args.kind, args.seed, sampler,

@@ -168,15 +168,23 @@ def _mean_se(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, se
 
 
-def _context(scn: scenariomod.Scenario, positions, require_one_per_cell: bool,
-             recon_transform=None) -> TrialContext:
-    large_scale = channel.build_large_scale(
+def large_scale_map(scn: scenariomod.Scenario, positions) -> channel.LargeScaleMap:
+    """The large-scale map of ``scn`` with its users at ``positions``.
+
+    A scenario with as many users as cells is cooperative and places exactly
+    one user per cell; the single-cell baseline places several in one cell.
+    """
+    return channel.build_large_scale(
         positions,
         scn.geometry,
         tx_power=scn.tx_power,
         noise_power=scn.noise_power,
-        require_one_per_cell=require_one_per_cell,
+        require_one_per_cell=scn.n_users == scn.geometry.n_cells,
     )
+
+
+def _context(scn: scenariomod.Scenario, positions, recon_transform=None) -> TrialContext:
+    large_scale = large_scale_map(scn, positions)
     return TrialContext(
         large_scale=large_scale,
         n_tx=scn.n_tx,
@@ -196,8 +204,7 @@ def build_context(scn: scenariomod.Scenario, recon_transform=None) -> TrialConte
             "build_context requires fixed placement; resolve sweeps with "
             "scenario.resolved_points or use run_cdf for random placement"
         )
-    return _context(scn, scn.placement.positions, scn.n_users == scn.geometry.n_cells,
-                    recon_transform)
+    return _context(scn, scn.placement.positions, recon_transform)
 
 
 def aggregate(scn: scenariomod.Scenario, log: TrialLog) -> RunResult:
@@ -272,7 +279,7 @@ def _run_drop_range(args) -> tuple:
     for offset in range(count):
         d = start + offset
         rng = rngmod.substream(scn.master_seed, rngmod.DROP, d)
-        ctx = _context(scn, _draw_positions(scn, rng), require_one_per_cell=False)
+        ctx = _context(scn, _draw_positions(scn, rng))
         q_acc = np.zeros(n_users)
         i_acc = np.zeros(n_users)
         good = 0

@@ -46,6 +46,9 @@ class Codebook:
                 f"codebook must hold exactly 2^{self.bits} rows, got shape "
                 f"{self.codewords.shape}"
             )
+        finite = np.isfinite(self.codewords).all(axis=1)
+        if not finite.all():
+            raise ConfigurationError(f"codeword {int(np.argmin(finite))} is not finite")
         norms = np.linalg.norm(self.codewords, axis=1)
         if np.any(np.abs(norms - 1.0) > _UNIT_NORM_TOL):
             raise ConfigurationError("codewords must be unit norm (within 1e-12)")
@@ -92,35 +95,23 @@ def random_codebook(dimension: int, bits: int, rng: np.random.Generator) -> Code
     )
 
 
-def quantize_direction(v: np.ndarray, cb: Codebook) -> tuple[int, float]:
-    """Quantize the direction of ``v``; returns (codeword index, sin^2 error).
-
-    The index maximizes |v_bar c_j^H|^2; ties break to the lowest index.
-    """
-    v = np.asarray(v, dtype=complex).reshape(-1)
-    if v.shape[0] != cb.dimension:
-        raise DomainError(f"vector length {v.shape[0]} != codebook dimension {cb.dimension}")
-    norm = np.linalg.norm(v)
-    if norm == 0.0:
-        raise DomainError("cannot quantize a zero vector")
-    sims = np.abs(cb.codewords @ v.conj())**2 / (norm * norm)
-    index = int(np.argmax(sims))  # argmax takes the first maximum: lowest index
-    error = float(min(1.0, max(0.0, 1.0 - sims[index])))
-    return index, error
-
-
 def quantize_many(vectors: np.ndarray, cb: Codebook) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized quantize_direction over the rows of ``vectors``."""
+    """Quantize the direction of each row of ``vectors``; returns (codeword
+    indices, sin^2 errors).
+
+    Each index maximizes |v_bar c_j^H|^2; ties break to the lowest index.
+    """
     x = np.asarray(vectors, dtype=complex)
     if x.ndim != 2 or x.shape[1] != cb.dimension:
-        raise DomainError("vectors must be (count, dimension)")
+        raise DomainError(f"vectors must be (count, {cb.dimension}), got shape {x.shape}")
     norms = np.linalg.norm(x, axis=1, keepdims=True)
-    if np.any(norms == 0.0):
+    if not norms.all():
         raise DomainError("cannot quantize a zero vector")
     sims = np.abs((x / norms) @ cb.codewords.conj().T) ** 2
     idx = sims.argmax(axis=1)
-    err = 1.0 - np.take_along_axis(sims, idx[:, None], axis=1)[:, 0]
-    return idx.astype(int), np.clip(err, 0.0, 1.0)
+    err = 1.0 - sims[np.arange(idx.shape[0]), idx]
+    # sims >= 0 keeps err <= 1; rounding can take it just below 0
+    return idx, np.maximum(err, 0.0, out=err)
 
 
 def _dominant_direction(samples: np.ndarray) -> np.ndarray:
@@ -245,48 +236,80 @@ def expected_error(
 
 @dataclass
 class FeedbackReport:
-    """Quantized CSI for every user: indices, errors, norms, reconstruction.
+    """Quantized CSI for every user: one index, error and norm per block.
 
-    Per-cell mode fills every (k, b) entry; global mode stores its single
-    index/error/norm at (k, k) and marks the rest not-applicable (-1 / NaN).
+    Per-cell mode quantizes the n_bs per-BS blocks of each user, global mode
+    the single composite block.
     """
 
-    indices: np.ndarray  # (n_users, n_bs) int, -1 = not applicable
-    error_sq: np.ndarray  # (n_users, n_bs) float in [0, 1], NaN = n/a
-    norms: np.ndarray  # (n_users, n_bs) float, NaN = n/a
+    indices: np.ndarray  # (n_users, n_blocks) int
+    error_sq: np.ndarray  # (n_users, n_blocks) float in [0, 1]
+    norms: np.ndarray  # (n_users, n_blocks) float
     reconstructed: np.ndarray  # (n_users, n_bs * n_tx) complex
-    total_bits_per_user: np.ndarray  # (n_users,) int
     mode: str  # "per_cell" | "global"
 
 
-def _codebook_grid(codebooks, n_users: int, n_bs: int) -> list[list[Codebook]]:
+def _codebook_grid(codebooks, n_users: int, n_blocks: int) -> list[list[Codebook]]:
     if isinstance(codebooks, Codebook):
-        return [[codebooks] * n_bs for _ in range(n_users)]
+        return [[codebooks] * n_blocks for _ in range(n_users)]
     grid = [list(row) for row in codebooks]
-    if len(grid) != n_users or any(len(row) != n_bs for row in grid):
+    if len(grid) != n_users or any(len(row) != n_blocks for row in grid):
         raise ConfigurationError(
-            f"codebook assignment must be {n_users} x {n_bs}, "
+            f"codebook assignment must be {n_users} x {n_blocks}, "
             f"got {len(grid)} rows"
         )
     return grid
 
 
-def _aligned_codeword(block: np.ndarray, codeword: np.ndarray) -> np.ndarray:
-    """Representative of the quantized direction phased against the true block.
+def _quantize_blocks(blocks: np.ndarray, scale: np.ndarray, grid, mode: str) -> FeedbackReport:
+    """Quantize block (k, b) of ``blocks`` (n_users, n_blocks, dim) with the
+    codebook ``grid[k][b]``; its norm times ``scale[k, b]`` passes through.
 
-    Codeword phase is arbitrary under the chordal metric, but coherent joint
-    transmission needs the per-BS blocks of a reconstruction phased
-    consistently: the fed-back amplitude is treated as the complex scalar
-    rho e^{j phi} with phi the phase of <block, codeword>, which makes the
-    projection coefficient real and nonnegative (the cos(theta) of the error
-    decomposition). With a raw-phase convention the reconstructed composite
-    vector loses inter-BS coherence and the transmission incurs a signal loss
-    the rate-loss analysis does not model.
+    Blocks that share a codebook are searched in one ``quantize_many`` call.
+    The reconstructed block is rho e^{j phi} times the selected codeword, with
+    rho the passed-through norm and phi the phase of <block, codeword>, so the
+    projection coefficient on the true block is real and nonnegative (the
+    cos(theta) of the error decomposition). Codeword phase is arbitrary under
+    the chordal metric, but coherent joint transmission needs the per-BS
+    blocks of a reconstruction phased consistently: with raw codeword phases
+    the reconstructed composite vector loses inter-BS coherence and the
+    transmission incurs a signal loss the rate-loss analysis does not model.
     """
-    c = np.vdot(codeword, block)  # <block, codeword> = block codeword^H
-    if c == 0.0:
-        return codeword
-    return (c / abs(c)) * codeword
+    n_users, n_blocks, dim = blocks.shape
+    count = n_users * n_blocks
+    flat = blocks.reshape(count, dim)
+    scale = scale.reshape(count)
+    groups: dict[int, tuple] = {}
+    for m, cb in enumerate(cb for row in grid for cb in row):
+        groups.setdefault(id(cb), (cb, []))[1].append(m)
+    indices = np.zeros(count, dtype=int)
+    error_sq = np.zeros(count)
+    norms = np.zeros(count)
+    recon = np.zeros((count, dim), dtype=complex)
+    for cb, members in groups.values():
+        if cb.dimension != dim:
+            raise ConfigurationError(
+                f"codebook for block {divmod(members[0], n_blocks)} has dimension "
+                f"{cb.dimension}, expected {dim}"
+            )
+        first, last = members[0], members[-1]
+        # a contiguous run of blocks is a view; a scattered one is gathered
+        rows = flat[first:last + 1] if last - first + 1 == len(members) else flat[members]
+        idx, err = quantize_many(rows, cb)
+        for m, i, e in zip(members, idx.tolist(), err.tolist()):
+            block = flat[m]
+            codeword = cb.codewords[i]
+            indices[m], error_sq[m] = i, e
+            norms[m] = rho = scale[m] * np.linalg.norm(block)
+            c = np.vdot(codeword, block)  # <block, codeword> = block codeword^H
+            recon[m] = rho * (codeword if c == 0.0 else (c / abs(c)) * codeword)
+    return FeedbackReport(
+        indices=indices.reshape(n_users, n_blocks),
+        error_sq=error_sq.reshape(n_users, n_blocks),
+        norms=norms.reshape(n_users, n_blocks),
+        reconstructed=recon.reshape(n_users, n_blocks * dim),
+        mode=mode,
+    )
 
 
 def per_cell_feedback(
@@ -296,45 +319,15 @@ def per_cell_feedback(
 ) -> FeedbackReport:
     """Quantize each per-BS block independently; norms pass through unquantized.
 
-    Reconstruction per user k: g_hat_k = [rho_{k,1} h_hat_{k,1}, ...,
-    rho_{k,B} h_hat_{k,B}] with rho_{k,b} = alpha_{k,b} ||h_{k,b}|| and
-    h_hat_{k,b} the phase-aligned representative of the selected codeword.
+    ``codebooks`` is one Codebook of dimension n_tx shared by every link, or
+    an n_users x n_bs grid. Reconstruction per user k: g_hat_k =
+    [rho_{k,1} h_hat_{k,1}, ..., rho_{k,B} h_hat_{k,B}] with rho_{k,b} =
+    alpha_{k,b} ||h_{k,b}|| and h_hat_{k,b} the phase-aligned representative
+    of the selected codeword.
     """
     h = realization.small_scale
-    n_users, n_bs, n_tx = h.shape
-    grid = _codebook_grid(codebooks, n_users, n_bs)
-    alpha = large_scale.alpha
-
-    indices = np.zeros((n_users, n_bs), dtype=int)
-    error_sq = np.zeros((n_users, n_bs))
-    norms = np.zeros((n_users, n_bs))
-    recon = np.zeros((n_users, n_bs * n_tx), dtype=complex)
-    total_bits = np.zeros(n_users, dtype=int)
-    for k in range(n_users):
-        for b in range(n_bs):
-            cb = grid[k][b]
-            if cb.dimension != n_tx:
-                raise ConfigurationError(
-                    f"per-cell codebook for link ({k}, {b}) has dimension "
-                    f"{cb.dimension}, expected {n_tx}"
-                )
-            idx, err = quantize_direction(h[k, b], cb)
-            rho = alpha[k, b] * np.linalg.norm(h[k, b])
-            indices[k, b] = idx
-            error_sq[k, b] = err
-            norms[k, b] = rho
-            recon[k, b * n_tx : (b + 1) * n_tx] = rho * _aligned_codeword(
-                h[k, b], cb.codewords[idx]
-            )
-            total_bits[k] += cb.bits
-    return FeedbackReport(
-        indices=indices,
-        error_sq=error_sq,
-        norms=norms,
-        reconstructed=recon,
-        total_bits_per_user=total_bits,
-        mode="per_cell",
-    )
+    grid = _codebook_grid(codebooks, h.shape[0], h.shape[1])
+    return _quantize_blocks(h, large_scale.alpha, grid, "per_cell")
 
 
 def global_feedback(
@@ -344,50 +337,14 @@ def global_feedback(
 ) -> FeedbackReport:
     """Quantize each user's whole composite vector with one codebook.
 
-    ``codebooks`` is a single Codebook of dimension n_bs * n_tx shared by all
-    users, or a per-user sequence. Reconstruction: g_hat_k = ||g_k|| c_i.
+    ``codebooks`` is one Codebook of dimension n_bs * n_tx shared by all
+    users, or an n_users x 1 grid. Reconstruction: g_hat_k = ||g_k|| c_i;
+    the report holds one block per user. ``large_scale`` is not read: the
+    composite vectors already carry the link amplitudes.
     """
     g = realization.global_channels
-    n_users = g.shape[0]
-    n_bs = realization.n_bs
-    if isinstance(codebooks, Codebook):
-        per_user = [codebooks] * n_users
-    else:
-        per_user = list(codebooks)
-        if len(per_user) != n_users:
-            raise ConfigurationError(
-                f"need one global codebook per user ({n_users}), got {len(per_user)}"
-            )
-
-    indices = np.full((n_users, n_bs), -1, dtype=int)
-    error_sq = np.full((n_users, n_bs), np.nan)
-    norms = np.full((n_users, n_bs), np.nan)
-    recon = np.zeros_like(g)
-    total_bits = np.zeros(n_users, dtype=int)
-    for k in range(n_users):
-        cb = per_user[k]
-        if cb.dimension != g.shape[1]:
-            raise ConfigurationError(
-                f"global codebook dimension {cb.dimension} != composite length {g.shape[1]}"
-            )
-        idx, err = quantize_direction(g[k], cb)
-        gnorm = np.linalg.norm(g[k])
-        slot = min(k, n_bs - 1)
-        indices[k, slot] = idx
-        error_sq[k, slot] = err
-        norms[k, slot] = gnorm
-        # A single block: alignment is cosmetic (a global phase), kept for
-        # consistency with the per-cell convention.
-        recon[k] = gnorm * _aligned_codeword(g[k], cb.codewords[idx])
-        total_bits[k] = cb.bits
-    return FeedbackReport(
-        indices=indices,
-        error_sq=error_sq,
-        norms=norms,
-        reconstructed=recon,
-        total_bits_per_user=total_bits,
-        mode="global",
-    )
+    grid = _codebook_grid(codebooks, g.shape[0], 1)
+    return _quantize_blocks(g[:, None, :], np.ones((g.shape[0], 1)), grid, "global")
 
 
 # ---------------------------------------------------------------------------
@@ -423,36 +380,61 @@ def save_codebook(cb: Codebook, path) -> None:
 
 
 def load_codebook(path) -> Codebook:
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
+    """Read a codebook file; a malformed one raises ConfigurationError naming
+    the path and, where one line is at fault, its 1-based number."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError:
+        raise ConfigurationError(f"{path}: not a compsim codebook file") from None
     if not lines or lines[0] != _FILE_MAGIC:
         raise ConfigurationError(f"{path}: not a compsim codebook file")
     header = {}
-    cursor = 1
-    for key in ("dimension", "bits", "kind", "meta", "codewords"):
-        if cursor >= len(lines):
+    for number, (key, read) in enumerate(
+        (("dimension", int), ("bits", int), ("kind", str), ("meta", json.loads),
+         ("codewords", int)), start=2,
+    ):
+        if number > len(lines):
             raise ConfigurationError(f"{path}: truncated header")
-        name, _, value = lines[cursor].partition(" ")
+        name, _, value = lines[number - 1].partition(" ")
         if name != key:
-            raise ConfigurationError(f"{path}: expected header line {key!r}, got {name!r}")
-        header[key] = value
-        cursor += 1
-    dimension = int(header["dimension"])
-    bits = int(header["bits"])
-    count = int(header["codewords"])
-    meta = json.loads(header["meta"]) or None
-    if count != 2**bits:
+            raise ConfigurationError(
+                f"{path}: line {number}: expected header line {key!r}, got {name!r}"
+            )
+        try:
+            header[key] = read(value)
+        except ValueError:
+            raise ConfigurationError(f"{path}: line {number}: bad {key} {value!r}") from None
+    dimension, bits, count = header["dimension"], header["bits"], header["codewords"]
+    if dimension < 1:
+        raise ConfigurationError(f"{path}: line 2: dimension must be >= 1")
+    if not isinstance(header["meta"], dict):
+        raise ConfigurationError(f"{path}: line 5: meta must be a JSON object")
+    if not 0 <= bits < 63 or count != 2**bits:  # bounds 2**bits before it is formed
         raise ConfigurationError(f"{path}: codeword count {count} != 2^{bits}")
-    rows = np.zeros((count, dimension), dtype=complex)
+    if len(lines) < 6 + count:
+        raise ConfigurationError(
+            f"{path}: line {len(lines) + 1}: missing codeword {len(lines) - 6} of {count}"
+        )
+    values = []
     for i in range(count):
-        fields = lines[cursor + i].split()
+        fields = lines[6 + i].split()
         if len(fields) != 2 * dimension:
-            raise ConfigurationError(f"{path}: codeword {i} has wrong field count")
-        vals = np.array([float(f) for f in fields])
-        # assign parts directly: complex arithmetic would lose signed zeros
-        rows[i].real = vals[0::2]
-        rows[i].imag = vals[1::2]
-    return Codebook(codewords=rows, bits=bits, kind=header["kind"], training_meta=meta)
+            raise ConfigurationError(f"{path}: line {7 + i}: codeword {i} has wrong field count")
+        try:
+            values.append([float(f) for f in fields])
+        except ValueError:
+            raise ConfigurationError(f"{path}: line {7 + i}: codeword {i} is not numeric") from None
+    vals = np.array(values)
+    rows = np.zeros((count, dimension), dtype=complex)
+    # assign parts directly: complex arithmetic would lose signed zeros
+    rows.real = vals[:, 0::2]
+    rows.imag = vals[:, 1::2]
+    try:
+        return Codebook(codewords=rows, bits=bits, kind=header["kind"],
+                        training_meta=header["meta"] or None)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -514,8 +496,9 @@ class ResolvedFeedback:
     """Feedback config with concrete codebooks attached."""
 
     mode: str
-    per_link: list | None = None  # n_users x n_bs grid of Codebook
-    per_user_global: list | None = None  # n_users Codebooks
+    # one Codebook per quantized block: n_users x n_bs for per-cell
+    # feedback, n_users x 1 for global feedback, None for perfect CSI
+    codebooks: list | None = None
 
     def apply(
         self,
@@ -526,8 +509,8 @@ class ResolvedFeedback:
         if self.mode == "perfect":
             return None
         if self.mode == "per_cell":
-            return per_cell_feedback(realization, large_scale, self.per_link)
-        return global_feedback(realization, large_scale, self.per_user_global)
+            return per_cell_feedback(realization, large_scale, self.codebooks)
+        return global_feedback(realization, large_scale, self.codebooks)
 
     def expected_error_matrix(self) -> np.ndarray:
         """(n_users, n_bs) per-link E{sin^2 theta}: the estimate each per-cell
@@ -537,7 +520,7 @@ class ResolvedFeedback:
         try:
             return np.array([
                 [cb.training_meta["expected_error"]["mean"] for cb in row]
-                for row in self.per_link
+                for row in self.codebooks
             ])
         except (KeyError, TypeError):
             raise ConfigurationError(
@@ -592,10 +575,24 @@ def build_codebook(
     return cb
 
 
-def _cached_codebook(dimension, bits, kind, seed, sampler=None, sampler_key=()):
-    key = ("global" if sampler is not None else "percell", dimension, bits, kind, seed, sampler_key)
+def _slot_codebook(config: FeedbackConfig, slot: str, dimension: int, bits: int,
+                   sampler=None, sampler_key=()) -> Codebook:
+    """The codebook file ``config.codebook_files`` names for ``slot``, else the
+    cached codebook built for it."""
+    files = config.codebook_files or {}
+    if slot in files:
+        cb = load_codebook(files[slot])
+        if cb.dimension != dimension or cb.bits != bits:
+            raise ConfigurationError(
+                f"codebook file {files[slot]} does not match slot {slot} "
+                f"(dimension {dimension}, bits {bits})"
+            )
+        return cb
+    key = ("global" if sampler is not None else "percell", dimension, bits,
+           config.codebook_kind, config.training_seed, sampler_key)
     if key not in _codebook_cache:
-        _codebook_cache[key] = build_codebook(dimension, bits, kind, seed, sampler, sampler_key)
+        _codebook_cache[key] = build_codebook(dimension, bits, config.codebook_kind,
+                                              config.training_seed, sampler, sampler_key)
     return _codebook_cache[key]
 
 
@@ -639,7 +636,6 @@ def resolve_codebooks(
     uses the normalized energy profile so equal shapes share one training.
     """
     n_users, n_bs = large_scale.alpha_sq.shape
-    files = config.codebook_files or {}
     if config.mode == "perfect":
         return ResolvedFeedback(mode="perfect")
     if config.mode == "per_cell":
@@ -648,45 +644,21 @@ def resolve_codebooks(
             raise ConfigurationError(
                 f"per-cell bit matrix must be {n_users} x {n_bs}, got {bits.shape}"
             )
-        by_bits: dict[int, Codebook] = {}
-        for b in sorted(set(bits.flatten().tolist())):
-            slot = str(b)
-            if slot in files:
-                cb = load_codebook(files[slot])
-                if cb.dimension != n_tx or cb.bits != b:
-                    raise ConfigurationError(
-                        f"codebook file {files[slot]} does not match slot {slot} "
-                        f"(dimension {n_tx})"
-                    )
-                by_bits[b] = cb
-            else:
-                by_bits[b] = _cached_codebook(n_tx, b, config.codebook_kind, config.training_seed)
-        grid = [[by_bits[int(bits[k, b])] for b in range(n_bs)] for k in range(n_users)]
-        return ResolvedFeedback(mode="per_cell", per_link=grid)
-    dim = n_bs * n_tx
-    per_user = []
+        by_bits = {b: _slot_codebook(config, str(b), n_tx, b)
+                   for b in sorted(set(bits.flatten().tolist()))}
+        return ResolvedFeedback(mode="per_cell", codebooks=[
+            [by_bits[int(bits[k, b])] for b in range(n_bs)] for k in range(n_users)
+        ])
+    grid = []
     for k in range(n_users):
-        slot = f"user{k}"
-        if slot in files:
-            cb = load_codebook(files[slot])
-            if cb.dimension != dim or cb.bits != config.global_bits:
-                raise ConfigurationError(f"codebook file {files[slot]} does not match {slot}")
-            per_user.append(cb)
-            continue
         row = large_scale.alpha_sq[k]
         total = row.sum()
         if total <= 0:
             raise ConfigurationError(f"user {k} has no link energy; cannot train codebook")
         profile = row / total
-        profile_key = tuple(profile.tolist())
-        per_user.append(
-            _cached_codebook(
-                dim,
-                config.global_bits,
-                config.codebook_kind,
-                config.training_seed,
-                sampler=_composite_direction_sampler(profile, n_tx),
-                sampler_key=profile_key,
-            )
-        )
-    return ResolvedFeedback(mode="global", per_user_global=per_user)
+        grid.append([_slot_codebook(
+            config, f"user{k}", n_bs * n_tx, config.global_bits,
+            sampler=_composite_direction_sampler(profile, n_tx),
+            sampler_key=tuple(profile.tolist()),
+        )])
+    return ResolvedFeedback(mode="global", codebooks=grid)

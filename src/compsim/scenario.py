@@ -13,7 +13,7 @@ import copy
 import hashlib
 import json
 import os
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -153,47 +153,9 @@ class Experiment:
 # ---------------------------------------------------------------------------
 
 def scenario_to_dict(s: Scenario) -> dict:
-    return {
-        "geometry": {
-            "n_cells": s.geometry.n_cells,
-            "bs_positions": [list(map(float, p)) for p in s.geometry.bs_positions],
-            "cell_radius_m": s.geometry.cell_radius_m,
-            "pathloss_exponent": s.geometry.pathloss_exponent,
-            "edge_snr_db": s.geometry.edge_snr_db,
-            "d_min_m": s.geometry.d_min_m,
-            "pathloss_sign": s.geometry.pathloss_sign,
-        },
-        "n_tx": s.n_tx,
-        "n_users": s.n_users,
-        "placement": {
-            "mode": s.placement.mode,
-            "positions": s.placement.positions,
-            "sweep_user": s.placement.sweep_user,
-            "start_m": s.placement.start_m,
-            "stop_m": s.placement.stop_m,
-            "steps": s.placement.steps,
-        },
-        "feedback": {
-            "mode": s.feedback.mode,
-            "bits": s.feedback.bits,
-            "global_bits": s.feedback.global_bits,
-            "codebook_kind": s.feedback.codebook_kind,
-            "training_seed": s.feedback.training_seed,
-            "codebook_files": s.feedback.codebook_files,
-        },
-        "pairing": {
-            "mode": s.pairing.mode,
-            "threshold": s.pairing.threshold,
-        },
-        "trials": s.trials,
-        "drops": s.drops,
-        "trials_per_drop": s.trials_per_drop,
-        "master_seed": s.master_seed,
-        "retain_samples": s.retain_samples,
-        "tx_power": s.tx_power,
-        "noise_power": s.noise_power,
-        "output_csv": s.output_csv,
-    }
+    doc = asdict(s)
+    doc["geometry"]["bs_positions"] = s.geometry.bs_positions.tolist()
+    return doc
 
 
 def serialize(s: Scenario) -> str:
@@ -243,7 +205,6 @@ _SCHEMA = {
         "pathloss_exponent": (float, False, 3.76),
         "edge_snr_db": (float, False, 10.0),
         "d_min_m": (float, False, 1.0),
-        "pathloss_sign": (int, False, -1),
     },
     "placement": {
         "mode": (str, True, "fixed"),

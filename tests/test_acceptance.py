@@ -87,7 +87,7 @@ def test_criterion_02_appendix_nullspace_identity():
     ctx = montecarlo.build_context(
         _support.fig3_fixed(250.0, 150.0)
     )
-    cb = ctx.feedback.per_link[0][0]
+    cb = ctx.feedback.codebooks[0][0]
     chk = check_nullspace_moment(cb, 100_000, 1002)
     detail = (f"E{{|s u^H|^2}} = {chk.lhs:.6f} vs 1/(n_t-1) = {chk.rhs:.6f} "
               f"(|diff| = {abs(chk.lhs - chk.rhs):.2e}, 3SE = {3 * chk.se:.2e})")

@@ -47,11 +47,6 @@ def test_nonpositive_distance_rejected():
         channel.receive_snr_db(-3.0, geom)
 
 
-def test_audit_sign_flag_reverses_slope():
-    geom = channel.two_cell_line(pathloss_sign=1)
-    assert channel.receive_snr_db(500.0, geom) > channel.receive_snr_db(100.0, geom)
-
-
 def test_geometry_validation():
     with pytest.raises(ConfigurationError):
         channel.Geometry(n_cells=2, bs_positions=np.zeros((3, 2)))

@@ -169,6 +169,34 @@ def fig3_arm_config(tmp_path):
     return path
 
 
+# one defect each, applied to the lines of a valid 4-dimensional 3-bit file
+_CODEBOOK_DEFECTS = {
+    "missing-row": lambda lines: lines[:-1],
+    "word-dimension": lambda lines: ["dimension four" if line == "dimension 4" else line
+                                     for line in lines],
+    "meta-not-json": lambda lines: ["meta {" if line.startswith("meta ") else line
+                                    for line in lines],
+    "nan-entry": lambda lines: lines[:-1] + ["nan " + lines[-1].split(" ", 1)[1]],
+}
+
+
+@pytest.fixture
+def codebook_config(fig3_arm_config, tmp_path):
+    """Path of a fig3 arm whose 3-bit slot names a codebook file with ``defect``."""
+    def make(defect):
+        cb_path = tmp_path / f"{defect}.txt"
+        quantization.save_codebook(quantization.random_codebook(4, 3, substream(5, 0, 0)),
+                                   cb_path)
+        lines = _CODEBOOK_DEFECTS[defect](cb_path.read_text().splitlines())
+        cb_path.write_text("\n".join(lines) + "\n")
+        doc = json.loads(fig3_arm_config.read_text())
+        doc["feedback"]["codebook_files"] = {"3": str(cb_path)}
+        path = tmp_path / f"{defect}.json"
+        path.write_text(json.dumps(doc))
+        return path
+    return make
+
+
 @pytest.mark.parametrize("env, argv", [
     ({scenario.ENV_TRIALS: "abc"}, ["simulate", "--preset", "fig3"]),
     ({scenario.ENV_SEED: "x"}, ["simulate", "--preset", "fig3"]),
@@ -180,13 +208,16 @@ def fig3_arm_config(tmp_path):
           "--dimension", "8", "--bits", "2"]),
     ({}, ["train-codebook", "--kind", "random", "--config", "{config}", "--at", "100",
           "--dimension", "4", "--bits", "2"]),
+    *(({}, ["simulate", "--config", "{codebook:%s}" % defect]) for defect in _CODEBOOK_DEFECTS),
 ], ids=["env-trials", "env-seed", "negative-seed", "bound-outside-cell", "negative-bits",
-        "negative-training-seed", "user-out-of-range", "dimension-not-composite"])
-def test_bad_input_exits_2_with_error_line(env, argv, fig3_arm_config, tmp_path, monkeypatch,
-                                           capsys):
+        "negative-training-seed", "user-out-of-range", "dimension-not-composite",
+        *(f"codebook-{defect}" for defect in _CODEBOOK_DEFECTS)])
+def test_bad_input_exits_2_with_error_line(env, argv, fig3_arm_config, codebook_config, tmp_path,
+                                           monkeypatch, capsys):
     for name, value in env.items():
         monkeypatch.setenv(name, value)
-    argv = [a.replace("{config}", str(fig3_arm_config)) for a in argv]
+    argv = [str(codebook_config(a[len("{codebook:"):-1])) if a.startswith("{codebook:")
+            else a.replace("{config}", str(fig3_arm_config)) for a in argv]
     if argv[0] == "train-codebook":
         argv += ["--out", str(tmp_path / "cb.cbk")]
     assert run_cli(*argv) == 2

@@ -232,7 +232,6 @@ def valid_scenarios(draw):
         pathloss_exponent=draw(st.floats(0.0, 6.0)),
         edge_snr_db=draw(st.floats(-30.0, 40.0)),
         d_min_m=d_min,
-        pathloss_sign=draw(st.sampled_from((-1, 1))),
     )
     mode = draw(st.sampled_from(scenario.PLACEMENT_MODES))
     n_tx = draw(st.integers(2, 8))
@@ -305,7 +304,6 @@ _BAD_VALUES = {
     "geometry.cell_radius_m": st.floats(-1e6, 0.0),
     "geometry.pathloss_exponent": st.floats(-1e6, -1e-9),
     "geometry.d_min_m": st.floats(-1e6, 0.0),
-    "geometry.pathloss_sign": st.integers(-5, 5).filter(lambda v: v not in (-1, 1)),
     "placement.mode": st.text(max_size=8).filter(lambda v: v not in scenario.PLACEMENT_MODES),
     "feedback.mode": st.text(max_size=8).filter(lambda v: v not in FEEDBACK_MODES),
     "feedback.codebook_kind": st.text(max_size=8).filter(lambda v: v not in ("lloyd", "random")),
