@@ -43,7 +43,6 @@ from .scheduling import PairingPolicy, quantized_correlation, select_pairing
 from .bounds import (
     RateLossParams,
     rate_loss_bound_general,
-    rate_loss_bound_twocell,
     rate_loss_montecarlo,
     verify_appendix,
 )
@@ -81,7 +80,6 @@ __all__ = [
     "quantized_correlation",
     "random_codebook",
     "rate_loss_bound_general",
-    "rate_loss_bound_twocell",
     "rate_loss_montecarlo",
     "realize_channels",
     "receive_snr_db",

@@ -33,8 +33,6 @@ from . import rng as rngmod
 from . import scenario as scenariomod
 from .errors import ConfigurationError, DomainError, EstimationError
 
-_BETA_TOL = 1e-9
-
 
 @dataclass
 class RateLossParams:
@@ -102,30 +100,6 @@ def rate_loss_bound_general(params: RateLossParams, k: int) -> tuple[float, dict
     factor = params.n_tx / (params.n_tx - 1)
     bound = float(np.log2(1.0 + factor * sum(i_terms.values())))
     return bound, i_terms
-
-
-def rate_loss_bound_twocell(
-    beta_21: float,
-    beta_22: float,
-    gamma_sq_11: float,
-    gamma_sq_12: float,
-    err_11: float,
-    err_12: float,
-    n_tx: int,
-) -> float:
-    """Two-cell specialization: bound on user 1's rate loss.
-
-    beta_21/beta_22 split the paired user's energy between the two BSs;
-    gamma_sq and err are user 1's per-link receive SNRs and quantization
-    errors. At beta = (1/2, 1/2) this reduces to the cell-edge form
-    log2[1 + n_t/(2(n_t-1)) (gamma_sq_11 err_11 + gamma_sq_12 err_12)].
-    """
-    if abs(beta_21 + beta_22 - 1.0) > _BETA_TOL:
-        raise DomainError(f"beta_21 + beta_22 must equal 1, got {beta_21 + beta_22}")
-    if n_tx < 2:
-        raise DomainError("n_tx must be >= 2")
-    inner = beta_21 * gamma_sq_11 * err_11 + beta_22 * gamma_sq_12 * err_12
-    return float(np.log2(1.0 + n_tx / (n_tx - 1) * inner))
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +174,6 @@ class RateLossEstimate:
     interference_se: np.ndarray
     failures: int
     trials: int
-    loss_samples: np.ndarray | None = None  # (successes, n_users) paired diffs
 
 
 def rate_loss_montecarlo(
@@ -209,7 +182,6 @@ def rate_loss_montecarlo(
     master_seed: int | None = None,
     orthogonalize: bool = False,
     workers: int = 1,
-    retain_samples: bool = False,
 ) -> RateLossEstimate:
     """Estimate the actual rate loss of a fixed-placement scenario.
 
@@ -230,11 +202,10 @@ def rate_loss_montecarlo(
     if not ok.any():
         raise EstimationError("all trials failed")
     failures = int(trials - ok.sum())
-    diffs = log.ideal[ok] - log.quantized[ok]
-    delta, delta_se = montecarlo._mean_se(diffs)
+    delta, delta_se = montecarlo._mean_se(log.ideal[ok] - log.quantized[ok])
     i_mean, i_se = montecarlo._mean_se(log.interference[ok])
     # interference_power already carries the tx_power factor
-    log_bound = np.log2(1.0 + i_mean / ctx.noise_power)
+    log_bound = np.log2(1.0 + i_mean / ctx.large_scale.noise_power)
     return RateLossEstimate(
         delta_r=delta,
         delta_r_se=delta_se,
@@ -243,7 +214,6 @@ def rate_loss_montecarlo(
         interference_se=i_se,
         failures=failures,
         trials=trials,
-        loss_samples=diffs if retain_samples else None,
     )
 
 

@@ -9,7 +9,7 @@ complex Gaussians.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -93,31 +93,29 @@ def receive_snr_db(distance_m, geom: Geometry):
 
 @dataclass
 class LargeScaleMap:
-    """Per-link channel energies and linear receive SNRs.
+    """Per-link linear receive SNRs, the channel energies they imply, and
+    the transmit and noise powers (P, sigma^2) of the run.
 
-    ``alpha_sq[k, b]`` is the average energy of composite link (MS k, BS b);
-    ``snr_gamma_sq[k, b] = tx_power * alpha_sq[k, b] / noise_power``. With the
-    default normalization tx_power = noise_power = 1 the two matrices are
-    numerically equal.
+    ``snr_gamma_sq[k, b]`` is the receive SNR of composite link (MS k, BS b);
+    ``alpha_sq[k, b] = snr_gamma_sq[k, b] * noise_power / tx_power`` is that
+    link's average energy. With the default normalization tx_power =
+    noise_power = 1 the two matrices are equal.
     """
 
-    alpha_sq: np.ndarray  # (n_users, n_bs)
     snr_gamma_sq: np.ndarray  # (n_users, n_bs)
     tx_power: float = 1.0
     noise_power: float = 1.0
+    alpha_sq: np.ndarray = field(init=False)  # (n_users, n_bs)
 
     def __post_init__(self):
-        self.alpha_sq = np.asarray(self.alpha_sq, dtype=float)
         self.snr_gamma_sq = np.asarray(self.snr_gamma_sq, dtype=float)
-        if self.alpha_sq.ndim != 2 or self.alpha_sq.shape != self.snr_gamma_sq.shape:
-            raise ConfigurationError("alpha_sq and snr_gamma_sq must share a 2-D shape")
-        if np.any(self.alpha_sq < 0) or np.any(self.snr_gamma_sq < 0):
-            raise ConfigurationError("large-scale energies must be nonnegative")
+        if self.snr_gamma_sq.ndim != 2:
+            raise ConfigurationError("snr_gamma_sq must be a 2-D (n_users, n_bs) array")
+        if np.any(self.snr_gamma_sq < 0):
+            raise ConfigurationError("receive SNRs must be nonnegative")
         if self.tx_power <= 0 or self.noise_power <= 0:
             raise ConfigurationError("tx_power and noise_power must be positive")
-        expected = self.alpha_sq * (self.tx_power / self.noise_power)
-        if not np.allclose(self.snr_gamma_sq, expected, rtol=1e-10, atol=0.0):
-            raise ConfigurationError("snr_gamma_sq inconsistent with alpha_sq and (P, sigma^2)")
+        self.alpha_sq = self.snr_gamma_sq * self.noise_power / self.tx_power
 
     @property
     def n_users(self) -> int:
@@ -156,13 +154,8 @@ def build_large_scale(
     if np.any(dist <= 0.0):
         raise ConfigurationError("MS positions must not coincide with a BS position")
     snr_db = receive_snr_db(dist, geom)
-    snr_gamma_sq = 10.0 ** (snr_db / 10.0)
-    alpha_sq = snr_gamma_sq * noise_power / tx_power
     return LargeScaleMap(
-        alpha_sq=alpha_sq,
-        snr_gamma_sq=snr_gamma_sq,
-        tx_power=tx_power,
-        noise_power=noise_power,
+        snr_gamma_sq=10.0 ** (snr_db / 10.0), tx_power=tx_power, noise_power=noise_power
     )
 
 
@@ -172,18 +165,6 @@ class ChannelRealization:
 
     small_scale: np.ndarray  # (n_users, n_bs, n_tx) complex
     global_channels: np.ndarray  # (n_users, n_bs * n_tx) complex
-
-    @property
-    def n_users(self) -> int:
-        return self.small_scale.shape[0]
-
-    @property
-    def n_bs(self) -> int:
-        return self.small_scale.shape[1]
-
-    @property
-    def n_tx(self) -> int:
-        return self.small_scale.shape[2]
 
 
 def sample_small_scale(

@@ -85,6 +85,22 @@ def _progress(msg: str):
     print(msg, file=sys.stderr)
 
 
+def _placed(scn: scenariomod.Scenario, at: float | None) -> scenariomod.Scenario:
+    """``scn`` with its users at fixed positions, a sweep resolved at ``at`` m."""
+    if scn.placement.mode == "random_uniform":
+        raise ConfigurationError(
+            "placement.mode: random_uniform drops have no fixed positions; "
+            "use a fixed or line_sweep scenario"
+        )
+    if scn.placement.mode == "fixed":
+        if at is not None:
+            raise ConfigurationError("--at: the scenario has no sweep")
+        return scn
+    if at is None:
+        raise ConfigurationError("sweep scenario: pick the position with --at <meters>")
+    return scenariomod.at_sweep_point(scn, at)
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
@@ -200,13 +216,7 @@ def cmd_bound(args) -> int:
         if not matches:
             raise ConfigurationError(f"no arm labeled {args.arm!r}")
         arm = matches[0]
-    scn = arm.scenario
-    if scn.placement.mode == "line_sweep":
-        if args.at is None:
-            raise ConfigurationError("sweep scenario: pick the position with --at <meters>")
-        scn = scenariomod.at_sweep_point(scn, args.at)
-    elif scn.placement.mode != "fixed":
-        raise ConfigurationError("bound tables need a fixed or swept placement")
+    scn = _placed(arm.scenario, args.at)
     if scn.feedback.mode != "per_cell":
         raise ConfigurationError("the closed-form bound applies to per-cell feedback")
 
@@ -263,11 +273,7 @@ def cmd_train_codebook(args) -> int:
     if args.config:
         # Train on the composite-direction distribution of one scenario user.
         with open(args.config, "r", encoding="utf-8") as fh:
-            scn = scenariomod.parse(fh.read())
-        if scn.placement.mode == "line_sweep":
-            if args.at is None:
-                raise ConfigurationError("sweep scenario: pick the position with --at")
-            scn = scenariomod.at_sweep_point(scn, args.at)
+            scn = _placed(scenariomod.parse(fh.read()), args.at)
         if not 0 <= args.user < scn.n_users:
             raise ConfigurationError(f"--user must be a user index in [0, {scn.n_users})")
         if args.dimension != scn.geometry.n_cells * scn.n_tx:

@@ -2,9 +2,9 @@
 
 Every trial owns an RNG substream keyed by its index, draws one channel
 realization, and evaluates the configured feedback arm and the perfect-CSI
-arm on that same draw (common random numbers). Aggregation is a fold in
-trial order over retained per-trial values, so results are bit-identical for
-any worker count.
+arm on that same draw (common random numbers). The per-trial values live in
+the ``TrialLog``; aggregation folds them in trial order, so results are
+bit-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -20,8 +20,6 @@ from . import rng as rngmod
 from . import scenario as scenariomod
 from .errors import ConfigurationError, EstimationError, PrecodingError
 
-DEFAULT_COND_CAP = precoding.DEFAULT_COND_CAP
-
 
 @dataclass
 class TrialContext:
@@ -31,11 +29,8 @@ class TrialContext:
     n_tx: int
     feedback: quantization.ResolvedFeedback
     pairing: scheduling.PairingPolicy
-    tx_power: float
-    noise_power: float
     master_seed: int
     recon_transform: object = None  # callable(report, n_tx, rng) -> reconstruction
-    cond_cap: float = DEFAULT_COND_CAP
 
 
 @dataclass
@@ -62,12 +57,6 @@ class RunResult:
     trials: int
     config_fingerprint: str
     seed: int
-    throughput_samples: np.ndarray | None = None  # (successes, n_users)
-    ideal_throughput_samples: np.ndarray | None = None
-
-    @property
-    def successes(self) -> int:
-        return self.trials - self.failures
 
 
 @dataclass
@@ -99,18 +88,15 @@ def _evaluate_realization(ctx: TrialContext, realization, rng) -> tuple:
         return None
 
     try:
-        ideal_pre = precoding.zf_precoder(g, ctx.cond_cap)
-        quant_pre = precoding.zf_precoder(recon, ctx.cond_cap)
+        ideal_pre = precoding.zf_precoder(g)
+        quant_pre = precoding.zf_precoder(recon)
     except PrecodingError:
         return None
 
-    ideal_rates = precoding.instantaneous_rate(
-        precoding.sinr(g, ideal_pre, ctx.tx_power, ctx.noise_power)
-    )
-    quant_rates = precoding.instantaneous_rate(
-        precoding.sinr(g, quant_pre, ctx.tx_power, ctx.noise_power)
-    )
-    interference = precoding.interference_power(g, quant_pre, ctx.tx_power)
+    tx_power, noise_power = ctx.large_scale.tx_power, ctx.large_scale.noise_power
+    ideal_rates = precoding.instantaneous_rate(precoding.sinr(g, ideal_pre, tx_power, noise_power))
+    signal, interference = precoding.interference_power(g, quant_pre, tx_power)
+    quant_rates = precoding.instantaneous_rate(signal / (noise_power + interference))
     return ideal_rates, quant_rates, interference
 
 
@@ -190,8 +176,6 @@ def _context(scn: scenariomod.Scenario, positions, recon_transform=None) -> Tria
         n_tx=scn.n_tx,
         feedback=quantization.resolve_codebooks(scn.feedback, scn.n_tx, large_scale),
         pairing=scn.pairing,
-        tx_power=scn.tx_power,
-        noise_power=scn.noise_power,
         master_seed=scn.master_seed,
         recon_transform=recon_transform,
     )
@@ -228,8 +212,6 @@ def aggregate(scn: scenariomod.Scenario, log: TrialLog) -> RunResult:
         trials=scn.trials,
         config_fingerprint=scenariomod.fingerprint(scn),
         seed=scn.master_seed,
-        throughput_samples=quant_ok if scn.retain_samples else None,
-        ideal_throughput_samples=ideal_ok if scn.retain_samples else None,
     )
 
 
@@ -242,15 +224,6 @@ def run(scn: scenariomod.Scenario, workers: int = 1, recon_transform=None) -> Ru
 # ---------------------------------------------------------------------------
 # Random drops
 # ---------------------------------------------------------------------------
-
-def empirical_cdf(values) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted sample values and their cumulative fractions (NaNs dropped)."""
-    v = np.asarray(values, dtype=float).reshape(-1)
-    v = np.sort(v[np.isfinite(v)])
-    if v.size == 0:
-        raise EstimationError("no finite samples to build a CDF from")
-    return v, np.arange(1, v.size + 1) / v.size
-
 
 def _draw_positions(scn: scenariomod.Scenario, rng) -> np.ndarray:
     """Uniform drop over each user's cell disc, excluding the d_min core.

@@ -12,10 +12,10 @@ import numpy as np
 
 from .errors import DomainError, PrecodingError
 
-DEFAULT_COND_CAP = 1e8
+MAX_CONDITION_NUMBER = 1e8
 
 
-def zf_precoder(reconstructed: np.ndarray, cond_cap: float = DEFAULT_COND_CAP) -> np.ndarray:
+def zf_precoder(reconstructed: np.ndarray) -> np.ndarray:
     """Zero-forcing precoder from the stacked reconstructed channels.
 
     Returns the unit-norm beamforming columns, one per user: a complex
@@ -23,7 +23,7 @@ def zf_precoder(reconstructed: np.ndarray, cond_cap: float = DEFAULT_COND_CAP) -
 
     Computed through the SVD pseudo-inverse rather than an explicit Gram
     inversion; rank-deficient or ill-conditioned inputs (condition number
-    above ``cond_cap``) raise PrecodingError so the caller can reject the
+    above ``MAX_CONDITION_NUMBER``) raise PrecodingError so the caller can reject the
     pairing instead of silently regularizing.
     """
     H = np.asarray(reconstructed, dtype=complex)
@@ -33,7 +33,7 @@ def zf_precoder(reconstructed: np.ndarray, cond_cap: float = DEFAULT_COND_CAP) -
     if n_users > dim:
         raise PrecodingError(f"{n_users} users cannot be zero-forced in {dim} dimensions")
     u, s, vh = np.linalg.svd(H, full_matrices=False)
-    if s[-1] <= 0.0 or not np.isfinite(s[0] / s[-1]) or s[0] / s[-1] > cond_cap:
+    if s[-1] <= 0.0 or not np.isfinite(s[0] / s[-1]) or s[0] / s[-1] > MAX_CONDITION_NUMBER:
         raise PrecodingError(
             f"channel matrix is rank-deficient or ill-conditioned "
             f"(condition number {s[0] / max(s[-1], np.finfo(float).tiny):.3e})"
@@ -50,6 +50,16 @@ def cross_gains(true_channels: np.ndarray, precoder: np.ndarray) -> np.ndarray:
     return g @ precoder
 
 
+def interference_power(
+    true_channels: np.ndarray, precoder: np.ndarray, tx_power: float = 1.0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-user signal power P |g_k v_k|^2 and residual inter-user
+    interference P * sum_{j != k} |g_k v_j|^2, from one gain matrix."""
+    power = tx_power * np.abs(cross_gains(true_channels, precoder)) ** 2
+    signal = np.diagonal(power).copy()
+    return signal, power.sum(axis=1) - signal
+
+
 def sinr(
     true_channels: np.ndarray,
     precoder: np.ndarray,
@@ -57,18 +67,8 @@ def sinr(
     noise_power: float = 1.0,
 ) -> np.ndarray:
     """Per-user SINR of the precoded transmission over the true channels."""
-    power = tx_power * np.abs(cross_gains(true_channels, precoder)) ** 2
-    signal = np.diagonal(power).copy()
-    interference = power.sum(axis=1) - signal
+    signal, interference = interference_power(true_channels, precoder, tx_power)
     return signal / (noise_power + interference)
-
-
-def interference_power(
-    true_channels: np.ndarray, precoder: np.ndarray, tx_power: float = 1.0
-) -> np.ndarray:
-    """Residual inter-user interference P * sum_{j != k} |g_k v_j|^2 per user."""
-    power = tx_power * np.abs(cross_gains(true_channels, precoder)) ** 2
-    return power.sum(axis=1) - np.diagonal(power)
 
 
 def instantaneous_rate(sinr_values) -> np.ndarray:

@@ -72,7 +72,6 @@ class Scenario:
     drops: int = 0
     trials_per_drop: int = 1
     master_seed: int = 1
-    retain_samples: bool = False
     tx_power: float = 1.0
     noise_power: float = 1.0
     output_csv: str | None = None  # default CSV destination, CLI --out wins
@@ -193,7 +192,6 @@ _SCHEMA = {
         "drops": (int, False, 0),
         "trials_per_drop": (int, False, 1),
         "master_seed": (int, False, 1),
-        "retain_samples": (bool, False, False),
         "tx_power": (float, False, 1.0),
         "noise_power": (float, False, 1.0),
         "output_csv": (str, False, None),
@@ -469,7 +467,6 @@ def preset(name: str) -> Experiment:
             drops=1000,
             trials_per_drop=20,
             master_seed=9501,
-            retain_samples=True,
         )
         single = Scenario(
             geometry=single_cell(),
@@ -483,7 +480,6 @@ def preset(name: str) -> Experiment:
             drops=1000,
             trials_per_drop=20,
             master_seed=9501,
-            retain_samples=True,
         )
         return Experiment(
             name="fig5",

@@ -3,8 +3,8 @@
 The correlation statistic between two reconstructed channels is
 |g_hat_k g_hat_j^H| / (||g_hat_k|| ||g_hat_j||). Each cell schedules one
 user; the semi-orthogonal mode serves the users together only while every
-pairwise correlation stays below the threshold, and the fixed and
-always-pair modes serve them unconditionally.
+pairwise correlation stays below the threshold, and the always-pair mode
+serves them unconditionally.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError, raise_problems
 
-PAIRING_MODES = ("fixed", "sus_threshold", "always_pair")
+PAIRING_MODES = ("sus_threshold", "always_pair")
 
 
 @dataclass
@@ -50,7 +50,7 @@ def select_pairing(vectors, policy: PairingPolicy) -> bool:
     """Whether the policy serves the scheduled users together.
 
     ``vectors`` holds one reconstructed channel per cell, in cell order.
-    fixed/always_pair always pair; sus_threshold rejects when the correlation
+    always_pair always pairs; sus_threshold rejects when the correlation
     of any later user with an earlier one is not below the threshold.
     """
     if len(vectors) == 0:

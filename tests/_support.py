@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from compsim import channel, quantization, scenario
+from compsim import bounds, channel, quantization, scenario
 
 
 def two_cell_map(d1_m: float, d2_m: float, **geom_kwargs) -> channel.LargeScaleMap:
@@ -14,16 +14,34 @@ def two_cell_map(d1_m: float, d2_m: float, **geom_kwargs) -> channel.LargeScaleM
 
 
 def fig3_fixed(ms2_distance_m: float, ms1_distance_m: float, **overrides) -> scenario.Scenario:
-    """One fixed-placement cell of the position-study grid."""
+    """The position study with MS2 at ``ms2_distance_m`` from BS2 and MS1 at
+    ``ms1_distance_m`` from BS1; at fig3's MS2 distances, one cell of its grid."""
     from dataclasses import replace
 
-    exp = scenario.preset("fig3")
-    label = f"ms2_{ms2_distance_m:g}m"
-    arm = next(a for a in exp.arms if a.label == label)
-    fixed = scenario.at_sweep_point(arm.scenario, ms1_distance_m)
+    swept = scenario.preset("fig3").arms[0].scenario
+    ms2 = scenario._line_position(swept.geometry, 1, ms2_distance_m)
+    swept = replace(swept, placement=replace(swept.placement, positions=[None, ms2]))
+    fixed = scenario.at_sweep_point(swept, ms1_distance_m)
     if overrides:
         fixed = replace(fixed, **overrides)
     return fixed
+
+
+def twocell_params(b21, b22, g11, g12, e11, e12, nt) -> bounds.RateLossParams:
+    """Bound inputs of two users, user 0 paired with a user whose energy splits
+    (b21, b22) between the BSs; user 0 sees SNRs (g11, g12) and errors
+    (e11, e12). User 0's bound is then the two-cell closed form."""
+    return bounds.RateLossParams(
+        beta=np.array([[0.5, 0.5], [b21, b22]]),
+        gamma_sq=np.array([[g11, g12], [1.0, 1.0]]),
+        n_tx=nt,
+        expected_error=np.array([[e11, e12], [0.0, 0.0]]),
+    )
+
+
+def twocell_bound(*args) -> float:
+    """User 0's bound for ``twocell_params(*args)``."""
+    return bounds.rate_loss_bound_general(twocell_params(*args), 0)[0]
 
 
 def inverse_norm_moment(alpha_sq_row, n_tx: int) -> float:

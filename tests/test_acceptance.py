@@ -27,7 +27,6 @@ from compsim.bounds import (
     check_inverse_norm,
     check_nullspace_moment,
     rate_loss_bound_general,
-    rate_loss_bound_twocell,
 )
 from compsim.precoding import zf_precoder
 from compsim.quantization import (
@@ -64,19 +63,11 @@ def test_criterion_01_closed_form_bound_correctness():
         g11, g12 = (float(x) for x in rng.uniform(0.1, 500.0, size=2))
         e11, e12 = (float(x) for x in rng.uniform(0.0, 1.0, size=2))
         nt = int(rng.integers(2, 9))
-        ours = rate_loss_bound_twocell(b21, b22, g11, g12, e11, e12, nt)
+        ours = _support.twocell_bound(b21, b22, g11, g12, e11, e12, nt)
         # independent transcription with scalar math only
         ref = math.log2(1.0 + nt / (nt - 1.0) * (b21 * g11 * e11 + b22 * g12 * e12))
         worst = max(worst, abs(ours - ref) / abs(ref))
-        params = RateLossParams(
-            beta=np.array([[0.5, 0.5], [b21, b22]]),
-            gamma_sq=np.array([[g11, g12], [1.0, 1.0]]),
-            n_tx=nt,
-            expected_error=np.array([[e11, e12], [0.0, 0.0]]),
-        )
-        general, _ = rate_loss_bound_general(params, 0)
-        assert general == ours, "N=2 general bound must equal the two-cell form exactly"
-    hand = rate_loss_bound_twocell(0.5, 0.5, 10.0, 10.0, 0.1, 0.1, 4)
+    hand = _support.twocell_bound(0.5, 0.5, 10.0, 10.0, 0.1, 0.1, 4)
     assert abs(hand - 1.222392421336448) < 1e-12
     report(1, worst < 1e-12,
            f"closed forms match independent evaluation (worst rel err {worst:.2e})")
@@ -136,6 +127,7 @@ def test_criterion_04_bound_containment_on_grid():
     for label, d1, fixed in fig3_grid_cells():
         ctx = montecarlo.build_context(fixed, recon_transform=bounds.orthogonalize_report)
         log = montecarlo.run_trials(ctx, trials)
+        noise_power = ctx.large_scale.noise_power
         interf = log.interference[log.ok][:, 0]
         full = (log.ideal[log.ok] - log.quantized[log.ok])[:, 0]
         params = RateLossParams.from_large_scale(
@@ -146,15 +138,15 @@ def test_criterion_04_bound_containment_on_grid():
         wins = 0
         for _ in range(resamples):
             idx = boot_rng.integers(0, n, size=n)
-            if np.log2(1.0 + interf[idx].mean() / ctx.noise_power) <= bound:
+            if np.log2(1.0 + interf[idx].mean() / noise_power) <= bound:
                 wins += 1
         frac = wins / resamples
         ok = frac >= 0.99
         all_pass &= ok
         mean = interf.mean()
-        log_bound = np.log2(1.0 + mean / ctx.noise_power)
+        log_bound = np.log2(1.0 + mean / noise_power)
         # delta-method standard error of log2(1 + mean/sigma^2)
-        se = interf.std(ddof=1) / np.sqrt(n) / ((ctx.noise_power + mean) * np.log(2.0))
+        se = interf.std(ddof=1) / np.sqrt(n) / ((noise_power + mean) * np.log(2.0))
         lines.append(f"{label}/d1={d1:g}: log2(1+E{{I}}/s2)={log_bound:.4f}±{se:.4f} "
                      f"bound={bound:.4f} ({(bound - log_bound) / se:+.1f} SE) "
                      f"boot={frac:.3f} dR={full.mean():.4f} {'pass' if ok else 'fail'}")
@@ -200,9 +192,9 @@ def test_criterion_06_quantizer_ordering_at_matched_budget():
     exp = scenario.preset("fig4")
     samples = {}
     for arm in exp.arms:
-        fixed = scenario.at_sweep_point(arm.scenario, 125.0)
-        res = montecarlo.run(replace(fixed, trials=trials, retain_samples=True))
-        samples[arm.label] = res.throughput_samples[:, 0]
+        ctx = montecarlo.build_context(scenario.at_sweep_point(arm.scenario, 125.0))
+        log = montecarlo.run_trials(ctx, trials)
+        samples[arm.label] = log.quantized[log.ok, 0]
     verdicts = []
     ordered = True
     for hi, lo in (("global_6bit", "per_cell_4_2"), ("per_cell_4_2", "per_cell_3_3")):

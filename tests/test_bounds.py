@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from compsim import bounds, channel, montecarlo, quantization
 from compsim.bounds import (
@@ -12,11 +13,10 @@ from compsim.bounds import (
     check_nullspace_moment,
     orthogonalize_report,
     rate_loss_bound_general,
-    rate_loss_bound_twocell,
     rate_loss_montecarlo,
     verify_appendix,
 )
-from compsim.errors import DomainError
+from compsim.errors import ConfigurationError
 from compsim.quantization import FeedbackConfig, per_cell_feedback, random_codebook
 from compsim.rng import substream
 
@@ -30,7 +30,7 @@ def hand_bound_twocell(b21, b22, g11, g12, e11, e12, nt):
 
 class TestClosedForms:
     def test_hand_example_equal_split(self):
-        value = rate_loss_bound_twocell(0.5, 0.5, 10.0, 10.0, 0.1, 0.1, 4)
+        value = _support.twocell_bound(0.5, 0.5, 10.0, 10.0, 0.1, 0.1, 4)
         # log2[1 + (4/3) * 0.5 * (10*0.1 + 10*0.1)] = log2(7/3)
         assert value == pytest.approx(1.222392421336448, rel=1e-12)
 
@@ -42,7 +42,7 @@ class TestClosedForms:
             g11, g12 = rng.uniform(0.1, 500.0, size=2)
             e11, e12 = rng.uniform(0.0, 1.0, size=2)
             nt = int(rng.integers(2, 9))
-            ours = rate_loss_bound_twocell(b21, b22, g11, g12, e11, e12, nt)
+            ours = _support.twocell_bound(b21, b22, g11, g12, e11, e12, nt)
             assert ours == pytest.approx(
                 hand_bound_twocell(b21, b22, g11, g12, e11, e12, nt), rel=1e-12
             )
@@ -56,27 +56,27 @@ class TestClosedForms:
             err = rng.uniform(0.0, 1.0, size=(2, 2))
             params = RateLossParams(beta=beta, gamma_sq=gamma, n_tx=4, expected_error=err)
             general, terms = rate_loss_bound_general(params, 0)
-            twocell = rate_loss_bound_twocell(
+            twocell = hand_bound_twocell(
                 beta[1, 0], beta[1, 1], gamma[0, 0], gamma[0, 1],
                 err[0, 0], err[0, 1], 4,
             )
-            assert general == twocell
+            assert general == pytest.approx(twocell, rel=1e-12)
             assert set(terms) == {1}
 
     def test_cell_edge_split_reduces_to_half_weight_form(self):
         g11, g12, e11, e12, nt = 135.0, 2.2, 0.39, 0.41, 4
-        value = rate_loss_bound_twocell(0.5, 0.5, g11, g12, e11, e12, nt)
+        value = _support.twocell_bound(0.5, 0.5, g11, g12, e11, e12, nt)
         closed = math.log2(1.0 + nt / (2.0 * (nt - 1.0)) * (g11 * e11 + g12 * e12))
         assert value == pytest.approx(closed, rel=1e-12)
 
     def test_vanishing_interference_limit(self):
         # paired user at its cell center and own cross link negligible
-        value = rate_loss_bound_twocell(1e-9, 1.0 - 1e-9, 100.0, 1e-9, 0.4, 0.4, 4)
+        value = _support.twocell_bound(1e-9, 1.0 - 1e-9, 100.0, 1e-9, 0.4, 0.4, 4)
         assert value < 1e-6
 
     def test_beta_mismatch_rejected(self):
-        with pytest.raises(DomainError):
-            rate_loss_bound_twocell(0.5, 0.6, 10.0, 10.0, 0.1, 0.1, 4)
+        with pytest.raises(ConfigurationError):
+            _support.twocell_params(0.5, 0.6, 10.0, 10.0, 0.1, 0.1, 4)
 
     def test_zero_errors_give_zero_bound(self):
         params = RateLossParams(
@@ -106,8 +106,8 @@ class TestClosedForms:
     def test_monotone_in_paired_user_weight_toward_strong_link(self):
         # shifting the paired user's energy toward the victim's strong link
         # increases the bound
-        lo = rate_loss_bound_twocell(0.2, 0.8, 100.0, 1.0, 0.3, 0.3, 4)
-        hi = rate_loss_bound_twocell(0.4, 0.6, 100.0, 1.0, 0.3, 0.3, 4)
+        lo = _support.twocell_bound(0.2, 0.8, 100.0, 1.0, 0.3, 0.3, 4)
+        hi = _support.twocell_bound(0.4, 0.6, 100.0, 1.0, 0.3, 0.3, 4)
         assert hi > lo
 
     def test_from_large_scale_betas(self):
@@ -158,25 +158,27 @@ class TestOrthogonalization:
 
 
 class TestRateLossMonteCarlo:
-    def test_perfect_feedback_gives_exactly_zero_loss(self):
-        fixed = _support.fig3_fixed(250.0, 150.0)
-        from dataclasses import replace
-        perfect = replace(fixed, feedback=FeedbackConfig(mode="perfect"))
-        est = rate_loss_montecarlo(perfect, trials=200)
+    @settings(max_examples=10, deadline=None)
+    @given(master_seed=st.integers(0, 2**32 - 1),
+           d1=st.floats(channel.DEFAULT_MIN_DISTANCE_M, channel.DEFAULT_CELL_RADIUS_M),
+           d2=st.floats(channel.DEFAULT_MIN_DISTANCE_M, channel.DEFAULT_CELL_RADIUS_M))
+    @example(master_seed=9301, d1=150.0, d2=250.0)
+    def test_perfect_feedback_gives_exactly_zero_loss(self, master_seed, d1, d2):
+        perfect = _support.fig3_fixed(d2, d1, feedback=FeedbackConfig(mode="perfect"))
+        est = rate_loss_montecarlo(perfect, trials=200, master_seed=master_seed)
         assert np.all(est.delta_r == 0.0)
         assert np.all(est.interference_mean <= 1e-18)
 
     def test_orthogonal_mode_contained_by_bound_with_bootstrap(self):
         # a grid cell where the closed form genuinely dominates
         fixed = _support.fig3_fixed(250.0, 150.0)
-        est = rate_loss_montecarlo(fixed, trials=2000, orthogonalize=True,
-                                   retain_samples=True)
-        ctx = montecarlo.build_context(fixed)
+        ctx = montecarlo.build_context(fixed, recon_transform=orthogonalize_report)
+        log = montecarlo.run_trials(ctx, 2000)
         params = RateLossParams.from_large_scale(
             ctx.large_scale, 4, ctx.feedback.expected_error_matrix()
         )
         bound, _ = rate_loss_bound_general(params, 0)
-        diffs = est.loss_samples[:, 0]
+        diffs = (log.ideal - log.quantized)[log.ok, 0]
         boot_rng = substream(144, 0, 0)
         wins = 0
         resamples = 300
@@ -201,7 +203,7 @@ class TestAppendixChecks:
         # equal energies: ||ghat||^2 = a * Gamma(N*nt, 1), E{1/X} = 1/(a*(N*nt-1))
         a = 2.5
         alpha_sq = np.full((2, 2), a)
-        ls = channel.LargeScaleMap(alpha_sq=alpha_sq, snr_gamma_sq=alpha_sq)
+        ls = channel.LargeScaleMap(snr_gamma_sq=alpha_sq)
         chk = check_inverse_norm(ls, 4, 0, 100_000, 151)
         exact = 1.0 / (a * 7.0)
         assert chk.lhs == pytest.approx(exact, abs=3 * chk.se)

@@ -126,7 +126,7 @@ class TestAssembleGlobal:
     def test_unit_alpha_is_plain_concatenation(self):
         rng = substream(9, 0, 0)
         h = channel.sample_small_scale(2, 2, 4, rng)
-        ls = channel.LargeScaleMap(alpha_sq=np.ones((2, 2)), snr_gamma_sq=np.ones((2, 2)))
+        ls = channel.LargeScaleMap(snr_gamma_sq=np.ones((2, 2)))
         g = channel.assemble_global(h, ls)
         assert np.array_equal(g[0], np.concatenate([h[0, 0], h[0, 1]]))
 
@@ -134,7 +134,7 @@ class TestAssembleGlobal:
         rng = substream(9, 0, 1)
         h = channel.sample_small_scale(2, 2, 4, rng)
         alpha_sq = np.array([[1.0, 0.0], [1.0, 1.0]])
-        ls = channel.LargeScaleMap(alpha_sq=alpha_sq, snr_gamma_sq=alpha_sq)
+        ls = channel.LargeScaleMap(snr_gamma_sq=alpha_sq)
         g = channel.assemble_global(h, ls)
         assert np.all(g[0, 4:] == 0.0)
 
@@ -142,7 +142,7 @@ class TestAssembleGlobal:
         rng = substream(9, 0, 2)
         h = channel.sample_small_scale(2, 2, 4, rng)
         alpha_sq = np.array([[2.0, 0.3], [0.7, 1.4]])
-        ls = channel.LargeScaleMap(alpha_sq=alpha_sq, snr_gamma_sq=alpha_sq)
+        ls = channel.LargeScaleMap(snr_gamma_sq=alpha_sq)
         g = channel.assemble_global(h, ls)
         for k in range(2):
             direct = np.linalg.norm(g[k]) ** 2
@@ -155,12 +155,12 @@ class TestAssembleGlobal:
         rng = substream(9, 0, 3)
         h = channel.sample_small_scale(2, 2, 4, rng)
         alpha_sq = np.array([[2.0, 0.3], [0.7, 1.4]])
-        ls = channel.LargeScaleMap(alpha_sq=alpha_sq, snr_gamma_sq=alpha_sq)
+        ls = channel.LargeScaleMap(snr_gamma_sq=alpha_sq)
         assert np.array_equal(
             channel.assemble_global(h, ls), channel.assemble_global(h, ls)
         )
 
     def test_dimension_mismatch_rejected(self):
-        ls = channel.LargeScaleMap(alpha_sq=np.ones((2, 2)), snr_gamma_sq=np.ones((2, 2)))
+        ls = channel.LargeScaleMap(snr_gamma_sq=np.ones((2, 2)))
         with pytest.raises(ConfigurationError):
             channel.assemble_global(np.zeros((3, 2, 4), dtype=complex), ls)

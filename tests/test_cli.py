@@ -197,31 +197,55 @@ def codebook_config(fig3_arm_config, tmp_path):
     return make
 
 
-@pytest.mark.parametrize("env, argv", [
-    ({scenario.ENV_TRIALS: "abc"}, ["simulate", "--preset", "fig3"]),
-    ({scenario.ENV_SEED: "x"}, ["simulate", "--preset", "fig3"]),
-    ({}, ["simulate", "--preset", "fig3", "--seed", "-1"]),
-    ({}, ["bound", "--preset", "fig3", "--at", "300"]),
-    ({}, ["train-codebook", "--dimension", "4", "--bits", "-1"]),
-    ({}, ["train-codebook", "--dimension", "4", "--bits", "2", "--seed", "-1"]),
+@pytest.fixture
+def placement_configs(tmp_path):
+    """Paths of the fig3 scenario fixed with MS1 at 150 m and of the fig5
+    cooperative random-drop arm."""
+    fig3 = scenario.preset("fig3").arms[0].scenario
+    paths = {}
+    for name, scn in (("{fixed}", scenario.at_sweep_point(fig3, 150.0)),
+                      ("{drops}", scenario.preset("fig5").arms[0].scenario)):
+        paths[name] = tmp_path / f"{name[1:-1]}.json"
+        paths[name].write_text(scenario.serialize(scn))
+    return paths
+
+
+# message: a line the error output must contain, where exit 2 alone does not
+# tell the failure apart from another one
+@pytest.mark.parametrize("env, argv, message", [
+    ({scenario.ENV_TRIALS: "abc"}, ["simulate", "--preset", "fig3"], ""),
+    ({scenario.ENV_SEED: "x"}, ["simulate", "--preset", "fig3"], ""),
+    ({}, ["simulate", "--preset", "fig3", "--seed", "-1"], ""),
+    ({}, ["bound", "--preset", "fig3", "--at", "300"], ""),
+    ({}, ["train-codebook", "--dimension", "4", "--bits", "-1"], ""),
+    ({}, ["train-codebook", "--dimension", "4", "--bits", "2", "--seed", "-1"], ""),
     ({}, ["train-codebook", "--config", "{config}", "--at", "100", "--user", "5",
-          "--dimension", "8", "--bits", "2"]),
+          "--dimension", "8", "--bits", "2"], ""),
     ({}, ["train-codebook", "--kind", "random", "--config", "{config}", "--at", "100",
-          "--dimension", "4", "--bits", "2"]),
-    *(({}, ["simulate", "--config", "{codebook:%s}" % defect]) for defect in _CODEBOOK_DEFECTS),
+          "--dimension", "4", "--bits", "2"], ""),
+    *(({}, ["simulate", "--config", "{codebook:%s}" % defect], "")
+      for defect in _CODEBOOK_DEFECTS),
+    ({}, ["bound", "--config", "{fixed}", "--at", "60"],
+     "error: --at: the scenario has no sweep\n"),
+    ({}, ["bound", "--config", "{drops}"], "error: placement.mode: "),
+    ({}, ["train-codebook", "--config", "{drops}", "--dimension", "8", "--bits", "2"],
+     "error: placement.mode: "),
 ], ids=["env-trials", "env-seed", "negative-seed", "bound-outside-cell", "negative-bits",
         "negative-training-seed", "user-out-of-range", "dimension-not-composite",
-        *(f"codebook-{defect}" for defect in _CODEBOOK_DEFECTS)])
-def test_bad_input_exits_2_with_error_line(env, argv, fig3_arm_config, codebook_config, tmp_path,
-                                           monkeypatch, capsys):
+        *(f"codebook-{defect}" for defect in _CODEBOOK_DEFECTS),
+        "bound-at-without-sweep", "bound-random-drops", "train-random-drops"])
+def test_bad_input_exits_2_with_error_line(env, argv, message, fig3_arm_config, codebook_config,
+                                           placement_configs, tmp_path, monkeypatch, capsys):
     for name, value in env.items():
         monkeypatch.setenv(name, value)
+    paths = {"{config}": fig3_arm_config, **placement_configs}
     argv = [str(codebook_config(a[len("{codebook:"):-1])) if a.startswith("{codebook:")
-            else a.replace("{config}", str(fig3_arm_config)) for a in argv]
+            else str(paths.get(a, a)) for a in argv]
     if argv[0] == "train-codebook":
         argv += ["--out", str(tmp_path / "cb.cbk")]
     assert run_cli(*argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ")
+    assert message in err
     assert "Traceback" not in err
     assert not (tmp_path / "cb.cbk").exists()

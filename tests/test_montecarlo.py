@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from compsim import channel, montecarlo, quantization, scenario
 from compsim.errors import ConfigurationError, EstimationError
@@ -14,8 +14,14 @@ import _support
 
 
 def small_fixed(trials=200, **overrides):
-    return _support.fig3_fixed(250.0, 150.0, trials=trials,
-                               retain_samples=True, **overrides)
+    return _support.fig3_fixed(250.0, 150.0, trials=trials, **overrides)
+
+
+def trial_log(scn, workers=1):
+    return montecarlo.run_trials(montecarlo.build_context(scn), scn.trials, workers)
+
+
+distances = st.floats(channel.DEFAULT_MIN_DISTANCE_M, channel.DEFAULT_CELL_RADIUS_M)
 
 
 class TestRun:
@@ -23,49 +29,53 @@ class TestRun:
         # common-random-numbers contract: the ideal arm of a quantized run is
         # bit-identical to a perfect-CSI run on the same seed
         scn = small_fixed()
-        quantized = montecarlo.run(scn)
-        perfect = montecarlo.run(
-            replace(scn, feedback=FeedbackConfig(mode="perfect"))
-        )
-        assert np.array_equal(
-            quantized.ideal_throughput_samples, perfect.throughput_samples
-        )
+        quantized = trial_log(scn)
+        perfect = trial_log(replace(scn, feedback=FeedbackConfig(mode="perfect")))
+        assert np.array_equal(quantized.ideal[quantized.ok], perfect.quantized[perfect.ok])
 
-    def test_perfect_mode_has_identical_arms_trial_by_trial(self):
-        scn = replace(small_fixed(), feedback=FeedbackConfig(mode="perfect"))
-        res = montecarlo.run(scn)
-        assert np.array_equal(res.throughput_samples, res.ideal_throughput_samples)
-        assert np.all(res.rate_loss == 0.0)
+    @settings(max_examples=10, deadline=None)
+    @given(master_seed=st.integers(0, 2**32 - 1), d1=distances, d2=distances)
+    @example(master_seed=9301, d1=150.0, d2=250.0)
+    def test_perfect_mode_has_identical_arms_trial_by_trial(self, master_seed, d1, d2):
+        perfect = FeedbackConfig(mode="perfect")
+        scn = _support.fig3_fixed(d2, d1, trials=200, master_seed=master_seed, feedback=perfect)
+        log = trial_log(scn)
+        assert log.ok.any()
+        assert np.array_equal(log.ideal[log.ok], log.quantized[log.ok])
+        assert np.all(montecarlo.aggregate(scn, log).rate_loss == 0.0)
+        for arm in scenario.preset("fig5").arms:
+            cdf = montecarlo.run_cdf(replace(arm.scenario, feedback=perfect, drops=3,
+                                             trials_per_drop=2, master_seed=master_seed))
+            assert np.array_equal(cdf.ideal, cdf.quantized, equal_nan=True)
 
     def test_same_seed_same_result_different_worker_count(self):
         scn = small_fixed(trials=120)
-        r1 = montecarlo.run(scn, workers=1)
+        one = trial_log(scn, workers=1)
         quantization.clear_codebook_cache()
-        r8 = montecarlo.run(scn, workers=8)
-        assert np.array_equal(r1.throughput_samples, r8.throughput_samples)
-        assert np.array_equal(r1.ideal_throughput_samples, r8.ideal_throughput_samples)
-        assert np.array_equal(r1.throughput_mean, r8.throughput_mean)
-        assert np.array_equal(r1.rate_loss, r8.rate_loss)
-        assert r1.failures == r8.failures
+        eight = trial_log(scn, workers=8)
+        for name in ("ideal", "quantized", "interference", "ok"):
+            assert np.array_equal(getattr(one, name), getattr(eight, name), equal_nan=True)
 
     def test_different_seed_changes_result(self):
         scn = small_fixed(trials=60)
-        a = montecarlo.run(scn)
-        b = montecarlo.run(replace(scn, master_seed=scn.master_seed + 1))
-        assert not np.array_equal(a.throughput_samples, b.throughput_samples)
+        a = trial_log(scn)
+        b = trial_log(replace(scn, master_seed=scn.master_seed + 1))
+        assert not np.array_equal(a.quantized, b.quantized)
 
     def test_mean_equals_mean_of_retained_samples(self):
-        res = montecarlo.run(small_fixed())
-        assert np.array_equal(res.throughput_mean, res.throughput_samples.mean(axis=0))
-        assert np.array_equal(
-            res.rate_loss,
-            (res.ideal_throughput_samples - res.throughput_samples).mean(axis=0),
-        )
+        scn = small_fixed()
+        log = trial_log(scn)
+        res = montecarlo.aggregate(scn, log)
+        quant, ideal = log.quantized[log.ok], log.ideal[log.ok]
+        assert np.array_equal(res.throughput_mean, quant.mean(axis=0))
+        assert np.array_equal(res.rate_loss, (ideal - quant).mean(axis=0))
 
     def test_rate_loss_nonnegative_within_two_se(self):
-        res = montecarlo.run(small_fixed(trials=800))
+        scn = small_fixed(trials=800)
+        log = trial_log(scn)
+        res = montecarlo.aggregate(scn, log)
         assert np.all(res.rate_loss >= -2.0 * res.rate_loss_se)
-        assert np.all(res.throughput_samples >= 0.0)
+        assert np.all(log.quantized[log.ok] >= 0.0)
 
     def test_all_trials_failing_raises(self):
         # a single-codeword global codebook maps both users of the single-cell
@@ -103,11 +113,12 @@ class TestRun:
             pairing=PairingPolicy(mode="always_pair"),
             trials=300,
             master_seed=77,
-            retain_samples=True,
         )
-        res = montecarlo.run(scn)
+        log = trial_log(scn)
+        res = montecarlo.aggregate(scn, log)
         assert 0 < res.failures < res.trials
-        assert res.successes == res.throughput_samples.shape[0]
+        assert res.trials - res.failures == np.count_nonzero(log.ok)
+        assert np.all(np.isnan(log.quantized[~log.ok]))
 
     def test_sus_pairing_rejects_correlated_quantized_channels(self):
         # an (effectively) zero threshold rejects every continuous draw
@@ -208,19 +219,3 @@ class TestWorkerInvariance:
         assert np.array_equal(c1.quantized, c2.quantized, equal_nan=True)
         assert np.array_equal(c1.ideal, c2.ideal, equal_nan=True)
         assert (c1.failed_draws, c1.dead_drops) == (c2.failed_draws, c2.dead_drops)
-
-
-class TestEmpiricalCdf:
-    def test_constant_sequence_is_a_step(self):
-        values, fractions = montecarlo.empirical_cdf([2.5, 2.5, 2.5, 2.5])
-        assert np.all(values == 2.5)
-        assert np.array_equal(fractions, [0.25, 0.5, 0.75, 1.0])
-
-    def test_sorted_and_nan_free(self):
-        values, fractions = montecarlo.empirical_cdf([3.0, np.nan, 1.0, 2.0])
-        assert np.array_equal(values, [1.0, 2.0, 3.0])
-        assert fractions[-1] == 1.0
-
-    def test_all_nan_rejected(self):
-        with pytest.raises(EstimationError):
-            montecarlo.empirical_cdf([np.nan, np.nan])

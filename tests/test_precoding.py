@@ -75,8 +75,9 @@ class TestSinr:
     def test_perfect_csi_has_zero_interference(self):
         g = random_channels(2, 8, 71)
         pre = zf_precoder(g)
-        interference = interference_power(g, pre)
+        signal, interference = interference_power(g, pre)
         assert np.all(interference <= 1e-18)
+        assert np.array_equal(signal / (1.0 + interference), sinr(g, pre))
         s = sinr(g, pre, tx_power=2.0, noise_power=0.5)
         expected = 2.0 * np.abs(np.diagonal(g @ pre)) ** 2 / 0.5
         assert np.allclose(s, expected, rtol=1e-12)

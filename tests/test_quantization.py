@@ -202,7 +202,7 @@ class TestLloyd:
 def _two_cell_realization(seed, alpha_sq=None):
     if alpha_sq is None:
         alpha_sq = np.array([[4.0, 0.5], [0.5, 4.0]])
-    ls = channel.LargeScaleMap(alpha_sq=alpha_sq, snr_gamma_sq=alpha_sq)
+    ls = channel.LargeScaleMap(snr_gamma_sq=alpha_sq)
     real = channel.realize_channels(ls, 4, substream(seed, 0, 0))
     return real, ls
 
@@ -303,7 +303,7 @@ class TestGlobalFeedback:
         # 6-bit global vs 3+3 per-cell, identical channel draws, lloyd books
         # trained on the scenario's distributions
         alpha_sq = _support.two_cell_map(125.0, 250.0).alpha_sq
-        ls = channel.LargeScaleMap(alpha_sq=alpha_sq, snr_gamma_sq=alpha_sq)
+        ls = channel.LargeScaleMap(snr_gamma_sq=alpha_sq)
         res_global = resolve_codebooks(
             FeedbackConfig(mode="global", global_bits=6, training_seed=501), 4, ls
         )

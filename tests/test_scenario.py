@@ -59,7 +59,6 @@ class TestPresets:
         # per-BS power of the cooperative pair
         assert comp.tx_power == single.tx_power
         assert comp.drops == single.drops == 1000
-        assert comp.retain_samples and single.retain_samples
 
     def test_unknown_preset_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -283,7 +282,6 @@ def valid_scenarios(draw):
         drops=draw(st.integers(1 if mode == "random_uniform" else 0, 10**4)),
         trials_per_drop=draw(st.integers(1, 100)),
         master_seed=draw(st.integers(0, 2**63)),
-        retain_samples=draw(st.booleans()),
         tx_power=draw(positive),
         noise_power=draw(positive),
         output_csv=draw(st.none() | st.text(max_size=12)),
@@ -348,3 +346,14 @@ class TestFormatProperties:
         with pytest.raises(ScenarioError) as err:
             scenario.scenario_from_dict(doc)
         assert err.value.errors == ["pairing.candidate_pool_size: unknown key"]
+
+    def test_removed_retain_samples_and_fixed_pairing_are_rejected(self):
+        doc = json.loads(scenario.serialize(scenario.preset("fig3").arms[0].scenario))
+        doc["retain_samples"] = True
+        doc["pairing"]["mode"] = "fixed"
+        with pytest.raises(ScenarioError) as err:
+            scenario.scenario_from_dict(doc)
+        assert err.value.errors == [
+            "retain_samples: unknown key",
+            "pairing.mode: must be one of ('sus_threshold', 'always_pair')",
+        ]

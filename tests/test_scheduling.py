@@ -42,8 +42,9 @@ class TestCorrelation:
 
 class TestSelectPairing:
     def test_policy_validation(self):
-        with pytest.raises(ConfigurationError):
-            PairingPolicy(mode="nope")
+        for mode in ("nope", "fixed"):
+            with pytest.raises(ConfigurationError):
+                PairingPolicy(mode=mode)
         with pytest.raises(ConfigurationError):
             PairingPolicy(mode="sus_threshold", threshold=1.5)
 
@@ -51,7 +52,6 @@ class TestSelectPairing:
         users = random_pool(2, 8, 84)
         users[1] = 3.0 * users[0]  # fully correlated: still served together
         assert select_pairing(users, PairingPolicy(mode="always_pair")) is True
-        assert select_pairing(users, PairingPolicy(mode="fixed")) is True
 
     def test_threshold_zero_rejects_generic_channels(self):
         # exact orthogonality has probability zero for continuous draws
