@@ -24,14 +24,14 @@ numerically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import channel, montecarlo, quantization
 from . import rng as rngmod
 from . import scenario as scenariomod
-from .errors import ConfigurationError, DomainError, EstimationError
+from .errors import ConfigurationError, DomainError
 
 
 @dataclass
@@ -67,10 +67,8 @@ class RateLossParams:
         n_tx: int,
         expected_error: np.ndarray,
     ) -> "RateLossParams":
-        alpha_sq = large_scale.alpha_sq
-        beta = alpha_sq / alpha_sq.sum(axis=1, keepdims=True)
         return cls(
-            beta=beta,
+            beta=large_scale.energy_split(),
             gamma_sq=large_scale.snr_gamma_sq,
             n_tx=n_tx,
             expected_error=expected_error,
@@ -189,31 +187,23 @@ def rate_loss_montecarlo(
     orthogonal before precoding (the regime the closed-form bound covers);
     otherwise the realistic always-pair zero-forcing arm is measured.
     """
-    if trials is None:
-        trials = scn.trials
-    if master_seed is None:
-        master_seed = scn.master_seed
+    scn = replace(scn, trials=scn.trials if trials is None else trials,
+                  master_seed=scn.master_seed if master_seed is None else master_seed)
     ctx = montecarlo.build_context(
         scn, recon_transform=orthogonalize_report if orthogonalize else None
     )
-    ctx.master_seed = master_seed
-    log = montecarlo.run_trials(ctx, trials, workers=workers)
-    ok = log.ok
-    if not ok.any():
-        raise EstimationError("all trials failed")
-    failures = int(trials - ok.sum())
-    delta, delta_se = montecarlo._mean_se(log.ideal[ok] - log.quantized[ok])
-    i_mean, i_se = montecarlo._mean_se(log.interference[ok])
-    # interference_power already carries the tx_power factor
-    log_bound = np.log2(1.0 + i_mean / ctx.large_scale.noise_power)
+    log = montecarlo.run_trials(ctx, scn.trials, workers=workers)
+    result = montecarlo.aggregate(scn, log)
+    i_mean, i_se = montecarlo._mean_se(log.interference[log.ok])
     return RateLossEstimate(
-        delta_r=delta,
-        delta_r_se=delta_se,
-        interference_log_bound=log_bound,
+        delta_r=result.rate_loss,
+        delta_r_se=result.rate_loss_se,
+        # interference_power already carries the tx_power factor
+        interference_log_bound=np.log2(1.0 + i_mean / ctx.large_scale.noise_power),
         interference_mean=i_mean,
         interference_se=i_se,
-        failures=failures,
-        trials=trials,
+        failures=result.failures,
+        trials=result.trials,
     )
 
 

@@ -129,6 +129,14 @@ class LargeScaleMap:
     def alpha(self) -> np.ndarray:
         return np.sqrt(self.alpha_sq)
 
+    def energy_split(self) -> np.ndarray:
+        """(n_users, n_bs) share of each user's link energy carried by each
+        BS: the bound's beta and a global codebook's training profile."""
+        total = self.alpha_sq.sum(axis=1, keepdims=True)
+        if np.any(total <= 0):
+            raise ConfigurationError(f"user {int(np.argmin(total))} has no link energy")
+        return self.alpha_sq / total
+
 
 def build_large_scale(
     ms_positions,

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import bounds, montecarlo, quantization
 from . import scenario as scenariomod
-from .errors import CompsimError, ConfigurationError, EstimationError
+from .errors import CompsimError, ConfigurationError, EstimationError, raise_problems
 
 CSV_HEADER = "experiment,arm,sweep,sweep_value,user,metric,value,trials,seed"
 
@@ -269,22 +269,26 @@ def cmd_bound(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_train_codebook(args) -> int:
-    sampler = None
+    profile = None
     if args.config:
         # Train on the composite-direction distribution of one scenario user.
         with open(args.config, "r", encoding="utf-8") as fh:
             scn = _placed(scenariomod.parse(fh.read()), args.at)
-        if not 0 <= args.user < scn.n_users:
+        user = 0 if args.user is None else args.user
+        if not 0 <= user < scn.n_users:
             raise ConfigurationError(f"--user must be a user index in [0, {scn.n_users})")
         if args.dimension != scn.geometry.n_cells * scn.n_tx:
             raise ConfigurationError(
                 f"--dimension must equal the composite length "
                 f"{scn.geometry.n_cells * scn.n_tx} of the scenario"
             )
-        row = montecarlo.large_scale_map(scn, scn.placement.positions).alpha_sq[args.user]
-        sampler = quantization._composite_direction_sampler(row / row.sum(), scn.n_tx)
+        profile = montecarlo.large_scale_map(scn, scn.placement.positions).energy_split()[user]
+    else:
+        raise_problems([(flag, "only applies with --config")
+                        for flag, value in (("--at", args.at), ("--user", args.user))
+                        if value is not None])
 
-    cb = quantization.build_codebook(args.dimension, args.bits, args.kind, args.seed, sampler,
+    cb = quantization.build_codebook(args.dimension, args.bits, args.kind, args.seed, profile,
                                      max_iters=args.max_iters, tol=args.tol)
     quantization.save_codebook(cb, args.out)
     _progress(f"wrote {args.out}: dimension {cb.dimension}, bits {cb.bits}, "
@@ -342,8 +346,10 @@ def build_parser() -> argparse.ArgumentParser:
     trn.add_argument("--config", default=None,
                      help="scenario JSON: train on a user's composite-direction "
                           "distribution instead of isotropic input")
-    trn.add_argument("--user", type=int, default=0)
-    trn.add_argument("--at", type=float, default=None)
+    trn.add_argument("--user", type=int, default=None,
+                     help="scenario user whose distribution to train on (default 0)")
+    trn.add_argument("--at", type=float, default=None,
+                     help="sweep-user distance in meters for swept scenarios")
     trn.add_argument("--out", required=True)
     trn.set_defaults(func=cmd_train_codebook)
     return parser

@@ -10,6 +10,7 @@ bit-identical for any worker count.
 from __future__ import annotations
 
 import concurrent.futures
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -100,24 +101,27 @@ def _evaluate_realization(ctx: TrialContext, realization, rng) -> tuple:
     return ideal_rates, quant_rates, interference
 
 
-def _run_trial_range(args) -> tuple:
-    ctx, start, stop = args
+def _trials(ctx: TrialContext, rngs, count: int) -> TrialLog:
+    """Evaluate ``count`` trials of ``ctx``; trial t draws from the t-th
+    generator of ``rngs``."""
     n_users = ctx.large_scale.n_users
-    count = stop - start
-    ideal = np.full((count, n_users), np.nan)
-    quant = np.full((count, n_users), np.nan)
-    interf = np.full((count, n_users), np.nan)
-    ok = np.zeros(count, dtype=bool)
-    for offset in range(count):
-        t = start + offset
-        rng = rngmod.substream(ctx.master_seed, rngmod.TRIAL, t)
+    log = TrialLog(ideal=np.full((count, n_users), np.nan),
+                   quantized=np.full((count, n_users), np.nan),
+                   interference=np.full((count, n_users), np.nan),
+                   ok=np.zeros(count, dtype=bool))
+    for t, rng in zip(range(count), rngs):
         realization = channel.realize_channels(ctx.large_scale, ctx.n_tx, rng)
         outcome = _evaluate_realization(ctx, realization, rng)
-        if outcome is None:
-            continue
-        ideal[offset], quant[offset], interf[offset] = outcome
-        ok[offset] = True
-    return ideal, quant, interf, ok
+        if outcome is not None:
+            log.ideal[t], log.quantized[t], log.interference[t] = outcome
+            log.ok[t] = True
+    return log
+
+
+def _run_trial_range(args) -> TrialLog:
+    ctx, start, stop = args
+    rngs = (rngmod.substream(ctx.master_seed, rngmod.TRIAL, t) for t in range(start, stop))
+    return _trials(ctx, rngs, stop - start)
 
 
 def _map_ranges(fn, payload, total: int, workers: int) -> list:
@@ -137,11 +141,7 @@ def run_trials(ctx: TrialContext, trials: int, workers: int = 1) -> TrialLog:
     if trials < 1:
         raise ConfigurationError("trials must be >= 1")
     parts = _map_ranges(_run_trial_range, ctx, trials, workers)
-    ideal = np.concatenate([p[0] for p in parts], axis=0)
-    quant = np.concatenate([p[1] for p in parts], axis=0)
-    interf = np.concatenate([p[2] for p in parts], axis=0)
-    ok = np.concatenate([p[3] for p in parts], axis=0)
-    return TrialLog(ideal=ideal, quantized=quant, interference=interf, ok=ok)
+    return TrialLog(*(np.concatenate(field) for field in zip(*(vars(p).values() for p in parts))))
 
 
 def _mean_se(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -244,30 +244,17 @@ def _draw_positions(scn: scenariomod.Scenario, rng) -> np.ndarray:
 
 def _run_drop_range(args) -> tuple:
     scn, start, stop = args
-    n_users = scn.n_users
-    count = stop - start
-    quant = np.full((count, n_users), np.nan)
-    ideal = np.full((count, n_users), np.nan)
+    quant = np.full((stop - start, scn.n_users), np.nan)
+    ideal = np.full((stop - start, scn.n_users), np.nan)
     failed_draws = 0
-    for offset in range(count):
-        d = start + offset
+    for offset, d in enumerate(range(start, stop)):
         rng = rngmod.substream(scn.master_seed, rngmod.DROP, d)
         ctx = _context(scn, _draw_positions(scn, rng))
-        q_acc = np.zeros(n_users)
-        i_acc = np.zeros(n_users)
-        good = 0
-        for _ in range(scn.trials_per_drop):
-            realization = channel.realize_channels(ctx.large_scale, scn.n_tx, rng)
-            outcome = _evaluate_realization(ctx, realization, rng)
-            if outcome is None:
-                failed_draws += 1
-                continue
-            i_acc += outcome[0]
-            q_acc += outcome[1]
-            good += 1
-        if good:
-            quant[offset] = q_acc / good
-            ideal[offset] = i_acc / good
+        log = _trials(ctx, itertools.repeat(rng), scn.trials_per_drop)
+        failed_draws += int(np.count_nonzero(~log.ok))
+        if log.ok.any():
+            quant[offset] = log.quantized[log.ok].mean(axis=0)
+            ideal[offset] = log.ideal[log.ok].mean(axis=0)
     return quant, ideal, failed_draws
 
 
@@ -275,17 +262,6 @@ def run_cdf(scn: scenariomod.Scenario, workers: int = 1) -> CdfResult:
     """Random-drop run: per-drop throughput averaged over small-scale fading."""
     if scn.placement.mode != "random_uniform":
         raise ConfigurationError("run_cdf requires random_uniform placement")
-    if scn.drops < 1:
-        raise ConfigurationError("drops must be >= 1")
-    if scn.feedback.mode == "global" and scn.feedback.codebook_kind == "lloyd":
-        # Trained per energy profile: only viable when the profile is
-        # drop-independent (single-cell baseline). Cooperative random drops
-        # must use per-cell or random-codebook feedback.
-        if scn.geometry.n_cells > 1:
-            raise ConfigurationError(
-                "global lloyd feedback with random drops would retrain per drop; "
-                "use per_cell feedback or a random codebook"
-            )
     parts = _map_ranges(_run_drop_range, scn, scn.drops, workers)
     quant = np.concatenate([p[0] for p in parts], axis=0)
     ideal = np.concatenate([p[1] for p in parts], axis=0)

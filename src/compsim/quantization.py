@@ -84,6 +84,21 @@ def isotropic_directions(count: int, dimension: int, rng: np.random.Generator) -
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
+def composite_directions(count: int, profile, n_tx: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw ``count`` composite directions g/||g|| of a user whose link
+    energies split over the BSs as ``profile``.
+
+    The direction distribution is invariant to a common scaling of the link
+    energies, so equal splits give bit-identical draws whatever the absolute
+    energies.
+    """
+    alpha = np.sqrt(np.asarray(profile, dtype=float))
+    z = rng.standard_normal((count, alpha.shape[0], n_tx, 2))
+    h = (z[..., 0] + 1j * z[..., 1]) / np.sqrt(2.0)
+    g = (alpha[None, :, None] * h).reshape(count, -1)
+    return g / np.linalg.norm(g, axis=1, keepdims=True)
+
+
 def random_codebook(dimension: int, bits: int, rng: np.random.Generator) -> Codebook:
     """Random vector quantization codebook: independent isotropic unit rows."""
     if dimension < 1:
@@ -128,15 +143,17 @@ def train_lloyd(
     training_samples: np.ndarray,
     max_iters: int = DEFAULT_LLOYD_MAX_ITERS,
     tol: float = DEFAULT_LLOYD_TOL,
-    rng: np.random.Generator | None = None,
+    *,
+    rng: np.random.Generator,
 ) -> Codebook:
     """Generalized Lloyd training under the chordal distance 1 - |x c^H|^2.
 
     Alternates nearest-codeword partition with centroid updates (dominant
     eigenvector of each cluster's sample correlation). Initialized from a
-    random codebook; mean distortion is non-increasing across iterations, so
-    the result is never worse than that initialization on the training set.
-    Empty clusters are re-seeded with the worst-quantized sample.
+    random codebook drawn from ``rng``; mean distortion is non-increasing
+    across iterations, so the result is never worse than that initialization
+    on the training set. Empty clusters are re-seeded with the worst-quantized
+    sample.
     """
     x = np.asarray(training_samples, dtype=complex)
     size = 2**bits
@@ -149,8 +166,6 @@ def train_lloyd(
         )
     if np.any(np.abs(np.linalg.norm(x, axis=1) - 1.0) > 1e-9):
         raise ConfigurationError("training samples must be unit norm")
-    if rng is None:
-        rng = np.random.default_rng()
 
     codewords = isotropic_directions(size, dimension, rng)
     history: list[float] = []
@@ -210,21 +225,9 @@ def train_lloyd(
     return Codebook(codewords=codewords, bits=bits, kind="lloyd", training_meta=meta)
 
 
-def expected_error(
-    cb: Codebook,
-    draws: int = DEFAULT_ERROR_ESTIMATE_DRAWS,
-    rng: np.random.Generator | None = None,
-    directions: np.ndarray | None = None,
-) -> tuple[float, float]:
-    """Monte Carlo estimate (mean, standard error) of E{sin^2 theta}.
-
-    Directions default to isotropic draws; pass ``directions`` to estimate
-    under a non-isotropic input distribution (e.g. composite-channel CDI).
-    """
-    if directions is None:
-        if rng is None:
-            raise DomainError("either rng or directions must be provided")
-        directions = isotropic_directions(draws, cb.dimension, rng)
+def expected_error(cb: Codebook, directions: np.ndarray) -> tuple[float, float]:
+    """Monte Carlo estimate (mean, standard error) of E{sin^2 theta} over the
+    rows of ``directions``, drawn from the codebook's input distribution."""
     _, err = quantize_many(directions, cb)
     n = err.shape[0]
     return float(err.mean()), float(err.std(ddof=1) / np.sqrt(n))
@@ -535,39 +538,49 @@ def clear_codebook_cache() -> None:
     _codebook_cache.clear()
 
 
+def _directions(count: int, dimension: int, profile, rng: np.random.Generator) -> np.ndarray:
+    if profile is None:
+        return isotropic_directions(count, dimension, rng)
+    return composite_directions(count, profile, dimension // len(profile), rng)
+
+
 def build_codebook(
     dimension: int,
     bits: int,
     kind: str,
     seed: int,
-    sampler=None,
-    sampler_key=(),
+    profile: tuple | None = None,
     max_iters: int = DEFAULT_LLOYD_MAX_ITERS,
     tol: float = DEFAULT_LLOYD_TOL,
 ) -> Codebook:
     """Train (or draw) one codebook and attach its expected-error estimate.
 
-    ``sampler(count, rng)`` draws the unit input directions used for Lloyd
-    training and for the error estimate; isotropic when None. Training and
-    estimation draw from the TRAINING and ERROR_ESTIMATE substreams of
-    ``seed`` keyed by (dimension, bits) and, when given, ``sampler_key``.
+    ``(dimension, bits, kind, seed, profile)`` is the whole identity of the
+    codebook. ``profile`` is None for a per-cell codebook, whose input
+    directions are isotropic, and the served user's energy split over the
+    BSs for a global one, whose inputs are that user's composite directions.
+    Training and estimation draw from the TRAINING and ERROR_ESTIMATE
+    substreams of ``seed`` keyed by (dimension, bits) and, for a global
+    codebook, a label folded from the profile.
     """
     if dimension < 1:
         raise ConfigurationError("dimension must be >= 1")
     if bits < 0:
         raise ConfigurationError("bits must be nonnegative")
-    if sampler is None:
-        def sampler(count, rng):
-            return isotropic_directions(count, dimension, rng)
-    labels = (dimension, bits, *_key_ints(sampler_key))
+    labels = (dimension, bits)
+    if profile is not None:
+        profile = tuple(np.asarray(profile, dtype=float).tolist())
+        digest = hashlib.sha256(repr(profile).encode()).digest()
+        labels += (int.from_bytes(digest[:4], "big"),)
     train_rng = rngmod.substream(seed, rngmod.TRAINING, *labels)
     if kind == "random":
         cb = random_codebook(dimension, bits, train_rng)
     else:
-        samples = sampler(DEFAULT_LLOYD_OVERSAMPLING * 2**bits, train_rng)
+        samples = _directions(DEFAULT_LLOYD_OVERSAMPLING * 2**bits, dimension, profile, train_rng)
         cb = train_lloyd(dimension, bits, samples, max_iters=max_iters, tol=tol, rng=train_rng)
     err_rng = rngmod.substream(seed, rngmod.ERROR_ESTIMATE, *labels)
-    mean, se = expected_error(cb, directions=sampler(DEFAULT_ERROR_ESTIMATE_DRAWS, err_rng))
+    mean, se = expected_error(
+        cb, _directions(DEFAULT_ERROR_ESTIMATE_DRAWS, dimension, profile, err_rng))
     meta = dict(cb.training_meta or {})
     meta["expected_error"] = {"mean": mean, "se": se, "draws": DEFAULT_ERROR_ESTIMATE_DRAWS}
     meta["seed"] = seed
@@ -576,7 +589,7 @@ def build_codebook(
 
 
 def _slot_codebook(config: FeedbackConfig, slot: str, dimension: int, bits: int,
-                   sampler=None, sampler_key=()) -> Codebook:
+                   profile: tuple | None = None) -> Codebook:
     """The codebook file ``config.codebook_files`` names for ``slot``, else the
     cached codebook built for it."""
     files = config.codebook_files or {}
@@ -588,38 +601,10 @@ def _slot_codebook(config: FeedbackConfig, slot: str, dimension: int, bits: int,
                 f"(dimension {dimension}, bits {bits})"
             )
         return cb
-    key = ("global" if sampler is not None else "percell", dimension, bits,
-           config.codebook_kind, config.training_seed, sampler_key)
+    key = (dimension, bits, config.codebook_kind, config.training_seed, profile)
     if key not in _codebook_cache:
-        _codebook_cache[key] = build_codebook(dimension, bits, config.codebook_kind,
-                                              config.training_seed, sampler, sampler_key)
+        _codebook_cache[key] = build_codebook(*key)
     return _codebook_cache[key]
-
-
-def _key_ints(sampler_key) -> tuple:
-    # Fold an arbitrary hashable key into substream label integers.
-    if not sampler_key:
-        return ()
-    digest = hashlib.sha256(repr(sampler_key).encode()).digest()
-    return (int.from_bytes(digest[:4], "big"),)
-
-
-def _composite_direction_sampler(energy_profile: np.ndarray, n_tx: int):
-    """Sampler of normalized composite vectors g/||g|| for one user.
-
-    The direction distribution is invariant to a common scaling of the link
-    energies, so the sampler takes the normalized profile; equal profiles
-    produce bit-identical samples regardless of absolute energies.
-    """
-    alpha = np.sqrt(np.asarray(energy_profile, dtype=float))
-
-    def draw(count: int, rng: np.random.Generator) -> np.ndarray:
-        z = rng.standard_normal((count, alpha.shape[0], n_tx, 2))
-        h = (z[..., 0] + 1j * z[..., 1]) / np.sqrt(2.0)
-        g = (alpha[None, :, None] * h).reshape(count, -1)
-        return g / np.linalg.norm(g, axis=1, keepdims=True)
-
-    return draw
 
 
 def resolve_codebooks(
@@ -632,8 +617,8 @@ def resolve_codebooks(
     Per-cell codebooks are trained on isotropic unit vectors (small-scale CDI
     is isotropic) and shared across links with equal bit counts. Global
     codebooks are trained per user on that user's composite-direction
-    distribution, which is set by the relative link energies; the cache key
-    uses the normalized energy profile so equal shapes share one training.
+    distribution, which is set by the user's energy split; equal splits share
+    one training.
     """
     n_users, n_bs = large_scale.alpha_sq.shape
     if config.mode == "perfect":
@@ -649,16 +634,7 @@ def resolve_codebooks(
         return ResolvedFeedback(mode="per_cell", codebooks=[
             [by_bits[int(bits[k, b])] for b in range(n_bs)] for k in range(n_users)
         ])
-    grid = []
-    for k in range(n_users):
-        row = large_scale.alpha_sq[k]
-        total = row.sum()
-        if total <= 0:
-            raise ConfigurationError(f"user {k} has no link energy; cannot train codebook")
-        profile = row / total
-        grid.append([_slot_codebook(
-            config, f"user{k}", n_bs * n_tx, config.global_bits,
-            sampler=_composite_direction_sampler(profile, n_tx),
-            sampler_key=tuple(profile.tolist()),
-        )])
-    return ResolvedFeedback(mode="global", codebooks=grid)
+    return ResolvedFeedback(mode="global", codebooks=[
+        [_slot_codebook(config, f"user{k}", n_bs * n_tx, config.global_bits, tuple(split))]
+        for k, split in enumerate(large_scale.energy_split().tolist())
+    ])

@@ -98,6 +98,13 @@ class Scenario:
         elif pl.mode == "random_uniform":
             if self.drops < 1:
                 out.append(("drops", "random placement requires drops >= 1"))
+            fb = self.feedback
+            if n_cells > 1 and fb.mode == "global" and fb.codebook_kind == "lloyd":
+                # each cooperative drop moves the energy split a global
+                # codebook is trained on, so every drop would retrain it
+                out.append(("feedback.codebook_kind",
+                            "global lloyd codebooks would retrain per cooperative random "
+                            "drop; use per_cell feedback or 'random'"))
         else:
             swept = pl.sweep_user if pl.mode == "line_sweep" else None
             if not isinstance(pl.positions, list) or len(pl.positions) != n_users:

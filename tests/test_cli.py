@@ -1,10 +1,11 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from compsim import cli, quantization, scenario
-from compsim.quantization import expected_error, load_codebook
+from compsim import cli, montecarlo, quantization, scenario
+from compsim.quantization import expected_error, isotropic_directions, load_codebook
 from compsim.rng import substream
 
 
@@ -35,7 +36,8 @@ class TestTrainCodebook:
                        "--seed", "7103", "--out", str(out)) == 0
         cb = load_codebook(out)
         cached = cb.training_meta["expected_error"]
-        mean, se = expected_error(cb, 100_000, substream(999, 3, 0))
+        mean, se = expected_error(cb, isotropic_directions(100_000, cb.dimension,
+                                                           substream(999, 3, 0)))
         assert abs(cached["mean"] - mean) <= 3 * np.hypot(se, cached["se"])
 
     def test_random_kind(self, tmp_path):
@@ -48,6 +50,44 @@ class TestTrainCodebook:
         rc = run_cli("train-codebook", "--dimension", "4", "--bits", "1",
                      "--out", str(tmp_path / "nodir" / "cb.cbk"))
         assert rc == 3
+
+
+class TestCodebookFileParity:
+    """A ``train-codebook`` file is the codebook ``simulate`` builds for its
+    slot, so naming it in ``codebook_files`` leaves the CSV unchanged."""
+
+    def _check(self, tmp_path, scn, slot, train_args, codewords):
+        cb_path = tmp_path / f"{slot}.cbk"
+        assert run_cli("train-codebook", *train_args, "--out", str(cb_path)) == 0
+        np.testing.assert_array_equal(load_codebook(cb_path).codewords, codewords)
+        csvs = []
+        for files in (None, {slot: str(cb_path)}):
+            cfg = tmp_path / f"{slot}-{len(csvs)}.json"
+            cfg.write_text(scenario.serialize(
+                replace(scn, trials=40, feedback=replace(scn.feedback, codebook_files=files))))
+            out = tmp_path / f"{slot}-{len(csvs)}.csv"
+            assert run_cli("simulate", "--config", str(cfg), "--seed", "3",
+                           "--out", str(out)) == 0
+            csvs.append(out.read_bytes())
+        assert csvs[0] == csvs[1]
+
+    def test_global_slot(self, tmp_path):
+        arm = scenario.preset("fig4").arms[0]
+        assert arm.label == "global_6bit"
+        cfg = tmp_path / "fig4_global.json"
+        cfg.write_text(scenario.serialize(arm.scenario))
+        fixed = scenario.at_sweep_point(arm.scenario, 100.0)
+        slot_cb = montecarlo.build_context(fixed).feedback.codebooks[0][0]
+        self._check(tmp_path, fixed, "user0",
+                    ["--config", str(cfg), "--at", "100", "--user", "0",
+                     "--dimension", "8", "--bits", "6", "--seed", "7104"], slot_cb.codewords)
+
+    def test_per_cell_slot(self, tmp_path):
+        fixed = scenario.at_sweep_point(scenario.preset("fig3").arms[0].scenario, 100.0)
+        slot_cb = montecarlo.build_context(fixed).feedback.codebooks[0][0]
+        assert slot_cb.bits == 3
+        self._check(tmp_path, fixed, "3", ["--dimension", "4", "--bits", "3", "--seed", "7103"],
+                    slot_cb.codewords)
 
 
 class TestSimulate:
@@ -230,10 +270,15 @@ def placement_configs(tmp_path):
     ({}, ["bound", "--config", "{drops}"], "error: placement.mode: "),
     ({}, ["train-codebook", "--config", "{drops}", "--dimension", "8", "--bits", "2"],
      "error: placement.mode: "),
+    ({}, ["train-codebook", "--dimension", "4", "--bits", "2", "--at", "100"],
+     "error: --at: only applies with --config\n"),
+    ({}, ["train-codebook", "--dimension", "4", "--bits", "2", "--user", "3"],
+     "error: --user: only applies with --config\n"),
 ], ids=["env-trials", "env-seed", "negative-seed", "bound-outside-cell", "negative-bits",
         "negative-training-seed", "user-out-of-range", "dimension-not-composite",
         *(f"codebook-{defect}" for defect in _CODEBOOK_DEFECTS),
-        "bound-at-without-sweep", "bound-random-drops", "train-random-drops"])
+        "bound-at-without-sweep", "bound-random-drops", "train-random-drops",
+        "train-at-without-config", "train-user-without-config"])
 def test_bad_input_exits_2_with_error_line(env, argv, message, fig3_arm_config, codebook_config,
                                            placement_configs, tmp_path, monkeypatch, capsys):
     for name, value in env.items():

@@ -385,8 +385,8 @@ def test_block_feedback_properties(case):
 class TestExpectedError:
     def test_estimate_reproducible_and_in_range(self):
         cb = random_codebook(4, 3, substream(41, 0, 0))
-        m1, se1 = expected_error(cb, 20_000, substream(41, 0, 1))
-        m2, _ = expected_error(cb, 20_000, substream(41, 0, 1))
+        m1, se1 = expected_error(cb, isotropic_directions(20_000, 4, substream(41, 0, 1)))
+        m2, _ = expected_error(cb, isotropic_directions(20_000, 4, substream(41, 0, 1)))
         assert m1 == m2
         assert 0.0 < m1 < 1.0 and se1 > 0.0
 

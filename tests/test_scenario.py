@@ -134,6 +134,18 @@ class TestValidation:
             scenario.scenario_from_dict(doc)
         assert any("drops" in e for e in err.value.errors)
 
+    def test_global_lloyd_with_cooperative_drops_rejected(self):
+        doc = json.loads(scenario.serialize(scenario.preset("fig5").arms[0].scenario))
+        doc["feedback"] = {"mode": "global", "global_bits": 6, "codebook_kind": "lloyd"}
+        with pytest.raises(ScenarioError) as err:
+            scenario.scenario_from_dict(doc)
+        assert [e.split(":")[0] for e in err.value.errors] == ["feedback.codebook_kind"]
+        doc["feedback"]["codebook_kind"] = "random"
+        assert scenario.scenario_from_dict(doc).feedback.mode == "global"
+        single = json.loads(scenario.serialize(scenario.preset("fig5").arms[1].scenario))
+        assert single["feedback"]["codebook_kind"] == "lloyd"
+        assert scenario.scenario_from_dict(single).feedback.mode == "global"
+
     def test_invalid_json_reported(self):
         with pytest.raises(ScenarioError):
             scenario.parse("{not json")
@@ -264,7 +276,8 @@ def valid_scenarios(draw):
         bits=draw(st.lists(st.lists(bits, min_size=n_cells, max_size=n_cells),
                            min_size=n_users, max_size=n_users)) if fb_mode == "per_cell" else None,
         global_bits=draw(bits) if fb_mode == "global" else None,
-        codebook_kind=draw(st.sampled_from(("lloyd", "random"))),
+        codebook_kind="random" if mode == "random_uniform" and n_cells > 1 and fb_mode == "global"
+        else draw(st.sampled_from(("lloyd", "random"))),
         training_seed=draw(st.integers(0, 2**63)),
         codebook_files=draw(st.none() | st.dictionaries(st.text(max_size=6),
                                                         st.text(max_size=12), max_size=2)),
