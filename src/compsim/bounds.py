@@ -12,14 +12,19 @@ energy split), gamma_sq the receive SNRs and err the per-link quantization
 errors of user k. The closed form descends from the standard limited-feedback
 argument (Jindal, IEEE Trans. IT 2006), which bounds the interference part
 of the loss by log2(1 + E{I}/sigma^2), with I the residual interference
-power (``RateLossEstimate.interference_log_bound``); n_t/(n_t - 1) sum_j I_j
-stands in for E{I}/sigma^2. It is not a proven bound on that term: the
-inverse-norm step E{1/||g_hat||^2} ~ 1/(n_t sum_b alpha_sq_b) is an
-approximation whose stated direction Jensen reverses (``check_inverse_norm``).
-Nor does it model the own-signal degradation, of order
--log2(1 - E{sin^2 theta}). This module evaluates the bound, estimates the
-actual rate loss by Monte Carlo, and checks each step of the derivation
-numerically.
+power; n_t/(n_t - 1) sum_j I_j stands in for E{I}/sigma^2. It is not a
+proven bound on that term: the inverse-norm step
+E{1/||g_hat||^2} ~ 1/(n_t sum_b alpha_sq_b) is an approximation whose stated
+direction Jensen reverses (``check_inverse_norm``). Nor does it model the
+own-signal degradation, of order -log2(1 - E{sin^2 theta}).
+
+This module evaluates the bound, builds the orthogonal pairing it assumes
+(``orthogonalize_report``), and checks each step of the derivation
+numerically. The measured loss and the interference term are the
+``delta_r`` and ``interference_log_bound`` of ``montecarlo.RunResult``;
+``rate_loss_montecarlo`` runs one fixed placement for them. The checks of
+the error split h_bar = cos(theta) h_hat + sin(theta) s share one
+decomposition (``_error_directions``).
 """
 
 from __future__ import annotations
@@ -123,13 +128,7 @@ def orthogonalize_report(
     n_users, n_bs = norms.shape
     if n_users - 1 >= n_tx:
         raise ConfigurationError("per-block orthogonalization needs n_tx > n_users - 1")
-    recon = report.reconstructed
-    directions = np.zeros((n_users, n_bs, n_tx), dtype=complex)
-    for k in range(n_users):
-        for b in range(n_bs):
-            block = recon[k, b * n_tx : (b + 1) * n_tx]
-            directions[k, b] = block / norms[k, b]
-
+    directions = report.reconstructed.reshape(n_users, n_bs, n_tx) / norms[..., None]
     for b in range(n_bs):
         for k in range(1, n_users):
             v = directions[k, b].copy()
@@ -137,42 +136,17 @@ def orthogonalize_report(
                 v -= np.vdot(directions[m, b], v) * directions[m, b]
             vn = np.linalg.norm(v)
             while vn < 1e-9:
-                z = rng.standard_normal((n_tx, 2))
-                v = z[:, 0] + 1j * z[:, 1]
+                v = rngmod.complex_normal(rng, (n_tx,))
                 for m in range(k):
                     v -= np.vdot(directions[m, b], v) * directions[m, b]
                 vn = np.linalg.norm(v)
             directions[k, b] = v / vn
-
-    out = np.zeros_like(recon)
-    for k in range(n_users):
-        for b in range(n_bs):
-            out[k, b * n_tx : (b + 1) * n_tx] = norms[k, b] * directions[k, b]
-    return out
+    return (norms[..., None] * directions).reshape(n_users, n_bs * n_tx)
 
 
 # ---------------------------------------------------------------------------
 # Monte Carlo rate-loss estimation
 # ---------------------------------------------------------------------------
-
-@dataclass
-class RateLossEstimate:
-    """Empirical rate loss plus the interference-expectation bound.
-
-    ``delta_r`` is mean[log2(1+SINR_ideal)] - mean[log2(1+SINR_quantized)]
-    under common random numbers; ``interference_log_bound`` is
-    log2[1 + (P / sigma^2) * mean interference], the generic bound the
-    closed forms descend from.
-    """
-
-    delta_r: np.ndarray  # (n_users,)
-    delta_r_se: np.ndarray
-    interference_log_bound: np.ndarray  # (n_users,)
-    interference_mean: np.ndarray
-    interference_se: np.ndarray
-    failures: int
-    trials: int
-
 
 def rate_loss_montecarlo(
     scn: scenariomod.Scenario,
@@ -180,8 +154,9 @@ def rate_loss_montecarlo(
     master_seed: int | None = None,
     orthogonalize: bool = False,
     workers: int = 1,
-) -> RateLossEstimate:
-    """Estimate the actual rate loss of a fixed-placement scenario.
+) -> montecarlo.RunResult:
+    """Measure the rate loss of a fixed-placement scenario, with ``trials``
+    and ``master_seed`` overriding the scenario's.
 
     With ``orthogonalize`` the quantized directions are made per-block
     orthogonal before precoding (the regime the closed-form bound covers);
@@ -189,22 +164,8 @@ def rate_loss_montecarlo(
     """
     scn = replace(scn, trials=scn.trials if trials is None else trials,
                   master_seed=scn.master_seed if master_seed is None else master_seed)
-    ctx = montecarlo.build_context(
-        scn, recon_transform=orthogonalize_report if orthogonalize else None
-    )
-    log = montecarlo.run_trials(ctx, scn.trials, workers=workers)
-    result = montecarlo.aggregate(scn, log)
-    i_mean, i_se = montecarlo._mean_se(log.interference[log.ok])
-    return RateLossEstimate(
-        delta_r=result.rate_loss,
-        delta_r_se=result.rate_loss_se,
-        # interference_power already carries the tx_power factor
-        interference_log_bound=np.log2(1.0 + i_mean / ctx.large_scale.noise_power),
-        interference_mean=i_mean,
-        interference_se=i_se,
-        failures=result.failures,
-        trials=result.trials,
-    )
+    return montecarlo.run(scn, workers=workers,
+                          recon_transform=orthogonalize_report if orthogonalize else None)
 
 
 # ---------------------------------------------------------------------------
@@ -257,25 +218,39 @@ def check_inverse_norm(
     )
 
 
+def _project_out(v: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Each row of ``v`` minus its component along the unit row of ``d``."""
+    return v - ((v * d.conj()).sum(axis=1))[:, None] * d
+
+
+def _error_directions(h: np.ndarray, cb: quantization.Codebook) -> tuple:
+    """Split each unit row of ``h`` as c * h_hat + sin(theta) * s, with h_hat
+    its codeword in ``cb`` and s a unit direction orthogonal to h_hat.
+
+    Returns (h_hat, c, sin(theta), sin^2 error) per row, the mask ``live`` of
+    rows with sin(theta) > 1e-12, and s for those rows.
+    """
+    idx, err = quantization.quantize_many(h, cb)
+    hq = cb.codewords[idx]
+    coeff = (h * hq.conj()).sum(axis=1)
+    resid = h - coeff[:, None] * hq
+    sin = np.linalg.norm(resid, axis=1)
+    live = sin > 1e-12
+    return hq, coeff, sin, err, live, resid[live] / sin[live, None]
+
+
 def check_decomposition(
     cb: quantization.Codebook, trials: int, master_seed: int
 ) -> AppendixCheck:
     """Direction split h_bar = c * h_hat + sin(theta) * s with unit s | h_hat."""
     rng = rngmod.substream(master_seed, rngmod.APPENDIX, 2)
-    count = min(trials, 2000)
-    h = quantization.isotropic_directions(count, cb.dimension, rng)
-    idx, err = quantization.quantize_many(h, cb)
-    hq = cb.codewords[idx]
-    coeff = (h * hq.conj()).sum(axis=1)
-    resid = h - coeff[:, None] * hq
-    rn = np.linalg.norm(resid, axis=1)
-    live = rn > 1e-12
-    s = resid[live] / rn[live, None]
-    recomposed = coeff[live, None] * hq[live] + rn[live, None] * s
+    h = quantization.isotropic_directions(min(trials, 2000), cb.dimension, rng)
+    hq, coeff, sin, err, live, s = _error_directions(h, cb)
+    recomposed = coeff[live, None] * hq[live] + sin[live, None] * s
     worst = float(np.abs(recomposed - h[live]).max()) if live.any() else 0.0
     unit_dev = float(np.abs(np.linalg.norm(s, axis=1) - 1.0).max()) if live.any() else 0.0
     ortho_dev = float(np.abs((s * hq[live].conj()).sum(axis=1)).max()) if live.any() else 0.0
-    sin_dev = float(np.abs(rn**2 - err).max())
+    sin_dev = float(np.abs(sin**2 - err).max())
     lhs = max(worst, unit_dev, ortho_dev, sin_dev)
     return AppendixCheck(
         step="decomposition",
@@ -298,17 +273,8 @@ def check_nullspace_moment(
     rng = rngmod.substream(master_seed, rngmod.APPENDIX, 3)
     d = cb.dimension
     h = quantization.isotropic_directions(trials, d, rng)
-    idx, _ = quantization.quantize_many(h, cb)
-    hq = cb.codewords[idx]
-    coeff = (h * hq.conj()).sum(axis=1)
-    resid = h - coeff[:, None] * hq
-    rn = np.linalg.norm(resid, axis=1)
-    live = rn > 1e-12
-    s = resid[live] / rn[live, None]
-    hq = hq[live]
-    z = rng.standard_normal((int(live.sum()), d, 2))
-    u = z[..., 0] + 1j * z[..., 1]
-    u -= ((u * hq.conj()).sum(axis=1))[:, None] * hq
+    hq, _, _, _, live, s = _error_directions(h, cb)
+    u = _project_out(rngmod.complex_normal(rng, (int(live.sum()), d)), hq[live])
     u /= np.linalg.norm(u, axis=1, keepdims=True)
     vals = np.abs((s * u.conj()).sum(axis=1)) ** 2
     lhs = float(vals.mean())
@@ -362,14 +328,12 @@ def check_interference_moment(
         err_mean[b] = ek.mean()
         ck = cb_k.codewords[ik]
         cj = cb_j.codewords[ij]
-        v = cj - ((cj * ck.conj()).sum(axis=1))[:, None] * ck
+        v = _project_out(cj, ck)
         vn = np.linalg.norm(v, axis=1)
         degenerate = vn < 1e-9
         if degenerate.any():
-            z = rng.standard_normal((int(degenerate.sum()), n_tx, 2))
-            repl = z[..., 0] + 1j * z[..., 1]
-            ck_d = ck[degenerate]
-            repl -= ((repl * ck_d.conj()).sum(axis=1))[:, None] * ck_d
+            repl = _project_out(rngmod.complex_normal(rng, (int(degenerate.sum()), n_tx)),
+                                ck[degenerate])
             repl /= np.linalg.norm(repl, axis=1, keepdims=True)
             v[degenerate] = repl
             vn[degenerate] = 1.0

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import rng as rngmod
 from .errors import ConfigurationError, DomainError, raise_problems
 
 DEFAULT_CELL_RADIUS_M = 250.0
@@ -186,8 +187,7 @@ def sample_small_scale(
         raise ConfigurationError("n_tx must be >= 2 (single-antenna BSs are unsupported)")
     if n_users < 1 or n_bs < 1:
         raise ConfigurationError("n_users and n_bs must be >= 1")
-    z = rng.standard_normal((n_users, n_bs, n_tx, 2))
-    return (z[..., 0] + 1j * z[..., 1]) / np.sqrt(2.0)
+    return rngmod.complex_normal(rng, (n_users, n_bs, n_tx)) / np.sqrt(2.0)
 
 
 def assemble_global(small_scale: np.ndarray, large_scale: LargeScaleMap) -> np.ndarray:

@@ -149,8 +149,8 @@ def _simulate_run_rows(exp_name, label, scn, workers) -> list:
                 ("throughput_se", result.throughput_se[k]),
                 ("ideal_throughput_mean", result.ideal_throughput_mean[k]),
                 ("ideal_throughput_se", result.ideal_throughput_se[k]),
-                ("rate_loss_mc", result.rate_loss[k]),
-                ("rate_loss_mc_se", result.rate_loss_se[k]),
+                ("rate_loss_mc", result.delta_r[k]),
+                ("rate_loss_mc_se", result.delta_r_se[k]),
             ]
             if bound_vals is not None:
                 metrics.append(("rate_loss_bound", bound_vals[k]))
@@ -288,8 +288,7 @@ def cmd_train_codebook(args) -> int:
                         for flag, value in (("--at", args.at), ("--user", args.user))
                         if value is not None])
 
-    cb = quantization.build_codebook(args.dimension, args.bits, args.kind, args.seed, profile,
-                                     max_iters=args.max_iters, tol=args.tol)
+    cb = quantization.build_codebook(args.dimension, args.bits, args.kind, args.seed, profile)
     quantization.save_codebook(cb, args.out)
     _progress(f"wrote {args.out}: dimension {cb.dimension}, bits {cb.bits}, "
               f"E{{sin^2}} = {cb.training_meta['expected_error']['mean']:.6f}")
@@ -341,8 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
     trn.add_argument("--bits", type=int, required=True)
     trn.add_argument("--kind", choices=("lloyd", "random"), default="lloyd")
     trn.add_argument("--seed", type=int, default=7001)
-    trn.add_argument("--max-iters", type=int, default=quantization.DEFAULT_LLOYD_MAX_ITERS)
-    trn.add_argument("--tol", type=float, default=quantization.DEFAULT_LLOYD_TOL)
     trn.add_argument("--config", default=None,
                      help="scenario JSON: train on a user's composite-direction "
                           "distribution instead of isotropic input")

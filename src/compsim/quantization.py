@@ -79,8 +79,7 @@ class Codebook:
 
 def isotropic_directions(count: int, dimension: int, rng: np.random.Generator) -> np.ndarray:
     """Draw ``count`` isotropic unit-norm complex row vectors."""
-    z = rng.standard_normal((count, dimension, 2))
-    v = z[..., 0] + 1j * z[..., 1]
+    v = rngmod.complex_normal(rng, (count, dimension))
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
@@ -93,9 +92,8 @@ def composite_directions(count: int, profile, n_tx: int, rng: np.random.Generato
     energies.
     """
     alpha = np.sqrt(np.asarray(profile, dtype=float))
-    z = rng.standard_normal((count, alpha.shape[0], n_tx, 2))
-    h = (z[..., 0] + 1j * z[..., 1]) / np.sqrt(2.0)
-    g = (alpha[None, :, None] * h).reshape(count, -1)
+    g = (channel.sample_small_scale(count, alpha.shape[0], n_tx, rng)
+         * alpha[:, None]).reshape(count, -1)
     return g / np.linalg.norm(g, axis=1, keepdims=True)
 
 
@@ -550,8 +548,6 @@ def build_codebook(
     kind: str,
     seed: int,
     profile: tuple | None = None,
-    max_iters: int = DEFAULT_LLOYD_MAX_ITERS,
-    tol: float = DEFAULT_LLOYD_TOL,
 ) -> Codebook:
     """Train (or draw) one codebook and attach its expected-error estimate.
 
@@ -561,7 +557,9 @@ def build_codebook(
     BSs for a global one, whose inputs are that user's composite directions.
     Training and estimation draw from the TRAINING and ERROR_ESTIMATE
     substreams of ``seed`` keyed by (dimension, bits) and, for a global
-    codebook, a label folded from the profile.
+    codebook, a label folded from the profile. ``training_meta`` records the
+    seed and, for a global codebook, the profile, so a saved file carries
+    its whole identity.
     """
     if dimension < 1:
         raise ConfigurationError("dimension must be >= 1")
@@ -577,31 +575,41 @@ def build_codebook(
         cb = random_codebook(dimension, bits, train_rng)
     else:
         samples = _directions(DEFAULT_LLOYD_OVERSAMPLING * 2**bits, dimension, profile, train_rng)
-        cb = train_lloyd(dimension, bits, samples, max_iters=max_iters, tol=tol, rng=train_rng)
+        cb = train_lloyd(dimension, bits, samples, rng=train_rng)
     err_rng = rngmod.substream(seed, rngmod.ERROR_ESTIMATE, *labels)
     mean, se = expected_error(
         cb, _directions(DEFAULT_ERROR_ESTIMATE_DRAWS, dimension, profile, err_rng))
     meta = dict(cb.training_meta or {})
     meta["expected_error"] = {"mean": mean, "se": se, "draws": DEFAULT_ERROR_ESTIMATE_DRAWS}
     meta["seed"] = seed
+    if profile is not None:
+        meta["profile"] = list(profile)
     cb.training_meta = meta
     return cb
+
+
+_IDENTITY_FIELDS = ("dimension", "bits", "kind", "meta.seed", "meta.profile")
 
 
 def _slot_codebook(config: FeedbackConfig, slot: str, dimension: int, bits: int,
                    profile: tuple | None = None) -> Codebook:
     """The codebook file ``config.codebook_files`` names for ``slot``, else the
-    cached codebook built for it."""
+    cached codebook built for it. A file must carry the slot's whole
+    identity, the ``build_codebook`` arguments."""
+    key = (dimension, bits, config.codebook_kind, config.training_seed, profile)
     files = config.codebook_files or {}
     if slot in files:
         cb = load_codebook(files[slot])
-        if cb.dimension != dimension or cb.bits != bits:
-            raise ConfigurationError(
-                f"codebook file {files[slot]} does not match slot {slot} "
-                f"(dimension {dimension}, bits {bits})"
-            )
+        meta = cb.training_meta or {}
+        found = (cb.dimension, cb.bits, cb.kind, meta.get("seed"), meta.get("profile"))
+        # the file's meta is JSON: the profile there is a list
+        wanted = key[:4] + (None if profile is None else list(profile),)
+        for field, want, have in zip(_IDENTITY_FIELDS, wanted, found):
+            if have != want:
+                raise ConfigurationError(
+                    f"codebook file {files[slot]}: {field} is {have!r}, "
+                    f"slot {slot} needs {want!r}")
         return cb
-    key = (dimension, bits, config.codebook_kind, config.training_seed, profile)
     if key not in _codebook_cache:
         _codebook_cache[key] = build_codebook(*key)
     return _codebook_cache[key]

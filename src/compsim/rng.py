@@ -28,3 +28,15 @@ def substream(master_seed: int, *key: int) -> np.random.Generator:
         raise ConfigurationError("master seed must be nonnegative")
     ss = np.random.SeedSequence(entropy=master_seed, spawn_key=tuple(int(k) for k in key))
     return np.random.default_rng(ss)
+
+
+def complex_normal(gen: np.random.Generator, shape: tuple) -> np.ndarray:
+    """Complex Gaussians of ``shape`` with independent standard normal real
+    and imaginary parts, so E{|z|^2} = 2.
+
+    Entry i takes the i-th (re, im) pair of one ``standard_normal`` draw of
+    ``shape + (2,)``. That layout is part of the random-stream contract, and
+    every complex draw of the package goes through here.
+    """
+    z = gen.standard_normal(tuple(shape) + (2,))
+    return z[..., 0] + 1j * z[..., 1]

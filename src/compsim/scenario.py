@@ -158,26 +158,15 @@ class Experiment:
 # Serialization
 # ---------------------------------------------------------------------------
 
-def scenario_to_dict(s: Scenario) -> dict:
-    doc = asdict(s)
-    doc["geometry"]["bs_positions"] = s.geometry.bs_positions.tolist()
-    return doc
-
-
 def serialize(s: Scenario) -> str:
     """Canonical JSON form of a scenario."""
-    return json.dumps(scenario_to_dict(s), indent=2, sort_keys=True) + "\n"
+    doc = asdict(s)
+    doc["geometry"]["bs_positions"] = s.geometry.bs_positions.tolist()
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def fingerprint(s: Scenario) -> str:
     return hashlib.sha256(serialize(s).encode()).hexdigest()[:16]
-
-
-def experiment_to_json(e: Experiment) -> str:
-    doc = {"name": e.name, "arms": [
-        {"label": a.label, "scenario": scenario_to_dict(a.scenario)} for a in e.arms
-    ]}
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 # ---------------------------------------------------------------------------

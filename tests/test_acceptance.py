@@ -152,7 +152,7 @@ def test_criterion_04_bound_containment_on_grid():
                      f"boot={frac:.3f} dR={full.mean():.4f} {'pass' if ok else 'fail'}")
     detail = (
         "closed-form bound >= log2(1 + E{I}/sigma^2), the interference term it "
-        "descends from (RateLossEstimate.interference_log_bound), in >=99% of "
+        "descends from (RunResult.interference_log_bound), in >=99% of "
         "bootstrap resamples per grid cell (orthogonalized pairing); dR is the full "
         "measured loss, printed for reference -- " + "; ".join(lines)
     )
@@ -166,7 +166,7 @@ def test_criterion_05_position_trends():
     exp = scenario.preset("fig3")
     for d1, fixed in scenario.resolved_points(exp.arms[0].scenario):
         res = montecarlo.run(replace(fixed, trials=trials))
-        edge_stats.append((d1, res.rate_loss[0], res.rate_loss_se[0]))
+        edge_stats.append((d1, res.delta_r[0], res.delta_r_se[0]))
     monotone = True
     for (d_a, m_a, s_a), (d_b, m_b, s_b) in zip(edge_stats, edge_stats[1:]):
         if not (m_b - 2 * s_b > m_a + 2 * s_a):
@@ -177,7 +177,7 @@ def test_criterion_05_position_trends():
     for d1 in (250.0, 50.0):
         fixed = _support.fig3_fixed(50.0, d1, trials=trials)
         res = montecarlo.run(fixed)
-        center_stats[d1] = (res.rate_loss[0], res.rate_loss_se[0])
+        center_stats[d1] = (res.delta_r[0], res.delta_r_se[0])
     (m_edge, s_edge), (m_center, s_center) = center_stats[250.0], center_stats[50.0]
     decreases = m_center + 2 * s_center < m_edge - 2 * s_edge
     seq = " -> ".join(f"{m:.3f}±{s:.3f}" for _, m, s in edge_stats)

@@ -193,7 +193,7 @@ class TestRateLossMonteCarlo:
         for d1 in (250.0, 50.0):
             fixed = _support.fig3_fixed(50.0, d1, trials=1500)
             res = montecarlo.run(fixed)
-            losses.append((res.rate_loss[0], res.rate_loss_se[0]))
+            losses.append((res.delta_r[0], res.delta_r_se[0]))
         (edge, edge_se), (center, center_se) = losses
         assert center + 2 * center_se < edge - 2 * edge_se
 

@@ -250,6 +250,37 @@ def placement_configs(tmp_path):
     return paths
 
 
+@pytest.fixture
+def mismatched_codebook_config(tmp_path, capsys):
+    """Path of a scenario whose slot names a codebook file trained for
+    another identity: ``seed``, ``kind`` or ``profile``."""
+    fig3 = scenario.preset("fig3").arms[0].scenario  # lloyd, training seed 7103
+    global_fig3 = replace(fig3, feedback=quantization.FeedbackConfig(
+        mode="global", global_bits=2, training_seed=7103))
+    sweep = tmp_path / "global_sweep.json"
+    sweep.write_text(scenario.serialize(global_fig3))
+    per_cell_3_3 = scenario.preset("fig4").arms[2].scenario  # training seed 7104
+    cases = {
+        "seed": (["--dimension", "4", "--bits", "3", "--seed", "7103"],
+                 scenario.at_sweep_point(per_cell_3_3, 100.0), "3"),
+        "kind": (["--kind", "random", "--dimension", "4", "--bits", "3", "--seed", "7103"],
+                 scenario.at_sweep_point(fig3, 150.0), "3"),
+        "profile": (["--config", str(sweep), "--at", "100", "--dimension", "8", "--bits", "2",
+                     "--seed", "7103"], scenario.at_sweep_point(global_fig3, 150.0), "user0"),
+    }
+
+    def make(case):
+        train, scn, slot = cases[case]
+        cb_path = tmp_path / f"{case}.cbk"
+        assert run_cli("train-codebook", *train, "--out", str(cb_path)) == 0
+        capsys.readouterr()  # drop the training's progress line
+        path = tmp_path / f"{case}.json"
+        path.write_text(scenario.serialize(replace(scn, feedback=replace(
+            scn.feedback, codebook_files={slot: str(cb_path)}))))
+        return path
+    return make
+
+
 # message: a line the error output must contain, where exit 2 alone does not
 # tell the failure apart from another one
 @pytest.mark.parametrize("env, argv, message", [
@@ -274,18 +305,30 @@ def placement_configs(tmp_path):
      "error: --at: only applies with --config\n"),
     ({}, ["train-codebook", "--dimension", "4", "--bits", "2", "--user", "3"],
      "error: --user: only applies with --config\n"),
+    ({}, ["simulate", "--config", "{mismatch:seed}"], ": meta.seed is 7103, slot 3 needs 7104\n"),
+    ({}, ["simulate", "--config", "{mismatch:kind}"],
+     ": kind is 'random', slot 3 needs 'lloyd'\n"),
+    ({}, ["simulate", "--config", "{mismatch:profile}"], ": meta.profile is ["),
 ], ids=["env-trials", "env-seed", "negative-seed", "bound-outside-cell", "negative-bits",
         "negative-training-seed", "user-out-of-range", "dimension-not-composite",
         *(f"codebook-{defect}" for defect in _CODEBOOK_DEFECTS),
         "bound-at-without-sweep", "bound-random-drops", "train-random-drops",
-        "train-at-without-config", "train-user-without-config"])
+        "train-at-without-config", "train-user-without-config",
+        "codebook-file-seed", "codebook-file-kind", "codebook-file-profile"])
 def test_bad_input_exits_2_with_error_line(env, argv, message, fig3_arm_config, codebook_config,
-                                           placement_configs, tmp_path, monkeypatch, capsys):
+                                           mismatched_codebook_config, placement_configs,
+                                           tmp_path, monkeypatch, capsys):
     for name, value in env.items():
         monkeypatch.setenv(name, value)
     paths = {"{config}": fig3_arm_config, **placement_configs}
-    argv = [str(codebook_config(a[len("{codebook:"):-1])) if a.startswith("{codebook:")
-            else str(paths.get(a, a)) for a in argv]
+    makers = {"{codebook:": codebook_config, "{mismatch:": mismatched_codebook_config}
+
+    def resolve(arg):
+        for prefix, make in makers.items():
+            if arg.startswith(prefix):
+                return make(arg[len(prefix):-1])
+        return paths.get(arg, arg)
+    argv = [str(resolve(a)) for a in argv]
     if argv[0] == "train-codebook":
         argv += ["--out", str(tmp_path / "cb.cbk")]
     assert run_cli(*argv) == 2

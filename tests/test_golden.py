@@ -1,0 +1,100 @@
+"""Pinned digests of outputs that a refactor must keep byte-identical.
+
+Each entry is the first 12 hex digits of the sha256 of one output: CLI
+files and stdout at seed 3 (training seed 7103 for the codebook), and the
+fields of one orthogonalized rate-loss run.
+The last bit of a float can depend on the numpy build, so the check skips
+unless numpy's version and BLAS are the ones the digests were recorded with.
+A change that alters an output on purpose declares it (a new random-stream
+contract or file format) and records the new digests, printed by
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import contextlib
+import hashlib
+import io
+import tempfile
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from compsim import bounds, cli, scenario
+
+RECORDED_NUMPY = "2.4.6"
+RECORDED_BLAS = "scipy-openblas 0.3.31.188.0"
+
+RECORDED = {
+    "simulate fig3 --trials 20": "7c2f45c6a9c6",
+    "simulate fig5 comp_per_cell_3_3 drops=10": "66e8826e789f",
+    "simulate fig5 single_cell_global_6bit drops=10": "8c64abc9a85e",
+    "bound fig3 --at 50 --verify-appendix --trials 2000 csv": "d93ddced0506",
+    "bound fig3 --at 50 --verify-appendix --trials 2000 stdout": "d57cb1b4d828",
+    "train-codebook --dimension 4 --bits 3 --seed 7103": "c79d3291da82",
+    "rate_loss_montecarlo fig3 ms2_150m at 100 m": "f3ec2358b768",
+}
+
+# fields of the orthogonalized rate-loss run, digested in this order
+RATE_LOSS_FIELDS = ("delta_r", "delta_r_se", "interference_log_bound", "interference_mean",
+                    "interference_se", "failures", "trials")
+
+
+def _blas() -> str:
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        return f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):
+        return "unknown"
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:12]
+
+
+def _cli(workdir: Path, *argv) -> tuple[bytes, bytes]:
+    """The file ``compsim argv --out`` writes and the stdout it prints."""
+    out = workdir / "out"
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main([*argv, "--out", str(out)]) == 0
+    return out.read_bytes(), stdout.getvalue().encode()
+
+
+def outputs(workdir: Path) -> dict:
+    """Digest of every pinned output, computed in ``workdir``."""
+    got = {}
+    csv, _ = _cli(workdir, "simulate", "--preset", "fig3", "--trials", "20", "--seed", "3")
+    got["simulate fig3 --trials 20"] = _digest(csv)
+    for arm in scenario.preset("fig5").arms:
+        config = workdir / f"{arm.label}.json"
+        config.write_text(scenario.serialize(replace(arm.scenario, drops=10)))
+        csv, _ = _cli(workdir, "simulate", "--config", str(config), "--seed", "3")
+        got[f"simulate fig5 {arm.label} drops=10"] = _digest(csv)
+    csv, stdout = _cli(workdir, "bound", "--preset", "fig3", "--at", "50", "--verify-appendix",
+                       "--trials", "2000", "--seed", "3")
+    got["bound fig3 --at 50 --verify-appendix --trials 2000 csv"] = _digest(csv)
+    got["bound fig3 --at 50 --verify-appendix --trials 2000 stdout"] = _digest(stdout)
+    codebook, _ = _cli(workdir, "train-codebook", "--dimension", "4", "--bits", "3",
+                       "--seed", "7103")
+    got["train-codebook --dimension 4 --bits 3 --seed 7103"] = _digest(codebook)
+    arm = scenario.preset("fig3").arms[1]
+    result = bounds.rate_loss_montecarlo(scenario.at_sweep_point(arm.scenario, 100.0),
+                                         trials=200, master_seed=3, orthogonalize=True)
+    got[f"rate_loss_montecarlo fig3 {arm.label} at 100 m"] = _digest(b"".join(
+        np.asarray(getattr(result, f), dtype=float).tobytes() for f in RATE_LOSS_FIELDS))
+    return got
+
+
+@pytest.mark.skipif((np.__version__, _blas()) != (RECORDED_NUMPY, RECORDED_BLAS),
+                    reason=f"digests recorded with numpy {RECORDED_NUMPY} on {RECORDED_BLAS}, "
+                           f"not numpy {np.__version__} on {_blas()}")
+def test_outputs_match_recorded_digests(tmp_path):
+    assert outputs(tmp_path) == RECORDED
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, digest in outputs(Path(tmp)).items():
+            print(f"    {name!r}: {digest!r},")

@@ -1,3 +1,4 @@
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -42,7 +43,7 @@ class TestRun:
         log = trial_log(scn)
         assert log.ok.any()
         assert np.array_equal(log.ideal[log.ok], log.quantized[log.ok])
-        assert np.all(montecarlo.aggregate(scn, log).rate_loss == 0.0)
+        assert np.all(montecarlo.aggregate(scn, log).delta_r == 0.0)
         for arm in scenario.preset("fig5").arms:
             cdf = montecarlo.run_cdf(replace(arm.scenario, feedback=perfect, drops=3,
                                              trials_per_drop=2, master_seed=master_seed))
@@ -68,13 +69,17 @@ class TestRun:
         res = montecarlo.aggregate(scn, log)
         quant, ideal = log.quantized[log.ok], log.ideal[log.ok]
         assert np.array_equal(res.throughput_mean, quant.mean(axis=0))
-        assert np.array_equal(res.rate_loss, (ideal - quant).mean(axis=0))
+        assert np.array_equal(res.delta_r, (ideal - quant).mean(axis=0))
+        interference = log.interference[log.ok].mean(axis=0)
+        assert np.array_equal(res.interference_mean, interference)
+        assert np.array_equal(res.interference_log_bound,
+                              np.log2(1.0 + interference / scn.noise_power))
 
     def test_rate_loss_nonnegative_within_two_se(self):
         scn = small_fixed(trials=800)
         log = trial_log(scn)
         res = montecarlo.aggregate(scn, log)
-        assert np.all(res.rate_loss >= -2.0 * res.rate_loss_se)
+        assert np.all(res.delta_r >= -2.0 * res.delta_r_se)
         assert np.all(log.quantized[log.ok] >= 0.0)
 
     def test_all_trials_failing_raises(self):
@@ -198,6 +203,23 @@ class TestRunCdf:
         c = montecarlo.run_cdf(self._cdf_scenario())
         gaps = c.ideal - c.quantized
         assert np.nanmean(gaps) > 0.0
+
+    def test_codebooks_train_once_before_the_pool_forks(self, tmp_path, monkeypatch):
+        # every drop of the single-cell global arm needs the same 6-bit codebook;
+        # forked workers inherit the spy and append their pids too
+        pids = tmp_path / "pids"
+        train_lloyd = quantization.train_lloyd
+
+        def spy(*args, **kwargs):
+            with open(pids, "a", encoding="ascii") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return train_lloyd(*args, **kwargs)
+
+        monkeypatch.setattr(quantization, "train_lloyd", spy)
+        quantization.clear_codebook_cache()
+        scn = replace(scenario.preset("fig5").arms[1].scenario, drops=4, trials_per_drop=2)
+        montecarlo.run_cdf(scn, workers=2)
+        assert pids.read_text(encoding="ascii").split() == [str(os.getpid())]
 
 
 class TestWorkerInvariance:

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from compsim import channel
+from compsim import channel, quantization
 from compsim.errors import ConfigurationError, DomainError, PrecodingError
 from compsim.quantization import (
     Codebook,
     FeedbackConfig,
+    build_codebook,
+    clear_codebook_cache,
     expected_error,
     global_feedback,
     isotropic_directions,
@@ -435,16 +437,18 @@ class TestResolveCodebooks:
             assert "expected_error" in cb.training_meta
 
     def test_codebook_file_reference(self, tmp_path):
-        cb = random_codebook(4, 3, substream(53, 0, 0))
+        cb = build_codebook(4, 3, "random", 53)
         path = tmp_path / "b3.txt"
         save_codebook(cb, path)
         ls = _support.two_cell_map(125.0, 250.0)
+        clear_codebook_cache()
         res = resolve_codebooks(
-            FeedbackConfig(mode="per_cell", bits=[[3, 3], [3, 3]],
-                           codebook_files={"3": str(path)}),
+            FeedbackConfig(mode="per_cell", bits=[[3, 3], [3, 3]], codebook_kind="random",
+                           training_seed=53, codebook_files={"3": str(path)}),
             4, ls,
         )
         assert np.array_equal(res.codebooks[0][0].codewords, cb.codewords)
+        assert not quantization._codebook_cache  # read from the file, not built
 
     def test_global_codebooks_keyed_by_energy_profile(self):
         ls = _support.two_cell_map(250.0, 250.0)  # both users symmetric
@@ -454,3 +458,4 @@ class TestResolveCodebooks:
         # identical normalized profiles share one trained codebook
         assert res.codebooks[0][0] is res.codebooks[1][0]
         assert res.codebooks[0][0].dimension == 8
+        assert res.codebooks[0][0].training_meta["profile"] == ls.energy_split()[0].tolist()

@@ -80,11 +80,6 @@ class TestRoundTrip:
             replace(s, master_seed=s.master_seed + 1)
         )
 
-    def test_experiment_json(self):
-        doc = json.loads(scenario.experiment_to_json(scenario.preset("fig4")))
-        assert doc["name"] == "fig4"
-        assert len(doc["arms"]) == 3
-
 
 class TestValidation:
     def _doc(self):
