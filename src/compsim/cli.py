@@ -123,17 +123,12 @@ def _load_experiment(args) -> scenariomod.Experiment:
     return scenariomod.Experiment(name=exp.name, arms=arms)
 
 
-def _bound_per_user(scn: scenariomod.Scenario, ctx) -> np.ndarray | None:
-    """Closed-form bound per user from the codebooks' cached expected errors."""
-    if ctx.feedback.mode != "per_cell" or ctx.large_scale.n_users < 2:
-        return None
+def _user_bounds(scn: scenariomod.Scenario, ctx) -> list:
+    """(closed-form bound, interference terms) per user, from the per-cell
+    codebooks' cached expected errors."""
     params = bounds.RateLossParams.from_large_scale(
-        ctx.large_scale, scn.n_tx, ctx.feedback.expected_error_matrix()
-    )
-    out = np.zeros(ctx.large_scale.n_users)
-    for k in range(ctx.large_scale.n_users):
-        out[k], _ = bounds.rate_loss_bound_general(params, k)
-    return out
+        ctx.large_scale, scn.n_tx, ctx.feedback.expected_error_matrix())
+    return [bounds.rate_loss_bound_general(params, k) for k in range(scn.n_users)]
 
 
 def _simulate_run_rows(exp_name, label, scn, workers) -> list:
@@ -142,7 +137,8 @@ def _simulate_run_rows(exp_name, label, scn, workers) -> list:
     for sweep_value, fixed in scenariomod.resolved_points(scn):
         ctx = montecarlo.build_context(fixed)
         result = montecarlo.aggregate(fixed, montecarlo.run_trials(ctx, fixed.trials, workers))
-        bound_vals = _bound_per_user(fixed, ctx)
+        with_bound = ctx.feedback.mode == "per_cell" and scn.n_users >= 2
+        bound_vals = _user_bounds(fixed, ctx) if with_bound else None
         for k in range(scn.n_users):
             metrics = [
                 ("throughput_mean", result.throughput_mean[k]),
@@ -153,7 +149,7 @@ def _simulate_run_rows(exp_name, label, scn, workers) -> list:
                 ("rate_loss_mc_se", result.delta_r_se[k]),
             ]
             if bound_vals is not None:
-                metrics.append(("rate_loss_bound", bound_vals[k]))
+                metrics.append(("rate_loss_bound", bound_vals[k][0]))
             for name, value in metrics:
                 rows.append(
                     MetricsRow(exp_name, label, sweep_name, sweep_value, k, name,
@@ -221,19 +217,12 @@ def cmd_bound(args) -> int:
         raise ConfigurationError("the closed-form bound applies to per-cell feedback")
 
     ctx = montecarlo.build_context(scn)
-    if args.zero_error:
-        expected = np.zeros_like(ctx.large_scale.alpha_sq)
-    else:
-        expected = ctx.feedback.expected_error_matrix()
-    params = bounds.RateLossParams.from_large_scale(ctx.large_scale, scn.n_tx, expected)
-
     rows = []
     lines = []
     sweep_name = "ms1_distance_m" if args.at is not None else ""
     lines.append(f"rate-loss bounds for {exp.name}/{arm.label}"
                  + (f" at {args.at:g} m" if args.at is not None else ""))
-    for k in range(scn.n_users):
-        value, i_terms = bounds.rate_loss_bound_general(params, k)
+    for k, (value, i_terms) in enumerate(_user_bounds(scn, ctx)):
         lines.append(f"  user {k}: bound {value:.6f} bits/s/Hz")
         rows.append(MetricsRow(exp.name, arm.label, sweep_name, args.at, k,
                                "rate_loss_bound", value, scn.trials, scn.master_seed))
@@ -325,8 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
     bnd.add_argument("--arm", default=None, help="arm label (default: first arm)")
     bnd.add_argument("--at", type=float, default=None,
                      help="sweep-user distance in meters for swept scenarios")
-    bnd.add_argument("--zero-error", action="store_true",
-                     help="evaluate with all quantization errors forced to zero")
     bnd.add_argument("--verify-appendix", action="store_true",
                      help="also run the derivation-step Monte Carlo checks")
     bnd.add_argument("--seed", type=int, default=None)

@@ -137,10 +137,12 @@ def _run_trial_range(args) -> TrialLog:
 def _map_ranges(fn, payload, total: int, workers: int) -> list:
     """Apply ``fn((payload, start, stop))`` over contiguous ranges of
     ``range(total)``, in range order, in a process pool when ``workers > 1``."""
+    if workers < 1:
+        raise ConfigurationError("workers must be >= 1")
     chunks = max(1, min(total, workers * 4))
     size = math.ceil(total / chunks)
     tasks = [(payload, a, min(a + size, total)) for a in range(0, total, size)]
-    if workers <= 1 or len(tasks) == 1:
+    if workers == 1 or len(tasks) == 1:
         return [fn(task) for task in tasks]
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, tasks))

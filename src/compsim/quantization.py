@@ -456,8 +456,9 @@ class FeedbackConfig:
     modes: "perfect" (true channels), "per_cell" (one codebook per link,
     ``bits`` is the n_users x n_bs allocation), "global" (one codebook per
     user over the concatenated vector, ``global_bits`` wide).
-    ``codebook_files`` optionally maps slots to pre-trained files: per-cell
-    slots are the bit counts as strings ("3"), global slots "user0", ....
+    Every codebook is built from its identity (see ``build_codebook``):
+    ``codebook_kind`` and ``training_seed`` here, the dimension and bits
+    from the mode, and for global feedback the served user's energy split.
     """
 
     mode: str = "perfect"
@@ -465,7 +466,6 @@ class FeedbackConfig:
     global_bits: int | None = None
     codebook_kind: str = "lloyd"
     training_seed: int = 7001
-    codebook_files: dict | None = None
 
     def problems(self) -> list:
         """(field, message) pairs for every invalid field. The shape of the
@@ -518,15 +518,8 @@ class ResolvedFeedback:
         codebook carries in its training metadata."""
         if self.mode != "per_cell":
             raise ConfigurationError("per-link expected errors need per-cell feedback")
-        try:
-            return np.array([
-                [cb.training_meta["expected_error"]["mean"] for cb in row]
-                for row in self.codebooks
-            ])
-        except (KeyError, TypeError):
-            raise ConfigurationError(
-                "a per-cell codebook carries no expected-error estimate"
-            ) from None
+        return np.array([[cb.training_meta["expected_error"]["mean"] for cb in row]
+                         for row in self.codebooks])
 
 
 _codebook_cache: dict = {}
@@ -588,28 +581,10 @@ def build_codebook(
     return cb
 
 
-_IDENTITY_FIELDS = ("dimension", "bits", "kind", "meta.seed", "meta.profile")
-
-
-def _slot_codebook(config: FeedbackConfig, slot: str, dimension: int, bits: int,
-                   profile: tuple | None = None) -> Codebook:
-    """The codebook file ``config.codebook_files`` names for ``slot``, else the
-    cached codebook built for it. A file must carry the slot's whole
-    identity, the ``build_codebook`` arguments."""
+def _codebook(config: FeedbackConfig, dimension: int, bits: int,
+              profile: tuple | None = None) -> Codebook:
+    """The cached codebook of this identity, built on first use."""
     key = (dimension, bits, config.codebook_kind, config.training_seed, profile)
-    files = config.codebook_files or {}
-    if slot in files:
-        cb = load_codebook(files[slot])
-        meta = cb.training_meta or {}
-        found = (cb.dimension, cb.bits, cb.kind, meta.get("seed"), meta.get("profile"))
-        # the file's meta is JSON: the profile there is a list
-        wanted = key[:4] + (None if profile is None else list(profile),)
-        for field, want, have in zip(_IDENTITY_FIELDS, wanted, found):
-            if have != want:
-                raise ConfigurationError(
-                    f"codebook file {files[slot]}: {field} is {have!r}, "
-                    f"slot {slot} needs {want!r}")
-        return cb
     if key not in _codebook_cache:
         _codebook_cache[key] = build_codebook(*key)
     return _codebook_cache[key]
@@ -620,7 +595,7 @@ def resolve_codebooks(
     n_tx: int,
     large_scale: channel.LargeScaleMap,
 ) -> ResolvedFeedback:
-    """Load or train every codebook the feedback config needs.
+    """Build (or take from the cache) every codebook the feedback config needs.
 
     Per-cell codebooks are trained on isotropic unit vectors (small-scale CDI
     is isotropic) and shared across links with equal bit counts. Global
@@ -637,12 +612,12 @@ def resolve_codebooks(
             raise ConfigurationError(
                 f"per-cell bit matrix must be {n_users} x {n_bs}, got {bits.shape}"
             )
-        by_bits = {b: _slot_codebook(config, str(b), n_tx, b)
+        by_bits = {b: _codebook(config, n_tx, b)
                    for b in sorted(set(bits.flatten().tolist()))}
         return ResolvedFeedback(mode="per_cell", codebooks=[
             [by_bits[int(bits[k, b])] for b in range(n_bs)] for k in range(n_users)
         ])
     return ResolvedFeedback(mode="global", codebooks=[
-        [_slot_codebook(config, f"user{k}", n_bs * n_tx, config.global_bits, tuple(split))]
-        for k, split in enumerate(large_scale.energy_split().tolist())
+        [_codebook(config, n_bs * n_tx, config.global_bits, tuple(split))]
+        for split in large_scale.energy_split().tolist()
     ])

@@ -214,7 +214,6 @@ _SCHEMA = {
         "global_bits": (int, False, None),
         "codebook_kind": (str, False, "lloyd"),
         "training_seed": (int, False, 7001),
-        "codebook_files": (dict, False, None),
     },
     "pairing": {
         "mode": (str, False, "always_pair"),

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from compsim import cli, montecarlo, quantization, scenario
+from compsim import cli, montecarlo, scenario
 from compsim.quantization import expected_error, isotropic_directions, load_codebook
 from compsim.rng import substream
 
@@ -53,23 +53,12 @@ class TestTrainCodebook:
 
 
 class TestCodebookFileParity:
-    """A ``train-codebook`` file is the codebook ``simulate`` builds for its
-    slot, so naming it in ``codebook_files`` leaves the CSV unchanged."""
+    """A ``train-codebook`` file holds exactly the codebook a run builds."""
 
-    def _check(self, tmp_path, scn, slot, train_args, codewords):
-        cb_path = tmp_path / f"{slot}.cbk"
+    def _check(self, tmp_path, train_args, codewords):
+        cb_path = tmp_path / "cb.cbk"
         assert run_cli("train-codebook", *train_args, "--out", str(cb_path)) == 0
         np.testing.assert_array_equal(load_codebook(cb_path).codewords, codewords)
-        csvs = []
-        for files in (None, {slot: str(cb_path)}):
-            cfg = tmp_path / f"{slot}-{len(csvs)}.json"
-            cfg.write_text(scenario.serialize(
-                replace(scn, trials=40, feedback=replace(scn.feedback, codebook_files=files))))
-            out = tmp_path / f"{slot}-{len(csvs)}.csv"
-            assert run_cli("simulate", "--config", str(cfg), "--seed", "3",
-                           "--out", str(out)) == 0
-            csvs.append(out.read_bytes())
-        assert csvs[0] == csvs[1]
 
     def test_global_slot(self, tmp_path):
         arm = scenario.preset("fig4").arms[0]
@@ -78,15 +67,15 @@ class TestCodebookFileParity:
         cfg.write_text(scenario.serialize(arm.scenario))
         fixed = scenario.at_sweep_point(arm.scenario, 100.0)
         slot_cb = montecarlo.build_context(fixed).feedback.codebooks[0][0]
-        self._check(tmp_path, fixed, "user0",
-                    ["--config", str(cfg), "--at", "100", "--user", "0",
-                     "--dimension", "8", "--bits", "6", "--seed", "7104"], slot_cb.codewords)
+        self._check(tmp_path, ["--config", str(cfg), "--at", "100", "--user", "0",
+                               "--dimension", "8", "--bits", "6", "--seed", "7104"],
+                    slot_cb.codewords)
 
     def test_per_cell_slot(self, tmp_path):
         fixed = scenario.at_sweep_point(scenario.preset("fig3").arms[0].scenario, 100.0)
         slot_cb = montecarlo.build_context(fixed).feedback.codebooks[0][0]
         assert slot_cb.bits == 3
-        self._check(tmp_path, fixed, "3", ["--dimension", "4", "--bits", "3", "--seed", "7103"],
+        self._check(tmp_path, ["--dimension", "4", "--bits", "3", "--seed", "7103"],
                     slot_cb.codewords)
 
 
@@ -120,8 +109,6 @@ class TestSimulate:
 
     def test_custom_config_runs(self, tmp_path):
         scn = scenario.at_sweep_point(scenario.preset("fig3").arms[0].scenario, 150.0)
-        from dataclasses import replace
-
         scn = replace(scn, trials=15)
         cfg = tmp_path / "scn.json"
         cfg.write_text(scenario.serialize(scn))
@@ -142,8 +129,6 @@ class TestSimulate:
 
     def test_cdf_rows(self, tmp_path):
         exp = scenario.preset("fig5")
-        from dataclasses import replace
-
         scn = replace(exp.arms[0].scenario, drops=8, trials_per_drop=2)
         cfg = tmp_path / "cdf.json"
         cfg.write_text(scenario.serialize(scn))
@@ -161,11 +146,6 @@ class TestBound:
         assert run_cli("bound", "--preset", "fig3", "--at", "50") == 0
         out = capsys.readouterr().out
         assert "user 0" in out and "interference term from user 1" in out
-
-    def test_zero_error_override_gives_zero_bounds(self, capsys):
-        assert run_cli("bound", "--preset", "fig3", "--at", "125", "--zero-error") == 0
-        out = capsys.readouterr().out
-        assert "bound 0.000000" in out
 
     def test_verify_appendix_reports_steps(self, capsys, tmp_path):
         csv_path = tmp_path / "bound.csv"
@@ -209,34 +189,6 @@ def fig3_arm_config(tmp_path):
     return path
 
 
-# one defect each, applied to the lines of a valid 4-dimensional 3-bit file
-_CODEBOOK_DEFECTS = {
-    "missing-row": lambda lines: lines[:-1],
-    "word-dimension": lambda lines: ["dimension four" if line == "dimension 4" else line
-                                     for line in lines],
-    "meta-not-json": lambda lines: ["meta {" if line.startswith("meta ") else line
-                                    for line in lines],
-    "nan-entry": lambda lines: lines[:-1] + ["nan " + lines[-1].split(" ", 1)[1]],
-}
-
-
-@pytest.fixture
-def codebook_config(fig3_arm_config, tmp_path):
-    """Path of a fig3 arm whose 3-bit slot names a codebook file with ``defect``."""
-    def make(defect):
-        cb_path = tmp_path / f"{defect}.txt"
-        quantization.save_codebook(quantization.random_codebook(4, 3, substream(5, 0, 0)),
-                                   cb_path)
-        lines = _CODEBOOK_DEFECTS[defect](cb_path.read_text().splitlines())
-        cb_path.write_text("\n".join(lines) + "\n")
-        doc = json.loads(fig3_arm_config.read_text())
-        doc["feedback"]["codebook_files"] = {"3": str(cb_path)}
-        path = tmp_path / f"{defect}.json"
-        path.write_text(json.dumps(doc))
-        return path
-    return make
-
-
 @pytest.fixture
 def placement_configs(tmp_path):
     """Paths of the fig3 scenario fixed with MS1 at 150 m and of the fig5
@@ -251,34 +203,14 @@ def placement_configs(tmp_path):
 
 
 @pytest.fixture
-def mismatched_codebook_config(tmp_path, capsys):
-    """Path of a scenario whose slot names a codebook file trained for
-    another identity: ``seed``, ``kind`` or ``profile``."""
-    fig3 = scenario.preset("fig3").arms[0].scenario  # lloyd, training seed 7103
-    global_fig3 = replace(fig3, feedback=quantization.FeedbackConfig(
-        mode="global", global_bits=2, training_seed=7103))
-    sweep = tmp_path / "global_sweep.json"
-    sweep.write_text(scenario.serialize(global_fig3))
-    per_cell_3_3 = scenario.preset("fig4").arms[2].scenario  # training seed 7104
-    cases = {
-        "seed": (["--dimension", "4", "--bits", "3", "--seed", "7103"],
-                 scenario.at_sweep_point(per_cell_3_3, 100.0), "3"),
-        "kind": (["--kind", "random", "--dimension", "4", "--bits", "3", "--seed", "7103"],
-                 scenario.at_sweep_point(fig3, 150.0), "3"),
-        "profile": (["--config", str(sweep), "--at", "100", "--dimension", "8", "--bits", "2",
-                     "--seed", "7103"], scenario.at_sweep_point(global_fig3, 150.0), "user0"),
-    }
-
-    def make(case):
-        train, scn, slot = cases[case]
-        cb_path = tmp_path / f"{case}.cbk"
-        assert run_cli("train-codebook", *train, "--out", str(cb_path)) == 0
-        capsys.readouterr()  # drop the training's progress line
-        path = tmp_path / f"{case}.json"
-        path.write_text(scenario.serialize(replace(scn, feedback=replace(
-            scn.feedback, codebook_files={slot: str(cb_path)}))))
-        return path
-    return make
+def codebook_files_config(fig3_arm_config, tmp_path):
+    """Path of the fig3 arm as documents were serialized while a scenario
+    could name codebook files: with ``"codebook_files": null``."""
+    doc = json.loads(fig3_arm_config.read_text())
+    doc["feedback"]["codebook_files"] = None
+    path = tmp_path / "codebook_files.json"
+    path.write_text(json.dumps(doc))
+    return path
 
 
 # message: a line the error output must contain, where exit 2 alone does not
@@ -294,8 +226,6 @@ def mismatched_codebook_config(tmp_path, capsys):
           "--dimension", "8", "--bits", "2"], ""),
     ({}, ["train-codebook", "--kind", "random", "--config", "{config}", "--at", "100",
           "--dimension", "4", "--bits", "2"], ""),
-    *(({}, ["simulate", "--config", "{codebook:%s}" % defect], "")
-      for defect in _CODEBOOK_DEFECTS),
     ({}, ["bound", "--config", "{fixed}", "--at", "60"],
      "error: --at: the scenario has no sweep\n"),
     ({}, ["bound", "--config", "{drops}"], "error: placement.mode: "),
@@ -305,30 +235,23 @@ def mismatched_codebook_config(tmp_path, capsys):
      "error: --at: only applies with --config\n"),
     ({}, ["train-codebook", "--dimension", "4", "--bits", "2", "--user", "3"],
      "error: --user: only applies with --config\n"),
-    ({}, ["simulate", "--config", "{mismatch:seed}"], ": meta.seed is 7103, slot 3 needs 7104\n"),
-    ({}, ["simulate", "--config", "{mismatch:kind}"],
-     ": kind is 'random', slot 3 needs 'lloyd'\n"),
-    ({}, ["simulate", "--config", "{mismatch:profile}"], ": meta.profile is ["),
+    ({}, ["simulate", "--config", "{codebook_files}"],
+     "error: feedback.codebook_files: unknown key\n"),
+    ({}, ["simulate", "--preset", "fig3", "--workers", "0"], "error: workers must be >= 1\n"),
+    ({}, ["simulate", "--preset", "fig3", "--workers", "-3"], "error: workers must be >= 1\n"),
 ], ids=["env-trials", "env-seed", "negative-seed", "bound-outside-cell", "negative-bits",
         "negative-training-seed", "user-out-of-range", "dimension-not-composite",
-        *(f"codebook-{defect}" for defect in _CODEBOOK_DEFECTS),
         "bound-at-without-sweep", "bound-random-drops", "train-random-drops",
         "train-at-without-config", "train-user-without-config",
-        "codebook-file-seed", "codebook-file-kind", "codebook-file-profile"])
-def test_bad_input_exits_2_with_error_line(env, argv, message, fig3_arm_config, codebook_config,
-                                           mismatched_codebook_config, placement_configs,
+        "codebook-files-unknown-key", "zero-workers", "negative-workers"])
+def test_bad_input_exits_2_with_error_line(env, argv, message, fig3_arm_config,
+                                           codebook_files_config, placement_configs,
                                            tmp_path, monkeypatch, capsys):
     for name, value in env.items():
         monkeypatch.setenv(name, value)
-    paths = {"{config}": fig3_arm_config, **placement_configs}
-    makers = {"{codebook:": codebook_config, "{mismatch:": mismatched_codebook_config}
-
-    def resolve(arg):
-        for prefix, make in makers.items():
-            if arg.startswith(prefix):
-                return make(arg[len(prefix):-1])
-        return paths.get(arg, arg)
-    argv = [str(resolve(a)) for a in argv]
+    paths = {"{config}": fig3_arm_config, "{codebook_files}": codebook_files_config,
+             **placement_configs}
+    argv = [str(paths.get(a, a)) for a in argv]
     if argv[0] == "train-codebook":
         argv += ["--out", str(tmp_path / "cb.cbk")]
     assert run_cli(*argv) == 2

@@ -1,8 +1,8 @@
 """Pinned digests of outputs that a refactor must keep byte-identical.
 
 Each entry is the first 12 hex digits of the sha256 of one output: CLI
-files and stdout at seed 3 (training seed 7103 for the codebook), and the
-fields of one orthogonalized rate-loss run.
+files and stdout at seed 3 (training seed 7103 or 7104 for the codebooks),
+and the fields of one orthogonalized rate-loss run.
 The last bit of a float can depend on the numpy build, so the check skips
 unless numpy's version and BLAS are the ones the digests were recorded with.
 A change that alters an output on purpose declares it (a new random-stream
@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from compsim import bounds, cli, scenario
+from compsim import bounds, cli, quantization, scenario
 
 RECORDED_NUMPY = "2.4.6"
 RECORDED_BLAS = "scipy-openblas 0.3.31.188.0"
@@ -33,6 +33,8 @@ RECORDED = {
     "bound fig3 --at 50 --verify-appendix --trials 2000 csv": "d93ddced0506",
     "bound fig3 --at 50 --verify-appendix --trials 2000 stdout": "d57cb1b4d828",
     "train-codebook --dimension 4 --bits 3 --seed 7103": "c79d3291da82",
+    "train-codebook fig4 global_6bit --at 100 --user 0 --bits 2 --seed 7104": "e47dd64ae393",
+    "simulate fig4 global_6bit global_bits=2 --trials 20": "261d4d946dff",
     "rate_loss_montecarlo fig3 ms2_150m at 100 m": "f3ec2358b768",
 }
 
@@ -79,6 +81,18 @@ def outputs(workdir: Path) -> dict:
     codebook, _ = _cli(workdir, "train-codebook", "--dimension", "4", "--bits", "3",
                        "--seed", "7103")
     got["train-codebook --dimension 4 --bits 3 --seed 7103"] = _digest(codebook)
+    arm = scenario.preset("fig4").arms[0]
+    config = workdir / f"{arm.label}.json"
+    config.write_text(scenario.serialize(arm.scenario))
+    codebook, _ = _cli(workdir, "train-codebook", "--config", str(config), "--at", "100",
+                       "--user", "0", "--dimension", "8", "--bits", "2", "--seed", "7104")
+    got[f"train-codebook fig4 {arm.label} --at 100 --user 0 --bits 2 --seed 7104"] = \
+        _digest(codebook)
+    config.write_text(scenario.serialize(replace(
+        arm.scenario, trials=20, feedback=replace(arm.scenario.feedback, global_bits=2))))
+    quantization.clear_codebook_cache()  # one lookup per sweep point and profile
+    csv, _ = _cli(workdir, "simulate", "--config", str(config), "--seed", "3")
+    got[f"simulate fig4 {arm.label} global_bits=2 --trials 20"] = _digest(csv)
     arm = scenario.preset("fig3").arms[1]
     result = bounds.rate_loss_montecarlo(scenario.at_sweep_point(arm.scenario, 100.0),
                                          trials=200, master_seed=3, orthogonalize=True)

@@ -2,13 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from compsim import channel, quantization
+from compsim import channel
 from compsim.errors import ConfigurationError, DomainError, PrecodingError
 from compsim.quantization import (
     Codebook,
     FeedbackConfig,
-    build_codebook,
-    clear_codebook_cache,
     expected_error,
     global_feedback,
     isotropic_directions,
@@ -421,6 +419,25 @@ class TestCodebookFiles:
         with pytest.raises(ConfigurationError):
             load_codebook(path)
 
+    # one defect each, applied to the lines of a valid 4-dimensional 3-bit
+    # file, and the line the error names (None: the defect spans the file)
+    @pytest.mark.parametrize("defect, line", [
+        (lambda lines: lines[:-1], 14),
+        (lambda lines: ["dimension four" if line == "dimension 4" else line
+                        for line in lines], 2),
+        (lambda lines: ["meta {" if line.startswith("meta ") else line for line in lines], 5),
+        (lambda lines: lines[:-1] + ["nan " + lines[-1].split(" ", 1)[1]], None),
+    ], ids=["missing-row", "word-dimension", "meta-not-json", "nan-entry"])
+    def test_malformed_file_error_names_path(self, defect, line, tmp_path):
+        path = tmp_path / "cb.txt"
+        save_codebook(random_codebook(4, 3, substream(5, 0, 0)), path)
+        path.write_text("\n".join(defect(path.read_text().splitlines())) + "\n")
+        with pytest.raises(ConfigurationError) as exc:
+            load_codebook(path)
+        assert str(exc.value).startswith(f"{path}: ")
+        if line is not None:
+            assert f": line {line}: " in str(exc.value)
+
 
 class TestResolveCodebooks:
     def test_per_cell_shares_codebooks_by_bits(self):
@@ -435,20 +452,6 @@ class TestResolveCodebooks:
         assert grid[0][0].bits == 4 and grid[0][1].bits == 2
         for cb in (grid[0][0], grid[0][1]):
             assert "expected_error" in cb.training_meta
-
-    def test_codebook_file_reference(self, tmp_path):
-        cb = build_codebook(4, 3, "random", 53)
-        path = tmp_path / "b3.txt"
-        save_codebook(cb, path)
-        ls = _support.two_cell_map(125.0, 250.0)
-        clear_codebook_cache()
-        res = resolve_codebooks(
-            FeedbackConfig(mode="per_cell", bits=[[3, 3], [3, 3]], codebook_kind="random",
-                           training_seed=53, codebook_files={"3": str(path)}),
-            4, ls,
-        )
-        assert np.array_equal(res.codebooks[0][0].codewords, cb.codewords)
-        assert not quantization._codebook_cache  # read from the file, not built
 
     def test_global_codebooks_keyed_by_energy_profile(self):
         ls = _support.two_cell_map(250.0, 250.0)  # both users symmetric

@@ -274,8 +274,6 @@ def valid_scenarios(draw):
         codebook_kind="random" if mode == "random_uniform" and n_cells > 1 and fb_mode == "global"
         else draw(st.sampled_from(("lloyd", "random"))),
         training_seed=draw(st.integers(0, 2**63)),
-        codebook_files=draw(st.none() | st.dictionaries(st.text(max_size=6),
-                                                        st.text(max_size=12), max_size=2)),
     )
     positive = st.floats(1e-6, 1e6)
     return scenario.Scenario(
