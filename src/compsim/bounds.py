@@ -22,9 +22,10 @@ This module evaluates the bound, builds the orthogonal pairing it assumes
 (``orthogonalize_report``), and checks each step of the derivation
 numerically. The measured loss and the interference term are the
 ``delta_r`` and ``interference_log_bound`` of ``montecarlo.RunResult``;
-``rate_loss_montecarlo`` runs one fixed placement for them. The checks of
-the error split h_bar = cos(theta) h_hat + sin(theta) s share one
-decomposition (``_error_directions``).
+``rate_loss_montecarlo`` runs one fixed placement for them. Each Monte Carlo
+check ends in ``_check``, the one home of its mean, standard error and
+verdict; the checks of the error split h_bar = cos(theta) h_hat +
+sin(theta) s share one decomposition (``_error_directions``).
 """
 
 from __future__ import annotations
@@ -129,17 +130,17 @@ def orthogonalize_report(
     if n_users - 1 >= n_tx:
         raise ConfigurationError("per-block orthogonalization needs n_tx > n_users - 1")
     directions = report.reconstructed.reshape(n_users, n_bs, n_tx) / norms[..., None]
+
+    def residual(v, k, b):
+        for m in range(k):
+            v = v - np.vdot(directions[m, b], v) * directions[m, b]
+        return v, np.linalg.norm(v)
+
     for b in range(n_bs):
         for k in range(1, n_users):
-            v = directions[k, b].copy()
-            for m in range(k):
-                v -= np.vdot(directions[m, b], v) * directions[m, b]
-            vn = np.linalg.norm(v)
+            v, vn = residual(directions[k, b], k, b)
             while vn < 1e-9:
-                v = rngmod.complex_normal(rng, (n_tx,))
-                for m in range(k):
-                    v -= np.vdot(directions[m, b], v) * directions[m, b]
-                vn = np.linalg.norm(v)
+                v, vn = residual(rngmod.complex_normal(rng, (n_tx,)), k, b)
             directions[k, b] = v / vn
     return (norms[..., None] * directions).reshape(n_users, n_bs * n_tx)
 
@@ -179,7 +180,27 @@ class AppendixCheck:
     rhs: float
     se: float
     passed: bool
-    detail: str
+
+
+def _check(step: str, samples: np.ndarray, rhs: float, passes) -> AppendixCheck:
+    """Check ``step``: lhs the mean of ``samples``, se its SE, verdict passes(lhs, rhs, se)."""
+    n = samples.shape[0]
+    if n < 2:
+        raise ConfigurationError(f"{step}: a standard error needs at least 2 draws, got {n}")
+    lhs = float(samples.mean())
+    se = float(samples.std(ddof=1) / np.sqrt(n))
+    return AppendixCheck(step, lhs, rhs, se, passes(lhs, rhs, se))
+
+
+def _project_out(v: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Each row of ``v`` minus its component along the unit row of ``d``."""
+    return v - ((v * d.conj()).sum(axis=1))[:, None] * d
+
+
+def _random_orthogonal(rng: np.random.Generator, d: np.ndarray) -> np.ndarray:
+    """Per unit row of ``d``, an isotropic unit row orthogonal to it."""
+    u = _project_out(rngmod.complex_normal(rng, d.shape), d)
+    return u / np.linalg.norm(u, axis=1, keepdims=True)
 
 
 def check_inverse_norm(
@@ -194,33 +215,15 @@ def check_inverse_norm(
     ||g_hat||^2 = sum_b alpha_sq_b ||h_b||^2 exactly (unit-norm codewords and
     unquantized norms), so no quantizer is involved. Note 1/x is convex, so
     Jensen gives E{1/X} >= 1/E{X}: the stated direction cannot hold for a
-    nondegenerate channel; the check reports the honest outcome.
+    nondegenerate channel, so lhs > rhs (a FAIL) is the expected outcome.
     """
     alpha_sq = large_scale.alpha_sq[user]
     rng = rngmod.substream(master_seed, rngmod.APPENDIX, 1, user)
     h = channel.sample_small_scale(trials, alpha_sq.shape[0], n_tx, rng)
     norm_sq = (np.abs(h) ** 2).sum(axis=2) @ alpha_sq
-    inv = 1.0 / norm_sq
-    lhs = float(inv.mean())
-    se = float(inv.std(ddof=1) / np.sqrt(trials))
-    rhs = float(1.0 / (n_tx * alpha_sq.sum()))
-    passed = lhs < rhs and (rhs - lhs) > 3.0 * se
-    return AppendixCheck(
-        step="inverse_norm",
-        lhs=lhs,
-        rhs=rhs,
-        se=se,
-        passed=passed,
-        detail=(
-            "stated direction E{1/||g_hat||^2} < 1/(n_t sum alpha^2); Jensen for "
-            "convex 1/x implies the reverse, so lhs > rhs is the expected outcome"
-        ),
-    )
-
-
-def _project_out(v: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Each row of ``v`` minus its component along the unit row of ``d``."""
-    return v - ((v * d.conj()).sum(axis=1))[:, None] * d
+    return _check(f"inverse_norm:user{user}", 1.0 / norm_sq,
+                  float(1.0 / (n_tx * alpha_sq.sum())),
+                  lambda lhs, rhs, se: lhs < rhs and (rhs - lhs) > 3.0 * se)
 
 
 def _error_directions(h: np.ndarray, cb: quantization.Codebook) -> tuple:
@@ -242,24 +245,19 @@ def _error_directions(h: np.ndarray, cb: quantization.Codebook) -> tuple:
 def check_decomposition(
     cb: quantization.Codebook, trials: int, master_seed: int
 ) -> AppendixCheck:
-    """Direction split h_bar = c * h_hat + sin(theta) * s with unit s | h_hat."""
+    """Direction split h_bar = c * h_hat + sin(theta) * s with unit s | h_hat.
+
+    Deterministic (se 0): lhs is the largest of the recomposition error,
+    ||s|| - 1, |s h_hat^H| and |sin^2 - err| over the draws.
+    """
     rng = rngmod.substream(master_seed, rngmod.APPENDIX, 2)
     h = quantization.isotropic_directions(min(trials, 2000), cb.dimension, rng)
     hq, coeff, sin, err, live, s = _error_directions(h, cb)
     recomposed = coeff[live, None] * hq[live] + sin[live, None] * s
-    worst = float(np.abs(recomposed - h[live]).max()) if live.any() else 0.0
-    unit_dev = float(np.abs(np.linalg.norm(s, axis=1) - 1.0).max()) if live.any() else 0.0
-    ortho_dev = float(np.abs((s * hq[live].conj()).sum(axis=1)).max()) if live.any() else 0.0
-    sin_dev = float(np.abs(sin**2 - err).max())
-    lhs = max(worst, unit_dev, ortho_dev, sin_dev)
-    return AppendixCheck(
-        step="decomposition",
-        lhs=lhs,
-        rhs=1e-12,
-        se=0.0,
-        passed=lhs < 1e-12,
-        detail="max over draws of recomposition error, ||s||-1, |s h_hat^H|, |sin^2 - err|",
-    )
+    lhs = float(max(np.abs(dev).max(initial=0.0) for dev in (
+        recomposed - h[live], np.linalg.norm(s, axis=1) - 1.0,
+        (s * hq[live].conj()).sum(axis=1), sin**2 - err)))
+    return AppendixCheck("decomposition", lhs, 1e-12, 0.0, lhs < 1e-12)
 
 
 def check_nullspace_moment(
@@ -274,32 +272,20 @@ def check_nullspace_moment(
     d = cb.dimension
     h = quantization.isotropic_directions(trials, d, rng)
     hq, _, _, _, live, s = _error_directions(h, cb)
-    u = _project_out(rngmod.complex_normal(rng, (int(live.sum()), d)), hq[live])
-    u /= np.linalg.norm(u, axis=1, keepdims=True)
-    vals = np.abs((s * u.conj()).sum(axis=1)) ** 2
-    lhs = float(vals.mean())
-    se = float(vals.std(ddof=1) / np.sqrt(vals.shape[0]))
-    rhs = 1.0 / (d - 1)
-    return AppendixCheck(
-        step="nullspace_moment",
-        lhs=lhs,
-        rhs=rhs,
-        se=se,
-        passed=abs(lhs - rhs) <= 3.0 * se,
-        detail="second moment of the error direction against an independent orthogonal direction",
-    )
+    u = _random_orthogonal(rng, hq[live])
+    return _check("nullspace_moment", np.abs((s * u.conj()).sum(axis=1)) ** 2, 1.0 / (d - 1),
+                  lambda lhs, rhs, se: abs(lhs - rhs) <= 3.0 * se)
 
 
 def check_interference_moment(
     large_scale: channel.LargeScaleMap,
     n_tx: int,
-    codebooks,
+    codebooks: list,
     trials: int,
     master_seed: int,
-    user_k: int = 0,
-    user_j: int = 1,
 ) -> AppendixCheck:
-    """E{|g_k g_hat_j^H|^2} under per-block orthogonal quantized directions.
+    """E{|g_k g_hat_j^H|^2} for users k = 0 and j = 1 under per-block
+    orthogonal quantized directions, with ``codebooks`` the n_users x n_bs grid.
 
     The derivation factors the second moment as
     sum_b E{rho_k^2 sin^2 theta_k} E{rho_j^2} E{|s h_hat_j^H|^2}
@@ -307,18 +293,14 @@ def check_interference_moment(
     using E{rho^2} = n_t alpha^2. The check asserts lhs <= rhs within noise,
     with E{sin^2 theta} taken from the same draws.
     """
-    grid = quantization._codebook_grid(codebooks, large_scale.n_users, large_scale.n_bs)
     rng = rngmod.substream(master_seed, rngmod.APPENDIX, 4)
-    n_bs = large_scale.n_bs
-    alpha = large_scale.alpha
-
+    n_bs, alpha = large_scale.n_bs, large_scale.alpha
     hk = channel.sample_small_scale(trials, n_bs, n_tx, rng)
     hj = channel.sample_small_scale(trials, n_bs, n_tx, rng)
     q = np.zeros(trials, dtype=complex)
     err_mean = np.zeros(n_bs)
     for b in range(n_bs):
-        cb_k = grid[user_k][b]
-        cb_j = grid[user_j][b]
+        cb_k, cb_j = codebooks[0][b], codebooks[1][b]
         hk_norm = np.linalg.norm(hk[:, b], axis=1)
         hj_norm = np.linalg.norm(hj[:, b], axis=1)
         hk_bar = hk[:, b] / hk_norm[:, None]
@@ -327,56 +309,37 @@ def check_interference_moment(
         ij, _ = quantization.quantize_many(hj_bar, cb_j)
         err_mean[b] = ek.mean()
         ck = cb_k.codewords[ik]
-        cj = cb_j.codewords[ij]
-        v = _project_out(cj, ck)
+        v = _project_out(cb_j.codewords[ij], ck)
         vn = np.linalg.norm(v, axis=1)
         degenerate = vn < 1e-9
         if degenerate.any():
-            repl = _project_out(rngmod.complex_normal(rng, (int(degenerate.sum()), n_tx)),
-                                ck[degenerate])
-            repl /= np.linalg.norm(repl, axis=1, keepdims=True)
-            v[degenerate] = repl
+            v[degenerate] = _random_orthogonal(rng, ck[degenerate])
             vn[degenerate] = 1.0
         cj_orth = v / vn[:, None]
-        rho_k = alpha[user_k, b] * hk_norm
-        rho_j = alpha[user_j, b] * hj_norm
+        rho_k = alpha[0, b] * hk_norm
+        rho_j = alpha[1, b] * hj_norm
         q += rho_k * rho_j * (hk_bar * cj_orth.conj()).sum(axis=1)
 
-    vals = np.abs(q) ** 2
-    lhs = float(vals.mean())
-    se = float(vals.std(ddof=1) / np.sqrt(trials))
-    rhs = float(
-        (n_tx**2 / (n_tx - 1))
-        * np.sum(large_scale.alpha_sq[user_k] * large_scale.alpha_sq[user_j] * err_mean)
-    )
-    return AppendixCheck(
-        step="interference_moment",
-        lhs=lhs,
-        rhs=rhs,
-        se=se,
-        passed=lhs <= rhs + 3.0 * se,
-        detail="E{rho^2} = n_t alpha^2 per link, so the factored bound carries n_t^2/(n_t-1)",
-    )
+    rhs = float((n_tx**2 / (n_tx - 1))
+                * np.sum(large_scale.alpha_sq[0] * large_scale.alpha_sq[1] * err_mean))
+    return _check("interference_moment", np.abs(q) ** 2, rhs,
+                  lambda lhs, rhs, se: lhs <= rhs + 3.0 * se)
 
 
 def verify_appendix(
     n_tx: int,
     large_scale: channel.LargeScaleMap,
-    codebooks,
+    codebooks: list,
     trials: int,
     master_seed: int,
 ) -> list:
-    """Run every derivation-step check and return the report list."""
-    grid = quantization._codebook_grid(codebooks, large_scale.n_users, large_scale.n_bs)
-    checks = []
-    for user in range(large_scale.n_users):
-        chk = check_inverse_norm(large_scale, n_tx, user, trials, master_seed)
-        chk.step = f"inverse_norm:user{user}"
-        checks.append(chk)
-    checks.append(check_decomposition(grid[0][0], trials, master_seed))
-    checks.append(check_nullspace_moment(grid[0][0], trials, master_seed))
+    """Run every derivation-step check, with ``codebooks`` the n_users x n_bs
+    grid of per-cell codebooks, and return the report list."""
+    checks = [check_inverse_norm(large_scale, n_tx, user, trials, master_seed)
+              for user in range(large_scale.n_users)]
+    checks += [check(codebooks[0][0], trials, master_seed)
+               for check in (check_decomposition, check_nullspace_moment)]
     if large_scale.n_users >= 2:
-        checks.append(
-            check_interference_moment(large_scale, n_tx, grid, trials, master_seed)
-        )
+        checks.append(check_interference_moment(large_scale, n_tx, codebooks, trials,
+                                                master_seed))
     return checks

@@ -118,6 +118,7 @@ def _load_experiment(args) -> scenariomod.Experiment:
         if args.seed is not None:
             scn = replace(scn, master_seed=args.seed)
         if args.trials is not None:
+            scenariomod.check_trials_override(scn, "--trials")
             scn = replace(scn, trials=args.trials)
         arms.append(scenariomod.Arm(arm.label, scn))
     return scenariomod.Experiment(name=exp.name, arms=arms)
@@ -185,6 +186,7 @@ def _simulate_cdf_rows(exp_name, label, scn, workers) -> list:
 
 
 def cmd_simulate(args) -> int:
+    montecarlo.check_workers(args.workers)
     exp = _load_experiment(args)
     rows = []
     for arm in exp.arms:

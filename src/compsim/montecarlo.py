@@ -134,11 +134,16 @@ def _run_trial_range(args) -> TrialLog:
     return _trials(ctx, rngs, stop - start)
 
 
+def check_workers(workers: int) -> None:
+    """Reject a pool size below one."""
+    if workers < 1:
+        raise ConfigurationError("workers must be >= 1")
+
+
 def _map_ranges(fn, payload, total: int, workers: int) -> list:
     """Apply ``fn((payload, start, stop))`` over contiguous ranges of
     ``range(total)``, in range order, in a process pool when ``workers > 1``."""
-    if workers < 1:
-        raise ConfigurationError("workers must be >= 1")
+    check_workers(workers)
     chunks = max(1, min(total, workers * 4))
     size = math.ceil(total / chunks)
     tasks = [(payload, a, min(a + size, total)) for a in range(0, total, size)]

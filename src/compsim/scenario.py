@@ -300,6 +300,15 @@ def scenario_from_dict(doc: dict) -> Scenario:
     )
 
 
+def check_trials_override(s: Scenario, source: str) -> None:
+    """Reject a trial count set from ``source`` (a flag or an environment
+    variable) on a random-drop scenario, which runs drops x trials_per_drop
+    trials and never reads ``trials``."""
+    if s.placement.mode == "random_uniform":
+        raise ConfigurationError(f"{source}: a random-drop scenario runs drops x "
+                                 "trials_per_drop trials; set those instead")
+
+
 def apply_env_overrides(s: Scenario, env=None) -> Scenario:
     """Apply the seed / trial-count environment overrides (only those two)."""
     env = os.environ if env is None else env
@@ -312,6 +321,8 @@ def apply_env_overrides(s: Scenario, env=None) -> Scenario:
                 raise ConfigurationError(
                     f"{name}: expected an integer, got {env[name]!r}"
                 ) from None
+    if "trials" in changes:
+        check_trials_override(s, ENV_TRIALS)
     return replace(s, **changes) if changes else s
 
 

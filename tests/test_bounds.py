@@ -1,10 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from compsim import bounds, channel, montecarlo, quantization
+from compsim import bounds, channel, montecarlo, quantization, scenario
 from compsim.bounds import (
     RateLossParams,
     check_decomposition,
@@ -227,14 +228,14 @@ class TestAppendixChecks:
     def test_interference_moment_bounded(self):
         ls = _support.two_cell_map(150.0, 250.0)
         cb = random_codebook(4, 3, substream(154, 0, 0))
-        chk = check_interference_moment(ls, 4, cb, 100_000, 154)
+        chk = check_interference_moment(ls, 4, [[cb, cb], [cb, cb]], 100_000, 154)
         assert chk.lhs <= chk.rhs + 3 * chk.se
         assert chk.passed
 
     def test_verify_appendix_report_shape(self):
         ls = _support.two_cell_map(125.0, 250.0)
         cb = random_codebook(4, 3, substream(155, 0, 0))
-        checks = verify_appendix(4, ls, cb, 20_000, 155)
+        checks = verify_appendix(4, ls, [[cb, cb], [cb, cb]], 20_000, 155)
         steps = [c.step for c in checks]
         assert steps == [
             "inverse_norm:user0",
@@ -246,3 +247,27 @@ class TestAppendixChecks:
         by_step = {c.step: c for c in checks}
         assert by_step["decomposition"].passed
         assert by_step["nullspace_moment"].passed
+
+    # the verdict rule each step documents, as a function of (lhs, rhs, se)
+    RULES = {
+        "inverse_norm": lambda lhs, rhs, se: lhs < rhs and (rhs - lhs) > 3.0 * se,
+        "decomposition": lambda lhs, rhs, se: lhs < rhs,
+        "nullspace_moment": lambda lhs, rhs, se: abs(lhs - rhs) <= 3.0 * se,
+        "interference_moment": lambda lhs, rhs, se: lhs <= rhs + 3.0 * se,
+    }
+
+    def test_each_verdict_follows_its_rule(self):
+        cases = []
+        for name, label, at in (("fig3", None, 50.0), ("fig4", "per_cell_4_2", 100.0)):
+            arm = next(a for a in scenario.preset(name).arms if label in (None, a.label))
+            ctx = montecarlo.build_context(scenario.at_sweep_point(arm.scenario, at))
+            for draws, seed in itertools.product((5, 20, 100, 400), range(20)):
+                for c in verify_appendix(arm.scenario.n_tx, ctx.large_scale,
+                                         ctx.feedback.codebooks, draws, seed):
+                    assert c.passed == self.RULES[c.step.split(":")[0]](c.lhs, c.rhs, c.se), c
+                    cases.append((c.lhs, c.rhs, c.se))
+        # few draws make noisy verdicts: for every pair of Monte Carlo rules,
+        # some check gets a verdict the other rule would flip
+        for a, b in itertools.combinations(("inverse_norm", "nullspace_moment",
+                                            "interference_moment"), 2):
+            assert any(self.RULES[a](*c) != self.RULES[b](*c) for c in cases), (a, b)

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from compsim import cli, montecarlo, scenario
+from compsim import cli, montecarlo, quantization, scenario
 from compsim.quantization import expected_error, isotropic_directions, load_codebook
 from compsim.rng import substream
 
@@ -192,11 +192,11 @@ def fig3_arm_config(tmp_path):
 @pytest.fixture
 def placement_configs(tmp_path):
     """Paths of the fig3 scenario fixed with MS1 at 150 m and of the fig5
-    cooperative random-drop arm."""
+    cooperative random-drop arm cut to 2 drops."""
     fig3 = scenario.preset("fig3").arms[0].scenario
     paths = {}
     for name, scn in (("{fixed}", scenario.at_sweep_point(fig3, 150.0)),
-                      ("{drops}", scenario.preset("fig5").arms[0].scenario)):
+                      ("{drops}", replace(scenario.preset("fig5").arms[0].scenario, drops=2))):
         paths[name] = tmp_path / f"{name[1:-1]}.json"
         paths[name].write_text(scenario.serialize(scn))
     return paths
@@ -239,11 +239,17 @@ def codebook_files_config(fig3_arm_config, tmp_path):
      "error: feedback.codebook_files: unknown key\n"),
     ({}, ["simulate", "--preset", "fig3", "--workers", "0"], "error: workers must be >= 1\n"),
     ({}, ["simulate", "--preset", "fig3", "--workers", "-3"], "error: workers must be >= 1\n"),
+    ({}, ["simulate", "--config", "{drops}", "--trials", "5"], "error: --trials: "),
+    ({scenario.ENV_TRIALS: "9"}, ["simulate", "--config", "{drops}"],
+     "error: COMPSIM_TRIALS: "),
+    ({}, ["bound", "--preset", "fig3", "--at", "50", "--verify-appendix", "--trials", "1"],
+     "error: inverse_norm:user0: a standard error needs at least 2 draws, got 1\n"),
 ], ids=["env-trials", "env-seed", "negative-seed", "bound-outside-cell", "negative-bits",
         "negative-training-seed", "user-out-of-range", "dimension-not-composite",
         "bound-at-without-sweep", "bound-random-drops", "train-random-drops",
         "train-at-without-config", "train-user-without-config",
-        "codebook-files-unknown-key", "zero-workers", "negative-workers"])
+        "codebook-files-unknown-key", "zero-workers", "negative-workers",
+        "trials-flag-random-drops", "trials-env-random-drops", "appendix-one-draw"])
 def test_bad_input_exits_2_with_error_line(env, argv, message, fig3_arm_config,
                                            codebook_files_config, placement_configs,
                                            tmp_path, monkeypatch, capsys):
@@ -260,3 +266,9 @@ def test_bad_input_exits_2_with_error_line(env, argv, message, fig3_arm_config,
     assert message in err
     assert "Traceback" not in err
     assert not (tmp_path / "cb.cbk").exists()
+
+
+def test_zero_workers_rejected_before_any_codebook_is_built():
+    quantization.clear_codebook_cache()
+    assert run_cli("simulate", "--preset", "fig4", "--workers", "0") == 2
+    assert quantization._codebook_cache == {}

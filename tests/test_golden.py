@@ -32,6 +32,8 @@ RECORDED = {
     "simulate fig5 single_cell_global_6bit drops=10": "8c64abc9a85e",
     "bound fig3 --at 50 --verify-appendix --trials 2000 csv": "d93ddced0506",
     "bound fig3 --at 50 --verify-appendix --trials 2000 stdout": "d57cb1b4d828",
+    "bound fig4 per_cell_4_2 --at 100 --verify-appendix --trials 2000 csv": "b229ca820b89",
+    "bound fig4 per_cell_4_2 --at 100 --verify-appendix --trials 2000 stdout": "e1664c047323",
     "train-codebook --dimension 4 --bits 3 --seed 7103": "c79d3291da82",
     "train-codebook fig4 global_6bit --at 100 --user 0 --bits 2 --seed 7104": "e47dd64ae393",
     "simulate fig4 global_6bit global_bits=2 --trials 20": "261d4d946dff",
@@ -78,6 +80,12 @@ def outputs(workdir: Path) -> dict:
                        "--trials", "2000", "--seed", "3")
     got["bound fig3 --at 50 --verify-appendix --trials 2000 csv"] = _digest(csv)
     got["bound fig3 --at 50 --verify-appendix --trials 2000 stdout"] = _digest(stdout)
+    # distinct per-link codebooks: bits [[4, 2], [2, 4]], so the two users differ per BS
+    csv, stdout = _cli(workdir, "bound", "--preset", "fig4", "--arm", "per_cell_4_2", "--at",
+                       "100", "--verify-appendix", "--trials", "2000", "--seed", "3")
+    got["bound fig4 per_cell_4_2 --at 100 --verify-appendix --trials 2000 csv"] = _digest(csv)
+    got["bound fig4 per_cell_4_2 --at 100 --verify-appendix --trials 2000 stdout"] = \
+        _digest(stdout)
     codebook, _ = _cli(workdir, "train-codebook", "--dimension", "4", "--bits", "3",
                        "--seed", "7103")
     got["train-codebook --dimension 4 --bits 3 --seed 7103"] = _digest(codebook)
