@@ -32,11 +32,9 @@ from .quantization import (
     FeedbackConfig,
     FeedbackReport,
     global_feedback,
-    load_codebook,
     per_cell_feedback,
     quantize_many,
     random_codebook,
-    save_codebook,
     train_lloyd,
 )
 from .scheduling import PairingPolicy, quantized_correlation, select_pairing
@@ -72,7 +70,6 @@ __all__ = [
     "build_large_scale",
     "global_feedback",
     "instantaneous_rate",
-    "load_codebook",
     "parse",
     "per_cell_feedback",
     "preset",
@@ -86,7 +83,6 @@ __all__ = [
     "run",
     "run_cdf",
     "sample_small_scale",
-    "save_codebook",
     "select_pairing",
     "serialize",
     "single_cell",

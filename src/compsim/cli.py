@@ -1,8 +1,8 @@
 """Command-line front end: codebook training, simulation runs, bound tables.
 
 Subcommands:
-  train-codebook  build one codebook file (optionally from a scenario's
-                  composite-direction distribution)
+  train-codebook  write the text form of one codebook a run builds (optionally
+                  from a scenario's composite-direction distribution)
   simulate        run a preset or a scenario config and emit metric rows as CSV
   bound           print the closed-form rate-loss bounds (and optionally the
                   derivation-step checks) for one placement
@@ -101,6 +101,13 @@ def _placed(scn: scenariomod.Scenario, at: float | None) -> scenariomod.Scenario
     return scenariomod.at_sweep_point(scn, at)
 
 
+def _sweep_name(scn: scenariomod.Scenario) -> str:
+    """The CSV sweep column of a line sweep: the swept user's distance."""
+    if scn.placement.mode != "line_sweep":
+        return ""
+    return f"ms{scn.placement.sweep_user + 1}_distance_m"
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
@@ -134,7 +141,7 @@ def _user_bounds(scn: scenariomod.Scenario, ctx) -> list:
 
 def _simulate_run_rows(exp_name, label, scn, workers) -> list:
     rows = []
-    sweep_name = "ms1_distance_m" if scn.placement.mode == "line_sweep" else ""
+    sweep_name = _sweep_name(scn)
     for sweep_value, fixed in scenariomod.resolved_points(scn):
         ctx = montecarlo.build_context(fixed)
         result = montecarlo.aggregate(fixed, montecarlo.run_trials(ctx, fixed.trials, workers))
@@ -207,6 +214,8 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_bound(args) -> int:
+    if args.trials is not None and not args.verify_appendix:
+        raise_problems([("--trials", "only applies with --verify-appendix")])
     exp = _load_experiment(args)
     arm = exp.arms[0]
     if args.arm:
@@ -214,6 +223,7 @@ def cmd_bound(args) -> int:
         if not matches:
             raise ConfigurationError(f"no arm labeled {args.arm!r}")
         arm = matches[0]
+    sweep_name = _sweep_name(arm.scenario)
     scn = _placed(arm.scenario, args.at)
     if scn.feedback.mode != "per_cell":
         raise ConfigurationError("the closed-form bound applies to per-cell feedback")
@@ -221,7 +231,6 @@ def cmd_bound(args) -> int:
     ctx = montecarlo.build_context(scn)
     rows = []
     lines = []
-    sweep_name = "ms1_distance_m" if args.at is not None else ""
     lines.append(f"rate-loss bounds for {exp.name}/{arm.label}"
                  + (f" at {args.at:g} m" if args.at is not None else ""))
     for k, (value, i_terms) in enumerate(_user_bounds(scn, ctx)):
@@ -280,7 +289,7 @@ def cmd_train_codebook(args) -> int:
                         if value is not None])
 
     cb = quantization.build_codebook(args.dimension, args.bits, args.kind, args.seed, profile)
-    quantization.save_codebook(cb, args.out)
+    _write_output(quantization.codebook_text(cb), args.out)
     _progress(f"wrote {args.out}: dimension {cb.dimension}, bits {cb.bits}, "
               f"E{{sin^2}} = {cb.training_meta['expected_error']['mean']:.6f}")
     return 0
@@ -324,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     bnd.add_argument("--out", default=None, help="also write rows as CSV")
     bnd.set_defaults(func=cmd_bound)
 
-    trn = sub.add_parser("train-codebook", help="train and write one codebook file")
+    trn = sub.add_parser("train-codebook", help="train and write one codebook")
     trn.add_argument("--dimension", type=int, required=True)
     trn.add_argument("--bits", type=int, required=True)
     trn.add_argument("--kind", choices=("lloyd", "random"), default="lloyd")
@@ -336,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="scenario user whose distribution to train on (default 0)")
     trn.add_argument("--at", type=float, default=None,
                      help="sweep-user distance in meters for swept scenarios")
-    trn.add_argument("--out", required=True)
+    trn.add_argument("--out", required=True, help="codebook path, '-' for stdout")
     trn.set_defaults(func=cmd_train_codebook)
     return parser
 

@@ -349,17 +349,14 @@ def global_feedback(
 
 
 # ---------------------------------------------------------------------------
-# Codebook files: a canonical, diffable text container
+# Codebook text: the canonical, diffable form train-codebook writes
 # ---------------------------------------------------------------------------
-
-_FILE_MAGIC = "compsim-codebook v1"
-
 
 def codebook_text(cb: Codebook) -> str:
     """Canonical text form: header lines, then one codeword per line as
     re/im pairs printed with shortest round-trip precision."""
     lines = [
-        _FILE_MAGIC,
+        "compsim-codebook v1",
         f"dimension {cb.dimension}",
         f"bits {cb.bits}",
         f"kind {cb.kind}",
@@ -373,69 +370,6 @@ def codebook_text(cb: Codebook) -> str:
             parts.append(repr(float(z.imag)))
         lines.append(" ".join(parts))
     return "\n".join(lines) + "\n"
-
-
-def save_codebook(cb: Codebook, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(codebook_text(cb))
-
-
-def load_codebook(path) -> Codebook:
-    """Read a codebook file; a malformed one raises ConfigurationError naming
-    the path and, where one line is at fault, its 1-based number."""
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            lines = fh.read().splitlines()
-    except UnicodeDecodeError:
-        raise ConfigurationError(f"{path}: not a compsim codebook file") from None
-    if not lines or lines[0] != _FILE_MAGIC:
-        raise ConfigurationError(f"{path}: not a compsim codebook file")
-    header = {}
-    for number, (key, read) in enumerate(
-        (("dimension", int), ("bits", int), ("kind", str), ("meta", json.loads),
-         ("codewords", int)), start=2,
-    ):
-        if number > len(lines):
-            raise ConfigurationError(f"{path}: truncated header")
-        name, _, value = lines[number - 1].partition(" ")
-        if name != key:
-            raise ConfigurationError(
-                f"{path}: line {number}: expected header line {key!r}, got {name!r}"
-            )
-        try:
-            header[key] = read(value)
-        except ValueError:
-            raise ConfigurationError(f"{path}: line {number}: bad {key} {value!r}") from None
-    dimension, bits, count = header["dimension"], header["bits"], header["codewords"]
-    if dimension < 1:
-        raise ConfigurationError(f"{path}: line 2: dimension must be >= 1")
-    if not isinstance(header["meta"], dict):
-        raise ConfigurationError(f"{path}: line 5: meta must be a JSON object")
-    if not 0 <= bits < 63 or count != 2**bits:  # bounds 2**bits before it is formed
-        raise ConfigurationError(f"{path}: codeword count {count} != 2^{bits}")
-    if len(lines) < 6 + count:
-        raise ConfigurationError(
-            f"{path}: line {len(lines) + 1}: missing codeword {len(lines) - 6} of {count}"
-        )
-    values = []
-    for i in range(count):
-        fields = lines[6 + i].split()
-        if len(fields) != 2 * dimension:
-            raise ConfigurationError(f"{path}: line {7 + i}: codeword {i} has wrong field count")
-        try:
-            values.append([float(f) for f in fields])
-        except ValueError:
-            raise ConfigurationError(f"{path}: line {7 + i}: codeword {i} is not numeric") from None
-    vals = np.array(values)
-    rows = np.zeros((count, dimension), dtype=complex)
-    # assign parts directly: complex arithmetic would lose signed zeros
-    rows.real = vals[:, 0::2]
-    rows.imag = vals[:, 1::2]
-    try:
-        return Codebook(codewords=rows, bits=bits, kind=header["kind"],
-                        training_meta=header["meta"] or None)
-    except ConfigurationError as exc:
-        raise ConfigurationError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -551,13 +485,13 @@ def build_codebook(
     Training and estimation draw from the TRAINING and ERROR_ESTIMATE
     substreams of ``seed`` keyed by (dimension, bits) and, for a global
     codebook, a label folded from the profile. ``training_meta`` records the
-    seed and, for a global codebook, the profile, so a saved file carries
+    seed and, for a global codebook, the profile, so its text form carries
     its whole identity.
     """
     if dimension < 1:
         raise ConfigurationError("dimension must be >= 1")
-    if bits < 0:
-        raise ConfigurationError("bits must be nonnegative")
+    if not 0 <= bits < 63:  # the 2^bits codewords must be countable by int64 indices
+        raise ConfigurationError("bits must be in [0, 63)")
     labels = (dimension, bits)
     if profile is not None:
         profile = tuple(np.asarray(profile, dtype=float).tolist())

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from compsim import cli, montecarlo, quantization, scenario
-from compsim.quantization import expected_error, isotropic_directions, load_codebook
+from compsim.quantization import (build_codebook, codebook_text, expected_error,
+                                  isotropic_directions)
 from compsim.rng import substream
 
 
@@ -23,18 +24,30 @@ class TestTrainCodebook:
             assert rc == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_dash_out_prints_the_file_bytes(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / "cb.cbk"
+        argv = ["train-codebook", "--dimension", "4", "--bits", "3", "--seed", "7103"]
+        assert run_cli(*argv, "--out", str(out)) == 0
+        capsys.readouterr()
+        assert run_cli(*argv, "--out", "-") == 0
+        assert capsys.readouterr().out == out.read_text()
+        assert not (tmp_path / "-").exists()
+
     def test_zero_bits_single_codeword(self, tmp_path):
         out = tmp_path / "zero.cbk"
         assert run_cli("train-codebook", "--dimension", "4", "--bits", "0",
                        "--seed", "5", "--out", str(out)) == 0
-        cb = load_codebook(out)
+        cb = build_codebook(4, 0, "lloyd", 5)
         assert cb.size == 1 and cb.dimension == 4
+        assert out.read_text() == codebook_text(cb)
 
     def test_cached_expected_error_matches_fresh_estimate(self, tmp_path):
         out = tmp_path / "cb.cbk"
         assert run_cli("train-codebook", "--dimension", "4", "--bits", "3",
                        "--seed", "7103", "--out", str(out)) == 0
-        cb = load_codebook(out)
+        cb = build_codebook(4, 3, "lloyd", 7103)
+        assert out.read_text() == codebook_text(cb)
         cached = cb.training_meta["expected_error"]
         mean, se = expected_error(cb, isotropic_directions(100_000, cb.dimension,
                                                            substream(999, 3, 0)))
@@ -44,7 +57,8 @@ class TestTrainCodebook:
         out = tmp_path / "rvq.cbk"
         assert run_cli("train-codebook", "--dimension", "8", "--bits", "2",
                        "--kind", "random", "--seed", "3", "--out", str(out)) == 0
-        assert load_codebook(out).kind == "random"
+        cb = build_codebook(8, 2, "random", 3)
+        assert cb.kind == "random" and out.read_text() == codebook_text(cb)
 
     def test_unwritable_path_is_runtime_error(self, tmp_path):
         rc = run_cli("train-codebook", "--dimension", "4", "--bits", "1",
@@ -53,12 +67,13 @@ class TestTrainCodebook:
 
 
 class TestCodebookFileParity:
-    """A ``train-codebook`` file holds exactly the codebook a run builds."""
+    """A ``train-codebook`` file is the text of exactly the codebook a run
+    builds, meta line included."""
 
-    def _check(self, tmp_path, train_args, codewords):
+    def _check(self, tmp_path, train_args, slot_cb):
         cb_path = tmp_path / "cb.cbk"
         assert run_cli("train-codebook", *train_args, "--out", str(cb_path)) == 0
-        np.testing.assert_array_equal(load_codebook(cb_path).codewords, codewords)
+        assert cb_path.read_text() == codebook_text(slot_cb)
 
     def test_global_slot(self, tmp_path):
         arm = scenario.preset("fig4").arms[0]
@@ -69,14 +84,14 @@ class TestCodebookFileParity:
         slot_cb = montecarlo.build_context(fixed).feedback.codebooks[0][0]
         self._check(tmp_path, ["--config", str(cfg), "--at", "100", "--user", "0",
                                "--dimension", "8", "--bits", "6", "--seed", "7104"],
-                    slot_cb.codewords)
+                    slot_cb)
 
     def test_per_cell_slot(self, tmp_path):
         fixed = scenario.at_sweep_point(scenario.preset("fig3").arms[0].scenario, 100.0)
         slot_cb = montecarlo.build_context(fixed).feedback.codebooks[0][0]
         assert slot_cb.bits == 3
         self._check(tmp_path, ["--dimension", "4", "--bits", "3", "--seed", "7103"],
-                    slot_cb.codewords)
+                    slot_cb)
 
 
 class TestSimulate:
@@ -190,13 +205,16 @@ def fig3_arm_config(tmp_path):
 
 
 @pytest.fixture
-def placement_configs(tmp_path):
-    """Paths of the fig3 scenario fixed with MS1 at 150 m and of the fig5
-    cooperative random-drop arm cut to 2 drops."""
+def variant_configs(tmp_path):
+    """Paths of the fig3 scenario fixed with MS1 at 150 m, of the fig5
+    cooperative random-drop arm cut to 2 drops, and of the fig3 arm with
+    64-bit diagonal links."""
     fig3 = scenario.preset("fig3").arms[0].scenario
     paths = {}
     for name, scn in (("{fixed}", scenario.at_sweep_point(fig3, 150.0)),
-                      ("{drops}", replace(scenario.preset("fig5").arms[0].scenario, drops=2))):
+                      ("{drops}", replace(scenario.preset("fig5").arms[0].scenario, drops=2)),
+                      ("{bits64}", replace(fig3, feedback=replace(fig3.feedback,
+                                                                  bits=[[64, 3], [3, 64]])))):
         paths[name] = tmp_path / f"{name[1:-1]}.json"
         paths[name].write_text(scenario.serialize(scn))
     return paths
@@ -244,19 +262,25 @@ def codebook_files_config(fig3_arm_config, tmp_path):
      "error: COMPSIM_TRIALS: "),
     ({}, ["bound", "--preset", "fig3", "--at", "50", "--verify-appendix", "--trials", "1"],
      "error: inverse_norm:user0: a standard error needs at least 2 draws, got 1\n"),
+    ({}, ["bound", "--preset", "fig3", "--at", "50", "--trials", "7"],
+     "error: --trials: only applies with --verify-appendix\n"),
+    ({}, ["train-codebook", "--dimension", "4", "--bits", "63"],
+     "error: bits must be in [0, 63)\n"),
+    ({}, ["simulate", "--config", "{bits64}"], "error: bits must be in [0, 63)\n"),
 ], ids=["env-trials", "env-seed", "negative-seed", "bound-outside-cell", "negative-bits",
         "negative-training-seed", "user-out-of-range", "dimension-not-composite",
         "bound-at-without-sweep", "bound-random-drops", "train-random-drops",
         "train-at-without-config", "train-user-without-config",
         "codebook-files-unknown-key", "zero-workers", "negative-workers",
-        "trials-flag-random-drops", "trials-env-random-drops", "appendix-one-draw"])
+        "trials-flag-random-drops", "trials-env-random-drops", "appendix-one-draw",
+        "bound-trials-without-appendix", "train-bits-63", "scenario-bits-64"])
 def test_bad_input_exits_2_with_error_line(env, argv, message, fig3_arm_config,
-                                           codebook_files_config, placement_configs,
+                                           codebook_files_config, variant_configs,
                                            tmp_path, monkeypatch, capsys):
     for name, value in env.items():
         monkeypatch.setenv(name, value)
     paths = {"{config}": fig3_arm_config, "{codebook_files}": codebook_files_config,
-             **placement_configs}
+             **variant_configs}
     argv = [str(paths.get(a, a)) for a in argv]
     if argv[0] == "train-codebook":
         argv += ["--out", str(tmp_path / "cb.cbk")]
@@ -266,6 +290,21 @@ def test_bad_input_exits_2_with_error_line(env, argv, message, fig3_arm_config,
     assert message in err
     assert "Traceback" not in err
     assert not (tmp_path / "cb.cbk").exists()
+
+
+def test_sweep_column_names_the_swept_user(tmp_path):
+    fig3 = scenario.preset("fig3").arms[0].scenario
+    ms1 = scenario._line_position(fig3.geometry, 0, 150.0)
+    swept = replace(fig3, trials=5, placement=replace(fig3.placement, positions=[ms1, None],
+                                                      sweep_user=1))
+    cfg = tmp_path / "ms2_swept.json"
+    cfg.write_text(scenario.serialize(swept))
+    sim_csv, bound_csv = tmp_path / "sim.csv", tmp_path / "bound.csv"
+    assert run_cli("simulate", "--config", str(cfg), "--out", str(sim_csv)) == 0
+    assert run_cli("bound", "--config", str(cfg), "--at", "100", "--out", str(bound_csv)) == 0
+    for path in (sim_csv, bound_csv):
+        sweeps = {line.split(",")[2] for line in path.read_text().splitlines()[1:]}
+        assert sweeps == {"ms2_distance_m"}
 
 
 def test_zero_workers_rejected_before_any_codebook_is_built():

@@ -10,12 +10,10 @@ from compsim.quantization import (
     expected_error,
     global_feedback,
     isotropic_directions,
-    load_codebook,
     per_cell_feedback,
     quantize_many,
     random_codebook,
     resolve_codebooks,
-    save_codebook,
     train_lloyd,
 )
 from compsim.precoding import zf_precoder
@@ -115,6 +113,12 @@ class TestCodebookValidation:
     def test_non_unit_norm(self):
         cw = isotropic_directions(4, 4, substream(1, 0, 1)) * 1.001
         with pytest.raises(ConfigurationError):
+            Codebook(codewords=cw, bits=2, kind="random")
+
+    def test_non_finite_codeword_rejected(self):
+        cw = isotropic_directions(4, 4, substream(1, 0, 4))
+        cw[2, 1] = np.nan
+        with pytest.raises(ConfigurationError, match="codeword 2 is not finite"):
             Codebook(codewords=cw, bits=2, kind="random")
 
     def test_duplicate_codewords_rejected(self):
@@ -389,54 +393,6 @@ class TestExpectedError:
         m2, _ = expected_error(cb, isotropic_directions(20_000, 4, substream(41, 0, 1)))
         assert m1 == m2
         assert 0.0 < m1 < 1.0 and se1 > 0.0
-
-
-class TestCodebookFiles:
-    def test_roundtrip_and_byte_stability(self, tmp_path):
-        samples = isotropic_directions(400, 4, substream(51, 0, 0))
-        cb = train_lloyd(4, 2, samples, rng=substream(51, 0, 1))
-        path = tmp_path / "cb.txt"
-        save_codebook(cb, path)
-        loaded = load_codebook(path)
-        assert np.array_equal(loaded.codewords, cb.codewords)
-        assert loaded.bits == cb.bits and loaded.kind == cb.kind
-        again = tmp_path / "cb2.txt"
-        save_codebook(loaded, again)
-        assert path.read_bytes() == again.read_bytes()
-
-    def test_corrupt_file_rejected(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("not a codebook\n")
-        with pytest.raises(ConfigurationError):
-            load_codebook(path)
-
-    def test_truncated_file_rejected(self, tmp_path):
-        cb = random_codebook(4, 2, substream(51, 0, 2))
-        path = tmp_path / "cb.txt"
-        save_codebook(cb, path)
-        lines = path.read_text().splitlines()
-        path.write_text("\n".join(lines[:-1]))
-        with pytest.raises(ConfigurationError):
-            load_codebook(path)
-
-    # one defect each, applied to the lines of a valid 4-dimensional 3-bit
-    # file, and the line the error names (None: the defect spans the file)
-    @pytest.mark.parametrize("defect, line", [
-        (lambda lines: lines[:-1], 14),
-        (lambda lines: ["dimension four" if line == "dimension 4" else line
-                        for line in lines], 2),
-        (lambda lines: ["meta {" if line.startswith("meta ") else line for line in lines], 5),
-        (lambda lines: lines[:-1] + ["nan " + lines[-1].split(" ", 1)[1]], None),
-    ], ids=["missing-row", "word-dimension", "meta-not-json", "nan-entry"])
-    def test_malformed_file_error_names_path(self, defect, line, tmp_path):
-        path = tmp_path / "cb.txt"
-        save_codebook(random_codebook(4, 3, substream(5, 0, 0)), path)
-        path.write_text("\n".join(defect(path.read_text().splitlines())) + "\n")
-        with pytest.raises(ConfigurationError) as exc:
-            load_codebook(path)
-        assert str(exc.value).startswith(f"{path}: ")
-        if line is not None:
-            assert f": line {line}: " in str(exc.value)
 
 
 class TestResolveCodebooks:
