@@ -23,7 +23,6 @@ from .errors import (
     ConfigurationError,
     DomainError,
     EstimationError,
-    PrecodingError,
     ScenarioError,
 )
 from .precoding import instantaneous_rate, sinr, zf_precoder
@@ -61,7 +60,6 @@ __all__ = [
     "Geometry",
     "LargeScaleMap",
     "PairingPolicy",
-    "PrecodingError",
     "RateLossParams",
     "RunResult",
     "Scenario",

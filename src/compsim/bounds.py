@@ -34,7 +34,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import channel, montecarlo, quantization
+from . import channel, montecarlo, quantization, rows
 from . import rng as rngmod
 from . import scenario as scenariomod
 from .errors import ConfigurationError, DomainError
@@ -111,38 +111,47 @@ def rate_loss_bound_general(params: RateLossParams, k: int) -> tuple[float, dict
 # ---------------------------------------------------------------------------
 
 def orthogonalize_report(
-    report: quantization.FeedbackReport, n_tx: int, rng: np.random.Generator
+    report: quantization.FeedbackReport, n_tx: int, rngs
 ) -> np.ndarray:
-    """Rebuild reconstructions with per-block mutually orthogonal directions.
+    """Rebuild a block's reconstructions with per-block mutually orthogonal
+    directions; ``rngs`` holds one generator per trial, and trial t redraws
+    from ``rngs[t]``.
 
     Sequential Gram-Schmidt over users within each per-BS block: user k's
     quantized block direction is projected out of every later user's, keeping
     the fed-back norms. When two users picked the same codeword the residual
     vanishes and the replacement direction is drawn isotropically from the
-    remaining nullspace. This realizes, by construction, the orthogonal-
-    selection assumption the closed-form bound relies on (a zero threshold
-    has probability zero for continuous channels).
+    remaining nullspace, from that trial's generator, in (block, user) order.
+    This realizes, by construction, the orthogonal-selection assumption the
+    closed-form bound relies on (a zero threshold has probability zero for
+    continuous channels).
     """
     if report.mode != "per_cell":
         raise ConfigurationError("orthogonal construction requires per-cell feedback")
     norms = report.norms
-    n_users, n_bs = norms.shape
+    trials, n_users, n_bs = norms.shape
     if n_users - 1 >= n_tx:
         raise ConfigurationError("per-block orthogonalization needs n_tx > n_users - 1")
-    directions = report.reconstructed.reshape(n_users, n_bs, n_tx) / norms[..., None]
+    directions = report.reconstructed.reshape(trials, n_users, n_bs, n_tx) / norms[..., None]
 
-    def residual(v, k, b):
+    def residual(v, t, k, b):
+        """Rows ``v`` minus their projections on users 0..k-1 of trials ``t``,
+        and their norms."""
         for m in range(k):
-            v = v - np.vdot(directions[m, b], v) * directions[m, b]
-        return v, np.linalg.norm(v)
+            d = directions[t, m, b]
+            v = v - rows.inner(d, v)[..., None] * d
+        return v, rows.norms(v)
 
     for b in range(n_bs):
         for k in range(1, n_users):
-            v, vn = residual(directions[k, b], k, b)
-            while vn < 1e-9:
-                v, vn = residual(rngmod.complex_normal(rng, (n_tx,)), k, b)
-            directions[k, b] = v / vn
-    return (norms[..., None] * directions).reshape(n_users, n_bs * n_tx)
+            v, vn = residual(directions[:, k, b], slice(None), k, b)
+            redraw = np.flatnonzero(vn < 1e-9)
+            while redraw.size:
+                fresh = rngmod.complex_normal_each([rngs[t] for t in redraw], (n_tx,))
+                v[redraw], vn[redraw] = residual(fresh, redraw, k, b)
+                redraw = redraw[vn[redraw] < 1e-9]
+            directions[:, k, b] = v / vn[:, None]
+    return (norms[..., None] * directions).reshape(trials, n_users, n_bs * n_tx)
 
 
 # ---------------------------------------------------------------------------
@@ -165,8 +174,7 @@ def rate_loss_montecarlo(
     """
     scn = replace(scn, trials=scn.trials if trials is None else trials,
                   master_seed=scn.master_seed if master_seed is None else master_seed)
-    return montecarlo.run(scn, workers=workers,
-                          recon_transform=orthogonalize_report if orthogonalize else None)
+    return montecarlo.run(scn, workers=workers, orthogonalize=orthogonalize)
 
 
 # ---------------------------------------------------------------------------

@@ -170,10 +170,17 @@ def build_large_scale(
 
 @dataclass
 class ChannelRealization:
-    """One draw of the small-scale channels and the derived composite vectors."""
+    """A block of channel draws, one per trial, and their composite vectors."""
 
-    small_scale: np.ndarray  # (n_users, n_bs, n_tx) complex
-    global_channels: np.ndarray  # (n_users, n_bs * n_tx) complex
+    small_scale: np.ndarray  # (trials, n_users, n_bs, n_tx) complex
+    global_channels: np.ndarray  # (trials, n_users, n_bs * n_tx) complex
+
+
+def _check_dimensions(n_users: int, n_bs: int, n_tx: int) -> None:
+    if n_tx < 2:
+        raise ConfigurationError("n_tx must be >= 2 (single-antenna BSs are unsupported)")
+    if n_users < 1 or n_bs < 1:
+        raise ConfigurationError("n_users and n_bs must be >= 1")
 
 
 def sample_small_scale(
@@ -183,28 +190,34 @@ def sample_small_scale(
 
     Entries have unit variance, so E{||h||^2} = n_tx.
     """
-    if n_tx < 2:
-        raise ConfigurationError("n_tx must be >= 2 (single-antenna BSs are unsupported)")
-    if n_users < 1 or n_bs < 1:
-        raise ConfigurationError("n_users and n_bs must be >= 1")
+    _check_dimensions(n_users, n_bs, n_tx)
     return rngmod.complex_normal(rng, (n_users, n_bs, n_tx)) / np.sqrt(2.0)
 
 
 def assemble_global(small_scale: np.ndarray, large_scale: LargeScaleMap) -> np.ndarray:
-    """Concatenate the per-BS blocks: g_k = [alpha_{k,1} h_{k,1}, ..., alpha_{k,B} h_{k,B}]."""
+    """Concatenate the per-BS blocks: g_k = [alpha_{k,1} h_{k,1}, ..., alpha_{k,B} h_{k,B}].
+
+    ``small_scale`` is (..., n_users, n_bs, n_tx); leading axes, such as a
+    trial axis, pass through.
+    """
     h = np.asarray(small_scale)
-    if h.ndim != 3 or h.shape[:2] != large_scale.alpha_sq.shape:
+    if h.ndim < 3 or h.shape[-3:-1] != large_scale.alpha_sq.shape:
         raise ConfigurationError(
             f"small_scale shape {h.shape} inconsistent with large-scale map "
             f"{large_scale.alpha_sq.shape}"
         )
     scaled = large_scale.alpha[..., None] * h
-    return scaled.reshape(h.shape[0], h.shape[1] * h.shape[2])
+    return scaled.reshape(h.shape[:-2] + (h.shape[-2] * h.shape[-1],))
 
 
-def realize_channels(
-    large_scale: LargeScaleMap, n_tx: int, rng: np.random.Generator
-) -> ChannelRealization:
-    """Draw one full channel realization for the given large-scale map."""
-    h = sample_small_scale(large_scale.n_users, large_scale.n_bs, n_tx, rng)
+def realize_channels(large_scale: LargeScaleMap, n_tx: int, rngs) -> ChannelRealization:
+    """Draw a block of channel realizations, one per generator of ``rngs``.
+
+    Trial t is ``sample_small_scale`` from ``rngs[t]``. A generator listed
+    more than once draws its trials one after the other, so one generator
+    repeated T times gives the same channels as T single draws from it.
+    """
+    _check_dimensions(large_scale.n_users, large_scale.n_bs, n_tx)
+    shape = (large_scale.n_users, large_scale.n_bs, n_tx)
+    h = rngmod.complex_normal_each(rngs, shape) / np.sqrt(2.0)
     return ChannelRealization(small_scale=h, global_channels=assemble_global(h, large_scale))

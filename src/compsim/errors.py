@@ -20,10 +20,6 @@ class DomainError(CompsimError, ValueError):
     """An operation received an input outside its mathematical domain."""
 
 
-class PrecodingError(CompsimError):
-    """Zero-forcing failed: rank-deficient or ill-conditioned channel matrix."""
-
-
 class EstimationError(CompsimError):
     """A Monte Carlo estimate could not be formed (e.g. all trials failed)."""
 

@@ -1,10 +1,26 @@
 """Trial orchestration: reproducible Monte Carlo runs and random-drop CDFs.
 
-Every trial owns an RNG substream keyed by its index, draws one channel
-realization, and evaluates the configured feedback arm and the perfect-CSI
-arm on that same draw (common random numbers). The per-trial values live in
-the ``TrialLog``; aggregation folds them in trial order, so results are
-bit-identical for any worker count.
+Trials run in blocks of at most ``BLOCK_TRIALS``, so memory stays bounded
+whatever the trial count. Every trial of a fixed-placement run owns an RNG
+substream keyed by its index; every drop owns one substream, from which its
+placement and then its trials draw in turn. A block stacks the channel draws
+of its trials, one generator each, and evaluates the configured feedback arm
+and the perfect-CSI arm on those same draws (common random numbers) over a
+leading trial axis: feedback quantization and reconstruction, the optional
+per-block Gram-Schmidt, both zero-forcing precoders (one stacked SVD each)
+and the rates. The per-trial values live in the ``TrialLog``; aggregation
+folds them in trial order.
+
+A trial evaluates to the same bits in a block of any size, alone or among
+others, so results do not depend on the block size, the chunk layout or the
+worker count:
+- its channels, and any Gram-Schmidt redraw, come from its own generator, in
+  the order it would draw them alone: redraws follow all channel draws, in
+  (block, user) order;
+- row norms, inner products and phases go through ``rows``, which rounds each
+  row as numpy rounds a single vector;
+- the stacked SVD, matrix products and column norms round each matrix of the
+  stack as they would round it alone.
 """
 
 from __future__ import annotations
@@ -19,7 +35,9 @@ import numpy as np
 from . import channel, precoding, quantization, scheduling
 from . import rng as rngmod
 from . import scenario as scenariomod
-from .errors import ConfigurationError, EstimationError, PrecodingError
+from .errors import ConfigurationError, EstimationError
+
+BLOCK_TRIALS = 256  # trials evaluated together; bounds a block's memory
 
 
 @dataclass
@@ -31,7 +49,7 @@ class TrialContext:
     feedback: quantization.ResolvedFeedback
     pairing: scheduling.PairingPolicy
     master_seed: int
-    recon_transform: object = None  # callable(report, n_tx, rng) -> reconstruction
+    orthogonalize: bool = False  # bounds.orthogonalize_report the feedback first
 
 
 @dataclass
@@ -83,49 +101,52 @@ class CdfResult:
     seed: int
 
 
-def _evaluate_realization(ctx: TrialContext, realization, rng) -> tuple:
-    """Evaluate both arms on one channel draw.
+def _evaluate_block(ctx: TrialContext, rngs: list) -> TrialLog:
+    """Evaluate both arms on a block of trials; trial t draws from ``rngs[t]``.
 
-    Returns (ideal_rates, quantized_rates, interference) or None when the
-    trial must be rejected (pairing rejection or precoding failure).
+    A trial is rejected (``ok`` False, NaN values) when the pairing rule or
+    either zero-forcing precoder rejects it.
     """
+    realization = channel.realize_channels(ctx.large_scale, ctx.n_tx, rngs)
     g = realization.global_channels
     report = ctx.feedback.apply(realization, ctx.large_scale)
     recon = g if report is None else report.reconstructed
-    if ctx.recon_transform is not None and report is not None:
-        recon = ctx.recon_transform(report, ctx.n_tx, rng)
+    if ctx.orthogonalize and report is not None:
+        from . import bounds  # imported here: bounds imports this module
 
-    if ctx.pairing.mode == "sus_threshold" and not scheduling.select_pairing(recon, ctx.pairing):
-        return None
+        recon = bounds.orthogonalize_report(report, ctx.n_tx, rngs)
 
-    try:
-        ideal_pre = precoding.zf_precoder(g)
-        quant_pre = precoding.zf_precoder(recon)
-    except PrecodingError:
-        return None
+    ok = np.ones(len(rngs), dtype=bool)
+    if ctx.pairing.mode == "sus_threshold":
+        ok &= scheduling.select_pairing(recon, ctx.pairing)
+    ideal_pre, ideal_reason = precoding.zf_precoder(g)
+    quant_pre, quant_reason = precoding.zf_precoder(recon)
+    ok &= (ideal_reason == "ok") & (quant_reason == "ok")
 
     tx_power, noise_power = ctx.large_scale.tx_power, ctx.large_scale.noise_power
-    ideal_rates = precoding.instantaneous_rate(precoding.sinr(g, ideal_pre, tx_power, noise_power))
-    signal, interference = precoding.interference_power(g, quant_pre, tx_power)
-    quant_rates = precoding.instantaneous_rate(signal / (noise_power + interference))
-    return ideal_rates, quant_rates, interference
+    g = g[ok]
+    ideal = precoding.instantaneous_rate(precoding.sinr(g, ideal_pre[ok], tx_power, noise_power))
+    signal, interference = precoding.interference_power(g, quant_pre[ok], tx_power)
+    quantized = precoding.instantaneous_rate(signal / (noise_power + interference))
+    shape = (len(rngs), ctx.large_scale.n_users)
+    log = TrialLog(np.full(shape, np.nan), np.full(shape, np.nan), np.full(shape, np.nan), ok)
+    log.ideal[ok], log.quantized[ok], log.interference[ok] = ideal, quantized, interference
+    return log
+
+
+def _concatenate(logs) -> TrialLog:
+    """One log of the given logs' trials, in order."""
+    fields = zip(*(vars(log).values() for log in logs))
+    return TrialLog(*(np.concatenate(field) for field in fields))
 
 
 def _trials(ctx: TrialContext, rngs, count: int) -> TrialLog:
-    """Evaluate ``count`` trials of ``ctx``; trial t draws from the t-th
-    generator of ``rngs``."""
-    n_users = ctx.large_scale.n_users
-    log = TrialLog(ideal=np.full((count, n_users), np.nan),
-                   quantized=np.full((count, n_users), np.nan),
-                   interference=np.full((count, n_users), np.nan),
-                   ok=np.zeros(count, dtype=bool))
-    for t, rng in zip(range(count), rngs):
-        realization = channel.realize_channels(ctx.large_scale, ctx.n_tx, rng)
-        outcome = _evaluate_realization(ctx, realization, rng)
-        if outcome is not None:
-            log.ideal[t], log.quantized[t], log.interference[t] = outcome
-            log.ok[t] = True
-    return log
+    """Evaluate ``count`` trials of ``ctx`` in blocks of ``BLOCK_TRIALS``;
+    trial t draws from the t-th generator of the iterable ``rngs``."""
+    rngs = iter(rngs)
+    return _concatenate(
+        _evaluate_block(ctx, list(itertools.islice(rngs, min(BLOCK_TRIALS, count - start))))
+        for start in range(0, count, BLOCK_TRIALS))
 
 
 def _run_trial_range(args) -> TrialLog:
@@ -144,10 +165,12 @@ def _map_ranges(fn, payload, total: int, workers: int) -> list:
     """Apply ``fn((payload, start, stop))`` over contiguous ranges of
     ``range(total)``, in range order, in a process pool when ``workers > 1``."""
     check_workers(workers)
+    if workers == 1:
+        return [fn((payload, 0, total))]
     chunks = max(1, min(total, workers * 4))
     size = math.ceil(total / chunks)
     tasks = [(payload, a, min(a + size, total)) for a in range(0, total, size)]
-    if workers == 1 or len(tasks) == 1:
+    if len(tasks) == 1:
         return [fn(task) for task in tasks]
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, tasks))
@@ -157,8 +180,7 @@ def run_trials(ctx: TrialContext, trials: int, workers: int = 1) -> TrialLog:
     """Evaluate ``trials`` independent trials; fold results in trial order."""
     if trials < 1:
         raise ConfigurationError("trials must be >= 1")
-    parts = _map_ranges(_run_trial_range, ctx, trials, workers)
-    return TrialLog(*(np.concatenate(field) for field in zip(*(vars(p).values() for p in parts))))
+    return _concatenate(_map_ranges(_run_trial_range, ctx, trials, workers))
 
 
 def _mean_se(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -186,7 +208,7 @@ def large_scale_map(scn: scenariomod.Scenario, positions) -> channel.LargeScaleM
     )
 
 
-def _context(scn: scenariomod.Scenario, positions, recon_transform=None) -> TrialContext:
+def _context(scn: scenariomod.Scenario, positions, orthogonalize=False) -> TrialContext:
     large_scale = large_scale_map(scn, positions)
     return TrialContext(
         large_scale=large_scale,
@@ -194,18 +216,18 @@ def _context(scn: scenariomod.Scenario, positions, recon_transform=None) -> Tria
         feedback=quantization.resolve_codebooks(scn.feedback, scn.n_tx, large_scale),
         pairing=scn.pairing,
         master_seed=scn.master_seed,
-        recon_transform=recon_transform,
+        orthogonalize=orthogonalize,
     )
 
 
-def build_context(scn: scenariomod.Scenario, recon_transform=None) -> TrialContext:
+def build_context(scn: scenariomod.Scenario, orthogonalize: bool = False) -> TrialContext:
     """Resolve a fixed-placement scenario into a trial context."""
     if scn.placement.mode != "fixed":
         raise ConfigurationError(
             "build_context requires fixed placement; resolve sweeps with "
             "scenario.resolved_points or use run_cdf for random placement"
         )
-    return _context(scn, scn.placement.positions, recon_transform)
+    return _context(scn, scn.placement.positions, orthogonalize)
 
 
 def aggregate(scn: scenariomod.Scenario, log: TrialLog) -> RunResult:
@@ -236,9 +258,9 @@ def aggregate(scn: scenariomod.Scenario, log: TrialLog) -> RunResult:
     )
 
 
-def run(scn: scenariomod.Scenario, workers: int = 1, recon_transform=None) -> RunResult:
+def run(scn: scenariomod.Scenario, workers: int = 1, orthogonalize: bool = False) -> RunResult:
     """Run a fixed-placement scenario and aggregate its statistics."""
-    ctx = build_context(scn, recon_transform=recon_transform)
+    ctx = build_context(scn, orthogonalize=orthogonalize)
     return aggregate(scn, run_trials(ctx, scn.trials, workers=workers))
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import channel, rng as rngmod
+from . import channel, rows, rng as rngmod
 from .errors import ConfigurationError, DomainError, raise_problems
 
 DEFAULT_LLOYD_OVERSAMPLING = 200  # training samples per codeword
@@ -24,6 +24,16 @@ DEFAULT_LLOYD_TOL = 1e-6  # relative mean-distortion improvement
 DEFAULT_ERROR_ESTIMATE_DRAWS = 100_000
 
 _UNIT_NORM_TOL = 1e-12
+
+
+def _bits_problem(bits) -> str | None:
+    """Why ``bits`` cannot size a codebook, or None: it must be an integer in
+    [0, 63), so that the 2^bits codewords are countable by int64 indices."""
+    if isinstance(bits, bool) or not isinstance(bits, int):
+        return "must be an integer"
+    if not 0 <= bits < 63:
+        return "must be in [0, 63)"
+    return None
 
 
 @dataclass
@@ -37,8 +47,8 @@ class Codebook:
 
     def __post_init__(self):
         self.codewords = np.asarray(self.codewords, dtype=complex)
-        if self.bits < 0:
-            raise ConfigurationError("bits must be nonnegative")
+        if problem := _bits_problem(self.bits):
+            raise ConfigurationError(f"bits {problem}")
         if self.kind not in ("random", "lloyd"):
             raise ConfigurationError(f"unknown codebook kind {self.kind!r}")
         if self.codewords.ndim != 2 or self.codewords.shape[0] != 2**self.bits:
@@ -237,16 +247,17 @@ def expected_error(cb: Codebook, directions: np.ndarray) -> tuple[float, float]:
 
 @dataclass
 class FeedbackReport:
-    """Quantized CSI for every user: one index, error and norm per block.
+    """Quantized CSI of a block of trials: one index, error and norm per
+    trial, user and block.
 
     Per-cell mode quantizes the n_bs per-BS blocks of each user, global mode
     the single composite block.
     """
 
-    indices: np.ndarray  # (n_users, n_blocks) int
-    error_sq: np.ndarray  # (n_users, n_blocks) float in [0, 1]
-    norms: np.ndarray  # (n_users, n_blocks) float
-    reconstructed: np.ndarray  # (n_users, n_bs * n_tx) complex
+    indices: np.ndarray  # (trials, n_users, n_blocks) int
+    error_sq: np.ndarray  # (trials, n_users, n_blocks) float in [0, 1]
+    norms: np.ndarray  # (trials, n_users, n_blocks) float
+    reconstructed: np.ndarray  # (trials, n_users, n_bs * n_tx) complex
     mode: str  # "per_cell" | "global"
 
 
@@ -263,52 +274,50 @@ def _codebook_grid(codebooks, n_users: int, n_blocks: int) -> list[list[Codebook
 
 
 def _quantize_blocks(blocks: np.ndarray, scale: np.ndarray, grid, mode: str) -> FeedbackReport:
-    """Quantize block (k, b) of ``blocks`` (n_users, n_blocks, dim) with the
-    codebook ``grid[k][b]``; its norm times ``scale[k, b]`` passes through.
+    """Quantize block (k, b) of every trial of ``blocks`` (trials, n_users,
+    n_blocks, dim) with the codebook ``grid[k][b]``; its norm times
+    ``scale[k, b]`` passes through.
 
-    Blocks that share a codebook are searched in one ``quantize_many`` call.
-    The reconstructed block is rho e^{j phi} times the selected codeword, with
-    rho the passed-through norm and phi the phase of <block, codeword>, so the
-    projection coefficient on the true block is real and nonnegative (the
-    cos(theta) of the error decomposition). Codeword phase is arbitrary under
-    the chordal metric, but coherent joint transmission needs the per-BS
-    blocks of a reconstruction phased consistently: with raw codeword phases
-    the reconstructed composite vector loses inter-BS coherence and the
-    transmission incurs a signal loss the rate-loss analysis does not model.
+    Each codebook searches all of its blocks, over every trial, in one
+    ``quantize_many`` call. The reconstructed block is rho e^{j phi} times
+    the selected codeword, with rho the passed-through norm and phi the phase
+    of <block, codeword>, so the projection coefficient on the true block is
+    real and nonnegative (the cos(theta) of the error decomposition).
+    Codeword phase is arbitrary under the chordal metric, but coherent joint
+    transmission needs the per-BS blocks of a reconstruction phased
+    consistently: with raw codeword phases the reconstructed composite vector
+    loses inter-BS coherence and the transmission incurs a signal loss the
+    rate-loss analysis does not model.
     """
-    n_users, n_blocks, dim = blocks.shape
+    trials, n_users, n_blocks, dim = blocks.shape
     count = n_users * n_blocks
-    flat = blocks.reshape(count, dim)
-    scale = scale.reshape(count)
+    flat = blocks.reshape(trials, count, dim)
     groups: dict[int, tuple] = {}
     for m, cb in enumerate(cb for row in grid for cb in row):
         groups.setdefault(id(cb), (cb, []))[1].append(m)
-    indices = np.zeros(count, dtype=int)
-    error_sq = np.zeros(count)
-    norms = np.zeros(count)
-    recon = np.zeros((count, dim), dtype=complex)
+    indices = np.zeros((trials, count), dtype=int)
+    error_sq = np.zeros((trials, count))
+    codewords = np.zeros((trials, count, dim), dtype=complex)
     for cb, members in groups.values():
         if cb.dimension != dim:
             raise ConfigurationError(
                 f"codebook for block {divmod(members[0], n_blocks)} has dimension "
                 f"{cb.dimension}, expected {dim}"
             )
-        first, last = members[0], members[-1]
-        # a contiguous run of blocks is a view; a scattered one is gathered
-        rows = flat[first:last + 1] if last - first + 1 == len(members) else flat[members]
-        idx, err = quantize_many(rows, cb)
-        for m, i, e in zip(members, idx.tolist(), err.tolist()):
-            block = flat[m]
-            codeword = cb.codewords[i]
-            indices[m], error_sq[m] = i, e
-            norms[m] = rho = scale[m] * np.linalg.norm(block)
-            c = np.vdot(codeword, block)  # <block, codeword> = block codeword^H
-            recon[m] = rho * (codeword if c == 0.0 else (c / abs(c)) * codeword)
+        idx, err = quantize_many(flat[:, members].reshape(-1, dim), cb)
+        indices[:, members] = idx.reshape(trials, len(members))
+        error_sq[:, members] = err.reshape(trials, len(members))
+        codewords[:, members] = cb.codewords[idx].reshape(trials, len(members), dim)
+    norms = scale.reshape(count) * rows.norms(flat)
+    c = rows.inner(codewords, flat)  # <block, codeword> = block codeword^H
+    zero = c == 0.0  # no phase to align to: the codeword as it is
+    phase = c / np.where(zero, 1.0, rows.magnitude(c))
+    recon = norms[..., None] * np.where(zero[..., None], codewords, phase[..., None] * codewords)
     return FeedbackReport(
-        indices=indices.reshape(n_users, n_blocks),
-        error_sq=error_sq.reshape(n_users, n_blocks),
-        norms=norms.reshape(n_users, n_blocks),
-        reconstructed=recon.reshape(n_users, n_blocks * dim),
+        indices=indices.reshape(trials, n_users, n_blocks),
+        error_sq=error_sq.reshape(trials, n_users, n_blocks),
+        norms=norms.reshape(trials, n_users, n_blocks),
+        reconstructed=recon.reshape(trials, n_users, n_blocks * dim),
         mode=mode,
     )
 
@@ -318,7 +327,8 @@ def per_cell_feedback(
     large_scale: channel.LargeScaleMap,
     codebooks,
 ) -> FeedbackReport:
-    """Quantize each per-BS block independently; norms pass through unquantized.
+    """Quantize each per-BS block of every trial independently; norms pass
+    through unquantized.
 
     ``codebooks`` is one Codebook of dimension n_tx shared by every link, or
     an n_users x n_bs grid. Reconstruction per user k: g_hat_k =
@@ -327,7 +337,7 @@ def per_cell_feedback(
     of the selected codeword.
     """
     h = realization.small_scale
-    grid = _codebook_grid(codebooks, h.shape[0], h.shape[1])
+    grid = _codebook_grid(codebooks, h.shape[1], h.shape[2])
     return _quantize_blocks(h, large_scale.alpha, grid, "per_cell")
 
 
@@ -336,7 +346,8 @@ def global_feedback(
     large_scale: channel.LargeScaleMap,
     codebooks,
 ) -> FeedbackReport:
-    """Quantize each user's whole composite vector with one codebook.
+    """Quantize each user's whole composite vector, in every trial, with one
+    codebook.
 
     ``codebooks`` is one Codebook of dimension n_bs * n_tx shared by all
     users, or an n_users x 1 grid. Reconstruction: g_hat_k = ||g_k|| c_i;
@@ -344,8 +355,8 @@ def global_feedback(
     composite vectors already carry the link amplitudes.
     """
     g = realization.global_channels
-    grid = _codebook_grid(codebooks, g.shape[0], 1)
-    return _quantize_blocks(g[:, None, :], np.ones((g.shape[0], 1)), grid, "global")
+    grid = _codebook_grid(codebooks, g.shape[1], 1)
+    return _quantize_blocks(g[:, :, None, :], np.ones((g.shape[1], 1)), grid, "global")
 
 
 # ---------------------------------------------------------------------------
@@ -377,10 +388,6 @@ def codebook_text(cb: Codebook) -> str:
 # ---------------------------------------------------------------------------
 
 FEEDBACK_MODES = ("perfect", "per_cell", "global")
-
-
-def _is_count(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
 @dataclass
@@ -415,11 +422,11 @@ class FeedbackConfig:
             if not isinstance(self.bits, list) or not all(isinstance(r, list) for r in self.bits):
                 out.append(("bits", "must be a matrix (a list of rows) of bit counts"))
             else:
-                out.extend((f"bits[{k}][{b}]", "must be a nonnegative integer")
+                out.extend((f"bits[{k}][{b}]", problem)
                            for k, row in enumerate(self.bits)
-                           for b, entry in enumerate(row) if not _is_count(entry))
-        elif self.mode == "global" and not _is_count(self.global_bits):
-            out.append(("global_bits", "must be a nonnegative integer"))
+                           for b, entry in enumerate(row) if (problem := _bits_problem(entry)))
+        elif self.mode == "global" and (problem := _bits_problem(self.global_bits)):
+            out.append(("global_bits", problem))
         return out
 
     def __post_init__(self):
@@ -440,7 +447,7 @@ class ResolvedFeedback:
         realization: channel.ChannelRealization,
         large_scale: channel.LargeScaleMap,
     ) -> FeedbackReport | None:
-        """Produce the feedback report; None means perfect CSI."""
+        """The feedback report of a block of trials; None means perfect CSI."""
         if self.mode == "perfect":
             return None
         if self.mode == "per_cell":
@@ -490,8 +497,8 @@ def build_codebook(
     """
     if dimension < 1:
         raise ConfigurationError("dimension must be >= 1")
-    if not 0 <= bits < 63:  # the 2^bits codewords must be countable by int64 indices
-        raise ConfigurationError("bits must be in [0, 63)")
+    if problem := _bits_problem(bits):
+        raise ConfigurationError(f"bits {problem}")
     labels = (dimension, bits)
     if profile is not None:
         profile = tuple(np.asarray(profile, dtype=float).tolist())

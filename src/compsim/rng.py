@@ -36,7 +36,20 @@ def complex_normal(gen: np.random.Generator, shape: tuple) -> np.ndarray:
 
     Entry i takes the i-th (re, im) pair of one ``standard_normal`` draw of
     ``shape + (2,)``. That layout is part of the random-stream contract, and
-    every complex draw of the package goes through here.
+    every complex draw of the package goes through here or through
+    ``complex_normal_each``.
     """
-    z = gen.standard_normal(tuple(shape) + (2,))
-    return z[..., 0] + 1j * z[..., 1]
+    return _pairs(gen.standard_normal(tuple(shape) + (2,)))
+
+
+def complex_normal_each(gens, shape: tuple) -> np.ndarray:
+    """One ``complex_normal`` draw of ``shape`` from each generator of
+    ``gens``, stacked along a new leading axis. A generator listed more than
+    once draws once per listing, in order."""
+    shape = tuple(shape) + (2,)
+    return _pairs(np.stack([gen.standard_normal(shape) for gen in gens]))
+
+
+def _pairs(z: np.ndarray) -> np.ndarray:
+    """The trailing (re, im) pairs of C-contiguous float64 ``z`` as complex entries."""
+    return z.view(np.complex128)[..., 0]

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import rows
 from .errors import ConfigurationError, DomainError, raise_problems
 
 PAIRING_MODES = ("sus_threshold", "always_pair")
@@ -36,29 +37,33 @@ class PairingPolicy:
         raise_problems(self.problems())
 
 
-def quantized_correlation(a: np.ndarray, b: np.ndarray) -> float:
-    """Normalized absolute inner product of two reconstructed channels."""
-    a = np.asarray(a, dtype=complex).reshape(-1)
-    b = np.asarray(b, dtype=complex).reshape(-1)
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
+def quantized_correlation(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Normalized absolute inner product of each pair of reconstructed
+    channels, row by row over the last axis."""
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    na, nb = rows.norms(a), rows.norms(b)
+    if np.any(na == 0.0) or np.any(nb == 0.0):
         raise DomainError("correlation is undefined for a zero vector")
-    return float(np.abs(np.vdot(b, a)) / (na * nb))
+    return rows.magnitude(rows.inner(b, a)) / (na * nb)
 
 
-def select_pairing(vectors, policy: PairingPolicy) -> bool:
-    """Whether the policy serves the scheduled users together.
+def select_pairing(vectors, policy: PairingPolicy) -> np.ndarray:
+    """Per trial, whether the policy serves the scheduled users together.
 
-    ``vectors`` holds one reconstructed channel per cell, in cell order.
-    always_pair always pairs; sus_threshold rejects when the correlation
-    of any later user with an earlier one is not below the threshold.
+    ``vectors`` is a (trials, n_users, dims) stack holding one reconstructed
+    channel per cell, in cell order. always_pair always pairs; sus_threshold
+    rejects a trial when the correlation of any later user with an earlier
+    one is not below the threshold.
     """
-    if len(vectors) == 0:
-        raise ConfigurationError("pairing needs at least one scheduled user")
+    v = np.asarray(vectors, dtype=complex)
+    if v.ndim != 3 or v.shape[1] == 0:
+        raise ConfigurationError("pairing needs a (trials, users, dims) stack of "
+                                 "at least one scheduled user")
+    paired = np.ones(v.shape[0], dtype=bool)
     if policy.mode != "sus_threshold":
-        return True
-    return all(
-        quantized_correlation(vectors[i], vectors[j]) < policy.threshold
-        for i in range(1, len(vectors))
-        for j in range(i)
-    )
+        return paired
+    for i in range(1, v.shape[1]):
+        for j in range(i):
+            paired &= quantized_correlation(v[:, i], v[:, j]) < policy.threshold
+    return paired

@@ -64,12 +64,14 @@ def inverse_norm_moment(alpha_sq_row, n_tx: int) -> float:
 
 
 def perfect_codebook_for(realization: channel.ChannelRealization) -> quantization.Codebook:
-    """Codebook whose codewords are exactly the realization's block directions.
+    """Codebook whose codewords are exactly the block directions of every
+    trial of the realization.
 
-    With n_users * n_bs a power of two, quantizing any block yields zero error.
+    With trials * n_users * n_bs a power of two, quantizing any block yields
+    zero error.
     """
     h = realization.small_scale
-    dirs = h.reshape(-1, h.shape[2])
+    dirs = h.reshape(-1, h.shape[-1])
     dirs = dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
     bits = int(np.log2(dirs.shape[0]))
     if 2**bits != dirs.shape[0]:

@@ -21,7 +21,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from compsim import bounds, channel, cli, montecarlo, quantization, scenario
+from compsim import channel, cli, montecarlo, quantization, scenario
 from compsim.bounds import (
     RateLossParams,
     check_inverse_norm,
@@ -125,7 +125,7 @@ def test_criterion_04_bound_containment_on_grid():
     all_pass = True
     boot_rng = substream(1004, 0, 0)
     for label, d1, fixed in fig3_grid_cells():
-        ctx = montecarlo.build_context(fixed, recon_transform=bounds.orthogonalize_report)
+        ctx = montecarlo.build_context(fixed, orthogonalize=True)
         log = montecarlo.run_trials(ctx, trials)
         noise_power = ctx.large_scale.noise_power
         interf = log.interference[log.ok][:, 0]
@@ -236,23 +236,16 @@ def test_criterion_07_random_drop_gap_comparison():
 def test_criterion_08_zero_forcing_invariants():
     fixed = _support.fig3_fixed(250.0, 150.0)
     ctx = montecarlo.build_context(fixed)
-    worst_off = 0.0
-    worst_norm = 0.0
-    successes = 0
-    for t in range(1000):
-        real = channel.realize_channels(ctx.large_scale, 4, substream(1008, 0, t))
-        rep = ctx.feedback.apply(real, ctx.large_scale)
-        try:
-            pre = zf_precoder(rep.reconstructed)
-        except Exception:
-            continue
-        successes += 1
-        cross = rep.reconstructed @ pre
-        off = np.abs(cross - np.diag(np.diagonal(cross)))
-        worst_off = max(worst_off, float(off.max()))
-        worst_norm = max(
-            worst_norm, float(np.abs(np.linalg.norm(pre, axis=0) - 1.0).max())
-        )
+    real = channel.realize_channels(ctx.large_scale, 4,
+                                    [substream(1008, 0, t) for t in range(1000)])
+    recon = ctx.feedback.apply(real, ctx.large_scale).reconstructed
+    pre, reason = zf_precoder(recon)
+    ok = reason == "ok"
+    successes = int(ok.sum())
+    cross = recon[ok] @ pre[ok]
+    off = np.abs(cross * (1.0 - np.eye(2)))
+    worst_off = float(off.max(initial=0.0))
+    worst_norm = float(np.abs(np.linalg.norm(pre[ok], axis=1) - 1.0).max(initial=0.0))
     # orthogonal special case: the precoder reduces to the matched filter
     worst_mf = 0.0
     for t in range(100):
@@ -260,10 +253,13 @@ def test_criterion_08_zero_forcing_invariants():
         g = raw[..., 0] + 1j * raw[..., 1]
         q, _ = np.linalg.qr(g.conj().T)
         g_orth = q[:, :2].conj().T * np.linalg.norm(g, axis=1)[:, None]
-        pre = zf_precoder(g_orth)
+        pre_orth, reason_orth = zf_precoder(g_orth[None])
+        if reason_orth[0] != "ok":
+            worst_mf = np.inf
+            continue
         for k in range(2):
             ref = g_orth[k].conj() / np.linalg.norm(g_orth[k])
-            worst_mf = max(worst_mf, float(np.abs(pre[:, k] - ref).max()))
+            worst_mf = max(worst_mf, float(np.abs(pre_orth[0, :, k] - ref).max()))
     ok = (successes >= 990 and worst_off <= 1e-9 and worst_norm <= 1e-12
           and worst_mf <= 1e-12)
     report(8, ok,

@@ -119,42 +119,57 @@ class TestClosedForms:
 
 
 class TestOrthogonalization:
+    # one-trial blocks: index 0 is the trial
     def _report(self, seed, bits=3):
         ls = _support.two_cell_map(150.0, 250.0)
-        real = channel.realize_channels(ls, 4, substream(seed, 0, 0))
+        real = channel.realize_channels(ls, 4, [substream(seed, 0, 0)])
         cb = random_codebook(4, bits, substream(seed, 1, 0))
         return real, ls, per_cell_feedback(real, ls, cb)
 
     def test_blocks_become_orthogonal_and_norms_survive(self):
         real, ls, rep = self._report(141)
-        out = orthogonalize_report(rep, 4, substream(141, 2, 0))
+        out = orthogonalize_report(rep, 4, [substream(141, 2, 0)])[0]
         for b in range(2):
             blk0 = out[0, b * 4 : (b + 1) * 4]
             blk1 = out[1, b * 4 : (b + 1) * 4]
             assert abs(np.vdot(blk0, blk1)) <= 1e-9 * np.linalg.norm(blk0) * np.linalg.norm(blk1)
-            assert np.linalg.norm(blk1) == pytest.approx(rep.norms[1, b], rel=1e-12)
+            assert np.linalg.norm(blk1) == pytest.approx(rep.norms[0, 1, b], rel=1e-12)
         # first user untouched
-        assert np.array_equal(out[0], rep.reconstructed[0])
+        assert np.array_equal(out[0], rep.reconstructed[0, 0])
 
     def test_identical_codewords_fall_back_to_random_direction(self):
         # a 0-bit codebook forces both users onto the same codeword
         real, ls, rep = self._report(142, bits=0)
-        out = orthogonalize_report(rep, 4, substream(142, 2, 0))
+        out = orthogonalize_report(rep, 4, [substream(142, 2, 0)])[0]
         for b in range(2):
             blk0 = out[0, b * 4 : (b + 1) * 4]
             blk1 = out[1, b * 4 : (b + 1) * 4]
             assert abs(np.vdot(blk0, blk1)) <= 1e-9 * np.linalg.norm(blk0) * np.linalg.norm(blk1)
+
+    def test_redraws_come_from_each_trials_own_generator(self):
+        # with 0 bits every trial redraws; a trial's result must not depend
+        # on the block around it
+        ls = _support.two_cell_map(150.0, 250.0)
+        cb = random_codebook(4, 0, substream(145, 1, 0))
+        real = channel.realize_channels(ls, 4, [substream(145, 0, t) for t in range(6)])
+        block = orthogonalize_report(per_cell_feedback(real, ls, cb), 4,
+                                     [substream(145, 2, t) for t in range(6)])
+        for t in range(6):
+            alone = channel.realize_channels(ls, 4, [substream(145, 0, t)])
+            out = orthogonalize_report(per_cell_feedback(alone, ls, cb), 4,
+                                       [substream(145, 2, t)])
+            assert np.array_equal(out[0], block[t])
 
     def test_zero_error_quantization_kills_interference_term(self):
         # with sin(theta) = 0 the composite residual Q = g_1 ghat_2'^H vanishes
         # under per-block orthogonality
         ls = _support.two_cell_map(150.0, 250.0)
         for t in range(50):
-            real = channel.realize_channels(ls, 4, substream(143, 0, t))
+            real = channel.realize_channels(ls, 4, [substream(143, 0, t)])
             cb = _support.perfect_codebook_for(real)
             rep = per_cell_feedback(real, ls, cb)
-            out = orthogonalize_report(rep, 4, substream(143, 2, t))
-            q = np.dot(real.global_channels[0], out[1].conj())
+            out = orthogonalize_report(rep, 4, [substream(143, 2, t)])[0]
+            q = np.dot(real.global_channels[0, 0], out[1].conj())
             assert abs(q) <= 1e-9
 
 
@@ -173,7 +188,7 @@ class TestRateLossMonteCarlo:
     def test_orthogonal_mode_contained_by_bound_with_bootstrap(self):
         # a grid cell where the closed form genuinely dominates
         fixed = _support.fig3_fixed(250.0, 150.0)
-        ctx = montecarlo.build_context(fixed, recon_transform=orthogonalize_report)
+        ctx = montecarlo.build_context(fixed, orthogonalize=True)
         log = montecarlo.run_trials(ctx, 2000)
         params = RateLossParams.from_large_scale(
             ctx.large_scale, 4, ctx.feedback.expected_error_matrix()

@@ -210,13 +210,15 @@ def variant_configs(tmp_path):
     cooperative random-drop arm cut to 2 drops, and of the fig3 arm with
     64-bit diagonal links."""
     fig3 = scenario.preset("fig3").arms[0].scenario
+    bits64 = json.loads(scenario.serialize(fig3))
+    bits64["feedback"]["bits"] = [[64, 3], [3, 64]]  # no FeedbackConfig accepts it
     paths = {}
-    for name, scn in (("{fixed}", scenario.at_sweep_point(fig3, 150.0)),
-                      ("{drops}", replace(scenario.preset("fig5").arms[0].scenario, drops=2)),
-                      ("{bits64}", replace(fig3, feedback=replace(fig3.feedback,
-                                                                  bits=[[64, 3], [3, 64]])))):
+    for name, text in (("{fixed}", scenario.serialize(scenario.at_sweep_point(fig3, 150.0))),
+                       ("{drops}", scenario.serialize(
+                           replace(scenario.preset("fig5").arms[0].scenario, drops=2))),
+                       ("{bits64}", json.dumps(bits64))):
         paths[name] = tmp_path / f"{name[1:-1]}.json"
-        paths[name].write_text(scenario.serialize(scn))
+        paths[name].write_text(text)
     return paths
 
 
@@ -266,7 +268,8 @@ def codebook_files_config(fig3_arm_config, tmp_path):
      "error: --trials: only applies with --verify-appendix\n"),
     ({}, ["train-codebook", "--dimension", "4", "--bits", "63"],
      "error: bits must be in [0, 63)\n"),
-    ({}, ["simulate", "--config", "{bits64}"], "error: bits must be in [0, 63)\n"),
+    ({}, ["simulate", "--config", "{bits64}"],
+     "error: feedback.bits[0][0]: must be in [0, 63)\n"),
 ], ids=["env-trials", "env-seed", "negative-seed", "bound-outside-cell", "negative-bits",
         "negative-training-seed", "user-out-of-range", "dimension-not-composite",
         "bound-at-without-sweep", "bound-random-drops", "train-random-drops",
@@ -305,6 +308,13 @@ def test_sweep_column_names_the_swept_user(tmp_path):
     for path in (sim_csv, bound_csv):
         sweeps = {line.split(",")[2] for line in path.read_text().splitlines()[1:]}
         assert sweeps == {"ms2_distance_m"}
+
+
+def test_out_of_range_bits_rejected_before_any_codebook_is_built(variant_configs):
+    # the 3-bit links sort first, so a check at build time trains them
+    quantization.clear_codebook_cache()
+    assert run_cli("simulate", "--config", str(variant_configs["{bits64}"])) == 2
+    assert quantization._codebook_cache == {}
 
 
 def test_zero_workers_rejected_before_any_codebook_is_built():

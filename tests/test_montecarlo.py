@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from compsim import channel, montecarlo, quantization, scenario
+from compsim import channel, montecarlo, precoding, quantization, scenario
 from compsim.errors import ConfigurationError, EstimationError
 from compsim.quantization import FeedbackConfig
 from compsim.rng import substream
@@ -125,6 +125,33 @@ class TestRun:
         assert res.trials - res.failures == np.count_nonzero(log.ok)
         assert np.all(np.isnan(log.quantized[~log.ok]))
 
+    def test_failures_count_the_trials_zero_forcing_rejects(self):
+        # the partial-failure scenario above, its rejections recounted from
+        # zf_precoder's reasons on the same draws
+        scn = scenario.Scenario(
+            geometry=channel.single_cell(),
+            n_tx=8,
+            n_users=2,
+            placement=scenario.Placement(
+                mode="fixed", positions=[[50.0, 0.0], [0.0, 120.0]]
+            ),
+            feedback=FeedbackConfig(mode="global", global_bits=1,
+                                    codebook_kind="random", training_seed=43),
+            pairing=PairingPolicy(mode="always_pair"),
+            trials=300,
+            master_seed=77,
+        )
+        ctx = montecarlo.build_context(scn)
+        real = channel.realize_channels(
+            ctx.large_scale, scn.n_tx,
+            [substream(scn.master_seed, 0, t) for t in range(scn.trials)])
+        _, ideal_reason = precoding.zf_precoder(real.global_channels)
+        _, quant_reason = precoding.zf_precoder(
+            ctx.feedback.apply(real, ctx.large_scale).reconstructed)
+        rejected = (ideal_reason != "ok") | (quant_reason != "ok")
+        assert set(quant_reason.tolist()) >= {"ok", "rank"}
+        assert montecarlo.run(scn).failures == np.count_nonzero(rejected) > 0
+
     def test_sus_pairing_rejects_correlated_quantized_channels(self):
         # an (effectively) zero threshold rejects every continuous draw
         scn = replace(
@@ -241,3 +268,47 @@ class TestWorkerInvariance:
         assert np.array_equal(c1.quantized, c2.quantized, equal_nan=True)
         assert np.array_equal(c1.ideal, c2.ideal, equal_nan=True)
         assert (c1.failed_draws, c1.dead_drops) == (c2.failed_draws, c2.dead_drops)
+
+
+@st.composite
+def block_contexts(draw):
+    """Per-cell, global and orthogonalized per-cell trial contexts of one
+    scenario, with low bit counts so that codeword collisions force
+    Gram-Schmidt redraws and zero-forcing rejections, and always-pair or a
+    threshold."""
+    bits = st.integers(0, 3)
+    per_cell = FeedbackConfig(mode="per_cell", codebook_kind="random", training_seed=62,
+                              bits=draw(st.lists(st.lists(bits, min_size=2, max_size=2),
+                                                 min_size=2, max_size=2)))
+    global_ = FeedbackConfig(mode="global", global_bits=draw(bits), codebook_kind="random",
+                             training_seed=61)
+    pairing = draw(st.sampled_from((PairingPolicy(),
+                                    PairingPolicy(mode="sus_threshold", threshold=0.5))))
+    scn = small_fixed(master_seed=draw(st.integers(0, 2**32 - 1)), pairing=pairing)
+    return [montecarlo.build_context(replace(scn, feedback=feedback), orthogonalize=orth)
+            for feedback, orth in ((per_cell, False), (global_, False), (per_cell, True))]
+
+
+class TestBlockInvariance:
+    @settings(max_examples=4, deadline=None)
+    @given(contexts=block_contexts(), trials=st.integers(1, 80), drops=st.integers(1, 3),
+           trials_per_drop=st.integers(1, 20))
+    def test_results_do_not_depend_on_block_size_or_workers(self, contexts, trials, drops,
+                                                            trials_per_drop):
+        references = [montecarlo.run_trials(ctx, trials) for ctx in contexts]
+        cdf_scn = replace(scenario.preset("fig5").arms[0].scenario, drops=drops,
+                          trials_per_drop=trials_per_drop, master_seed=contexts[0].master_seed)
+        cdf_reference = montecarlo.run_cdf(cdf_scn)
+        for block in (1, 7, 64, montecarlo.BLOCK_TRIALS):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(montecarlo, "BLOCK_TRIALS", block)
+                for workers in (1, 2):
+                    for ctx, reference in zip(contexts, references):
+                        log = montecarlo.run_trials(ctx, trials, workers=workers)
+                        for name in ("ideal", "quantized", "interference", "ok"):
+                            assert np.array_equal(getattr(log, name), getattr(reference, name),
+                                                  equal_nan=True), (block, workers, name)
+                    cdf = montecarlo.run_cdf(cdf_scn, workers=workers)
+                    for name in ("quantized", "ideal", "failed_draws", "dead_drops"):
+                        assert np.array_equal(getattr(cdf, name), getattr(cdf_reference, name),
+                                              equal_nan=True), (block, workers, name)

@@ -1,14 +1,27 @@
 import numpy as np
 import pytest
 
-from compsim.errors import DomainError, PrecodingError
-from compsim.precoding import instantaneous_rate, interference_power, sinr, zf_precoder
+from compsim.errors import DomainError
+from compsim.precoding import (
+    MAX_CONDITION_NUMBER,
+    instantaneous_rate,
+    interference_power,
+    sinr,
+    zf_precoder,
+)
 from compsim.rng import substream
 
 
 def random_channels(n_users, dim, seed):
     z = substream(seed, 0, 0).standard_normal((n_users, dim, 2))
     return z[..., 0] + 1j * z[..., 1]
+
+
+def zf_one(g):
+    """The precoder of a single matrix, which zero-forcing must accept."""
+    pre, reason = zf_precoder(g[None])
+    assert reason.tolist() == ["ok"]
+    return pre[0]
 
 
 def orthogonalize_rows(mat):
@@ -20,27 +33,27 @@ def orthogonalize_rows(mat):
 class TestZfPrecoder:
     def test_orthogonal_rows_reduce_to_matched_filter(self):
         g = orthogonalize_rows(random_channels(2, 8, 61))
-        pre = zf_precoder(g)
+        pre = zf_one(g)
         for k in range(2):
             expected = g[k].conj() / np.linalg.norm(g[k])
             assert np.allclose(pre[:, k], expected, atol=1e-12)
 
     def test_single_user_is_matched_filter(self):
         g = random_channels(1, 8, 62)
-        pre = zf_precoder(g)
+        pre = zf_one(g)
         assert np.allclose(pre[:, 0], g[0].conj() / np.linalg.norm(g[0]), atol=1e-12)
 
     def test_zero_forcing_on_random_instances(self):
         for seed in range(30):
             g = random_channels(2, 8, 100 + seed)
-            pre = zf_precoder(g)
+            pre = zf_one(g)
             cross = g @ pre
             off = cross - np.diag(np.diagonal(cross))
             assert np.max(np.abs(off)) <= 1e-9
 
     def test_unit_norm_columns(self):
         g = random_channels(3, 8, 63)
-        pre = zf_precoder(g)
+        pre = zf_one(g)
         norms = np.linalg.norm(pre, axis=0)
         assert np.max(np.abs(norms - 1.0)) <= 1e-12
 
@@ -48,7 +61,7 @@ class TestZfPrecoder:
         # the pseudo-inverse puts H V proportional to the identity, so each
         # g_k v_k is real and positive after column normalization
         g = random_channels(2, 8, 64)
-        pre = zf_precoder(g)
+        pre = zf_one(g)
         cross = g @ pre
         diag = np.diagonal(cross)
         assert np.all(np.abs(diag.imag) <= 1e-9)
@@ -57,38 +70,63 @@ class TestZfPrecoder:
     def test_rank_deficient_rejected(self):
         g = random_channels(2, 8, 65)
         g[1] = g[0]
-        with pytest.raises(PrecodingError):
-            zf_precoder(g)
+        pre, reason = zf_precoder(g[None])
+        assert reason.tolist() == ["rank"]
+        assert np.isnan(pre).all()
 
     def test_ill_conditioned_rejected(self):
         g = random_channels(2, 8, 66)
         g[1] = g[0] + 1e-12 * random_channels(1, 8, 67)[0]
-        with pytest.raises(PrecodingError):
-            zf_precoder(g)
+        pre, reason = zf_precoder(g[None])
+        assert reason.tolist() == ["condition cap"]
+        assert np.isnan(pre).all()
 
     def test_more_users_than_dimensions_rejected(self):
-        with pytest.raises(PrecodingError):
-            zf_precoder(random_channels(9, 8, 68))
+        pre, reason = zf_precoder(random_channels(9, 8, 68)[None])
+        assert reason.tolist() == ["rank"]
+        assert np.isnan(pre).all()
+
+    def test_each_trial_of_a_stack_gets_its_own_reason(self):
+        # one well-conditioned matrix, one rank-deficient, one whose
+        # condition number is finite but above the cap
+        good = random_channels(2, 8, 69)
+        rank = good.copy()
+        rank[1] = 2.0 * rank[0]
+        capped = good.copy()
+        capped[1] = capped[0] + 1e-10 * random_channels(1, 8, 70)[0]
+        s = np.linalg.svd(capped, compute_uv=False)
+        assert MAX_CONDITION_NUMBER < s[0] / s[-1] < np.inf
+        pre, reason = zf_precoder(np.stack([good, rank, capped]))
+        assert reason.tolist() == ["ok", "rank", "condition cap"]
+        # the cap rejects: no regularized precoder is returned for it
+        assert np.isnan(pre[1:]).all()
+        assert np.array_equal(pre[0], zf_one(good))
+        cross = good @ pre[0]
+        assert np.max(np.abs(cross - np.diag(np.diagonal(cross)))) <= 1e-9
+
+    def test_one_trial_per_matrix_required(self):
+        with pytest.raises(DomainError):
+            zf_precoder(random_channels(2, 8, 71))
 
 
 class TestSinr:
+    # each case is a one-trial stack: g is (1, users, dims)
     def test_perfect_csi_has_zero_interference(self):
-        g = random_channels(2, 8, 71)
-        pre = zf_precoder(g)
+        g = random_channels(2, 8, 71)[None]
+        pre = zf_one(g[0])[None]
         signal, interference = interference_power(g, pre)
         assert np.all(interference <= 1e-18)
         assert np.array_equal(signal / (1.0 + interference), sinr(g, pre))
         s = sinr(g, pre, tx_power=2.0, noise_power=0.5)
-        expected = 2.0 * np.abs(np.diagonal(g @ pre)) ** 2 / 0.5
-        assert np.allclose(s, expected, rtol=1e-12)
+        expected = 2.0 * np.abs(np.diagonal(g[0] @ pre[0])) ** 2 / 0.5
+        assert np.allclose(s[0], expected, rtol=1e-12)
 
     def test_column_swap_swaps_roles(self):
-        g = random_channels(2, 8, 72)
-        pre = zf_precoder(g)
-        swapped = pre[:, ::-1]
-        s = sinr(g, swapped)
+        g = random_channels(2, 8, 72)[None]
+        swapped = zf_one(g[0])[None, :, ::-1]
+        s = sinr(g, swapped)[0]
         # signal now rides the other user's beam; compute by hand
-        cross = np.abs(g @ swapped) ** 2
+        cross = np.abs(g[0] @ swapped[0]) ** 2
         expected = np.array(
             [cross[0, 0] / (1.0 + cross[0, 1]), cross[1, 1] / (1.0 + cross[1, 0])]
         )
@@ -97,8 +135,8 @@ class TestSinr:
     def test_matches_scalar_reevaluation(self):
         g = random_channels(2, 8, 73)
         quantized = g + 0.3 * random_channels(2, 8, 74)
-        pre = zf_precoder(quantized)
-        s = sinr(g, pre, tx_power=1.7, noise_power=0.9)
+        pre = zf_one(quantized)
+        s = sinr(g[None], pre[None], tx_power=1.7, noise_power=0.9)[0]
         for k in range(2):
             sig = 1.7 * abs(np.dot(g[k], pre[:, k])) ** 2
             interf = sum(
@@ -108,9 +146,9 @@ class TestSinr:
             assert s[k] == pytest.approx(sig / (0.9 + interf), rel=1e-12)
 
     def test_per_user_phase_rotation_leaves_powers_invariant(self):
-        g = random_channels(2, 8, 75)
+        g = random_channels(2, 8, 75)[None]
         quantized = g + 0.3 * random_channels(2, 8, 76)
-        pre = zf_precoder(quantized)
+        pre = zf_one(quantized[0])[None]
         rotated = g * np.exp(1j * np.array([[0.8], [2.1]]))
         assert np.allclose(
             interference_power(g, pre), interference_power(rotated, pre), rtol=1e-12
@@ -118,10 +156,16 @@ class TestSinr:
         assert np.allclose(sinr(g, pre), sinr(rotated, pre), rtol=1e-12)
 
     def test_dimension_mismatch_rejected(self):
-        g = random_channels(2, 8, 77)
-        pre = zf_precoder(g)
+        pre = zf_one(random_channels(2, 8, 77))[None]
         with pytest.raises(DomainError):
-            sinr(random_channels(2, 6, 78), pre)
+            sinr(random_channels(2, 6, 78)[None], pre)
+
+    def test_trials_of_a_stack_evaluate_as_alone(self):
+        g = np.stack([random_channels(2, 8, 79 + t) for t in range(5)])
+        pre = np.stack([zf_one(g[t] + 0.3 * random_channels(2, 8, 90 + t)) for t in range(5)])
+        s = sinr(g, pre, tx_power=1.7, noise_power=0.9)
+        for t in range(5):
+            assert np.array_equal(s[t], sinr(g[t:t + 1], pre[t:t + 1], 1.7, 0.9)[0])
 
 
 class TestInstantaneousRate:

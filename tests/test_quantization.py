@@ -1,9 +1,11 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from compsim import channel
-from compsim.errors import ConfigurationError, DomainError, PrecodingError
+from compsim.errors import ConfigurationError, DomainError
 from compsim.quantization import (
     Codebook,
     FeedbackConfig,
@@ -207,8 +209,16 @@ def _two_cell_realization(seed, alpha_sq=None):
     if alpha_sq is None:
         alpha_sq = np.array([[4.0, 0.5], [0.5, 4.0]])
     ls = channel.LargeScaleMap(snr_gamma_sq=alpha_sq)
-    real = channel.realize_channels(ls, 4, substream(seed, 0, 0))
+    real = channel.realize_channels(ls, 4, [substream(seed, 0, 0)])
     return real, ls
+
+
+def _one_trial(*blocks):
+    """Trial 0 of each one-trial block (a realization or a feedback report):
+    its arrays without the trial axis."""
+    return [SimpleNamespace(**{name: value[0] if isinstance(value, np.ndarray) else value
+                               for name, value in vars(block).items()})
+            for block in blocks]
 
 
 class TestPerCellFeedback:
@@ -216,6 +226,7 @@ class TestPerCellFeedback:
         real, ls = _two_cell_realization(21)
         cb = _support.perfect_codebook_for(real)
         rep = per_cell_feedback(real, ls, cb)
+        real, rep = _one_trial(real, rep)
         assert np.all(rep.error_sq <= 1e-12)
         # coherent reconstruction convention: zero error recovers g itself
         assert np.allclose(rep.reconstructed, real.global_channels, atol=1e-12)
@@ -228,6 +239,7 @@ class TestPerCellFeedback:
         real, ls = _two_cell_realization(23)
         cb = random_codebook(4, 3, substream(23, 1, 0))
         rep = per_cell_feedback(real, ls, cb)
+        real, rep = _one_trial(real, rep)
         for k in range(2):
             for b in range(2):
                 hbar = real.small_scale[k, b] / np.linalg.norm(real.small_scale[k, b])
@@ -238,6 +250,7 @@ class TestPerCellFeedback:
         real, ls = _two_cell_realization(24)
         cb = random_codebook(4, 3, substream(24, 1, 0))
         rep = per_cell_feedback(real, ls, cb)
+        real, rep = _one_trial(real, rep)
         for k in range(2):
             # norms pass through unquantized
             for b in range(2):
@@ -258,6 +271,7 @@ class TestPerCellFeedback:
         real, ls = _two_cell_realization(25)
         cb = random_codebook(4, 3, substream(25, 1, 0))
         rep = per_cell_feedback(real, ls, cb)
+        real, rep = _one_trial(real, rep)
         for k in range(2):
             for b in range(2):
                 block = rep.reconstructed[k, b * 4 : (b + 1) * 4]
@@ -275,10 +289,11 @@ class TestPerCellFeedback:
 class TestGlobalFeedback:
     def test_perfect_codebook_reconstructs_exactly(self):
         real, ls = _two_cell_realization(31)
-        g = real.global_channels
+        g = real.global_channels[0]
         dirs = g / np.linalg.norm(g, axis=1, keepdims=True)
         cb = Codebook(codewords=dirs, bits=1, kind="random")
         rep = global_feedback(real, ls, cb)
+        real, rep = _one_trial(real, rep)
         assert np.all(rep.error_sq <= 1e-12)
         assert np.allclose(rep.reconstructed, g, atol=1e-12)
 
@@ -286,6 +301,7 @@ class TestGlobalFeedback:
         real, ls = _two_cell_realization(32)
         cb = random_codebook(8, 6, substream(32, 1, 0))
         rep = global_feedback(real, ls, cb)
+        real, rep = _one_trial(real, rep)
         for k in range(2):
             assert np.linalg.norm(rep.reconstructed[k]) == pytest.approx(
                 np.linalg.norm(real.global_channels[k]), rel=1e-12
@@ -295,6 +311,7 @@ class TestGlobalFeedback:
         real, ls = _two_cell_realization(33)
         grid = [[random_codebook(8, 6, substream(33, 1, k))] for k in range(2)]
         rep = global_feedback(real, ls, grid)
+        real, rep = _one_trial(real, rep)
         assert rep.indices.shape == rep.error_sq.shape == rep.norms.shape == (2, 1)
         for k in range(2):
             g = real.global_channels[k]
@@ -316,18 +333,15 @@ class TestGlobalFeedback:
             4, ls,
         )
         draws = 2000
-        err_g = np.zeros(draws)
-        err_p = np.zeros(draws)
-        for t in range(draws):
-            real = channel.realize_channels(ls, 4, substream(611, 0, t))
-            g = real.global_channels[0]
-            gbar = g / np.linalg.norm(g)
-            rep_g = res_global.apply(real, ls)
-            rep_p = res_percell.apply(real, ls)
-            for rep, out in ((rep_g, err_g), (rep_p, err_p)):
-                ghat = rep.reconstructed[0]
-                ghat = ghat / np.linalg.norm(ghat)
-                out[t] = 1.0 - abs(np.vdot(ghat, gbar)) ** 2
+        real = channel.realize_channels(ls, 4, [substream(611, 0, t) for t in range(draws)])
+        g = real.global_channels[:, 0]
+        gbar = g / np.linalg.norm(g, axis=1, keepdims=True)
+        err = []
+        for res in (res_global, res_percell):
+            ghat = res.apply(real, ls).reconstructed[:, 0]
+            ghat = ghat / np.linalg.norm(ghat, axis=1, keepdims=True)
+            err.append(1.0 - np.abs((ghat.conj() * gbar).sum(axis=1)) ** 2)
+        err_g, err_p = err
         diff = err_p - err_g
         se = diff.std(ddof=1) / np.sqrt(draws)
         assert diff.mean() >= -2 * se  # lower or equal within resolution
@@ -357,9 +371,11 @@ def test_block_feedback_properties(case):
     mode, real, ls, codebooks = case
     if mode == "per_cell":
         rep = per_cell_feedback(real, ls, codebooks)
+        real, rep = _one_trial(real, rep)
         blocks, scale = real.small_scale, ls.alpha
     else:
         rep = global_feedback(real, ls, codebooks)
+        real, rep = _one_trial(real, rep)
         blocks, scale = real.global_channels[:, None, :], np.ones((2, 1))
     n_blocks, dim = blocks.shape[1:]
     for k in range(2):
@@ -378,10 +394,9 @@ def test_block_feedback_properties(case):
             assert abs(proj.imag) <= 1e-12 * abs(proj)
             assert proj.real >= 0.0
     # zero-forcing on the reconstruction leaves no residual between users
-    try:
-        gains = rep.reconstructed @ zf_precoder(rep.reconstructed)
-    except PrecodingError:
-        assume(False)  # a rank-deficient or ill-conditioned pairing is rejected
+    precoder, reason = zf_precoder(rep.reconstructed[None])
+    assume(reason[0] == "ok")  # a rank-deficient or ill-conditioned pairing is rejected
+    gains = rep.reconstructed @ precoder[0]
     off_diagonal = gains[~np.eye(2, dtype=bool)]
     assert np.all(np.abs(off_diagonal) <= 1e-9 * np.abs(np.diagonal(gains)).max())
 
