@@ -101,17 +101,21 @@ class LargeScaleMap:
     ``alpha_sq[k, b] = snr_gamma_sq[k, b] * noise_power / tx_power`` is that
     link's average energy. With the default normalization tx_power =
     noise_power = 1 the two matrices are equal.
+
+    Both may carry an optional leading trial axis, (trials, n_users, n_bs):
+    one map per trial of a block whose trials come from several user drops.
     """
 
-    snr_gamma_sq: np.ndarray  # (n_users, n_bs)
+    snr_gamma_sq: np.ndarray  # ([trials,] n_users, n_bs)
     tx_power: float = 1.0
     noise_power: float = 1.0
-    alpha_sq: np.ndarray = field(init=False)  # (n_users, n_bs)
+    alpha_sq: np.ndarray = field(init=False)  # ([trials,] n_users, n_bs)
 
     def __post_init__(self):
         self.snr_gamma_sq = np.asarray(self.snr_gamma_sq, dtype=float)
-        if self.snr_gamma_sq.ndim != 2:
-            raise ConfigurationError("snr_gamma_sq must be a 2-D (n_users, n_bs) array")
+        if self.snr_gamma_sq.ndim not in (2, 3):
+            raise ConfigurationError(
+                "snr_gamma_sq must be an (n_users, n_bs) or (trials, n_users, n_bs) array")
         if np.any(self.snr_gamma_sq < 0):
             raise ConfigurationError("receive SNRs must be nonnegative")
         if self.tx_power <= 0 or self.noise_power <= 0:
@@ -120,20 +124,20 @@ class LargeScaleMap:
 
     @property
     def n_users(self) -> int:
-        return self.alpha_sq.shape[0]
+        return self.alpha_sq.shape[-2]
 
     @property
     def n_bs(self) -> int:
-        return self.alpha_sq.shape[1]
+        return self.alpha_sq.shape[-1]
 
     @property
     def alpha(self) -> np.ndarray:
         return np.sqrt(self.alpha_sq)
 
     def energy_split(self) -> np.ndarray:
-        """(n_users, n_bs) share of each user's link energy carried by each
-        BS: the bound's beta and a global codebook's training profile."""
-        total = self.alpha_sq.sum(axis=1, keepdims=True)
+        """([trials,] n_users, n_bs) share of each user's link energy carried
+        by each BS: the bound's beta and a global codebook's training profile."""
+        total = self.alpha_sq.sum(axis=-1, keepdims=True)
         if np.any(total <= 0):
             raise ConfigurationError(f"user {int(np.argmin(total))} has no link energy")
         return self.alpha_sq / total
@@ -198,10 +202,12 @@ def assemble_global(small_scale: np.ndarray, large_scale: LargeScaleMap) -> np.n
     """Concatenate the per-BS blocks: g_k = [alpha_{k,1} h_{k,1}, ..., alpha_{k,B} h_{k,B}].
 
     ``small_scale`` is (..., n_users, n_bs, n_tx); leading axes, such as a
-    trial axis, pass through.
+    trial axis, pass through, and a map with a trial axis scales each trial
+    by its own map.
     """
     h = np.asarray(small_scale)
-    if h.ndim < 3 or h.shape[-3:-1] != large_scale.alpha_sq.shape:
+    if h.ndim <= large_scale.alpha_sq.ndim or h.shape[-1 - large_scale.alpha_sq.ndim:-1] \
+            != large_scale.alpha_sq.shape:
         raise ConfigurationError(
             f"small_scale shape {h.shape} inconsistent with large-scale map "
             f"{large_scale.alpha_sq.shape}"

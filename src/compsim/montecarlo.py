@@ -3,13 +3,20 @@
 Trials run in blocks of at most ``BLOCK_TRIALS``, so memory stays bounded
 whatever the trial count. Every trial of a fixed-placement run owns an RNG
 substream keyed by its index; every drop owns one substream, from which its
-placement and then its trials draw in turn. A block stacks the channel draws
-of its trials, one generator each, and evaluates the configured feedback arm
-and the perfect-CSI arm on those same draws (common random numbers) over a
-leading trial axis: feedback quantization and reconstruction, the optional
-per-block Gram-Schmidt, both zero-forcing precoders (one stacked SVD each)
-and the rates. The per-trial values live in the ``TrialLog``; aggregation
-folds them in trial order.
+placement and then its trials draw in turn. A block's substreams are derived
+together, in one pass of the ``SeedSequence`` algorithm (``rng.substreams``).
+A block stacks the channel draws of its trials, one generator each, and
+evaluates the configured feedback arm and the perfect-CSI arm on those same
+draws (common random numbers) over a leading trial axis: feedback
+quantization and reconstruction, the optional per-block Gram-Schmidt, both
+zero-forcing precoders (one stacked SVD each) and the rates. The per-trial
+values live in the ``TrialLog``; aggregation folds them in trial order.
+
+Random drops share blocks: a block holds the trials of consecutive drops,
+each row with its drop's large-scale map on the map's leading trial axis, and
+is cut early only where the codebooks change from one drop to the next (a
+global codebook follows the user's energy split, so with a cooperative drop
+each drop may need its own). Each drop's means fold its own rows.
 
 A trial evaluates to the same bits in a block of any size, alone or among
 others, so results do not depend on the block size, the chunk layout or the
@@ -26,9 +33,8 @@ worker count:
 from __future__ import annotations
 
 import concurrent.futures
-import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -140,19 +146,14 @@ def _concatenate(logs) -> TrialLog:
     return TrialLog(*(np.concatenate(field) for field in fields))
 
 
-def _trials(ctx: TrialContext, rngs, count: int) -> TrialLog:
-    """Evaluate ``count`` trials of ``ctx`` in blocks of ``BLOCK_TRIALS``;
-    trial t draws from the t-th generator of the iterable ``rngs``."""
-    rngs = iter(rngs)
-    return _concatenate(
-        _evaluate_block(ctx, list(itertools.islice(rngs, min(BLOCK_TRIALS, count - start))))
-        for start in range(0, count, BLOCK_TRIALS))
-
-
 def _run_trial_range(args) -> TrialLog:
+    """Trials ``start..stop`` of ``ctx`` in blocks of ``BLOCK_TRIALS``, each
+    block's generators seeded in one pass."""
     ctx, start, stop = args
-    rngs = (rngmod.substream(ctx.master_seed, rngmod.TRIAL, t) for t in range(start, stop))
-    return _trials(ctx, rngs, stop - start)
+    return _concatenate(
+        _evaluate_block(ctx, rngmod.substreams(ctx.master_seed, (rngmod.TRIAL,),
+                                               range(first, min(first + BLOCK_TRIALS, stop))))
+        for first in range(start, stop, BLOCK_TRIALS))
 
 
 def check_workers(workers: int) -> None:
@@ -163,16 +164,14 @@ def check_workers(workers: int) -> None:
 
 def _map_ranges(fn, payload, total: int, workers: int) -> list:
     """Apply ``fn((payload, start, stop))`` over contiguous ranges of
-    ``range(total)``, in range order, in a process pool when ``workers > 1``."""
+    ``range(total)``, in range order: one range per worker, in a process pool
+    when there is more than one, so each worker fills whole blocks."""
     check_workers(workers)
-    if workers == 1:
-        return [fn((payload, 0, total))]
-    chunks = max(1, min(total, workers * 4))
-    size = math.ceil(total / chunks)
+    size = math.ceil(total / workers)
     tasks = [(payload, a, min(a + size, total)) for a in range(0, total, size)]
     if len(tasks) == 1:
         return [fn(task) for task in tasks]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+    with concurrent.futures.ProcessPoolExecutor(max_workers=len(tasks)) as pool:
         return list(pool.map(fn, tasks))
 
 
@@ -285,19 +284,65 @@ def _draw_positions(scn: scenariomod.Scenario, rng) -> np.ndarray:
     return out
 
 
+def _drops(scn: scenariomod.Scenario, start: int, stop: int):
+    """Drops ``start..stop`` in order, each as its generator, which has drawn
+    the drop's positions, and its trial context. Drops are seeded
+    ``BLOCK_TRIALS`` at a time and their contexts built as they are reached."""
+    for first in range(start, stop, BLOCK_TRIALS):
+        for rng in rngmod.substreams(scn.master_seed, (rngmod.DROP,),
+                                     range(first, min(first + BLOCK_TRIALS, stop))):
+            yield rng, _context(scn, _draw_positions(scn, rng))
+
+
+def _stack(rows: list) -> tuple[TrialContext, list]:
+    """The context and generators of a block of (context, generator) rows
+    that share their codebooks: the first row's context, with each row's
+    large-scale map on a leading trial axis."""
+    contexts, rngs = zip(*rows)
+    first = contexts[0].large_scale
+    large_scale = channel.LargeScaleMap(
+        np.stack([ctx.large_scale.snr_gamma_sq for ctx in contexts]),
+        tx_power=first.tx_power, noise_power=first.noise_power)
+    return replace(contexts[0], large_scale=large_scale), list(rngs)
+
+
+def _drop_blocks(scn: scenariomod.Scenario, start: int, stop: int):
+    """The trial blocks of drops ``start..stop``, as (context, generators):
+    at most ``BLOCK_TRIALS`` rows each, in drop and then trial order, so a
+    block spans consecutive drops and a drop may span blocks. A block is cut
+    where the codebooks change from one drop to the next."""
+    rows = []  # (context, generator) of each row of the block being filled
+    for rng, ctx in _drops(scn, start, stop):
+        if rows and not rows[-1][0].feedback.shares_codebooks(ctx.feedback):
+            yield _stack(rows)
+            rows = []
+        for _ in range(scn.trials_per_drop):
+            if len(rows) == BLOCK_TRIALS:
+                yield _stack(rows)
+                rows = []
+            rows.append((ctx, rng))
+    if rows:
+        yield _stack(rows)
+
+
 def _run_drop_range(args) -> tuple:
     scn, start, stop = args
+    per_drop = scn.trials_per_drop
     quant = np.full((stop - start, scn.n_users), np.nan)
     ideal = np.full((stop - start, scn.n_users), np.nan)
-    failed_draws = 0
-    for offset, d in enumerate(range(start, stop)):
-        rng = rngmod.substream(scn.master_seed, rngmod.DROP, d)
-        ctx = _context(scn, _draw_positions(scn, rng))
-        log = _trials(ctx, itertools.repeat(rng), scn.trials_per_drop)
-        failed_draws += int(np.count_nonzero(~log.ok))
-        if log.ok.any():
-            quant[offset] = log.quantized[log.ok].mean(axis=0)
-            ideal[offset] = log.ideal[log.ok].mean(axis=0)
+    failed_draws = drop = 0
+    carry = []  # the evaluated rows of a drop that continues in the next block
+    for ctx, rngs in _drop_blocks(scn, start, stop):
+        log = _concatenate(carry + [_evaluate_block(ctx, rngs)])
+        whole = len(log.ok) // per_drop
+        for rows in (slice(d * per_drop, (d + 1) * per_drop) for d in range(whole)):
+            ok = log.ok[rows]
+            failed_draws += int(np.count_nonzero(~ok))
+            if ok.any():
+                quant[drop] = log.quantized[rows][ok].mean(axis=0)
+                ideal[drop] = log.ideal[rows][ok].mean(axis=0)
+            drop += 1
+        carry = [TrialLog(*(field[whole * per_drop:] for field in vars(log).values()))]
     return quant, ideal, failed_draws
 
 

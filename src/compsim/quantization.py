@@ -276,7 +276,7 @@ def _codebook_grid(codebooks, n_users: int, n_blocks: int) -> list[list[Codebook
 def _quantize_blocks(blocks: np.ndarray, scale: np.ndarray, grid, mode: str) -> FeedbackReport:
     """Quantize block (k, b) of every trial of ``blocks`` (trials, n_users,
     n_blocks, dim) with the codebook ``grid[k][b]``; its norm times
-    ``scale[k, b]`` passes through.
+    ``scale[k, b]``, or ``scale[t, k, b]`` in trial t, passes through.
 
     Each codebook searches all of its blocks, over every trial, in one
     ``quantize_many`` call. The reconstructed block is rho e^{j phi} times
@@ -308,7 +308,7 @@ def _quantize_blocks(blocks: np.ndarray, scale: np.ndarray, grid, mode: str) -> 
         indices[:, members] = idx.reshape(trials, len(members))
         error_sq[:, members] = err.reshape(trials, len(members))
         codewords[:, members] = cb.codewords[idx].reshape(trials, len(members), dim)
-    norms = scale.reshape(count) * rows.norms(flat)
+    norms = scale.reshape(scale.shape[:-2] + (count,)) * rows.norms(flat)
     c = rows.inner(codewords, flat)  # <block, codeword> = block codeword^H
     zero = c == 0.0  # no phase to align to: the codeword as it is
     phase = c / np.where(zero, 1.0, rows.magnitude(c))
@@ -333,8 +333,9 @@ def per_cell_feedback(
     ``codebooks`` is one Codebook of dimension n_tx shared by every link, or
     an n_users x n_bs grid. Reconstruction per user k: g_hat_k =
     [rho_{k,1} h_hat_{k,1}, ..., rho_{k,B} h_hat_{k,B}] with rho_{k,b} =
-    alpha_{k,b} ||h_{k,b}|| and h_hat_{k,b} the phase-aligned representative
-    of the selected codeword.
+    alpha_{k,b} ||h_{k,b}|| (from each trial's own map when ``large_scale``
+    has a trial axis) and h_hat_{k,b} the phase-aligned representative of the
+    selected codeword.
     """
     h = realization.small_scale
     grid = _codebook_grid(codebooks, h.shape[1], h.shape[2])
@@ -453,6 +454,14 @@ class ResolvedFeedback:
         if self.mode == "per_cell":
             return per_cell_feedback(realization, large_scale, self.codebooks)
         return global_feedback(realization, large_scale, self.codebooks)
+
+    def shares_codebooks(self, other: "ResolvedFeedback") -> bool:
+        """Whether ``other`` quantizes every block with the same codebook
+        object, so that trials of both can share one feedback block."""
+        if self.codebooks is None or other.codebooks is None:
+            return self.codebooks is other.codebooks
+        return all(a is b for row, other_row in zip(self.codebooks, other.codebooks)
+                   for a, b in zip(row, other_row))
 
     def expected_error_matrix(self) -> np.ndarray:
         """(n_users, n_bs) per-link E{sin^2 theta}: the estimate each per-cell

@@ -2,7 +2,8 @@
 
 Each entry is the first 12 hex digits of the sha256 of one output: CLI
 files and stdout at seed 3 (training seed 7103 or 7104 for the codebooks),
-and the fields of one orthogonalized rate-loss run.
+one run at a master seed wider than 64 bits, and the fields of one
+orthogonalized rate-loss run.
 The last bit of a float can depend on the numpy build, so the check skips
 unless numpy's version and BLAS are the ones the digests were recorded with.
 A change that alters an output on purpose declares it (a new random-stream
@@ -30,6 +31,9 @@ RECORDED = {
     "simulate fig3 --trials 20": "7c2f45c6a9c6",
     "simulate fig5 comp_per_cell_3_3 drops=10": "66e8826e789f",
     "simulate fig5 single_cell_global_6bit drops=10": "8c64abc9a85e",
+    "simulate fig5 comp_per_cell_3_3 drops=30 --workers 2": "e98010b76592",
+    "simulate fig5 single_cell_global_6bit drops=30 --workers 2": "4d290a1214a7",
+    "simulate fig3 --trials 20 --seed 18446744073709551617": "486cd5ad3585",
     "bound fig3 --at 50 --verify-appendix --trials 2000 csv": "d93ddced0506",
     "bound fig3 --at 50 --verify-appendix --trials 2000 stdout": "d57cb1b4d828",
     "bound fig4 per_cell_4_2 --at 100 --verify-appendix --trials 2000 csv": "b229ca820b89",
@@ -76,6 +80,15 @@ def outputs(workdir: Path) -> dict:
         config.write_text(scenario.serialize(replace(arm.scenario, drops=10)))
         csv, _ = _cli(workdir, "simulate", "--config", str(config), "--seed", "3")
         got[f"simulate fig5 {arm.label} drops=10"] = _digest(csv)
+        # several ranges, each filling blocks with the trials of several drops
+        config.write_text(scenario.serialize(replace(arm.scenario, drops=30)))
+        csv, _ = _cli(workdir, "simulate", "--config", str(config), "--seed", "3",
+                      "--workers", "2")
+        got[f"simulate fig5 {arm.label} drops=30 --workers 2"] = _digest(csv)
+    # a seed that spans three 32-bit words of the seed sequence's entropy
+    csv, _ = _cli(workdir, "simulate", "--preset", "fig3", "--trials", "20",
+                  "--seed", str(2**64 + 1))
+    got[f"simulate fig3 --trials 20 --seed {2**64 + 1}"] = _digest(csv)
     csv, stdout = _cli(workdir, "bound", "--preset", "fig3", "--at", "50", "--verify-appendix",
                        "--trials", "2000", "--seed", "3")
     got["bound fig3 --at 50 --verify-appendix --trials 2000 csv"] = _digest(csv)

@@ -249,6 +249,49 @@ class TestRunCdf:
         assert pids.read_text(encoding="ascii").split() == [str(os.getpid())]
 
 
+@pytest.fixture
+def handed(monkeypatch):
+    """The size of every process pool and the ranges handed to it; the
+    stand-in pool runs them in this process."""
+    handed = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            handed.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            tasks = list(tasks)
+            handed.append([task[1:] for task in tasks])
+            return map(fn, tasks)
+
+    monkeypatch.setattr(montecarlo.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    return handed
+
+
+def test_each_worker_gets_one_contiguous_range(handed):
+    ctx = montecarlo.build_context(small_fixed())
+    one = montecarlo.run_trials(ctx, 300)
+    montecarlo.run_trials(ctx, 1, workers=2)  # one range: no pool
+    assert handed == []
+    two = montecarlo.run_trials(ctx, 300, workers=2)
+    assert handed == [2, [(0, 150), (150, 300)]]
+    for name in ("ideal", "quantized", "interference", "ok"):
+        assert np.array_equal(getattr(one, name), getattr(two, name), equal_nan=True)
+    handed.clear()
+    montecarlo.run_trials(ctx, 3, workers=8)  # fewer trials than workers
+    assert handed == [3, [(0, 1), (1, 2), (2, 3)]]
+    handed.clear()
+    scn = replace(scenario.preset("fig5").arms[0].scenario, drops=5, trials_per_drop=2)
+    montecarlo.run_cdf(scn, workers=2)
+    assert handed == [2, [(0, 3), (3, 5)]]
+
+
 class TestWorkerInvariance:
     @settings(max_examples=5, deadline=None)
     @given(master_seed=st.integers(0, 2**32 - 1), trials=st.integers(1, 40),
@@ -289,6 +332,16 @@ def block_contexts(draw):
             for feedback, orth in ((per_cell, False), (global_, False), (per_cell, True))]
 
 
+def drop_scenario(arm: str) -> scenario.Scenario:
+    """A fig5 arm, or the cooperative arm with global random codebooks: one
+    codebook per user and drop, as the profile moves with the drop."""
+    if arm == "comp_global_random":
+        comp = scenario.preset("fig5").arms[0].scenario
+        return replace(comp, feedback=FeedbackConfig(mode="global", global_bits=2,
+                                                     codebook_kind="random", training_seed=64))
+    return next(a.scenario for a in scenario.preset("fig5").arms if a.label == arm)
+
+
 class TestBlockInvariance:
     @settings(max_examples=4, deadline=None)
     @given(contexts=block_contexts(), trials=st.integers(1, 80), drops=st.integers(1, 3),
@@ -312,3 +365,35 @@ class TestBlockInvariance:
                     for name in ("quantized", "ideal", "failed_draws", "dead_drops"):
                         assert np.array_equal(getattr(cdf, name), getattr(cdf_reference, name),
                                               equal_nan=True), (block, workers, name)
+
+    @pytest.mark.parametrize("arm", ["comp_per_cell_3_3", "single_cell_global_6bit",
+                                     "comp_global_random"])
+    @settings(max_examples=3, deadline=None)
+    @given(master_seed=st.integers(0, 2**32 - 1), drops=st.integers(1, 4),
+           trials_per_drop=st.integers(1, 30))
+    @example(master_seed=9501, drops=4, trials_per_drop=20)
+    def test_drop_results_do_not_depend_on_block_size_or_workers(self, arm, master_seed, drops,
+                                                                 trials_per_drop):
+        scn = replace(drop_scenario(arm), drops=drops, trials_per_drop=trials_per_drop,
+                      master_seed=master_seed)
+        reference = montecarlo.run_cdf(scn)
+        for block in (1, 7, 64, montecarlo.BLOCK_TRIALS):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(montecarlo, "BLOCK_TRIALS", block)
+                for workers in (1, 2):
+                    cdf = montecarlo.run_cdf(scn, workers=workers)
+                    for name in ("quantized", "ideal", "failed_draws", "dead_drops"):
+                        assert np.array_equal(getattr(cdf, name), getattr(reference, name),
+                                              equal_nan=True), (block, workers, name)
+
+    @pytest.mark.parametrize("arm", ["comp_per_cell_3_3", "single_cell_global_6bit",
+                                     "comp_global_random"])
+    def test_drop_blocks_fill_up_and_cut_where_codebooks_change(self, arm):
+        scn = replace(drop_scenario(arm), drops=30, trials_per_drop=20)
+        sizes = [len(rngs) for _, rngs in montecarlo._drop_blocks(scn, 0, scn.drops)]
+        if arm == "comp_global_random":  # every drop trains codebooks for its own profiles
+            assert sizes == [20] * 30
+        else:  # 600 trials fill whole blocks, whatever drop they come from
+            full, rest = divmod(600, montecarlo.BLOCK_TRIALS)
+            assert sizes == [montecarlo.BLOCK_TRIALS] * full + [rest] * (rest > 0)
+
