@@ -24,6 +24,7 @@ from .errors import (
     DomainError,
     EstimationError,
     ScenarioError,
+    TrainingError,
 )
 from .precoding import instantaneous_rate, sinr, zf_precoder
 from .quantization import (
@@ -64,6 +65,7 @@ __all__ = [
     "RunResult",
     "Scenario",
     "ScenarioError",
+    "TrainingError",
     "assemble_global",
     "build_large_scale",
     "global_feedback",

@@ -291,7 +291,7 @@ def cmd_train_codebook(args) -> int:
     cb = quantization.build_codebook(args.dimension, args.bits, args.kind, args.seed, profile)
     _write_output(quantization.codebook_text(cb), args.out)
     _progress(f"wrote {args.out}: dimension {cb.dimension}, bits {cb.bits}, "
-              f"E{{sin^2}} = {cb.training_meta['expected_error']['mean']:.6f}")
+              f"E{{sin^2}} = {quantization.error_estimate(cb)['mean']:.6f}")
     return 0
 
 

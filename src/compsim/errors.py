@@ -24,6 +24,11 @@ class EstimationError(CompsimError):
     """A Monte Carlo estimate could not be formed (e.g. all trials failed)."""
 
 
+class TrainingError(CompsimError):
+    """Codebook training broke an invariant it relies on (e.g. Lloyd's
+    non-increasing distortion)."""
+
+
 class ScenarioError(ConfigurationError):
     """A scenario document failed to parse; ``errors`` are located diagnostics."""
 

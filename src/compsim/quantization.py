@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import channel, rows, rng as rngmod
-from .errors import ConfigurationError, DomainError, raise_problems
+from .errors import ConfigurationError, DomainError, TrainingError, raise_problems
 
 DEFAULT_LLOYD_OVERSAMPLING = 200  # training samples per codeword
 MIN_LLOYD_OVERSAMPLING = 100
@@ -137,14 +137,6 @@ def quantize_many(vectors: np.ndarray, cb: Codebook) -> tuple[np.ndarray, np.nda
     return idx, np.maximum(err, 0.0, out=err)
 
 
-def _dominant_direction(samples: np.ndarray) -> np.ndarray:
-    """Unit row vector maximizing sum |x c^H|^2 over the sample rows."""
-    corr = samples.conj().T @ samples
-    _, vecs = np.linalg.eigh(corr)
-    c = vecs[:, -1].conj()  # row-vector convention
-    return c / np.linalg.norm(c)
-
-
 def train_lloyd(
     dimension: int,
     bits: int,
@@ -176,30 +168,43 @@ def train_lloyd(
         raise ConfigurationError("training samples must be unit norm")
 
     codewords = isotropic_directions(size, dimension, rng)
+    # the assignment step's working arrays, allocated once
+    products = np.empty((x.shape[0], size), dtype=complex)
+    sims = np.empty((x.shape[0], size))
+    cluster_type = np.min_scalar_type(size - 1)  # narrow keys take numpy's radix sort
     history: list[float] = []
     reseeded = 0
     converged = False
     for _ in range(max_iters):
-        sims = np.abs(x @ codewords.conj().T) ** 2
+        np.matmul(x, codewords.conj().T, out=products)
+        np.square(np.abs(products, out=sims), out=sims)  # |x c^H|^2
         assign = sims.argmax(axis=1)
         best = np.take_along_axis(sims, assign[:, None], axis=1)[:, 0]
         distortion = float(1.0 - best.mean())
         if history and distortion > history[-1] + 1e-12:
-            raise RuntimeError("Lloyd distortion increased between iterations")
+            raise TrainingError("Lloyd distortion increased between iterations")
         if history and history[-1] - distortion < tol * max(history[-1], np.finfo(float).tiny):
             history.append(distortion)
             converged = True
             break
         history.append(distortion)
 
+        # Centroids: the dominant eigenvector of each cluster's sample
+        # correlation. A stable sort by cluster makes each cluster's members,
+        # in sample order, one contiguous slice, so every correlation has the
+        # bits of the cluster's rows taken alone; one stacked eigh solves all.
+        grouped = x[np.argsort(assign.astype(cluster_type), kind="stable")]
+        counts = np.bincount(assign, minlength=size)
+        starts = np.concatenate(([0], np.cumsum(counts))).tolist()
+        filled = np.flatnonzero(counts)
+        corr = np.empty((filled.size, dimension, dimension), dtype=complex)
+        for j, i in enumerate(filled.tolist()):
+            members = grouped[starts[i]:starts[i + 1]]
+            np.matmul(members.conj().T, members, out=corr[j])
+        top = np.linalg.eigh(corr)[1][:, :, -1].conj()  # row-vector convention
         new_codewords = codewords.copy()
-        empty = []
-        for i in range(size):
-            members = x[assign == i]
-            if members.shape[0] == 0:
-                empty.append(i)
-            else:
-                new_codewords[i] = _dominant_direction(members)
+        new_codewords[filled] = top / rows.norms(top)[:, None]
+        empty = np.flatnonzero(counts == 0).tolist()
         if empty:
             # Re-seed with the worst-quantized samples, skipping exact
             # duplicates of rows already present (repeated training samples
@@ -366,13 +371,17 @@ def global_feedback(
 
 def codebook_text(cb: Codebook) -> str:
     """Canonical text form: header lines, then one codeword per line as
-    re/im pairs printed with shortest round-trip precision."""
+    re/im pairs printed with shortest round-trip precision. The meta line of
+    a codebook built from its identity carries its ``error_estimate``."""
+    meta = cb.training_meta or {}
+    if "seed" in meta:
+        meta = {**meta, "expected_error": error_estimate(cb)}
     lines = [
         "compsim-codebook v1",
         f"dimension {cb.dimension}",
         f"bits {cb.bits}",
         f"kind {cb.kind}",
-        "meta " + json.dumps(cb.training_meta or {}, sort_keys=True, separators=(",", ":")),
+        "meta " + json.dumps(meta, sort_keys=True, separators=(",", ":")),
         f"codewords {cb.size}",
     ]
     for row in cb.codewords:
@@ -464,12 +473,11 @@ class ResolvedFeedback:
                    for a, b in zip(row, other_row))
 
     def expected_error_matrix(self) -> np.ndarray:
-        """(n_users, n_bs) per-link E{sin^2 theta}: the estimate each per-cell
-        codebook carries in its training metadata."""
+        """(n_users, n_bs) per-link E{sin^2 theta}: each per-cell codebook's
+        ``error_estimate``."""
         if self.mode != "per_cell":
             raise ConfigurationError("per-link expected errors need per-cell feedback")
-        return np.array([[cb.training_meta["expected_error"]["mean"] for cb in row]
-                         for row in self.codebooks])
+        return np.array([[error_estimate(cb)["mean"] for cb in row] for row in self.codebooks])
 
 
 _codebook_cache: dict = {}
@@ -485,6 +493,15 @@ def _directions(count: int, dimension: int, profile, rng: np.random.Generator) -
     return composite_directions(count, profile, dimension // len(profile), rng)
 
 
+def _labels(dimension: int, bits: int, profile: tuple | None) -> tuple:
+    """The substream labels of a codebook identity: (dimension, bits) and,
+    for a global codebook, a label folded from its profile."""
+    if profile is None:
+        return dimension, bits
+    digest = hashlib.sha256(repr(profile).encode()).digest()
+    return dimension, bits, int.from_bytes(digest[:4], "big")
+
+
 def build_codebook(
     dimension: int,
     bits: int,
@@ -492,43 +509,56 @@ def build_codebook(
     seed: int,
     profile: tuple | None = None,
 ) -> Codebook:
-    """Train (or draw) one codebook and attach its expected-error estimate.
+    """Train (or draw) one codebook.
 
     ``(dimension, bits, kind, seed, profile)`` is the whole identity of the
     codebook. ``profile`` is None for a per-cell codebook, whose input
     directions are isotropic, and the served user's energy split over the
     BSs for a global one, whose inputs are that user's composite directions.
-    Training and estimation draw from the TRAINING and ERROR_ESTIMATE
-    substreams of ``seed`` keyed by (dimension, bits) and, for a global
-    codebook, a label folded from the profile. ``training_meta`` records the
-    seed and, for a global codebook, the profile, so its text form carries
-    its whole identity.
+    Training draws from the TRAINING substream of ``seed`` keyed by
+    ``_labels``. ``training_meta`` records the seed and, for a global
+    codebook, the profile, so its text form carries its whole identity and
+    ``error_estimate`` can draw from it.
     """
     if dimension < 1:
         raise ConfigurationError("dimension must be >= 1")
     if problem := _bits_problem(bits):
         raise ConfigurationError(f"bits {problem}")
-    labels = (dimension, bits)
     if profile is not None:
         profile = tuple(np.asarray(profile, dtype=float).tolist())
-        digest = hashlib.sha256(repr(profile).encode()).digest()
-        labels += (int.from_bytes(digest[:4], "big"),)
-    train_rng = rngmod.substream(seed, rngmod.TRAINING, *labels)
+    train_rng = rngmod.substream(seed, rngmod.TRAINING, *_labels(dimension, bits, profile))
     if kind == "random":
         cb = random_codebook(dimension, bits, train_rng)
     else:
         samples = _directions(DEFAULT_LLOYD_OVERSAMPLING * 2**bits, dimension, profile, train_rng)
         cb = train_lloyd(dimension, bits, samples, rng=train_rng)
-    err_rng = rngmod.substream(seed, rngmod.ERROR_ESTIMATE, *labels)
-    mean, se = expected_error(
-        cb, _directions(DEFAULT_ERROR_ESTIMATE_DRAWS, dimension, profile, err_rng))
     meta = dict(cb.training_meta or {})
-    meta["expected_error"] = {"mean": mean, "se": se, "draws": DEFAULT_ERROR_ESTIMATE_DRAWS}
     meta["seed"] = seed
     if profile is not None:
         meta["profile"] = list(profile)
     cb.training_meta = meta
     return cb
+
+
+def error_estimate(cb: Codebook) -> dict:
+    """E{sin^2 theta} of a codebook ``build_codebook`` built, as ``{"mean",
+    "se", "draws"}`` over ``DEFAULT_ERROR_ESTIMATE_DRAWS`` input directions
+    from the ERROR_ESTIMATE substream of its identity.
+
+    Drawn on first read and kept in ``training_meta["expected_error"]``, so
+    only the readers pay for it: the per-cell bound and the codebook text.
+    """
+    meta = cb.training_meta or {}
+    if "seed" not in meta:
+        raise ConfigurationError("only a codebook built from its identity has an error estimate")
+    if "expected_error" not in meta:
+        profile = tuple(meta["profile"]) if "profile" in meta else None
+        err_rng = rngmod.substream(meta["seed"], rngmod.ERROR_ESTIMATE,
+                                   *_labels(cb.dimension, cb.bits, profile))
+        mean, se = expected_error(
+            cb, _directions(DEFAULT_ERROR_ESTIMATE_DRAWS, cb.dimension, profile, err_rng))
+        meta["expected_error"] = {"mean": mean, "se": se, "draws": DEFAULT_ERROR_ESTIMATE_DRAWS}
+    return meta["expected_error"]
 
 
 def _codebook(config: FeedbackConfig, dimension: int, bits: int,

@@ -41,14 +41,14 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 
 def _hash_constants(hash_const: int, mult: int, count: int):
     """The constants that ``count`` successive hashes of SeedSequence xor
-    with and multiply by, starting from ``hash_const``, as uint32 arrays;
+    with and multiply by, starting from ``hash_const``, as lists of ints;
     and the hash constant after them."""
     xor, mul = [], []
     for _ in range(count):
         xor.append(hash_const)
         hash_const = (hash_const * mult) & _MASK
         mul.append(hash_const)
-    return np.array(xor, dtype=np.uint32), np.array(mul, dtype=np.uint32), hash_const
+    return xor, mul, hash_const
 
 
 def _hash(value, xor, mul):
@@ -63,6 +63,13 @@ def _mix(x, y):
     return result ^ (result >> 16)
 
 
+# The hashes that fill the pool from its first four entropy words, and those
+# of state generation, start from fixed constants: derive them once.
+_POOL_XOR, _POOL_MUL, _POOL_AFTER = _hash_constants(_INIT_A, _MULT_A, _POOL * _POOL)
+_STATE_XOR, _STATE_MUL = (np.array(c, dtype=np.uint32)
+                          for c in _hash_constants(_INIT_B, _MULT_B, 2 * _POOL)[:2])
+
+
 def _words(value: int) -> list[int]:
     """Little-endian 32-bit words of a nonnegative integer; [0] for 0."""
     if value < 0:
@@ -73,16 +80,20 @@ def _words(value: int) -> list[int]:
     return words
 
 
-def _initial_pool(entropy: list) -> tuple[list, int]:
-    """The pool of the first ``_POOL`` entropy words, each hashed in and then
-    mixed into every other, and the hash constant after them."""
-    xor, mul, hash_const = _hash_constants(_INIT_A, _MULT_A, _POOL * _POOL)
-    constants = zip(xor.tolist(), mul.tolist())  # Python ints: no overflow warnings
-    pool = [_hash(word, *next(constants)) for word in entropy]
+def _shared_pool(entropy: list) -> tuple[list, int]:
+    """The pool of the entropy words every key shares, in Python ints: the
+    first ``_POOL`` words hashed in and mixed into every other, then each
+    further word mixed into every pool word; and the hash constant after."""
+    constants = zip(_POOL_XOR, _POOL_MUL)
+    pool = [_hash(word, *next(constants)) for word in entropy[:_POOL]]
     for src in range(_POOL):
         for dst in range(_POOL):
             if src != dst:
                 pool[dst] = _mix(pool[dst], _hash(pool[src], *next(constants)))
+    hash_const = _POOL_AFTER
+    for word in entropy[_POOL:]:
+        xor, mul, hash_const = _hash_constants(hash_const, _MULT_A, _POOL)
+        pool = [_mix(p, _hash(word, x, m)) for p, x, m in zip(pool, xor, mul)]
     return pool, hash_const
 
 
@@ -90,7 +101,8 @@ def _absorb(pool: np.ndarray, words: np.ndarray, hash_const: int) -> tuple[np.nd
     """Mix one entropy word beyond the pool's size into the pool words of its
     row: ``pool`` is (rows, 4) or (1, 4), ``words`` (rows,) uint32."""
     xor, mul, hash_const = _hash_constants(hash_const, _MULT_A, _POOL)
-    return _mix(pool, _hash(words[:, None], xor, mul)), hash_const
+    hashed = _hash(words[:, None], np.array(xor, dtype=np.uint32), np.array(mul, dtype=np.uint32))
+    return _mix(pool, hashed), hash_const
 
 
 def seed_states(master_seed: int, prefix, indices) -> np.ndarray:
@@ -108,17 +120,14 @@ def seed_states(master_seed: int, prefix, indices) -> np.ndarray:
     entropy = _words(master_seed)
     entropy += [0] * (_POOL - len(entropy))
     entropy += [w for k in prefix for w in _words(int(k))]
-    pool, hash_const = _initial_pool(entropy[:_POOL])
-    pool = np.array([pool], dtype=np.uint32)
-    for word in entropy[_POOL:]:
-        pool, hash_const = _absorb(pool, np.array([word], dtype=np.uint32), hash_const)
-    pool, after = _absorb(pool, (index & _MASK).astype(np.uint32), hash_const)
+    pool, hash_const = _shared_pool(entropy)
+    pool, after = _absorb(np.array([pool], dtype=np.uint32), (index & _MASK).astype(np.uint32),
+                          hash_const)
     high = index >> 32
     if high.any():  # an index of two words absorbs its second word as well
         wide, _ = _absorb(pool, high.astype(np.uint32), after)
         pool = np.where((high != 0)[:, None], wide, pool)
-    xor, mul, _ = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL)
-    state = _hash(np.tile(pool, 2), xor, mul)  # word i from pool word i mod 4
+    state = _hash(np.tile(pool, 2), _STATE_XOR, _STATE_MUL)  # word i from pool word i mod 4
     # word pairs as little-endian uint64, as SeedSequence.generate_state does
     return state.astype("<u4", copy=False).view("<u8").astype(np.uint64)
 

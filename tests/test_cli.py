@@ -1,3 +1,4 @@
+import hashlib
 import json
 from dataclasses import replace
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from compsim import cli, montecarlo, quantization, scenario
+from compsim import rng as rngmod
 from compsim.quantization import (build_codebook, codebook_text, expected_error,
                                   isotropic_directions)
 from compsim.rng import substream
@@ -48,7 +50,7 @@ class TestTrainCodebook:
                        "--seed", "7103", "--out", str(out)) == 0
         cb = build_codebook(4, 3, "lloyd", 7103)
         assert out.read_text() == codebook_text(cb)
-        cached = cb.training_meta["expected_error"]
+        cached = quantization.error_estimate(cb)
         mean, se = expected_error(cb, isotropic_directions(100_000, cb.dimension,
                                                            substream(999, 3, 0)))
         assert abs(cached["mean"] - mean) <= 3 * np.hypot(se, cached["se"])
@@ -60,10 +62,98 @@ class TestTrainCodebook:
         cb = build_codebook(8, 2, "random", 3)
         assert cb.kind == "random" and out.read_text() == codebook_text(cb)
 
+    def test_lloyd_distortion_increase_is_runtime_error(self, tmp_path, capsys, monkeypatch):
+        eigh = np.linalg.eigh
+
+        def weakest_first(a):  # centroids on the weakest direction raise the distortion
+            w, v = eigh(a)
+            return w[..., ::-1], v[..., ::-1]
+
+        monkeypatch.setattr(np.linalg, "eigh", weakest_first)
+        out = tmp_path / "cb.cbk"
+        assert run_cli("train-codebook", "--dimension", "4", "--bits", "3",
+                       "--out", str(out)) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "error: Lloyd distortion increased between iterations"]
+        assert not out.exists()
+
     def test_unwritable_path_is_runtime_error(self, tmp_path):
         rc = run_cli("train-codebook", "--dimension", "4", "--bits", "1",
                      "--out", str(tmp_path / "nodir" / "cb.cbk"))
         assert rc == 3
+
+
+class TestLazyErrorEstimate:
+    """A codebook's error estimate is drawn on first read, once, with the bits
+    of an estimate drawn right after training. Only the per-cell bound reads
+    one (``bound``, and ``simulate``'s ``rate_loss_bound`` rows) and
+    ``train-codebook``'s text: ``simulate`` draws none for a global codebook
+    and none on a random-drop arm."""
+
+    @pytest.fixture
+    def estimates(self, monkeypatch):
+        """An empty codebook cache, and every ``expected_error`` call's codebook."""
+        monkeypatch.setattr(quantization, "_codebook_cache", {})
+        calls = []
+        estimate = quantization.expected_error
+
+        def counted(cb, directions):
+            calls.append(cb)
+            return estimate(cb, directions)
+
+        monkeypatch.setattr(quantization, "expected_error", counted)
+        return calls
+
+    @staticmethod
+    def _eager(cb):
+        """The estimate ``build_codebook`` drew right after training."""
+        meta = cb.training_meta
+        if "profile" in meta:
+            digest = hashlib.sha256(repr(tuple(meta["profile"])).encode()).digest()
+            gen = substream(meta["seed"], rngmod.ERROR_ESTIMATE, cb.dimension, cb.bits,
+                            int.from_bytes(digest[:4], "big"))
+            directions = quantization.composite_directions(
+                100_000, meta["profile"], cb.dimension // len(meta["profile"]), gen)
+        else:
+            gen = substream(meta["seed"], rngmod.ERROR_ESTIMATE, cb.dimension, cb.bits)
+            directions = isotropic_directions(100_000, cb.dimension, gen)
+        mean, se = expected_error(cb, directions)
+        return {"mean": mean, "se": se, "draws": 100_000}
+
+    def test_simulate_draws_only_the_per_cell_bounds_estimates(self, estimates, tmp_path):
+        assert run_cli("simulate", "--preset", "fig4", "--trials", "20",
+                       "--out", str(tmp_path / "fig4.csv")) == 0
+        for arm in scenario.preset("fig5").arms:
+            cfg = tmp_path / f"{arm.label}.json"
+            cfg.write_text(scenario.serialize(replace(arm.scenario, drops=10)))
+            assert run_cli("simulate", "--config", str(cfg),
+                           "--out", str(tmp_path / f"{arm.label}.csv")) == 0
+        # fig4's global 6-bit arm and fig5's single-cell arm built global codebooks
+        assert any("profile" in cb.training_meta for cb in quantization._codebook_cache.values())
+        # fig4's per-cell 4, 3 and 2-bit codebooks, for the rate_loss_bound rows
+        assert sorted((cb.dimension, cb.bits) for cb in estimates) == [(4, 2), (4, 3), (4, 4)]
+
+    def test_bound_draws_each_estimate_once(self, estimates):
+        argv = ("bound", "--preset", "fig4", "--arm", "per_cell_4_2", "--at", "100",
+                "--verify-appendix", "--trials", "2000")
+        for _ in range(2):
+            assert run_cli(*argv) == 0
+        assert sorted(cb.bits for cb in estimates) == [2, 4]
+        for cb in estimates:
+            assert quantization.error_estimate(cb) == self._eager(cb)
+        assert len(estimates) == 2
+
+    def test_train_codebook_draws_its_estimate_once(self, estimates, tmp_path):
+        arm = scenario.preset("fig4").arms[0]
+        cfg = tmp_path / "fig4.json"
+        cfg.write_text(scenario.serialize(arm.scenario))
+        out = tmp_path / "cb.cbk"
+        assert run_cli("train-codebook", "--config", str(cfg), "--at", "100",
+                       "--dimension", "8", "--bits", "2", "--seed", "7104",
+                       "--out", str(out)) == 0
+        (cb,) = estimates
+        meta = json.loads(out.read_text().splitlines()[4].removeprefix("meta "))
+        assert meta["expected_error"] == self._eager(cb)
 
 
 class TestCodebookFileParity:

@@ -2,8 +2,9 @@
 
 Each entry is the first 12 hex digits of the sha256 of one output: CLI
 files and stdout at seed 3 (training seed 7103 or 7104 for the codebooks),
-one run at a master seed wider than 64 bits, and the fields of one
-orthogonalized rate-loss run.
+one run at a master seed wider than 64 bits, the fields of one
+orthogonalized rate-loss run, and the codewords and meta of one Lloyd
+training that re-seeds empty clusters.
 The last bit of a float can depend on the numpy build, so the check skips
 unless numpy's version and BLAS are the ones the digests were recorded with.
 A change that alters an output on purpose declares it (a new random-stream
@@ -15,6 +16,7 @@ contract or file format) and records the new digests, printed by
 import contextlib
 import hashlib
 import io
+import json
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -23,6 +25,7 @@ import numpy as np
 import pytest
 
 from compsim import bounds, cli, quantization, scenario
+from compsim.rng import substream
 
 RECORDED_NUMPY = "2.4.6"
 RECORDED_BLAS = "scipy-openblas 0.3.31.188.0"
@@ -39,9 +42,12 @@ RECORDED = {
     "bound fig4 per_cell_4_2 --at 100 --verify-appendix --trials 2000 csv": "b229ca820b89",
     "bound fig4 per_cell_4_2 --at 100 --verify-appendix --trials 2000 stdout": "e1664c047323",
     "train-codebook --dimension 4 --bits 3 --seed 7103": "c79d3291da82",
+    "train-codebook --dimension 4 --bits 4 --seed 7104": "a268644eb847",
     "train-codebook fig4 global_6bit --at 100 --user 0 --bits 2 --seed 7104": "e47dd64ae393",
+    "train-codebook fig4 global_6bit --at 100 --user 0 --bits 6 --seed 7104": "f89a1fe1787c",
     "simulate fig4 global_6bit global_bits=2 --trials 20": "261d4d946dff",
     "rate_loss_montecarlo fig3 ms2_150m at 100 m": "f3ec2358b768",
+    "train_lloyd two point masses, 4 codewords": "8c8e8e036cc0",
 }
 
 # fields of the orthogonalized rate-loss run, digested in this order
@@ -102,12 +108,20 @@ def outputs(workdir: Path) -> dict:
     codebook, _ = _cli(workdir, "train-codebook", "--dimension", "4", "--bits", "3",
                        "--seed", "7103")
     got["train-codebook --dimension 4 --bits 3 --seed 7103"] = _digest(codebook)
+    codebook, _ = _cli(workdir, "train-codebook", "--dimension", "4", "--bits", "4",
+                       "--seed", "7104")
+    got["train-codebook --dimension 4 --bits 4 --seed 7104"] = _digest(codebook)
     arm = scenario.preset("fig4").arms[0]
     config = workdir / f"{arm.label}.json"
     config.write_text(scenario.serialize(arm.scenario))
     codebook, _ = _cli(workdir, "train-codebook", "--config", str(config), "--at", "100",
                        "--user", "0", "--dimension", "8", "--bits", "2", "--seed", "7104")
     got[f"train-codebook fig4 {arm.label} --at 100 --user 0 --bits 2 --seed 7104"] = \
+        _digest(codebook)
+    # 64 codewords: the centroid step over many clusters at once
+    codebook, _ = _cli(workdir, "train-codebook", "--config", str(config), "--at", "100",
+                       "--user", "0", "--dimension", "8", "--bits", "6", "--seed", "7104")
+    got[f"train-codebook fig4 {arm.label} --at 100 --user 0 --bits 6 --seed 7104"] = \
         _digest(codebook)
     config.write_text(scenario.serialize(replace(
         arm.scenario, trials=20, feedback=replace(arm.scenario.feedback, global_bits=2))))
@@ -119,6 +133,11 @@ def outputs(workdir: Path) -> dict:
                                          trials=200, master_seed=3, orthogonalize=True)
     got[f"rate_loss_montecarlo fig3 {arm.label} at 100 m"] = _digest(b"".join(
         np.asarray(getattr(result, f), dtype=float).tobytes() for f in RATE_LOSS_FIELDS))
+    # two point masses and four codewords: empty clusters, re-seeded
+    samples = np.repeat(np.eye(4, dtype=complex)[:2], 200, axis=0)
+    cb = quantization.train_lloyd(4, 2, samples, rng=substream(12, 0, 9))
+    got["train_lloyd two point masses, 4 codewords"] = _digest(
+        cb.codewords.tobytes() + json.dumps(cb.training_meta, sort_keys=True).encode())
     return got
 
 

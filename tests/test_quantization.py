@@ -9,6 +9,7 @@ from compsim.errors import ConfigurationError, DomainError
 from compsim.quantization import (
     Codebook,
     FeedbackConfig,
+    error_estimate,
     expected_error,
     global_feedback,
     isotropic_directions,
@@ -409,6 +410,10 @@ class TestExpectedError:
         assert m1 == m2
         assert 0.0 < m1 < 1.0 and se1 > 0.0
 
+    def test_only_a_built_codebook_has_an_estimate(self):
+        with pytest.raises(ConfigurationError, match="identity"):
+            error_estimate(random_codebook(4, 3, substream(41, 0, 2)))
+
 
 class TestResolveCodebooks:
     def test_per_cell_shares_codebooks_by_bits(self):
@@ -422,7 +427,7 @@ class TestResolveCodebooks:
         assert grid[0][1] is grid[1][0]  # both 2-bit
         assert grid[0][0].bits == 4 and grid[0][1].bits == 2
         for cb in (grid[0][0], grid[0][1]):
-            assert "expected_error" in cb.training_meta
+            assert 0.0 < error_estimate(cb)["mean"] < 1.0
 
     def test_global_codebooks_keyed_by_energy_profile(self):
         ls = _support.two_cell_map(250.0, 250.0)  # both users symmetric
