@@ -90,8 +90,6 @@ class RunResult:
     interference_log_bound: np.ndarray
     failures: int
     trials: int
-    config_fingerprint: str
-    seed: int
 
 
 @dataclass
@@ -103,8 +101,6 @@ class CdfResult:
     failed_draws: int
     dead_drops: int
     drops: int
-    config_fingerprint: str
-    seed: int
 
 
 def _evaluate_block(ctx: TrialContext, rngs: list) -> TrialLog:
@@ -252,8 +248,6 @@ def aggregate(scn: scenariomod.Scenario, log: TrialLog) -> RunResult:
         interference_log_bound=np.log2(1.0 + interference_mean / scn.noise_power),
         failures=int(scn.trials - ok.sum()),
         trials=scn.trials,
-        config_fingerprint=scenariomod.fingerprint(scn),
-        seed=scn.master_seed,
     )
 
 
@@ -367,6 +361,4 @@ def run_cdf(scn: scenariomod.Scenario, workers: int = 1) -> CdfResult:
         failed_draws=failed,
         dead_drops=dead,
         drops=scn.drops,
-        config_fingerprint=scenariomod.fingerprint(scn),
-        seed=scn.master_seed,
     )

@@ -22,6 +22,8 @@ MIN_LLOYD_OVERSAMPLING = 100
 DEFAULT_LLOYD_MAX_ITERS = 100
 DEFAULT_LLOYD_TOL = 1e-6  # relative mean-distortion improvement
 DEFAULT_ERROR_ESTIMATE_DRAWS = 100_000
+BLOCK_ROWS = 8192  # rows a Monte Carlo estimate evaluates at once; bounds its memory
+CODEBOOK_CACHE_SIZE = 32  # codebooks the cache keeps, the least recently used evicted first
 
 _UNIT_NORM_TOL = 1e-12
 
@@ -116,6 +118,17 @@ def random_codebook(dimension: int, bits: int, rng: np.random.Generator) -> Code
         bits=bits,
         kind="random",
     )
+
+
+def row_blocks(count: int) -> list[slice]:
+    """Consecutive slices of ``range(count)``, ``BLOCK_ROWS`` rows each but
+    the last. A remainder of one row joins the block before it: numpy
+    multiplies a single row by its vector path, whose last bits differ, so
+    every row gets the bits it has in one whole-array call."""
+    starts = list(range(0, count, BLOCK_ROWS))
+    if len(starts) > 1 and count - starts[-1] == 1:
+        starts.pop()
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [count])]
 
 
 def quantize_many(vectors: np.ndarray, cb: Codebook) -> tuple[np.ndarray, np.ndarray]:
@@ -240,8 +253,12 @@ def train_lloyd(
 
 def expected_error(cb: Codebook, directions: np.ndarray) -> tuple[float, float]:
     """Monte Carlo estimate (mean, standard error) of E{sin^2 theta} over the
-    rows of ``directions``, drawn from the codebook's input distribution."""
-    _, err = quantize_many(directions, cb)
+    rows of ``directions``, drawn from the codebook's input distribution.
+
+    The rows are quantized in ``row_blocks``, so the search's temporaries
+    stay a block's size, and one mean and SE are taken over all the errors."""
+    err = np.concatenate([quantize_many(directions[block], cb)[1]
+                          for block in row_blocks(len(directions))])
     n = err.shape[0]
     return float(err.mean()), float(err.std(ddof=1) / np.sqrt(n))
 
@@ -480,6 +497,7 @@ class ResolvedFeedback:
         return np.array([[error_estimate(cb)["mean"] for cb in row] for row in self.codebooks])
 
 
+# identity -> codebook, in order of last use
 _codebook_cache: dict = {}
 
 
@@ -563,11 +581,20 @@ def error_estimate(cb: Codebook) -> dict:
 
 def _codebook(config: FeedbackConfig, dimension: int, bits: int,
               profile: tuple | None = None) -> Codebook:
-    """The cached codebook of this identity, built on first use."""
+    """The cached codebook of this identity, built on first use.
+
+    The cache keeps the ``CODEBOOK_CACHE_SIZE`` codebooks used last, so a run
+    whose every random drop needs codebooks of its own leaves a bounded
+    cache, while the codebooks every drop or sweep point shares stay in it
+    (and stay the same objects, which ``shares_codebooks`` relies on)."""
     key = (dimension, bits, config.codebook_kind, config.training_seed, profile)
-    if key not in _codebook_cache:
-        _codebook_cache[key] = build_codebook(*key)
-    return _codebook_cache[key]
+    cb = _codebook_cache.pop(key, None)
+    if cb is None:
+        cb = build_codebook(*key)
+    _codebook_cache[key] = cb  # now the most recently used
+    while len(_codebook_cache) > CODEBOOK_CACHE_SIZE:
+        del _codebook_cache[next(iter(_codebook_cache))]
+    return cb
 
 
 def resolve_codebooks(

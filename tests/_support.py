@@ -44,25 +44,6 @@ def twocell_bound(*args) -> float:
     return bounds.rate_loss_bound_general(twocell_params(*args), 0)[0]
 
 
-def inverse_norm_moment(alpha_sq_row, n_tx: int) -> float:
-    """Exact E{1/X} for X = sum_b alpha_sq_b * Gamma(n_tx, 1), by quadrature.
-
-    E{1/X} = int_0^inf prod_b (1 + alpha_sq_b s)^(-n_tx) ds. With
-    t = 1/(1 + max(alpha_sq) s) the integral runs over [0, 1] with a smooth
-    integrand, evaluated by Gauss-Legendre (200 nodes reach ~1e-14 relative
-    accuracy on the two-cell geometries of the acceptance suite).
-    """
-    a = np.asarray(alpha_sq_row, dtype=float)
-    peak = a.max()
-    r = a / peak
-    x, w = np.polynomial.legendre.leggauss(200)
-    t = 0.5 * (x + 1.0)
-    # 1 + alpha_sq_b s = (t + r_b (1 - t)) / t and ds = dt / (peak t^2)
-    denom = np.prod((t[:, None] + r * (1.0 - t[:, None])) ** n_tx, axis=1)
-    integrand = t ** (n_tx * a.size - 2) / denom
-    return 0.5 * float(w @ integrand) / peak
-
-
 def perfect_codebook_for(realization: channel.ChannelRealization) -> quantization.Codebook:
     """Codebook whose codewords are exactly the block directions of every
     trial of the realization.

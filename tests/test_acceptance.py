@@ -26,6 +26,7 @@ from compsim.bounds import (
     RateLossParams,
     check_inverse_norm,
     check_nullspace_moment,
+    inverse_norm_moment,
     rate_loss_bound_general,
 )
 from compsim.precoding import zf_precoder
@@ -92,14 +93,14 @@ def test_criterion_03_jensen_inverse_norm_direction():
     # the oracle against the equal-energy closed form 1/(alpha^2 (2 n_t - 1))
     equal = _support.two_cell_map(250.0, 250.0).alpha_sq[0]
     closed = 1.0 / (equal[0] * (2 * n_tx - 1))
-    oracle_ok = math.isclose(_support.inverse_norm_moment(equal, n_tx), closed,
+    oracle_ok = math.isclose(inverse_norm_moment(equal, n_tx), closed,
                              rel_tol=1e-12)
     lines = []
     all_pass = oracle_ok
     for i, (d1, d2) in enumerate(geometries):
         ls = _support.two_cell_map(d1, d2)
         chk = check_inverse_norm(ls, n_tx, 0, 100_000, 1003 + i)
-        exact = _support.inverse_norm_moment(ls.alpha_sq[0], n_tx)
+        exact = inverse_norm_moment(ls.alpha_sq[0], n_tx)
         jensen = chk.lhs - chk.rhs > 3 * chk.se
         matches = abs(chk.lhs - exact) <= 3 * chk.se
         ok = jensen and matches

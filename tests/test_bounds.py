@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -222,6 +223,7 @@ class TestAppendixChecks:
         ls = channel.LargeScaleMap(snr_gamma_sq=alpha_sq)
         chk = check_inverse_norm(ls, 4, 0, 100_000, 151)
         exact = 1.0 / (a * 7.0)
+        assert bounds.inverse_norm_moment(alpha_sq[0], 4) == pytest.approx(exact, rel=1e-12)
         assert chk.lhs == pytest.approx(exact, abs=3 * chk.se)
         # the stated direction is reversed: lhs sits strictly above 1/E{X}
         assert chk.rhs == pytest.approx(1.0 / (a * 8.0), rel=1e-12)
@@ -286,3 +288,107 @@ class TestAppendixChecks:
         for a, b in itertools.combinations(("inverse_norm", "nullspace_moment",
                                             "interference_moment"), 2):
             assert any(self.RULES[a](*c) != self.RULES[b](*c) for c in cases), (a, b)
+
+
+def _appendix(name, label, at, draws, seed):
+    """``verify_appendix`` of one preset arm at one sweep point."""
+    arm = next(a for a in scenario.preset(name).arms if label in (None, a.label))
+    ctx = montecarlo.build_context(scenario.at_sweep_point(arm.scenario, at))
+    return verify_appendix(arm.scenario.n_tx, ctx.large_scale, ctx.feedback.codebooks,
+                           draws, seed)
+
+
+def _printed(checks):
+    """The check lines ``bound --verify-appendix`` prints."""
+    return [f"{c.step}: lhs={c.lhs:.6g} rhs={c.rhs:.6g} se={c.se:.3g} {c.passed}"
+            for c in checks]
+
+
+class TestStreamedChecks:
+    """The 100k-draw checks run in row blocks of ``quantization.BLOCK_ROWS``
+    and draw every stream in the order of one whole-array evaluation."""
+
+    # (step, lhs, rhs, se, passed) of 100k draws at seed 3, as float.hex,
+    # recorded from the whole-array evaluation the blocks replaced
+    WHOLE = {
+        ("fig3", None, 50.0): [
+            ("inverse_norm:user0", "0x1.482d230567a9ap-14", "0x1.ed9e14828935ap-15",
+             "0x1.7c0d701f7b3b0p-23", False),
+            ("inverse_norm:user1", "0x1.d3f61a000342fp-7", "0x1.999999999999ap-7",
+             "0x1.35de12d05d420p-16", False),
+            ("decomposition", "0x1.2f0f34d89d064p-49", "0x1.19799812dea11p-40", "0x0.0p+0", True),
+            ("nullspace_moment", "0x1.540fa1e3e5f7cp-2", "0x1.5555555555555p-2",
+             "0x1.85b250d24cf41p-11", True),
+            ("interference_moment", "0x1.5b4aa113931e2p+16", "0x1.5cc4f2ba6eb6cp+16",
+             "0x1.5698705f7d058p+8", True),
+        ],
+        ("fig4", "per_cell_4_2", 100.0): [
+            ("inverse_norm:user0", "0x1.130f6a3093fbfp-10", "0x1.9fcf91d76a275p-11",
+             "0x1.366c8c7327c87p-19", False),
+            ("inverse_norm:user1", "0x1.d3f61a000342fp-7", "0x1.999999999999ap-7",
+             "0x1.35de12d05d420p-16", False),
+            ("decomposition", "0x1.0d6dd4a4462d9p-49", "0x1.19799812dea11p-40", "0x0.0p+0", True),
+            ("nullspace_moment", "0x1.54cfbb6a74993p-2", "0x1.5555555555555p-2",
+             "0x1.861067b278a95p-11", True),
+            ("interference_moment", "0x1.464aaa81d071bp+12", "0x1.46d9bf4b704f1p+12",
+             "0x1.45679e28faee8p+4", True),
+        ],
+    }
+
+    @pytest.mark.parametrize("arm", list(WHOLE))
+    def test_checks_match_the_whole_array_values(self, arm):
+        checks = _appendix(*arm, 100_000, 3)
+        assert [c.step for c in checks] == [w[0] for w in self.WHOLE[arm]]
+        for c, (_, lhs, rhs, se, passed) in zip(checks, self.WHOLE[arm]):
+            for new, old in ((c.lhs, lhs), (c.rhs, rhs), (c.se, se)):
+                assert math.isclose(new, float.fromhex(old), rel_tol=1e-13), (c, old)
+            assert c.passed is passed
+
+    @pytest.mark.parametrize("block", [7, 64, 8192])
+    def test_block_size_changes_no_printed_line_nor_estimate(self, block, monkeypatch):
+        whole = 1 << 40
+        cb = quantization.build_codebook(8, 6, "random", 7104, (0.7, 0.3))
+        directions = quantization.isotropic_directions(2 * block + 7, 8, substream(5, 0))
+        for draws in (2, block - 1, block, block + 1, 2 * block + 7):
+            results = []
+            for size in (block, whole):
+                monkeypatch.setattr(quantization, "BLOCK_ROWS", size)
+                results.append((_printed(_appendix("fig3", None, 50.0, draws, 3)),
+                                quantization.expected_error(cb, directions[:draws])))
+            assert results[0] == results[1], draws
+        estimates = []
+        for size in (block, whole):
+            monkeypatch.setattr(quantization, "BLOCK_ROWS", size)
+            cb.training_meta.pop("expected_error", None)
+            estimates.append(quantization.error_estimate(cb))
+        assert estimates[0] == estimates[1]
+
+    def test_row_blocks_keep_each_rows_whole_array_bits(self, monkeypatch):
+        monkeypatch.setattr(quantization, "BLOCK_ROWS", 4)
+        sizes = {n: [b.stop - b.start for b in quantization.row_blocks(n)]
+                 for n in (1, 3, 4, 5, 8, 9, 10)}
+        assert sizes == {1: [1], 3: [3], 4: [4], 5: [5], 8: [4, 4], 9: [4, 5], 10: [4, 4, 2]}
+        # a one-row search takes numpy's vector path, whose last bits differ
+        cb = random_codebook(4, 3, substream(156, 0, 0))
+        x = quantization.isotropic_directions(41, 4, substream(156, 0, 1))
+        whole = quantization.quantize_many(x, cb)[1]
+        for n in range(1, 42, 4):  # each leaves a one-row remainder
+            blocked = [quantization.quantize_many(x[b], cb)[1]
+                       for b in quantization.row_blocks(n)]
+            np.testing.assert_array_equal(np.concatenate(blocked), whole[:n])
+
+    def test_traced_memory_stays_a_few_blocks(self):
+        cb = quantization.build_codebook(8, 6, "random", 7104, (0.7, 0.3))
+        directions = quantization.isotropic_directions(100_000, 8, substream(5, 1))
+        peaks = {}
+        for name, run in (("verify_appendix", lambda: _appendix("fig3", None, 50.0, 100_000, 3)),
+                          ("expected_error", lambda: quantization.expected_error(cb, directions))):
+            run()  # codebooks built and cached outside the trace
+            tracemalloc.start()
+            try:
+                run()
+                peaks[name] = tracemalloc.get_traced_memory()[1] / 2**20
+            finally:
+                tracemalloc.stop()
+        # the whole-array evaluation peaked at 82.5 and 147 MiB
+        assert peaks["verify_appendix"] <= 40.0 and peaks["expected_error"] <= 20.0, peaks

