@@ -44,9 +44,13 @@ class Geometry:
             out.append(("pathloss_exponent", "must be nonnegative"))
         if self.d_min_m <= 0:
             out.append(("d_min_m", "must be positive"))
+        elif self.d_min_m > self.cell_radius_m > 0:
+            out.append(("d_min_m", "must not exceed cell_radius_m"))
         if np.shape(self.bs_positions) != (self.n_cells, 2):
             out.append(("bs_positions", f"must have shape ({self.n_cells}, 2), "
                                         f"got {np.shape(self.bs_positions)}"))
+        elif len({tuple(p) for p in self.bs_positions}) < self.n_cells:
+            out.append(("bs_positions", "base stations must not coincide"))
         return out
 
     def __post_init__(self):
@@ -103,7 +107,7 @@ class LargeScaleMap:
     noise_power = 1 the two matrices are equal.
 
     Both may carry an optional leading trial axis, (trials, n_users, n_bs):
-    one map per trial of a block whose trials come from several user drops.
+    one map per trial of a block, which may hold the trials of several drops.
     """
 
     snr_gamma_sq: np.ndarray  # ([trials,] n_users, n_bs)

@@ -1,22 +1,20 @@
 """Trial orchestration: reproducible Monte Carlo runs and random-drop CDFs.
 
-Trials run in blocks of at most ``BLOCK_TRIALS``, so memory stays bounded
-whatever the trial count. Every trial of a fixed-placement run owns an RNG
-substream keyed by its index; every drop owns one substream, from which its
-placement and then its trials draw in turn. A block's substreams are derived
-together, in one pass of the ``SeedSequence`` algorithm (``rng.substreams``).
-A block stacks the channel draws of its trials, one generator each, and
-evaluates the configured feedback arm and the perfect-CSI arm on those same
-draws (common random numbers) over a leading trial axis: feedback
-quantization and reconstruction, the optional per-block Gram-Schmidt, both
-zero-forcing precoders (one stacked SVD each) and the rates. The per-trial
-values live in the ``TrialLog``; aggregation folds them in trial order.
-
-Random drops share blocks: a block holds the trials of consecutive drops,
-each row with its drop's large-scale map on the map's leading trial axis, and
-is cut early only where the codebooks change from one drop to the next (a
-global codebook follows the user's energy split, so with a cooperative drop
-each drop may need its own). Each drop's means fold its own rows.
+Trials come as a stream of (context, generators) runs: a fixed placement's
+trials each own an RNG substream keyed by the trial index, and a random drop
+is one run of its own context and substream, from which its placement and
+then its trials draw in turn. Substreams are derived ``BLOCK_TRIALS`` at a
+time (``rng.substreams``). One loop cuts the runs into blocks of at most
+``BLOCK_TRIALS`` trials, early only where the codebooks change between runs
+(a global codebook follows the user's energy split, so each cooperative drop
+may need its own). A block evaluates the configured feedback arm and the
+perfect-CSI arm on the same stacked channel draws (common random numbers):
+feedback, the optional per-block Gram-Schmidt, both zero-forcing precoders
+(one stacked SVD each) and the rates. The per-trial values live in the
+``TrialLog``, which aggregation folds in trial order; a random-drop range
+folds each drop's rows into its means. A block's temporaries are bounded
+whatever the trial count; a log holds three floats per user and an ``ok``
+flag per trial of its range.
 
 A trial evaluates to the same bits in a block of any size, alone or among
 others, so results do not depend on the block size, the chunk layout or the
@@ -142,14 +140,49 @@ def _concatenate(logs) -> TrialLog:
     return TrialLog(*(np.concatenate(field) for field in fields))
 
 
-def _run_trial_range(args) -> TrialLog:
-    """Trials ``start..stop`` of ``ctx`` in blocks of ``BLOCK_TRIALS``, each
-    block's generators seeded in one pass."""
-    ctx, start, stop = args
-    return _concatenate(
-        _evaluate_block(ctx, rngmod.substreams(ctx.master_seed, (rngmod.TRIAL,),
-                                               range(first, min(first + BLOCK_TRIALS, stop))))
-        for first in range(start, stop, BLOCK_TRIALS))
+def _trial_runs(ctx: TrialContext, start: int, stop: int):
+    """Trials ``start..stop`` as (context, generators) runs of at most
+    ``BLOCK_TRIALS``, each run's generators seeded in one pass."""
+    for first in range(start, stop, BLOCK_TRIALS):
+        yield ctx, rngmod.substreams(ctx.master_seed, (rngmod.TRIAL,),
+                                     range(first, min(first + BLOCK_TRIALS, stop)))
+
+
+def _blocks(runs):
+    """Cut (context, generators) runs, in order, into blocks of at most
+    ``BLOCK_TRIALS`` trials, each a list of (context, generators) pieces: a
+    block is cut early only where the codebooks change between runs."""
+    block, size = [], 0
+    for ctx, rngs in runs:
+        if block and not block[-1][0].feedback.shares_codebooks(ctx.feedback):
+            yield block
+            block, size = [], 0
+        while rngs:
+            if size == BLOCK_TRIALS:
+                yield block
+                block, size = [], 0
+            piece, rngs = rngs[:BLOCK_TRIALS - size], rngs[BLOCK_TRIALS - size:]
+            block.append((ctx, piece))
+            size += len(piece)
+    if block:
+        yield block
+
+
+def _run_range(args) -> TrialLog:
+    """Evaluate ``runs(payload, start, stop)`` block by block. A block of
+    several runs puts each trial's large-scale map on the map's leading trial
+    axis; a block of one run keeps its map, which gives the same bits."""
+    (runs, payload), start, stop = args
+    logs = []
+    for block in _blocks(runs(payload, start, stop)):
+        ctx = block[0][0]
+        if len(block) > 1:
+            snr = np.concatenate([np.broadcast_to(c.large_scale.snr_gamma_sq,
+                                                  (len(rngs),) + c.large_scale.snr_gamma_sq.shape)
+                                  for c, rngs in block])
+            ctx = replace(ctx, large_scale=replace(ctx.large_scale, snr_gamma_sq=snr))
+        logs.append(_evaluate_block(ctx, [rng for _, rngs in block for rng in rngs]))
+    return _concatenate(logs)
 
 
 def check_workers(workers: int) -> None:
@@ -175,7 +208,7 @@ def run_trials(ctx: TrialContext, trials: int, workers: int = 1) -> TrialLog:
     """Evaluate ``trials`` independent trials; fold results in trial order."""
     if trials < 1:
         raise ConfigurationError("trials must be >= 1")
-    return _concatenate(_map_ranges(_run_trial_range, ctx, trials, workers))
+    return _concatenate(_map_ranges(_run_range, (_trial_runs, ctx), trials, workers))
 
 
 def _mean_se(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -278,66 +311,30 @@ def _draw_positions(scn: scenariomod.Scenario, rng) -> np.ndarray:
     return out
 
 
-def _drops(scn: scenariomod.Scenario, start: int, stop: int):
-    """Drops ``start..stop`` in order, each as its generator, which has drawn
-    the drop's positions, and its trial context. Drops are seeded
-    ``BLOCK_TRIALS`` at a time and their contexts built as they are reached."""
+def _drop_runs(scn: scenariomod.Scenario, start: int, stop: int):
+    """Drops ``start..stop`` as (context, generators) runs, one per drop: its
+    generator, which has drawn the drop's positions, listed once per trial."""
     for first in range(start, stop, BLOCK_TRIALS):
         for rng in rngmod.substreams(scn.master_seed, (rngmod.DROP,),
                                      range(first, min(first + BLOCK_TRIALS, stop))):
-            yield rng, _context(scn, _draw_positions(scn, rng))
+            yield _context(scn, _draw_positions(scn, rng)), [rng] * scn.trials_per_drop
 
 
-def _stack(rows: list) -> tuple[TrialContext, list]:
-    """The context and generators of a block of (context, generator) rows
-    that share their codebooks: the first row's context, with each row's
-    large-scale map on a leading trial axis."""
-    contexts, rngs = zip(*rows)
-    first = contexts[0].large_scale
-    large_scale = channel.LargeScaleMap(
-        np.stack([ctx.large_scale.snr_gamma_sq for ctx in contexts]),
-        tx_power=first.tx_power, noise_power=first.noise_power)
-    return replace(contexts[0], large_scale=large_scale), list(rngs)
-
-
-def _drop_blocks(scn: scenariomod.Scenario, start: int, stop: int):
-    """The trial blocks of drops ``start..stop``, as (context, generators):
-    at most ``BLOCK_TRIALS`` rows each, in drop and then trial order, so a
-    block spans consecutive drops and a drop may span blocks. A block is cut
-    where the codebooks change from one drop to the next."""
-    rows = []  # (context, generator) of each row of the block being filled
-    for rng, ctx in _drops(scn, start, stop):
-        if rows and not rows[-1][0].feedback.shares_codebooks(ctx.feedback):
-            yield _stack(rows)
-            rows = []
-        for _ in range(scn.trials_per_drop):
-            if len(rows) == BLOCK_TRIALS:
-                yield _stack(rows)
-                rows = []
-            rows.append((ctx, rng))
-    if rows:
-        yield _stack(rows)
-
-
-def _run_drop_range(args) -> tuple:
+def _drop_means(args) -> tuple:
+    """Per-drop mean throughputs of drops ``start..stop`` (NaN where every
+    trial failed) and their failed trials: a worker sends back only these."""
     scn, start, stop = args
+    log = _run_range(((_drop_runs, scn), start, stop))
     per_drop = scn.trials_per_drop
     quant = np.full((stop - start, scn.n_users), np.nan)
     ideal = np.full((stop - start, scn.n_users), np.nan)
-    failed_draws = drop = 0
-    carry = []  # the evaluated rows of a drop that continues in the next block
-    for ctx, rngs in _drop_blocks(scn, start, stop):
-        log = _concatenate(carry + [_evaluate_block(ctx, rngs)])
-        whole = len(log.ok) // per_drop
-        for rows in (slice(d * per_drop, (d + 1) * per_drop) for d in range(whole)):
-            ok = log.ok[rows]
-            failed_draws += int(np.count_nonzero(~ok))
-            if ok.any():
-                quant[drop] = log.quantized[rows][ok].mean(axis=0)
-                ideal[drop] = log.ideal[rows][ok].mean(axis=0)
-            drop += 1
-        carry = [TrialLog(*(field[whole * per_drop:] for field in vars(log).values()))]
-    return quant, ideal, failed_draws
+    for drop in range(stop - start):
+        rows = slice(drop * per_drop, (drop + 1) * per_drop)
+        ok = log.ok[rows]
+        if ok.any():
+            quant[drop] = log.quantized[rows][ok].mean(axis=0)
+            ideal[drop] = log.ideal[rows][ok].mean(axis=0)
+    return quant, ideal, int(np.count_nonzero(~log.ok))
 
 
 def run_cdf(scn: scenariomod.Scenario, workers: int = 1) -> CdfResult:
@@ -348,10 +345,10 @@ def run_cdf(scn: scenariomod.Scenario, workers: int = 1) -> CdfResult:
     # for every drop: resolving drop 0's here caches them before the pool
     # forks, so they are trained once and not once per worker.
     _context(scn, _draw_positions(scn, rngmod.substream(scn.master_seed, rngmod.DROP, 0)))
-    parts = _map_ranges(_run_drop_range, scn, scn.drops, workers)
-    quant = np.concatenate([p[0] for p in parts], axis=0)
-    ideal = np.concatenate([p[1] for p in parts], axis=0)
-    failed = int(sum(p[2] for p in parts))
+    parts = _map_ranges(_drop_means, scn, scn.drops, workers)
+    quant = np.concatenate([p[0] for p in parts])
+    ideal = np.concatenate([p[1] for p in parts])
+    failed = sum(p[2] for p in parts)
     dead = int(np.isnan(quant[:, 0]).sum())
     if dead == scn.drops:
         raise EstimationError("every drop failed")

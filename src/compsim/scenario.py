@@ -13,7 +13,8 @@ import copy
 import hashlib
 import json
 import os
-from dataclasses import asdict, dataclass, replace
+import sys
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -173,78 +174,67 @@ def fingerprint(s: Scenario) -> str:
 # Parsing
 # ---------------------------------------------------------------------------
 
-# Every key of the document: section -> key -> (JSON type, required, default).
-# The default also stands in for a missing or mistyped value, so that the
-# value checks still run and report their own problems.
-_SCHEMA = {
-    "": {
-        "geometry": (dict, True, {}),
-        "n_tx": (int, True, 0),
-        "n_users": (int, True, 0),
-        "placement": (dict, True, {}),
-        "feedback": (dict, True, {}),
-        "pairing": (dict, True, {}),
-        "trials": (int, False, 1000),
-        "drops": (int, False, 0),
-        "trials_per_drop": (int, False, 1),
-        "master_seed": (int, False, 1),
-        "tx_power": (float, False, 1.0),
-        "noise_power": (float, False, 1.0),
-        "output_csv": (str, False, None),
-    },
-    "geometry": {
-        "n_cells": (int, True, 0),
-        "bs_positions": (list, True, []),
-        "cell_radius_m": (float, True, 250.0),
-        "pathloss_exponent": (float, False, 3.76),
-        "edge_snr_db": (float, False, 10.0),
-        "d_min_m": (float, False, 1.0),
-    },
-    "placement": {
-        "mode": (str, True, "fixed"),
-        "positions": (list, False, None),
-        "sweep_user": (int, False, None),
-        "start_m": (float, False, None),
-        "stop_m": (float, False, None),
-        "steps": (int, False, None),
-    },
-    "feedback": {
-        "mode": (str, True, "perfect"),
-        "bits": (list, False, None),
-        "global_bits": (int, False, None),
-        "codebook_kind": (str, False, "lloyd"),
-        "training_seed": (int, False, 7001),
-    },
-    "pairing": {
-        "mode": (str, False, "always_pair"),
-        "threshold": (float, False, 1.0),
-    },
-}
+_SECTIONS = {"geometry": Geometry, "placement": Placement, "feedback": FeedbackConfig,
+             "pairing": PairingPolicy}
+# The JSON type of each field annotation; a field typed as a section is an object.
+_JSON_TYPES = {"int": int, "float": float, "str": str, "list": list, "np.ndarray": list,
+               **{cls.__name__: dict for cls in _SECTIONS.values()}}
+# The keys a document must give, some although their dataclass has a default.
+_REQUIRED = {"geometry", "n_tx", "n_users", "placement", "feedback", "pairing",
+             "geometry.n_cells", "geometry.bs_positions", "geometry.cell_radius_m",
+             "placement.mode", "feedback.mode"}
 
 
-def _json_type_ok(value, kind) -> bool:
-    if kind is float:
-        return isinstance(value, (int, float)) and not isinstance(value, bool)
-    if kind is int:
-        return isinstance(value, int) and not isinstance(value, bool)
-    return isinstance(value, kind)
+def _section_schema(path: str, cls) -> dict:
+    """key -> (JSON type, required, default) of every field of ``cls``. The
+    default is the field's own, or else the JSON type's empty value; it also
+    stands in for a missing or bad value, so that the value checks still run
+    and report their own problems."""
+    out = {}
+    for f in fields(cls):
+        kind = _JSON_TYPES.get(f.type.removesuffix(" | None"))
+        if kind is None:
+            raise TypeError(f"{cls.__name__}.{f.name}: no JSON type for {f.type!r}")
+        default = kind() if f.default is MISSING else f.default
+        out[f.name] = (kind, (f"{path}.{f.name}" if path else f.name) in _REQUIRED, default)
+    return out
+
+
+_SCHEMA = {path: _section_schema(path, cls)
+           for path, cls in (("", Scenario), *_SECTIONS.items())}
+
+
+def _finite(number) -> bool:
+    """Whether a JSON number is a finite float: not NaN, which fails every
+    comparison, an infinity or an integer beyond the float range."""
+    return -sys.float_info.max <= number <= sys.float_info.max
+
+
+def _value_problem(value, kind, required: bool) -> str | None:
+    """Why ``value`` cannot be a field of JSON type ``kind``, or None."""
+    if value is None:
+        return "missing" if required else None
+    if not isinstance(value, (int, float) if kind is float else kind) or isinstance(value, bool):
+        return f"expected {kind.__name__}"
+    if kind is float and not _finite(value):
+        return "must be finite"
+    return None
 
 
 def _read_section(obj: dict, path: str, errors: list) -> dict:
-    """The typed fields of one section; unknown, missing and mistyped keys
-    are reported into ``errors`` and replaced by their defaults."""
+    """The typed fields of one section; unknown, missing and bad keys are
+    reported into ``errors``, and missing and bad ones replaced by their
+    defaults."""
     schema = _SCHEMA[path]
     prefix = f"{path}." if path else ""
     errors.extend(f"{prefix}{key}: unknown key" for key in obj if key not in schema)
     out = {}
     for key, (kind, required, default) in schema.items():
         value = obj.get(key)
-        if value is None:
-            if required:
-                errors.append(f"{prefix}{key}: missing")
-            value = copy.deepcopy(default)
-        elif not _json_type_ok(value, kind):
-            errors.append(f"{prefix}{key}: expected {kind.__name__}")
+        problem = _value_problem(value, kind, required)
+        if problem:
+            errors.append(f"{prefix}{key}: {problem}")
+        if value is None or problem:
             value = copy.deepcopy(default)
         elif kind is float:
             value = float(value)
@@ -257,7 +247,7 @@ def parse(text: str) -> Scenario:
     every diagnostic on failure."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer beyond the digit limit
         raise ScenarioError(f"document: invalid JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise ScenarioError("document: top level must be an object")
@@ -276,11 +266,16 @@ def scenario_from_dict(doc: dict) -> Scenario:
     errors: list[str] = []
     top = _read_section(copy.deepcopy(doc), "", errors)
     sections = {name: SimpleNamespace(**_read_section(top.pop(name), name, errors))
-                for name in ("geometry", "placement", "feedback", "pairing")}
+                for name in _SECTIONS}
     geometry = sections["geometry"]
     if not all(_is_xy(p) for p in geometry.bs_positions):
         errors.append("geometry.bs_positions: must be a list of [x, y] pairs")
         geometry.bs_positions = []
+    for path, entries in (("geometry.bs_positions", geometry.bs_positions),
+                          ("placement.positions", sections["placement"].positions)):
+        errors.extend(f"{path}[{i}]: must be finite"
+                      for i, entry in enumerate(entries if isinstance(entries, list) else ())
+                      if _is_xy(entry) and not all(map(_finite, entry)))
 
     for name, cls in (("geometry", Geometry), ("feedback", FeedbackConfig),
                       ("pairing", PairingPolicy)):

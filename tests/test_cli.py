@@ -302,11 +302,14 @@ def variant_configs(tmp_path):
     fig3 = scenario.preset("fig3").arms[0].scenario
     bits64 = json.loads(scenario.serialize(fig3))
     bits64["feedback"]["bits"] = [[64, 3], [3, 64]]  # no FeedbackConfig accepts it
+    drops = scenario.serialize(replace(scenario.preset("fig5").arms[0].scenario, drops=2))
     paths = {}
     for name, text in (("{fixed}", scenario.serialize(scenario.at_sweep_point(fig3, 150.0))),
-                       ("{drops}", scenario.serialize(
-                           replace(scenario.preset("fig5").arms[0].scenario, drops=2))),
-                       ("{bits64}", json.dumps(bits64))):
+                       ("{drops}", drops),
+                       ("{bits64}", json.dumps(bits64)),
+                       ("{nan_bs}", scenario.serialize(fig3).replace("500.0", "NaN")),
+                       ("{same_bs}", scenario.serialize(fig3).replace("500.0", "0.0")),
+                       ("{core_beyond_edge}", drops.replace('"d_min_m": 1.0', '"d_min_m": 300'))):
         paths[name] = tmp_path / f"{name[1:-1]}.json"
         paths[name].write_text(text)
     return paths
@@ -360,13 +363,20 @@ def codebook_files_config(fig3_arm_config, tmp_path):
      "error: bits must be in [0, 63)\n"),
     ({}, ["simulate", "--config", "{bits64}"],
      "error: feedback.bits[0][0]: must be in [0, 63)\n"),
+    ({}, ["simulate", "--config", "{nan_bs}"],
+     "error: geometry.bs_positions[1]: must be finite\n"),
+    ({}, ["simulate", "--config", "{same_bs}"],
+     "error: geometry.bs_positions: base stations must not coincide\n"),
+    ({}, ["simulate", "--config", "{core_beyond_edge}"],
+     "error: geometry.d_min_m: must not exceed cell_radius_m\n"),
 ], ids=["env-trials", "env-seed", "negative-seed", "bound-outside-cell", "negative-bits",
         "negative-training-seed", "user-out-of-range", "dimension-not-composite",
         "bound-at-without-sweep", "bound-random-drops", "train-random-drops",
         "train-at-without-config", "train-user-without-config",
         "codebook-files-unknown-key", "zero-workers", "negative-workers",
         "trials-flag-random-drops", "trials-env-random-drops", "appendix-one-draw",
-        "bound-trials-without-appendix", "train-bits-63", "scenario-bits-64"])
+        "bound-trials-without-appendix", "train-bits-63", "scenario-bits-64",
+        "scenario-nan-coordinate", "coincident-base-stations", "core-beyond-cell-edge"])
 def test_bad_input_exits_2_with_error_line(env, argv, message, fig3_arm_config,
                                            codebook_files_config, variant_configs,
                                            tmp_path, monkeypatch, capsys):

@@ -388,14 +388,29 @@ class TestBlockInvariance:
                         assert np.array_equal(getattr(cdf, name), getattr(reference, name),
                                               equal_nan=True), (block, workers, name)
 
+    @pytest.fixture
+    def block_sizes(self, monkeypatch):
+        """The number of trials of every block evaluated."""
+        sizes = []
+        evaluate_block = montecarlo._evaluate_block
+
+        def recorder(ctx, rngs):
+            sizes.append(len(rngs))
+            return evaluate_block(ctx, rngs)
+
+        monkeypatch.setattr(montecarlo, "_evaluate_block", recorder)
+        return sizes
+
     @pytest.mark.parametrize("arm", ["comp_per_cell_3_3", "single_cell_global_6bit",
                                      "comp_global_random"])
-    def test_drop_blocks_fill_up_and_cut_where_codebooks_change(self, arm):
-        scn = replace(drop_scenario(arm), drops=30, trials_per_drop=20)
-        sizes = [len(rngs) for _, rngs in montecarlo._drop_blocks(scn, 0, scn.drops)]
+    def test_drop_blocks_fill_up_and_cut_where_codebooks_change(self, arm, block_sizes):
+        montecarlo.run_cdf(replace(drop_scenario(arm), drops=30, trials_per_drop=20))
         if arm == "comp_global_random":  # every drop trains codebooks for its own profiles
-            assert sizes == [20] * 30
+            assert block_sizes == [20] * 30
         else:  # 600 trials fill whole blocks, whatever drop they come from
             full, rest = divmod(600, montecarlo.BLOCK_TRIALS)
-            assert sizes == [montecarlo.BLOCK_TRIALS] * full + [rest] * (rest > 0)
+            assert block_sizes == [montecarlo.BLOCK_TRIALS] * full + [rest] * (rest > 0)
 
+    def test_fixed_placement_fills_whole_blocks(self, block_sizes):
+        montecarlo.run_trials(montecarlo.build_context(small_fixed()), 600)
+        assert block_sizes == [256, 256, 88]

@@ -1,5 +1,6 @@
 import json
-from dataclasses import replace
+import math
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 import pytest
@@ -144,6 +145,50 @@ class TestValidation:
     def test_invalid_json_reported(self):
         with pytest.raises(ScenarioError):
             scenario.parse("{not json")
+        with pytest.raises(ScenarioError):  # more digits than Python converts
+            scenario.parse('{"n_tx": 1' + "0" * 5000 + "}")
+
+    @pytest.mark.parametrize("section, key", [("geometry", "bs_positions"),
+                                              ("placement", "positions")])
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400])
+    def test_non_finite_coordinate_reported_at_its_entry(self, section, key, value):
+        doc = self._doc()
+        doc[section][key][1] = json.loads(f"[{value}, 0.0]")
+        with pytest.raises(ScenarioError) as err:
+            scenario.scenario_from_dict(doc)
+        assert err.value.errors == [f"{section}.{key}[1]: must be finite"]
+
+    def test_schema_comes_from_the_dataclass_fields(self):
+        schema = scenario._SCHEMA
+        assert list(schema[""]) == [f.name for f in fields(scenario.Scenario)]
+        assert schema["geometry"]["pathloss_exponent"] == (
+            float, False, channel.DEFAULT_PATHLOSS_EXPONENT)
+        assert schema["geometry"]["cell_radius_m"] == (float, True, channel.DEFAULT_CELL_RADIUS_M)
+        assert schema["feedback"]["training_seed"] == (int, False, 7001)
+        assert schema[""]["geometry"] == (dict, True, {})
+
+        @dataclass
+        class Odd:
+            z: "complex" = 1j
+
+        with pytest.raises(TypeError, match="Odd.z: no JSON type for 'complex'"):
+            scenario._section_schema("odd", Odd)
+
+    def test_coincident_base_stations_rejected(self):
+        doc = self._doc()
+        doc["geometry"]["bs_positions"] = [[0, 0], [0.0, 0.0]]
+        with pytest.raises(ScenarioError) as err:
+            scenario.scenario_from_dict(doc)
+        assert err.value.errors == ["geometry.bs_positions: base stations must not coincide"]
+
+    def test_core_radius_must_not_exceed_the_cell_radius(self):
+        doc = json.loads(scenario.serialize(scenario.preset("fig5").arms[0].scenario))
+        doc["geometry"]["d_min_m"] = 300.0
+        with pytest.raises(ScenarioError) as err:
+            scenario.scenario_from_dict(doc)
+        assert err.value.errors == ["geometry.d_min_m: must not exceed cell_radius_m"]
+        doc["geometry"]["d_min_m"] = 250.0  # a drop on the cell edge only
+        assert scenario.scenario_from_dict(doc).geometry.d_min_m == 250.0
 
     def test_line_sweep_needs_two_cells(self):
         doc = self._doc()
@@ -294,6 +339,10 @@ def valid_scenarios(draw):
     )
 
 
+# what Python's json reads from NaN, Infinity, -Infinity and 1e400, and an
+# integer beyond the float range
+_non_finite = st.sampled_from([math.nan, math.inf, -math.inf, 10**400])
+
 # field path -> values outside its range, whatever the rest of the scenario
 _BAD_VALUES = {
     "n_tx": st.integers(-5, 1),
@@ -302,25 +351,27 @@ _BAD_VALUES = {
     "drops": st.integers(-5, -1),
     "trials_per_drop": st.integers(-5, 0),
     "master_seed": st.integers(-(2**31), -1),
-    "tx_power": st.floats(-1e6, 0.0),
-    "noise_power": st.floats(-1e6, 0.0),
+    "tx_power": st.floats(-1e6, 0.0) | _non_finite,
+    "noise_power": st.floats(-1e6, 0.0) | _non_finite,
     "geometry.n_cells": st.integers(-5, 0),
-    "geometry.cell_radius_m": st.floats(-1e6, 0.0),
-    "geometry.pathloss_exponent": st.floats(-1e6, -1e-9),
-    "geometry.d_min_m": st.floats(-1e6, 0.0),
+    "geometry.cell_radius_m": st.floats(-1e6, 0.0) | _non_finite,
+    "geometry.pathloss_exponent": st.floats(-1e6, -1e-9) | _non_finite,
+    "geometry.edge_snr_db": _non_finite,
+    "geometry.d_min_m": st.floats(-1e6, 0.0) | _non_finite,
     "placement.mode": st.text(max_size=8).filter(lambda v: v not in scenario.PLACEMENT_MODES),
     "feedback.mode": st.text(max_size=8).filter(lambda v: v not in FEEDBACK_MODES),
     "feedback.codebook_kind": st.text(max_size=8).filter(lambda v: v not in ("lloyd", "random")),
     "feedback.training_seed": st.integers(-(2**31), -1),
     "pairing.mode": st.text(max_size=8).filter(lambda v: v not in PAIRING_MODES),
     "pairing.threshold": st.floats(1.0, 1e6, exclude_min=True) | st.floats(-1e6, 0.0,
-                                                                           exclude_max=True),
+                                                                           exclude_max=True)
+    | _non_finite,
 }
 _BAD_SWEEP_VALUES = {
     "placement.sweep_user": st.integers(2, 10) | st.integers(-10, -1),
     "placement.steps": st.integers(-5, 0),
-    "placement.start_m": st.floats(1e4, 1e6),
-    "placement.stop_m": st.floats(-1e6, 0.0),
+    "placement.start_m": st.floats(1e4, 1e6) | _non_finite,
+    "placement.stop_m": st.floats(-1e6, 0.0) | _non_finite,
 }
 
 
