@@ -114,17 +114,18 @@ def rate_loss_bound_general(params: RateLossParams, k: int) -> tuple[float, dict
 # ---------------------------------------------------------------------------
 
 def orthogonalize_report(
-    report: quantization.FeedbackReport, n_tx: int, rngs
+    report: quantization.FeedbackReport, n_tx: int, master_seed: int, first_trial: int
 ) -> np.ndarray:
     """Rebuild a block's reconstructions with per-block mutually orthogonal
-    directions; ``rngs`` holds one generator per trial, and trial t redraws
-    from ``rngs[t]``.
+    directions; the block's row t is trial ``first_trial + t``.
 
     Sequential Gram-Schmidt over users within each per-BS block: user k's
     quantized block direction is projected out of every later user's, keeping
     the fed-back norms. When two users picked the same codeword the residual
     vanishes and the replacement direction is drawn isotropically from the
-    remaining nullspace, from that trial's generator, in (block, user) order.
+    remaining nullspace. Trial t draws its redraws, in (block, user) order,
+    from its own substream (REDRAW, t) of ``master_seed``, created on its
+    first redraw, so a trial's result does not depend on the block around it.
     This realizes, by construction, the orthogonal-selection assumption the
     closed-form bound relies on (a zero threshold has probability zero for
     continuous channels).
@@ -136,6 +137,13 @@ def orthogonalize_report(
     if n_users - 1 >= n_tx:
         raise ConfigurationError("per-block orthogonalization needs n_tx > n_users - 1")
     directions = report.reconstructed.reshape(trials, n_users, n_bs, n_tx) / norms[..., None]
+    redraw_rngs = {}
+
+    def fresh(t):
+        """One isotropic draw from trial t's redraw substream."""
+        if t not in redraw_rngs:
+            redraw_rngs[t] = rngmod.substream(master_seed, rngmod.REDRAW, first_trial + int(t))
+        return rngmod.complex_normal(redraw_rngs[t], (n_tx,))
 
     def residual(v, t, k, b):
         """Rows ``v`` minus their projections on users 0..k-1 of trials ``t``,
@@ -150,8 +158,8 @@ def orthogonalize_report(
             v, vn = residual(directions[:, k, b], slice(None), k, b)
             redraw = np.flatnonzero(vn < 1e-9)
             while redraw.size:
-                fresh = rngmod.complex_normal_each([rngs[t] for t in redraw], (n_tx,))
-                v[redraw], vn[redraw] = residual(fresh, redraw, k, b)
+                fresh_rows = np.stack([fresh(t) for t in redraw])
+                v[redraw], vn[redraw] = residual(fresh_rows, redraw, k, b)
                 redraw = redraw[vn[redraw] < 1e-9]
             directions[:, k, b] = v / vn[:, None]
     return (norms[..., None] * directions).reshape(trials, n_users, n_bs * n_tx)

@@ -192,14 +192,17 @@ def _check_dimensions(n_users: int, n_bs: int, n_tx: int) -> None:
 
 
 def sample_small_scale(
-    n_users: int, n_bs: int, n_tx: int, rng: np.random.Generator
+    n_users: int, n_bs: int, n_tx: int, rng: np.random.Generator, trials: int | None = None
 ) -> np.ndarray:
     """Draw i.i.d. Rayleigh channels h ~ CN(0, I_{n_tx}) for every (MS, BS) link.
 
-    Entries have unit variance, so E{||h||^2} = n_tx.
+    Entries have unit variance, so E{||h||^2} = n_tx. With ``trials`` the
+    draw has a leading trial axis and equals ``trials`` single draws from
+    ``rng`` in turn.
     """
     _check_dimensions(n_users, n_bs, n_tx)
-    return rngmod.complex_normal(rng, (n_users, n_bs, n_tx)) / np.sqrt(2.0)
+    shape = (n_users, n_bs, n_tx) if trials is None else (trials, n_users, n_bs, n_tx)
+    return rngmod.complex_normal(rng, shape) / np.sqrt(2.0)
 
 
 def assemble_global(small_scale: np.ndarray, large_scale: LargeScaleMap) -> np.ndarray:
@@ -220,14 +223,12 @@ def assemble_global(small_scale: np.ndarray, large_scale: LargeScaleMap) -> np.n
     return scaled.reshape(h.shape[:-2] + (h.shape[-2] * h.shape[-1],))
 
 
-def realize_channels(large_scale: LargeScaleMap, n_tx: int, rngs) -> ChannelRealization:
-    """Draw a block of channel realizations, one per generator of ``rngs``.
-
-    Trial t is ``sample_small_scale`` from ``rngs[t]``. A generator listed
-    more than once draws its trials one after the other, so one generator
-    repeated T times gives the same channels as T single draws from it.
-    """
+def realize_channels(large_scale: LargeScaleMap, n_tx: int, small_scale) -> ChannelRealization:
+    """A block of channel realizations from its (trials, n_users, n_bs, n_tx)
+    small-scale draws, as ``sample_small_scale`` with a trial axis draws them."""
     _check_dimensions(large_scale.n_users, large_scale.n_bs, n_tx)
-    shape = (large_scale.n_users, large_scale.n_bs, n_tx)
-    h = rngmod.complex_normal_each(rngs, shape) / np.sqrt(2.0)
+    h = np.asarray(small_scale)
+    if h.ndim != 4 or h.shape[-1] != n_tx:
+        raise ConfigurationError(
+            f"small_scale shape {h.shape} is not (trials, n_users, n_bs, {n_tx})")
     return ChannelRealization(small_scale=h, global_channels=assemble_global(h, large_scale))

@@ -1,10 +1,11 @@
 """Trial orchestration: reproducible Monte Carlo runs and random-drop CDFs.
 
-Trials come as a stream of (context, generators) runs: a fixed placement's
-trials each own an RNG substream keyed by the trial index, and a random drop
-is one run of its own context and substream, from which its placement and
-then its trials draw in turn. Substreams are derived ``BLOCK_TRIALS`` at a
-time (``rng.substreams``). One loop cuts the runs into blocks of at most
+Trials come as a stream of (context, small-scale draws) runs. A fixed
+placement's trials are drawn ``STREAM_TRIALS`` at a time: stream block i,
+trials ``i * STREAM_TRIALS`` up to the next block, is one draw from
+substream (TRIAL, i), whatever range or block reads it. A random drop is one
+run of its own context, whose substream (DROP, d) draws its placement and
+then all its trials. One loop cuts the runs into blocks of at most
 ``BLOCK_TRIALS`` trials, early only where the codebooks change between runs
 (a global codebook follows the user's energy split, so each cooperative drop
 may need its own). A block evaluates the configured feedback arm and the
@@ -19,9 +20,8 @@ flag per trial of its range.
 A trial evaluates to the same bits in a block of any size, alone or among
 others, so results do not depend on the block size, the chunk layout or the
 worker count:
-- its channels, and any Gram-Schmidt redraw, come from its own generator, in
-  the order it would draw them alone: redraws follow all channel draws, in
-  (block, user) order;
+- its channels are fixed by its stream block (or drop) alone, and a
+  Gram-Schmidt redraw comes from the trial's own substream (REDRAW, t);
 - row norms, inner products and phases go through ``rows``, which rounds each
   row as numpy rounds a single vector;
 - the stacked SVD, matrix products and column norms round each matrix of the
@@ -42,6 +42,7 @@ from . import scenario as scenariomod
 from .errors import ConfigurationError, EstimationError
 
 BLOCK_TRIALS = 256  # trials evaluated together; bounds a block's memory
+STREAM_TRIALS = 256  # trials drawn from one TRIAL substream: part of the random-stream contract
 
 
 @dataclass
@@ -101,22 +102,24 @@ class CdfResult:
     drops: int
 
 
-def _evaluate_block(ctx: TrialContext, rngs: list) -> TrialLog:
-    """Evaluate both arms on a block of trials; trial t draws from ``rngs[t]``.
+def _evaluate_block(ctx: TrialContext, small_scale: np.ndarray, first: int) -> TrialLog:
+    """Evaluate both arms on a block of trials with the given small-scale
+    draws, its row t being trial ``first + t`` (which only an orthogonalized
+    fixed placement reads, for its redraw substreams).
 
     A trial is rejected (``ok`` False, NaN values) when the pairing rule or
     either zero-forcing precoder rejects it.
     """
-    realization = channel.realize_channels(ctx.large_scale, ctx.n_tx, rngs)
+    realization = channel.realize_channels(ctx.large_scale, ctx.n_tx, small_scale)
     g = realization.global_channels
     report = ctx.feedback.apply(realization, ctx.large_scale)
     recon = g if report is None else report.reconstructed
     if ctx.orthogonalize and report is not None:
         from . import bounds  # imported here: bounds imports this module
 
-        recon = bounds.orthogonalize_report(report, ctx.n_tx, rngs)
+        recon = bounds.orthogonalize_report(report, ctx.n_tx, ctx.master_seed, first)
 
-    ok = np.ones(len(rngs), dtype=bool)
+    ok = np.ones(len(g), dtype=bool)
     if ctx.pairing.mode == "sus_threshold":
         ok &= scheduling.select_pairing(recon, ctx.pairing)
     ideal_pre, ideal_reason = precoding.zf_precoder(g)
@@ -124,11 +127,11 @@ def _evaluate_block(ctx: TrialContext, rngs: list) -> TrialLog:
     ok &= (ideal_reason == "ok") & (quant_reason == "ok")
 
     tx_power, noise_power = ctx.large_scale.tx_power, ctx.large_scale.noise_power
+    shape = (len(g), ctx.large_scale.n_users)
     g = g[ok]
     ideal = precoding.instantaneous_rate(precoding.sinr(g, ideal_pre[ok], tx_power, noise_power))
     signal, interference = precoding.interference_power(g, quant_pre[ok], tx_power)
     quantized = precoding.instantaneous_rate(signal / (noise_power + interference))
-    shape = (len(rngs), ctx.large_scale.n_users)
     log = TrialLog(np.full(shape, np.nan), np.full(shape, np.nan), np.full(shape, np.nan), ok)
     log.ideal[ok], log.quantized[ok], log.interference[ok] = ideal, quantized, interference
     return log
@@ -140,28 +143,38 @@ def _concatenate(logs) -> TrialLog:
     return TrialLog(*(np.concatenate(field) for field in fields))
 
 
+def _small_scale(ctx: TrialContext, rng, trials: int) -> np.ndarray:
+    """``trials`` small-scale draws of the context's links, in turn, from ``rng``."""
+    return channel.sample_small_scale(ctx.large_scale.n_users, ctx.large_scale.n_bs, ctx.n_tx,
+                                      rng, trials=trials)
+
+
 def _trial_runs(ctx: TrialContext, start: int, stop: int):
-    """Trials ``start..stop`` as (context, generators) runs of at most
-    ``BLOCK_TRIALS``, each run's generators seeded in one pass."""
-    for first in range(start, stop, BLOCK_TRIALS):
-        yield ctx, rngmod.substreams(ctx.master_seed, (rngmod.TRIAL,),
-                                     range(first, min(first + BLOCK_TRIALS, stop)))
+    """Trials ``start..stop`` as (context, small-scale draws) runs, one per
+    stream block they touch: stream block i, trials ``i * STREAM_TRIALS`` up
+    to the next block, is drawn whole from substream (TRIAL, i) and cut to
+    the trials in range."""
+    for i in range(start // STREAM_TRIALS, -(-stop // STREAM_TRIALS)):
+        first = i * STREAM_TRIALS
+        draws = _small_scale(ctx, rngmod.substream(ctx.master_seed, rngmod.TRIAL, i),
+                             STREAM_TRIALS)
+        yield ctx, draws[max(start - first, 0):stop - first]
 
 
 def _blocks(runs):
-    """Cut (context, generators) runs, in order, into blocks of at most
-    ``BLOCK_TRIALS`` trials, each a list of (context, generators) pieces: a
+    """Cut (context, small-scale draws) runs, in order, into blocks of at
+    most ``BLOCK_TRIALS`` trials, each a list of (context, draws) pieces: a
     block is cut early only where the codebooks change between runs."""
     block, size = [], 0
-    for ctx, rngs in runs:
+    for ctx, draws in runs:
         if block and not block[-1][0].feedback.shares_codebooks(ctx.feedback):
             yield block
             block, size = [], 0
-        while rngs:
+        while len(draws):
             if size == BLOCK_TRIALS:
                 yield block
                 block, size = [], 0
-            piece, rngs = rngs[:BLOCK_TRIALS - size], rngs[BLOCK_TRIALS - size:]
+            piece, draws = draws[:BLOCK_TRIALS - size], draws[BLOCK_TRIALS - size:]
             block.append((ctx, piece))
             size += len(piece)
     if block:
@@ -169,19 +182,22 @@ def _blocks(runs):
 
 
 def _run_range(args) -> TrialLog:
-    """Evaluate ``runs(payload, start, stop)`` block by block. A block of
-    several runs puts each trial's large-scale map on the map's leading trial
-    axis; a block of one run keeps its map, which gives the same bits."""
+    """Evaluate ``runs(payload, start, stop)`` block by block, numbering the
+    trials from ``start``: a fixed placement's trial indices. A block of several runs puts each trial's
+    large-scale map on the map's leading trial axis; a block of one run keeps
+    its map, which gives the same bits."""
     (runs, payload), start, stop = args
-    logs = []
+    logs, first = [], start
     for block in _blocks(runs(payload, start, stop)):
         ctx = block[0][0]
         if len(block) > 1:
             snr = np.concatenate([np.broadcast_to(c.large_scale.snr_gamma_sq,
-                                                  (len(rngs),) + c.large_scale.snr_gamma_sq.shape)
-                                  for c, rngs in block])
+                                                  (len(draws),) + c.large_scale.snr_gamma_sq.shape)
+                                  for c, draws in block])
             ctx = replace(ctx, large_scale=replace(ctx.large_scale, snr_gamma_sq=snr))
-        logs.append(_evaluate_block(ctx, [rng for _, rngs in block for rng in rngs]))
+        draws = np.concatenate([draws for _, draws in block])
+        logs.append(_evaluate_block(ctx, draws, first))
+        first += len(draws)
     return _concatenate(logs)
 
 
@@ -312,12 +328,12 @@ def _draw_positions(scn: scenariomod.Scenario, rng) -> np.ndarray:
 
 
 def _drop_runs(scn: scenariomod.Scenario, start: int, stop: int):
-    """Drops ``start..stop`` as (context, generators) runs, one per drop: its
-    generator, which has drawn the drop's positions, listed once per trial."""
-    for first in range(start, stop, BLOCK_TRIALS):
-        for rng in rngmod.substreams(scn.master_seed, (rngmod.DROP,),
-                                     range(first, min(first + BLOCK_TRIALS, stop))):
-            yield _context(scn, _draw_positions(scn, rng)), [rng] * scn.trials_per_drop
+    """Drops ``start..stop`` as (context, small-scale draws) runs, one per
+    drop: its substream (DROP, d) draws its positions, then all its trials."""
+    for d in range(start, stop):
+        rng = rngmod.substream(scn.master_seed, rngmod.DROP, d)
+        ctx = _context(scn, _draw_positions(scn, rng))
+        yield ctx, _small_scale(ctx, rng, scn.trials_per_drop)
 
 
 def _drop_means(args) -> tuple:

@@ -31,8 +31,10 @@ def zf_precoder(reconstructed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     columns are NaN: the caller rejects the pairing, and nothing is
     regularized.
 
-    Computed through the SVD pseudo-inverse rather than an explicit Gram
-    inversion.
+    Computed through the SVD pseudo-inverse, not by inverting the Gram matrix
+    G = H H^H: cond(G) = cond(H)^2, so at the condition cap of 1e8 the Gram
+    matrix is past double precision, and the rank and cap decisions must stay
+    on the singular values of H.
     """
     H = np.asarray(reconstructed, dtype=complex)
     if H.ndim != 3:

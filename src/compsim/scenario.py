@@ -31,8 +31,9 @@ ENV_TRIALS = "COMPSIM_TRIALS"
 
 
 def _is_xy(entry) -> bool:
+    """Whether a JSON value is an [x, y] pair of numbers (not booleans)."""
     return (isinstance(entry, list) and len(entry) == 2
-            and all(isinstance(c, (int, float)) for c in entry))
+            and all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in entry))
 
 
 def _distance_problem(geom: Geometry, distance_m) -> str | None:

@@ -13,6 +13,14 @@ def two_cell_map(d1_m: float, d2_m: float, **geom_kwargs) -> channel.LargeScaleM
     return channel.build_large_scale([ms1, ms2], geom)
 
 
+def realize(large_scale: channel.LargeScaleMap, n_tx: int, gens) -> channel.ChannelRealization:
+    """A block of one trial per generator of ``gens``, each trial's channels
+    ``sample_small_scale`` from its generator."""
+    return channel.realize_channels(large_scale, n_tx, np.stack(
+        [channel.sample_small_scale(large_scale.n_users, large_scale.n_bs, n_tx, gen)
+         for gen in gens]))
+
+
 def fig3_fixed(ms2_distance_m: float, ms1_distance_m: float, **overrides) -> scenario.Scenario:
     """The position study with MS2 at ``ms2_distance_m`` from BS2 and MS1 at
     ``ms1_distance_m`` from BS1; at fig3's MS2 distances, one cell of its grid."""

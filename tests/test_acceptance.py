@@ -21,7 +21,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from compsim import channel, cli, montecarlo, quantization, scenario
+from compsim import cli, montecarlo, quantization, scenario
 from compsim.bounds import (
     RateLossParams,
     check_inverse_norm,
@@ -237,8 +237,7 @@ def test_criterion_07_random_drop_gap_comparison():
 def test_criterion_08_zero_forcing_invariants():
     fixed = _support.fig3_fixed(250.0, 150.0)
     ctx = montecarlo.build_context(fixed)
-    real = channel.realize_channels(ctx.large_scale, 4,
-                                    [substream(1008, 0, t) for t in range(1000)])
+    real = _support.realize(ctx.large_scale, 4, [substream(1008, 0, t) for t in range(1000)])
     recon = ctx.feedback.apply(real, ctx.large_scale).reconstructed
     pre, reason = zf_precoder(recon)
     ok = reason == "ok"

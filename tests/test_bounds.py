@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from compsim import bounds, channel, montecarlo, quantization, scenario
+from compsim import rng as rngmod
 from compsim.bounds import (
     RateLossParams,
     check_decomposition,
@@ -123,13 +124,13 @@ class TestOrthogonalization:
     # one-trial blocks: index 0 is the trial
     def _report(self, seed, bits=3):
         ls = _support.two_cell_map(150.0, 250.0)
-        real = channel.realize_channels(ls, 4, [substream(seed, 0, 0)])
+        real = _support.realize(ls, 4, [substream(seed, 0, 0)])
         cb = random_codebook(4, bits, substream(seed, 1, 0))
         return real, ls, per_cell_feedback(real, ls, cb)
 
     def test_blocks_become_orthogonal_and_norms_survive(self):
         real, ls, rep = self._report(141)
-        out = orthogonalize_report(rep, 4, [substream(141, 2, 0)])[0]
+        out = orthogonalize_report(rep, 4, 141, 0)[0]
         for b in range(2):
             blk0 = out[0, b * 4 : (b + 1) * 4]
             blk1 = out[1, b * 4 : (b + 1) * 4]
@@ -141,7 +142,7 @@ class TestOrthogonalization:
     def test_identical_codewords_fall_back_to_random_direction(self):
         # a 0-bit codebook forces both users onto the same codeword
         real, ls, rep = self._report(142, bits=0)
-        out = orthogonalize_report(rep, 4, [substream(142, 2, 0)])[0]
+        out = orthogonalize_report(rep, 4, 142, 0)[0]
         for b in range(2):
             blk0 = out[0, b * 4 : (b + 1) * 4]
             blk1 = out[1, b * 4 : (b + 1) * 4]
@@ -149,27 +150,33 @@ class TestOrthogonalization:
 
     def test_redraws_come_from_each_trials_own_generator(self):
         # with 0 bits every trial redraws; a trial's result must not depend
-        # on the block around it
+        # on the block around it, only on its index
         ls = _support.two_cell_map(150.0, 250.0)
         cb = random_codebook(4, 0, substream(145, 1, 0))
-        real = channel.realize_channels(ls, 4, [substream(145, 0, t) for t in range(6)])
-        block = orthogonalize_report(per_cell_feedback(real, ls, cb), 4,
-                                     [substream(145, 2, t) for t in range(6)])
+        gens = [substream(145, 0, t) for t in range(6)]
+        block = orthogonalize_report(per_cell_feedback(_support.realize(ls, 4, gens), ls, cb),
+                                     4, 145, 300)
         for t in range(6):
-            alone = channel.realize_channels(ls, 4, [substream(145, 0, t)])
-            out = orthogonalize_report(per_cell_feedback(alone, ls, cb), 4,
-                                       [substream(145, 2, t)])
+            alone = _support.realize(ls, 4, [substream(145, 0, t)])
+            out = orthogonalize_report(per_cell_feedback(alone, ls, cb), 4, 145, 300 + t)
             assert np.array_equal(out[0], block[t])
+        # the redraws are those of substream (REDRAW, 300 + t): user 1's first
+        # redraw on BS 0, minus its projection on user 0
+        d = block[0, 0, :4] / np.linalg.norm(block[0, 0, :4])
+        fresh = rngmod.complex_normal(substream(145, rngmod.REDRAW, 300), (4,))
+        v = fresh - np.vdot(d, fresh) * d
+        assert np.allclose(block[0, 1, :4] / np.linalg.norm(block[0, 1, :4]),
+                           v / np.linalg.norm(v), atol=1e-12)
 
     def test_zero_error_quantization_kills_interference_term(self):
         # with sin(theta) = 0 the composite residual Q = g_1 ghat_2'^H vanishes
         # under per-block orthogonality
         ls = _support.two_cell_map(150.0, 250.0)
         for t in range(50):
-            real = channel.realize_channels(ls, 4, [substream(143, 0, t)])
+            real = _support.realize(ls, 4, [substream(143, 0, t)])
             cb = _support.perfect_codebook_for(real)
             rep = per_cell_feedback(real, ls, cb)
-            out = orthogonalize_report(rep, 4, [substream(143, 2, t)])[0]
+            out = orthogonalize_report(rep, 4, 143, t)[0]
             q = np.dot(real.global_channels[0, 0], out[1].conj())
             assert abs(q) <= 1e-9
 

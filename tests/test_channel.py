@@ -117,9 +117,26 @@ class TestSmallScale:
         b = channel.sample_small_scale(2, 2, 4, substream(7, 0, 5))
         assert np.array_equal(a, b)
 
+    def test_trial_axis_draws_the_trials_in_turn(self):
+        # a drop draws all its trials at once: the same bits as one at a time
+        rng = substream(7, 0, 6)
+        one_by_one = [channel.sample_small_scale(2, 3, 4, rng) for _ in range(5)]
+        whole = channel.sample_small_scale(2, 3, 4, substream(7, 0, 6), trials=5)
+        assert whole.shape == (5, 2, 3, 4)
+        assert np.array_equal(whole, np.stack(one_by_one))
+
     def test_single_antenna_rejected(self):
         with pytest.raises(ConfigurationError):
             channel.sample_small_scale(2, 2, 1, substream(7, 0, 0))
+
+    def test_realization_checks_the_draws_shape(self):
+        ls = channel.LargeScaleMap(snr_gamma_sq=np.ones((2, 2)))
+        h = channel.sample_small_scale(2, 2, 4, substream(7, 0, 7), trials=3)
+        real = channel.realize_channels(ls, 4, h)
+        assert real.global_channels.shape == (3, 2, 8)
+        for bad in (h[0], h[..., :3]):
+            with pytest.raises(ConfigurationError):
+                channel.realize_channels(ls, 4, bad)
 
 
 class TestAssembleGlobal:

@@ -297,14 +297,19 @@ def fig3_arm_config(tmp_path):
 @pytest.fixture
 def variant_configs(tmp_path):
     """Paths of the fig3 scenario fixed with MS1 at 150 m, of the fig5
-    cooperative random-drop arm cut to 2 drops, and of the fig3 arm with
-    64-bit diagonal links."""
+    cooperative random-drop arm cut to 2 drops, and of variants with one bad
+    value each: 64-bit diagonal links, a boolean coordinate, a NaN or a
+    coincident base station, a core beyond the cell edge."""
     fig3 = scenario.preset("fig3").arms[0].scenario
     bits64 = json.loads(scenario.serialize(fig3))
     bits64["feedback"]["bits"] = [[64, 3], [3, 64]]  # no FeedbackConfig accepts it
+    fixed = scenario.serialize(scenario.at_sweep_point(fig3, 150.0))
+    bool_position = json.loads(fixed)
+    bool_position["placement"]["positions"][1] = [True, 0]
     drops = scenario.serialize(replace(scenario.preset("fig5").arms[0].scenario, drops=2))
     paths = {}
-    for name, text in (("{fixed}", scenario.serialize(scenario.at_sweep_point(fig3, 150.0))),
+    for name, text in (("{fixed}", fixed),
+                       ("{bool_position}", json.dumps(bool_position)),
                        ("{drops}", drops),
                        ("{bits64}", json.dumps(bits64)),
                        ("{nan_bs}", scenario.serialize(fig3).replace("500.0", "NaN")),
@@ -365,6 +370,8 @@ def codebook_files_config(fig3_arm_config, tmp_path):
      "error: feedback.bits[0][0]: must be in [0, 63)\n"),
     ({}, ["simulate", "--config", "{nan_bs}"],
      "error: geometry.bs_positions[1]: must be finite\n"),
+    ({}, ["simulate", "--config", "{bool_position}"],
+     "error: placement.positions[1]: must be an [x, y] pair\n"),
     ({}, ["simulate", "--config", "{same_bs}"],
      "error: geometry.bs_positions: base stations must not coincide\n"),
     ({}, ["simulate", "--config", "{core_beyond_edge}"],
@@ -376,7 +383,7 @@ def codebook_files_config(fig3_arm_config, tmp_path):
         "codebook-files-unknown-key", "zero-workers", "negative-workers",
         "trials-flag-random-drops", "trials-env-random-drops", "appendix-one-draw",
         "bound-trials-without-appendix", "train-bits-63", "scenario-bits-64",
-        "scenario-nan-coordinate", "coincident-base-stations", "core-beyond-cell-edge"])
+        "scenario-nan-coordinate", "boolean-coordinate", "coincident-base-stations", "core-beyond-cell-edge"])
 def test_bad_input_exits_2_with_error_line(env, argv, message, fig3_arm_config,
                                            codebook_files_config, variant_configs,
                                            tmp_path, monkeypatch, capsys):

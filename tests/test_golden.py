@@ -31,12 +31,12 @@ RECORDED_NUMPY = "2.4.6"
 RECORDED_BLAS = "scipy-openblas 0.3.31.188.0"
 
 RECORDED = {
-    "simulate fig3 --trials 20": "7c2f45c6a9c6",
+    "simulate fig3 --trials 20": "59667eae6124",
     "simulate fig5 comp_per_cell_3_3 drops=10": "66e8826e789f",
     "simulate fig5 single_cell_global_6bit drops=10": "8c64abc9a85e",
     "simulate fig5 comp_per_cell_3_3 drops=30 --workers 2": "e98010b76592",
     "simulate fig5 single_cell_global_6bit drops=30 --workers 2": "4d290a1214a7",
-    "simulate fig3 --trials 20 --seed 18446744073709551617": "486cd5ad3585",
+    "simulate fig3 --trials 20 --seed 18446744073709551617": "aa27cad5eb0f",
     "bound fig3 --at 50 --verify-appendix --trials 2000 csv": "d93ddced0506",
     "bound fig3 --at 50 --verify-appendix --trials 2000 stdout": "d57cb1b4d828",
     "bound fig4 per_cell_4_2 --at 100 --verify-appendix --trials 2000 csv": "b229ca820b89",
@@ -45,8 +45,8 @@ RECORDED = {
     "train-codebook --dimension 4 --bits 4 --seed 7104": "a268644eb847",
     "train-codebook fig4 global_6bit --at 100 --user 0 --bits 2 --seed 7104": "e47dd64ae393",
     "train-codebook fig4 global_6bit --at 100 --user 0 --bits 6 --seed 7104": "f89a1fe1787c",
-    "simulate fig4 global_6bit global_bits=2 --trials 20": "261d4d946dff",
-    "rate_loss_montecarlo fig3 ms2_150m at 100 m": "f3ec2358b768",
+    "simulate fig4 global_6bit global_bits=2 --trials 20": "0678f4226ba6",
+    "rate_loss_montecarlo fig3 ms2_150m at 100 m": "57539fc31c4f",
     "train_lloyd two point masses, 4 codewords": "8c8e8e036cc0",
 }
 

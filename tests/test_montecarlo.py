@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from compsim import channel, montecarlo, precoding, quantization, scenario
+from compsim import rng as rngmod
 from compsim.errors import ConfigurationError, EstimationError
 from compsim.quantization import FeedbackConfig
 from compsim.rng import substream
@@ -56,6 +57,17 @@ class TestRun:
         eight = trial_log(scn, workers=8)
         for name in ("ideal", "quantized", "interference", "ok"):
             assert np.array_equal(getattr(one, name), getattr(eight, name), equal_nan=True)
+
+    @pytest.mark.parametrize("orthogonalize", [False, True])
+    def test_a_shorter_run_is_the_start_of_a_longer_one(self, orthogonalize):
+        # 300 trials end inside the second stream block, which a 600-trial
+        # run draws whole as well: trial t is the same trial in both runs
+        ctx = montecarlo.build_context(small_fixed(), orthogonalize=orthogonalize)
+        short = montecarlo.run_trials(ctx, 300)
+        long = montecarlo.run_trials(ctx, 600)
+        for name in ("ideal", "quantized", "interference", "ok"):
+            assert np.array_equal(getattr(short, name), getattr(long, name)[:300],
+                                  equal_nan=True), name
 
     def test_different_seed_changes_result(self):
         scn = small_fixed(trials=60)
@@ -142,9 +154,14 @@ class TestRun:
             master_seed=77,
         )
         ctx = montecarlo.build_context(scn)
-        real = channel.realize_channels(
-            ctx.large_scale, scn.n_tx,
-            [substream(scn.master_seed, 0, t) for t in range(scn.trials)])
+        # the run's draws: stream blocks 0 and 1, each drawn whole, cut at 300
+        ls = ctx.large_scale
+        small_scale = np.concatenate([
+            channel.sample_small_scale(ls.n_users, ls.n_bs, scn.n_tx,
+                                       substream(scn.master_seed, rngmod.TRIAL, i),
+                                       trials=montecarlo.STREAM_TRIALS)
+            for i in range(2)])[:scn.trials]
+        real = channel.realize_channels(ls, scn.n_tx, small_scale)
         _, ideal_reason = precoding.zf_precoder(real.global_channels)
         _, quant_reason = precoding.zf_precoder(
             ctx.feedback.apply(real, ctx.large_scale).reconstructed)
@@ -315,23 +332,32 @@ class TestWorkerInvariance:
         assert (c1.failed_draws, c1.dead_drops) == (c2.failed_draws, c2.dead_drops)
 
 
+def contexts_of(per_cell_bits, global_bits: int, pairing: PairingPolicy,
+                master_seed: int) -> list:
+    """Per-cell, global and orthogonalized per-cell trial contexts of one
+    scenario with random codebooks of the given bits."""
+    per_cell = FeedbackConfig(mode="per_cell", codebook_kind="random", training_seed=62,
+                              bits=per_cell_bits)
+    global_ = FeedbackConfig(mode="global", global_bits=global_bits, codebook_kind="random",
+                             training_seed=61)
+    scn = small_fixed(master_seed=master_seed, pairing=pairing)
+    return [montecarlo.build_context(replace(scn, feedback=feedback), orthogonalize=orth)
+            for feedback, orth in ((per_cell, False), (global_, False), (per_cell, True))]
+
+
 @st.composite
 def block_contexts(draw):
-    """Per-cell, global and orthogonalized per-cell trial contexts of one
-    scenario, with low bit counts so that codeword collisions force
+    """``contexts_of`` with low bit counts, so that codeword collisions force
     Gram-Schmidt redraws and zero-forcing rejections, and always-pair or a
     threshold."""
     bits = st.integers(0, 3)
-    per_cell = FeedbackConfig(mode="per_cell", codebook_kind="random", training_seed=62,
-                              bits=draw(st.lists(st.lists(bits, min_size=2, max_size=2),
-                                                 min_size=2, max_size=2)))
-    global_ = FeedbackConfig(mode="global", global_bits=draw(bits), codebook_kind="random",
-                             training_seed=61)
-    pairing = draw(st.sampled_from((PairingPolicy(),
-                                    PairingPolicy(mode="sus_threshold", threshold=0.5))))
-    scn = small_fixed(master_seed=draw(st.integers(0, 2**32 - 1)), pairing=pairing)
-    return [montecarlo.build_context(replace(scn, feedback=feedback), orthogonalize=orth)
-            for feedback, orth in ((per_cell, False), (global_, False), (per_cell, True))]
+    return contexts_of(draw(st.lists(st.lists(bits, min_size=2, max_size=2),
+                                     min_size=2, max_size=2)),
+                       draw(bits),
+                       draw(st.sampled_from((PairingPolicy(),
+                                             PairingPolicy(mode="sus_threshold",
+                                                           threshold=0.5)))),
+                       draw(st.integers(0, 2**32 - 1)))
 
 
 def drop_scenario(arm: str) -> scenario.Scenario:
@@ -348,6 +374,9 @@ class TestBlockInvariance:
     @settings(max_examples=4, deadline=None)
     @given(contexts=block_contexts(), trials=st.integers(1, 80), drops=st.integers(1, 3),
            trials_per_drop=st.integers(1, 20))
+    # past the first stream block: the second worker's range starts inside it
+    @example(contexts=contexts_of([[0, 2], [1, 0]], 1, PairingPolicy(), 9601), trials=300,
+             drops=2, trials_per_drop=5)
     def test_results_do_not_depend_on_block_size_or_workers(self, contexts, trials, drops,
                                                             trials_per_drop):
         references = [montecarlo.run_trials(ctx, trials) for ctx in contexts]
@@ -394,9 +423,9 @@ class TestBlockInvariance:
         sizes = []
         evaluate_block = montecarlo._evaluate_block
 
-        def recorder(ctx, rngs):
-            sizes.append(len(rngs))
-            return evaluate_block(ctx, rngs)
+        def recorder(ctx, small_scale, first):
+            sizes.append(len(small_scale))
+            return evaluate_block(ctx, small_scale, first)
 
         monkeypatch.setattr(montecarlo, "_evaluate_block", recorder)
         return sizes

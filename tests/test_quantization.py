@@ -212,7 +212,7 @@ def _two_cell_realization(seed, alpha_sq=None):
     if alpha_sq is None:
         alpha_sq = np.array([[4.0, 0.5], [0.5, 4.0]])
     ls = channel.LargeScaleMap(snr_gamma_sq=alpha_sq)
-    real = channel.realize_channels(ls, 4, [substream(seed, 0, 0)])
+    real = _support.realize(ls, 4, [substream(seed, 0, 0)])
     return real, ls
 
 
@@ -336,7 +336,7 @@ class TestGlobalFeedback:
             4, ls,
         )
         draws = 2000
-        real = channel.realize_channels(ls, 4, [substream(611, 0, t) for t in range(draws)])
+        real = _support.realize(ls, 4, [substream(611, 0, t) for t in range(draws)])
         g = real.global_channels[:, 0]
         gbar = g / np.linalg.norm(g, axis=1, keepdims=True)
         err = []

@@ -158,6 +158,18 @@ class TestValidation:
             scenario.scenario_from_dict(doc)
         assert err.value.errors == [f"{section}.{key}[1]: must be finite"]
 
+    @pytest.mark.parametrize("section, key, error", [
+        ("geometry", "bs_positions", "geometry.bs_positions: must be a list of [x, y] pairs"),
+        ("placement", "positions", "placement.positions[1]: must be an [x, y] pair")])
+    @pytest.mark.parametrize("entry", [[False, 0.0], [1.0, True]])
+    def test_boolean_coordinate_rejected(self, section, key, error, entry):
+        # JSON true and false are not numbers, as for every float key
+        doc = self._doc()
+        doc[section][key][1] = entry
+        with pytest.raises(ScenarioError) as err:
+            scenario.scenario_from_dict(doc)
+        assert error in err.value.errors
+
     def test_schema_comes_from_the_dataclass_fields(self):
         schema = scenario._SCHEMA
         assert list(schema[""]) == [f.name for f in fields(scenario.Scenario)]
