@@ -199,6 +199,7 @@ class AppendixCheck:
     rhs: float
     se: float
     passed: bool
+    draws: int  # the samples behind lhs and se
 
 
 def _check(step: str, samples: np.ndarray, rhs: float, passes) -> AppendixCheck:
@@ -208,7 +209,7 @@ def _check(step: str, samples: np.ndarray, rhs: float, passes) -> AppendixCheck:
         raise ConfigurationError(f"{step}: a standard error needs at least 2 draws, got {n}")
     lhs = float(samples.mean())
     se = float(samples.std(ddof=1) / np.sqrt(n))
-    return AppendixCheck(step, lhs, rhs, se, passes(lhs, rhs, se))
+    return AppendixCheck(step, lhs, rhs, se, passes(lhs, rhs, se), n)
 
 
 def _project_out(v: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -301,7 +302,7 @@ def check_decomposition(
     lhs = float(max(np.abs(dev).max(initial=0.0) for dev in (
         recomposed - h[live], np.linalg.norm(s, axis=1) - 1.0,
         (s * hq[live].conj()).sum(axis=1), sin**2 - err)))
-    return AppendixCheck("decomposition", lhs, 1e-12, 0.0, lhs < 1e-12)
+    return AppendixCheck("decomposition", lhs, 1e-12, 0.0, lhs < 1e-12, len(h))
 
 
 def check_nullspace_moment(

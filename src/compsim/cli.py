@@ -256,7 +256,7 @@ def cmd_bound(args) -> int:
             )
             rows.append(MetricsRow(exp.name, arm.label, sweep_name, args.at, None,
                                    f"appendix_check:{c.step}", 1.0 if c.passed else 0.0,
-                                   scn.trials, scn.master_seed))
+                                   c.draws, scn.master_seed))
 
     print("\n".join(lines))
     if args.out:

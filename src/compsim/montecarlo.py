@@ -11,11 +11,11 @@ then all its trials. One loop cuts the runs into blocks of at most
 may need its own). A block evaluates the configured feedback arm and the
 perfect-CSI arm on the same stacked channel draws (common random numbers):
 feedback, the optional per-block Gram-Schmidt, both zero-forcing precoders
-(one stacked SVD each) and the rates. The per-trial values live in the
-``TrialLog``, which aggregation folds in trial order; a random-drop range
-folds each drop's rows into its means. A block's temporaries are bounded
-whatever the trial count; a log holds three floats per user and an ``ok``
-flag per trial of its range.
+(each through the Gram matrix, with an SVD tail for ill-conditioned trials)
+and the rates. The per-trial values live in the ``TrialLog``, which
+aggregation folds in trial order; a random-drop range folds each drop's rows
+into its means. A block's temporaries are bounded whatever the trial count;
+a log holds three floats per user and an ``ok`` flag per trial of its range.
 
 A trial evaluates to the same bits in a block of any size, alone or among
 others, so results do not depend on the block size, the chunk layout or the
@@ -24,8 +24,10 @@ worker count:
   Gram-Schmidt redraw comes from the trial's own substream (REDRAW, t);
 - row norms, inner products and phases go through ``rows``, which rounds each
   row as numpy rounds a single vector;
-- the stacked SVD, matrix products and column norms round each matrix of the
-  stack as they would round it alone.
+- each trial's zero-forcing path (Gram matrix or SVD) is chosen from its own
+  matrix, and the stacked eigenvalue, inverse and SVD calls, matrix products
+  and column norms round each matrix of the stack as they would round it
+  alone.
 """
 
 from __future__ import annotations

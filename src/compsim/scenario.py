@@ -278,12 +278,16 @@ def scenario_from_dict(doc: dict) -> Scenario:
                       for i, entry in enumerate(entries if isinstance(entries, list) else ())
                       if _is_xy(entry) and not all(map(_finite, entry)))
 
-    for name, cls in (("geometry", Geometry), ("feedback", FeedbackConfig),
-                      ("pairing", PairingPolicy)):
-        errors.extend(f"{name}.{field}: {message}"
-                      for field, message in cls.problems(sections[name]))
-    errors.extend(f"{field}: {message}"
-                  for field, message in Scenario.problems(SimpleNamespace(**top, **sections)))
+    # A field reported above holds a default or an empty list in its place,
+    # which the value checks must not report about as well.
+    reported = {error.split(":", 1)[0] for error in errors}
+    value_problems = [(f"{name}.{field}", message)
+                      for name, cls in (("geometry", Geometry), ("feedback", FeedbackConfig),
+                                        ("pairing", PairingPolicy))
+                      for field, message in cls.problems(sections[name])]
+    value_problems += Scenario.problems(SimpleNamespace(**top, **sections))
+    errors.extend(f"{field}: {message}" for field, message in value_problems
+                  if field not in reported)
     if errors:
         raise ScenarioError(*errors)
 

@@ -262,7 +262,14 @@ class TestBound:
         assert "inverse_norm:user0" in out
         rows = csv_path.read_text().splitlines()
         assert rows[0] == cli.CSV_HEADER
-        assert any("appendix_check:nullspace_moment" in r for r in rows)
+        # each appendix row's trials column holds the draws that check used
+        draws = {f[5]: f[7] for f in (r.split(",") for r in rows[1:])
+                 if f[5].startswith("appendix_check:")}
+        assert draws == {"appendix_check:inverse_norm:user0": "20000",
+                         "appendix_check:inverse_norm:user1": "20000",
+                         "appendix_check:decomposition": "2000",
+                         "appendix_check:nullspace_moment": "20000",
+                         "appendix_check:interference_moment": "20000"}
 
     def test_sweep_scenario_needs_at(self, capsys):
         assert run_cli("bound", "--preset", "fig3") == 2

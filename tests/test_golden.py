@@ -31,12 +31,12 @@ RECORDED_NUMPY = "2.4.6"
 RECORDED_BLAS = "scipy-openblas 0.3.31.188.0"
 
 RECORDED = {
-    "simulate fig3 --trials 20": "59667eae6124",
-    "simulate fig5 comp_per_cell_3_3 drops=10": "66e8826e789f",
-    "simulate fig5 single_cell_global_6bit drops=10": "8c64abc9a85e",
-    "simulate fig5 comp_per_cell_3_3 drops=30 --workers 2": "e98010b76592",
-    "simulate fig5 single_cell_global_6bit drops=30 --workers 2": "4d290a1214a7",
-    "simulate fig3 --trials 20 --seed 18446744073709551617": "aa27cad5eb0f",
+    "simulate fig3 --trials 20": "6ddf5b2e01ff",
+    "simulate fig5 comp_per_cell_3_3 drops=10": "7c6da1f363f4",
+    "simulate fig5 single_cell_global_6bit drops=10": "ae3485e66013",
+    "simulate fig5 comp_per_cell_3_3 drops=30 --workers 2": "deaa046de143",
+    "simulate fig5 single_cell_global_6bit drops=30 --workers 2": "6c5b71f9715d",
+    "simulate fig3 --trials 20 --seed 18446744073709551617": "a41caf3675e3",
     "bound fig3 --at 50 --verify-appendix --trials 2000 csv": "d93ddced0506",
     "bound fig3 --at 50 --verify-appendix --trials 2000 stdout": "d57cb1b4d828",
     "bound fig4 per_cell_4_2 --at 100 --verify-appendix --trials 2000 csv": "b229ca820b89",
@@ -45,8 +45,8 @@ RECORDED = {
     "train-codebook --dimension 4 --bits 4 --seed 7104": "a268644eb847",
     "train-codebook fig4 global_6bit --at 100 --user 0 --bits 2 --seed 7104": "e47dd64ae393",
     "train-codebook fig4 global_6bit --at 100 --user 0 --bits 6 --seed 7104": "f89a1fe1787c",
-    "simulate fig4 global_6bit global_bits=2 --trials 20": "0678f4226ba6",
-    "rate_loss_montecarlo fig3 ms2_150m at 100 m": "57539fc31c4f",
+    "simulate fig4 global_6bit global_bits=2 --trials 20": "da5ed944acd2",
+    "rate_loss_montecarlo fig3 ms2_150m at 100 m": "b337d8fbd7f4",
     "train_lloyd two point masses, 4 codewords": "8c8e8e036cc0",
 }
 

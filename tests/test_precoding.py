@@ -1,15 +1,24 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from compsim import montecarlo, precoding, scenario
 from compsim.errors import DomainError
 from compsim.precoding import (
+    GRAM_EIGENVALUE_RATIO,
     MAX_CONDITION_NUMBER,
+    _svd_path,
     instantaneous_rate,
     interference_power,
     sinr,
     zf_precoder,
 )
 from compsim.rng import substream
+
+EPS = np.finfo(float).eps
+GRAM_CONDITION = GRAM_EIGENVALUE_RATIO ** -0.5  # cond(H) below which the Gram path runs
 
 
 def random_channels(n_users, dim, seed):
@@ -22,6 +31,18 @@ def zf_one(g):
     pre, reason = zf_precoder(g[None])
     assert reason.tolist() == ["ok"]
     return pre[0]
+
+
+def conditioned_channels(trials, n_users, dim, condition, seed):
+    """A stack of (n_users, dim) matrices U diag(s) V^H with random unitary U,
+    orthonormal V and singular values s spread from 1 down to 1/condition."""
+    def unitary(label, n, cols):
+        z = substream(seed, 1, label).standard_normal((trials, n, n, 2))
+        return np.linalg.qr(z[..., 0] + 1j * z[..., 1])[0][:, :, :cols]
+
+    s = np.geomspace(1.0, 1.0 / condition, n_users)
+    return ((unitary(0, n_users, n_users) * s)
+            @ np.swapaxes(unitary(1, dim, n_users).conj(), 1, 2))
 
 
 def orthogonalize_rows(mat):
@@ -85,6 +106,81 @@ class TestZfPrecoder:
         pre, reason = zf_precoder(random_channels(9, 8, 68)[None])
         assert reason.tolist() == ["rank"]
         assert np.isnan(pre).all()
+        stack = np.stack([random_channels(5, 4, 68 + t) for t in range(3)])
+        pre, reason = zf_precoder(stack)
+        assert pre.shape == (3, 4, 5) and reason.tolist() == ["rank"] * 3
+        assert np.isnan(pre).all()
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), users=st.integers(1, 4), extra=st.integers(0, 8))
+    def test_gaussian_stacks_agree_with_the_svd_path(self, seed, users, extra):
+        # at least twice as many dimensions as users, as in every preset, so
+        # the Gaussian matrices are well conditioned
+        z = substream(seed, 2, 0).standard_normal((16, users, 2 * users + extra, 2))
+        H = z[..., 0] + 1j * z[..., 1]
+        pre, reason = zf_precoder(H)
+        svd_pre, svd_reason = _svd_path(H)
+        assert np.array_equal(reason, svd_reason)
+        assert np.max(np.abs(pre - svd_pre)) <= 1e-12
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), users=st.integers(2, 4), extra=st.integers(0, 8),
+           log_condition=st.floats(0.0, 0.99 * np.log10(GRAM_CONDITION)))
+    def test_error_grows_as_the_squared_condition_number(self, seed, users, extra,
+                                                          log_condition):
+        # zf_precoder's bound, c eps cond(H)^2 per unit-norm column, with c
+        # taken as 4 (users + dims); measured c/(users + dims) stays near 1
+        condition = 10.0 ** log_condition
+        dim = users + extra
+        H = conditioned_channels(8, users, dim, condition, seed)
+        pre, reason = zf_precoder(H)
+        svd_pre, svd_reason = _svd_path(H)
+        assert reason.tolist() == svd_reason.tolist() == ["ok"] * 8
+        assert np.max(np.abs(pre - svd_pre)) <= 4 * (users + dim) * condition**2 * EPS
+
+    def test_stack_straddling_the_gram_threshold_and_the_cap(self):
+        # conditions below and above the Gram threshold (both "ok"), a
+        # rank-deficient trial and two past the condition cap
+        conditions = [1.0, 0.5 * GRAM_CONDITION, 2.0 * GRAM_CONDITION, 1e6, 1e9, 1e12]
+        stack = np.concatenate([conditioned_channels(1, 3, 8, c, 80 + i)
+                                for i, c in enumerate(conditions)])
+        rank = random_channels(3, 8, 88)
+        rank[2] = rank[0] - 2.0 * rank[1]
+        stack = np.insert(stack, 3, rank, axis=0)
+        pre, reason = zf_precoder(stack)
+        svd_pre, svd_reason = _svd_path(stack)
+        assert reason.tolist() == ["ok"] * 3 + ["rank", "ok", "condition cap", "condition cap"]
+        assert np.array_equal(reason, svd_reason)
+        assert np.array_equal(np.isnan(pre), np.isnan(svd_pre))
+        # the trials past the threshold are the SVD's own, bit for bit
+        assert np.array_equal(pre[2:], svd_pre[2:], equal_nan=True)
+        for t in range(len(stack)):
+            alone, alone_reason = zf_precoder(stack[t:t + 1])
+            assert alone_reason[0] == reason[t]
+            assert np.array_equal(alone[0], pre[t], equal_nan=True)
+
+    def test_reasons_equal_the_svd_path_on_preset_runs(self, monkeypatch):
+        # every trial of small fig3, fig4 global_6bit and fig5 runs, both arms
+        gram_zf, trials, rejected = precoding.zf_precoder, [0], [0]
+
+        def checked(H):
+            pre, reason = gram_zf(H)
+            assert np.array_equal(reason, _svd_path(np.asarray(H, dtype=complex))[1])
+            trials[0] += len(reason)
+            rejected[0] += np.count_nonzero(reason != "ok")
+            return pre, reason
+
+        monkeypatch.setattr(precoding, "zf_precoder", checked)
+        fig4 = {a.label: a.scenario for a in scenario.preset("fig4").arms}
+        fixed = [fixed for arm in scenario.preset("fig3").arms
+                 for _, fixed in scenario.resolved_points(replace(arm.scenario, trials=40))]
+        fixed.append(scenario.at_sweep_point(replace(fig4["global_6bit"], trials=200), 100.0))
+        for scn in fixed:
+            montecarlo.run(scn)
+        for arm in scenario.preset("fig5").arms:
+            montecarlo.run_cdf(replace(arm.scenario, drops=60))
+        assert trials[0] == 2 * (15 * 40 + 200 + 2 * 60 * 20)
+        assert rejected[0] > 0
 
     def test_each_trial_of_a_stack_gets_its_own_reason(self):
         # one well-conditioned matrix, one rank-deficient, one whose

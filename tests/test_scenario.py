@@ -170,6 +170,22 @@ class TestValidation:
             scenario.scenario_from_dict(doc)
         assert error in err.value.errors
 
+    @pytest.mark.parametrize("section, key, index, value, error", [
+        ("geometry", "bs_positions", 1, ["a", 0.0], "must be a list of [x, y] pairs"),
+        ("geometry", "bs_positions", 1, [True, 0.0], "must be a list of [x, y] pairs"),
+        ("geometry", "bs_positions", None, 5, "expected list"),
+        ("placement", "positions", None, "x", "expected list")])
+    def test_a_malformed_field_has_one_diagnostic(self, section, key, index, value, error):
+        # no value check about the default or empty list put in its place
+        doc = self._doc()
+        if index is None:
+            doc[section][key] = value
+        else:
+            doc[section][key][index] = value
+        with pytest.raises(ScenarioError) as err:
+            scenario.scenario_from_dict(doc)
+        assert err.value.errors == [f"{section}.{key}: {error}"]
+
     def test_schema_comes_from_the_dataclass_fields(self):
         schema = scenario._SCHEMA
         assert list(schema[""]) == [f.name for f in fields(scenario.Scenario)]
