@@ -26,9 +26,10 @@ numerically. The measured loss and the interference term are the
 check ends in ``_check``, the one home of its mean, standard error and
 verdict; the checks of the error split h_bar = cos(theta) h_hat +
 sin(theta) s share one decomposition (``_error_directions``). The
-100k-draw checks evaluate ``quantization.row_blocks`` of their draws at a
-time, so their memory stays a few blocks', and draw every stream in the
-order of one whole-array evaluation.
+100k-draw checks take their substream one chunk of ``STREAM_ROWS`` draws
+at a time, each chunk's draws after all of the chunk before it, and
+evaluate a chunk in ``quantization.row_blocks``: their memory is a chunk's
+plus a few scalars per draw.
 """
 
 from __future__ import annotations
@@ -41,6 +42,10 @@ from . import channel, montecarlo, quantization, rows
 from . import rng as rngmod
 from . import scenario as scenariomod
 from .errors import ConfigurationError, DomainError
+
+# draws an appendix check takes from its substream at once: part of the
+# random-stream contract, separate from the evaluation size quantization.BLOCK_ROWS
+STREAM_ROWS = 8192
 
 
 @dataclass
@@ -212,6 +217,13 @@ def _check(step: str, samples: np.ndarray, rhs: float, passes) -> AppendixCheck:
     return AppendixCheck(step, lhs, rhs, se, passes(lhs, rhs, se), n)
 
 
+def _stream_chunks(count: int) -> list[slice]:
+    """The ``STREAM_ROWS`` chunks of ``range(count)`` a check draws in turn.
+    Boundaries fall at multiples of ``STREAM_ROWS``, so a run of n draws
+    uses the first n draws of any longer run."""
+    return [slice(a, min(a + STREAM_ROWS, count)) for a in range(0, count, STREAM_ROWS)]
+
+
 def _project_out(v: np.ndarray, d: np.ndarray) -> np.ndarray:
     """Each row of ``v`` minus its component along the unit row of ``d``."""
     return v - ((v * d.conj()).sum(axis=1))[:, None] * d
@@ -315,14 +327,15 @@ def check_nullspace_moment(
     """
     rng = rngmod.substream(master_seed, rngmod.APPENDIX, 3)
     d = cb.dimension
-    h = quantization.isotropic_directions(trials, d, rng)
     samples = []
-    for block in quantization.row_blocks(trials):
-        # each block's u follow the u of the blocks before it in the stream,
-        # as one draw for every live row after all of h
-        hq, _, _, _, live, s = _error_directions(h[block], cb)
-        u = _random_orthogonal(rng, hq[live])
-        samples.append(np.abs((s * u.conj()).sum(axis=1)) ** 2)
+    for chunk in _stream_chunks(trials):
+        h = quantization.isotropic_directions(chunk.stop - chunk.start, d, rng)
+        for block in quantization.row_blocks(len(h)):
+            # each block's u follow the u of the blocks before it in the
+            # stream, as one draw for every live row after all of the chunk's h
+            hq, _, _, _, live, s = _error_directions(h[block], cb)
+            u = _random_orthogonal(rng, hq[live])
+            samples.append(np.abs((s * u.conj()).sum(axis=1)) ** 2)
     return _check("nullspace_moment", np.concatenate(samples), 1.0 / (d - 1),
                   lambda lhs, rhs, se: abs(lhs - rhs) <= 3.0 * se)
 
@@ -345,34 +358,34 @@ def check_interference_moment(
     """
     rng = rngmod.substream(master_seed, rngmod.APPENDIX, 4)
     n_bs, alpha_sq = large_scale.n_bs, large_scale.alpha_sq
-    # the draws of channel.sample_small_scale for users k and j, h = z / sqrt(2)
-    zk = rngmod.complex_normal(rng, (trials, n_bs, n_tx))
-    zj = rngmod.complex_normal(rng, (trials, n_bs, n_tx))
+    # rho_k rho_j = alpha_k alpha_j ||z_k|| ||z_j|| / 2
+    scale = 0.5 * np.sqrt(alpha_sq[0] * alpha_sq[1])
     q = np.zeros(trials, dtype=complex)
-    err_mean = np.zeros(n_bs)
-    for b in range(n_bs):
-        cb_k, cb_j = codebooks[0][b], codebooks[1][b]
-        # rho_k rho_j = alpha_k alpha_j ||z_k|| ||z_j|| / 2
-        scale = 0.5 * np.sqrt(alpha_sq[0, b] * alpha_sq[1, b])
-        errors = []
-        # block by block, BS b's redraws come in row order after all of z_j,
-        # and before those of BS b + 1
-        for block in quantization.row_blocks(trials):
-            nk, nj = rows.norms(zk[block, b]), rows.norms(zj[block, b])
-            hk_bar = zk[block, b] / nk[:, None]
-            ik, ek = quantization.quantize_many(hk_bar, cb_k)
-            ij, _ = quantization.quantize_many(zj[block, b] / nj[:, None], cb_j)
-            errors.append(ek)
-            ck = cb_k.codewords[ik]
-            v = _project_out(cb_j.codewords[ij], ck)  # the paired direction, orthogonal to c_k
-            vn = rows.norms(v)
-            degenerate = vn < 1e-9
-            if degenerate.any():
-                v[degenerate] = _random_orthogonal(rng, ck[degenerate])
-                vn[degenerate] = 1.0
-            q[block] += (scale * nk * nj / vn) * rows.inner(v, hk_bar)
-        err_mean[b] = np.concatenate(errors).mean()
+    errors = np.empty((n_bs, trials))  # sin^2 theta_k per BS and draw
+    for chunk in _stream_chunks(trials):
+        # the draws of channel.sample_small_scale for users k and j,
+        # h = z / sqrt(2), then the chunk's redraws: BS b's in row order
+        # after all of z_j, and before those of BS b + 1
+        zk = rngmod.complex_normal(rng, (chunk.stop - chunk.start, n_bs, n_tx))
+        zj = rngmod.complex_normal(rng, zk.shape)
+        q_chunk, err_chunk = q[chunk], errors[:, chunk]
+        for b in range(n_bs):
+            cb_k, cb_j = codebooks[0][b], codebooks[1][b]
+            for block in quantization.row_blocks(len(zk)):
+                nk, nj = rows.norms(zk[block, b]), rows.norms(zj[block, b])
+                hk_bar = zk[block, b] / nk[:, None]
+                ik, err_chunk[b, block] = quantization.quantize_many(hk_bar, cb_k)
+                ij, _ = quantization.quantize_many(zj[block, b] / nj[:, None], cb_j)
+                ck = cb_k.codewords[ik]
+                v = _project_out(cb_j.codewords[ij], ck)  # the paired direction, orthogonal to c_k
+                vn = rows.norms(v)
+                degenerate = vn < 1e-9
+                if degenerate.any():
+                    v[degenerate] = _random_orthogonal(rng, ck[degenerate])
+                    vn[degenerate] = 1.0
+                q_chunk[block] += (scale[b] * nk * nj / vn) * rows.inner(v, hk_bar)
 
+    err_mean = errors.mean(axis=1)
     rhs = float((n_tx**2 / (n_tx - 1)) * np.sum(alpha_sq[0] * alpha_sq[1] * err_mean))
     return _check("interference_moment", q.real**2 + q.imag**2, rhs,
                   lambda lhs, rhs, se: lhs <= rhs + 3.0 * se)

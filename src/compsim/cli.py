@@ -234,14 +234,15 @@ def cmd_bound(args) -> int:
     lines.append(f"rate-loss bounds for {exp.name}/{arm.label}"
                  + (f" at {args.at:g} m" if args.at is not None else ""))
     for k, (value, i_terms) in enumerate(_user_bounds(scn, ctx)):
+        # a closed form draws nothing: its value rests on user k's error estimates
+        draws = min(quantization.error_estimate(cb)["draws"] for cb in ctx.feedback.codebooks[k])
         lines.append(f"  user {k}: bound {value:.6f} bits/s/Hz")
         rows.append(MetricsRow(exp.name, arm.label, sweep_name, args.at, k,
-                               "rate_loss_bound", value, scn.trials, scn.master_seed))
+                               "rate_loss_bound", value, draws, scn.master_seed))
         for j, term in sorted(i_terms.items()):
             lines.append(f"    interference term from user {j}: {term:.6f}")
             rows.append(MetricsRow(exp.name, arm.label, sweep_name, args.at, k,
-                                   f"interference_term:{j}", term, scn.trials,
-                                   scn.master_seed))
+                                   f"interference_term:{j}", term, draws, scn.master_seed))
 
     if args.verify_appendix:
         checks = bounds.verify_appendix(

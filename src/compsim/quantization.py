@@ -251,12 +251,33 @@ def train_lloyd(
     return Codebook(codewords=codewords, bits=bits, kind="lloyd", training_meta=meta)
 
 
-def expected_error(cb: Codebook, directions: np.ndarray) -> tuple[float, float]:
+class DrawnRows:
+    """The ``count`` rows that ``draw(n)`` returns ``n`` at a time, drawn as
+    they are sliced. Slices must come in row order, as ``row_blocks`` gives
+    them, so a reader holds one block of the draw, never all of it."""
+
+    def __init__(self, draw, count: int):
+        self.draw, self.count, self.drawn = draw, count, 0
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        start, stop, _ = rows.indices(self.count)
+        if start != self.drawn:
+            raise DomainError(f"rows are drawn in order: row {self.drawn} is next, not {start}")
+        self.drawn = stop
+        return self.draw(stop - start)
+
+
+def expected_error(cb: Codebook, directions) -> tuple[float, float]:
     """Monte Carlo estimate (mean, standard error) of E{sin^2 theta} over the
     rows of ``directions``, drawn from the codebook's input distribution.
 
-    The rows are quantized in ``row_blocks``, so the search's temporaries
-    stay a block's size, and one mean and SE are taken over all the errors."""
+    ``directions`` (an array, or ``DrawnRows`` to draw them lazily) is read
+    one ``row_blocks`` block at a time, in order, so the search's
+    temporaries stay a block's size, and one mean and SE are taken over all
+    the errors."""
     err = np.concatenate([quantize_many(directions[block], cb)[1]
                           for block in row_blocks(len(directions))])
     n = err.shape[0]
@@ -459,6 +480,16 @@ class FeedbackConfig:
     def __post_init__(self):
         raise_problems(self.problems())
 
+    def largest_training_set(self) -> int:
+        """Directions in the Lloyd training set of the widest valid bit
+        count, ``DEFAULT_LLOYD_OVERSAMPLING * 2^bits``; 0 for perfect CSI."""
+        if self.mode == "per_cell":
+            counts = [b for row in self.bits or [] if isinstance(row, list) for b in row]
+        else:
+            counts = [self.global_bits] if self.mode == "global" else []
+        return max((DEFAULT_LLOYD_OVERSAMPLING * 2**b for b in counts if not _bits_problem(b)),
+                   default=0)
+
 
 @dataclass
 class ResolvedFeedback:
@@ -561,7 +592,8 @@ def build_codebook(
 def error_estimate(cb: Codebook) -> dict:
     """E{sin^2 theta} of a codebook ``build_codebook`` built, as ``{"mean",
     "se", "draws"}`` over ``DEFAULT_ERROR_ESTIMATE_DRAWS`` input directions
-    from the ERROR_ESTIMATE substream of its identity.
+    from the ERROR_ESTIMATE substream of its identity, taken one row block
+    at a time.
 
     Drawn on first read and kept in ``training_meta["expected_error"]``, so
     only the readers pay for it: the per-cell bound and the codebook text.
@@ -573,8 +605,10 @@ def error_estimate(cb: Codebook) -> dict:
         profile = tuple(meta["profile"]) if "profile" in meta else None
         err_rng = rngmod.substream(meta["seed"], rngmod.ERROR_ESTIMATE,
                                    *_labels(cb.dimension, cb.bits, profile))
-        mean, se = expected_error(
-            cb, _directions(DEFAULT_ERROR_ESTIMATE_DRAWS, cb.dimension, profile, err_rng))
+        # each block is the next rows of the one draw, bit for bit
+        mean, se = expected_error(cb, DrawnRows(
+            lambda n: _directions(n, cb.dimension, profile, err_rng),
+            DEFAULT_ERROR_ESTIMATE_DRAWS))
         meta["expected_error"] = {"mean": mean, "se": se, "draws": DEFAULT_ERROR_ESTIMATE_DRAWS}
     return meta["expected_error"]
 

@@ -138,6 +138,16 @@ class Scenario:
             out.append(("n_users", "must equal geometry.n_cells for cooperative scenarios"))
         if n_users > n_cells * self.n_tx:
             out.append(("n_users", "cannot exceed total transmit antennas"))
+        # numpy shapes no array of more bytes than np.intp counts. The largest
+        # draw a run implies, in n_tx-long blocks of complex normals: one
+        # trial's channels, or a Lloyd training set (a global direction is
+        # n_cells blocks long)
+        fb = self.feedback
+        blocks = max(n_users * n_cells, FeedbackConfig.largest_training_set(fb)
+                     * (n_cells if fb.mode == "global" else 1))
+        nbytes = blocks * self.n_tx * np.dtype(complex).itemsize
+        if self.n_tx >= 2 and nbytes > np.iinfo(np.intp).max:
+            out.append(("n_tx", "too large: a draw it sizes exceeds numpy's array size limit"))
         return out
 
     def __post_init__(self):

@@ -312,11 +312,13 @@ def _printed(checks):
 
 
 class TestStreamedChecks:
-    """The 100k-draw checks run in row blocks of ``quantization.BLOCK_ROWS``
-    and draw every stream in the order of one whole-array evaluation."""
+    """The 100k-draw checks draw their substreams in chunks of
+    ``bounds.STREAM_ROWS`` and evaluate them in row blocks of
+    ``quantization.BLOCK_ROWS``."""
 
-    # (step, lhs, rhs, se, passed) of 100k draws at seed 3, as float.hex,
-    # recorded from the whole-array evaluation the blocks replaced
+    # (step, lhs, rhs, se, passed) of 100k draws at seed 3, as float.hex:
+    # recorded from the whole-array evaluation the blocks replaced, and for
+    # nullspace_moment and interference_moment from the stream in chunks
     WHOLE = {
         ("fig3", None, 50.0): [
             ("inverse_norm:user0", "0x1.482d230567a9ap-14", "0x1.ed9e14828935ap-15",
@@ -324,10 +326,10 @@ class TestStreamedChecks:
             ("inverse_norm:user1", "0x1.d3f61a000342fp-7", "0x1.999999999999ap-7",
              "0x1.35de12d05d420p-16", False),
             ("decomposition", "0x1.2f0f34d89d064p-49", "0x1.19799812dea11p-40", "0x0.0p+0", True),
-            ("nullspace_moment", "0x1.540fa1e3e5f7cp-2", "0x1.5555555555555p-2",
-             "0x1.85b250d24cf41p-11", True),
-            ("interference_moment", "0x1.5b4aa113931e2p+16", "0x1.5cc4f2ba6eb6cp+16",
-             "0x1.5698705f7d058p+8", True),
+            ("nullspace_moment", "0x1.557d9752dd70fp-2", "0x1.5555555555555p-2",
+             "0x1.877bf85f94a35p-11", True),
+            ("interference_moment", "0x1.58ad167fd29fbp+16", "0x1.5ce8c6deb361ap+16",
+             "0x1.58611c0c3ad5cp+8", True),
         ],
         ("fig4", "per_cell_4_2", 100.0): [
             ("inverse_norm:user0", "0x1.130f6a3093fbfp-10", "0x1.9fcf91d76a275p-11",
@@ -335,10 +337,10 @@ class TestStreamedChecks:
             ("inverse_norm:user1", "0x1.d3f61a000342fp-7", "0x1.999999999999ap-7",
              "0x1.35de12d05d420p-16", False),
             ("decomposition", "0x1.0d6dd4a4462d9p-49", "0x1.19799812dea11p-40", "0x0.0p+0", True),
-            ("nullspace_moment", "0x1.54cfbb6a74993p-2", "0x1.5555555555555p-2",
-             "0x1.861067b278a95p-11", True),
-            ("interference_moment", "0x1.464aaa81d071bp+12", "0x1.46d9bf4b704f1p+12",
-             "0x1.45679e28faee8p+4", True),
+            ("nullspace_moment", "0x1.5649a7c217eb3p-2", "0x1.5555555555555p-2",
+             "0x1.880c1a37c049ep-11", True),
+            ("interference_moment", "0x1.478c5d818bf61p+12", "0x1.46b3806e14ecbp+12",
+             "0x1.4883e632d32efp+4", True),
         ],
     }
 
@@ -350,6 +352,49 @@ class TestStreamedChecks:
             for new, old in ((c.lhs, lhs), (c.rhs, rhs), (c.se, se)):
                 assert math.isclose(new, float.fromhex(old), rel_tol=1e-13), (c, old)
             assert c.passed is passed
+
+    # (lhs, rhs, se) as float.hex at seed 3, recorded when each check drew
+    # its whole run at once: a run of at most STREAM_ROWS draws is one chunk
+    ONE_CHUNK = {
+        ("fig3", None, 50.0, 2000): {
+            "nullspace_moment": ("0x1.54c0b82f5a7f8p-2", "0x1.5555555555555p-2",
+                                 "0x1.5b361675499c2p-8"),
+            "interference_moment": ("0x1.4134a45e3dcc5p+16", "0x1.591e418fbafaep+16",
+                                    "0x1.034dccbe90a92p+11"),
+        },
+        ("fig3", None, 50.0, 8192): {
+            "nullspace_moment": ("0x1.57dca7a84fbbfp-2", "0x1.5555555555555p-2",
+                                 "0x1.598f820b5033ap-9"),
+            "interference_moment": ("0x1.57b875481ea06p+16", "0x1.5bf3bbb55e72ep+16",
+                                    "0x1.2cc16d51326fcp+10"),
+        },
+        ("fig4", "per_cell_4_2", 100.0, 2000): {
+            "nullspace_moment": ("0x1.5c9c332db5256p-2", "0x1.5555555555555p-2",
+                                 "0x1.5a3c1d0868445p-8"),
+            "interference_moment": ("0x1.474a1fae086c3p+12", "0x1.4536b157a53b1p+12",
+                                    "0x1.16784b41f2c6fp+7"),
+        },
+        ("fig4", "per_cell_4_2", 100.0, 8192): {
+            "nullspace_moment": ("0x1.580d10d131a02p-2", "0x1.5555555555555p-2",
+                                 "0x1.5814a1d9082f2p-9"),
+            "interference_moment": ("0x1.45529edc7ddf2p+12", "0x1.4618931b307eap+12",
+                                    "0x1.279e7d4448242p+6"),
+        },
+    }
+
+    @pytest.mark.parametrize("run", list(ONE_CHUNK))
+    def test_one_chunk_keeps_the_whole_draw_stream(self, run):
+        assert run[-1] <= bounds.STREAM_ROWS
+        checks = {c.step: c for c in _appendix(*run, 3)}
+        for step, values in self.ONE_CHUNK[run].items():
+            c = checks[step]
+            assert (c.lhs.hex(), c.rhs.hex(), c.se.hex()) == values, step
+
+    def test_stream_chunks_end_at_multiples_of_stream_rows(self, monkeypatch):
+        monkeypatch.setattr(bounds, "STREAM_ROWS", 4)
+        sizes = {n: [(c.start, c.stop) for c in bounds._stream_chunks(n)] for n in (1, 4, 5, 9)}
+        assert sizes == {1: [(0, 1)], 4: [(0, 4)], 5: [(0, 4), (4, 5)],
+                         9: [(0, 4), (4, 8), (8, 9)]}
 
     @pytest.mark.parametrize("block", [7, 64, 8192])
     def test_block_size_changes_no_printed_line_nor_estimate(self, block, monkeypatch):
@@ -386,16 +431,36 @@ class TestStreamedChecks:
 
     def test_traced_memory_stays_a_few_blocks(self):
         cb = quantization.build_codebook(8, 6, "random", 7104, (0.7, 0.3))
+        per_cell = quantization.build_codebook(4, 3, "lloyd", 7001)
         directions = quantization.isotropic_directions(100_000, 8, substream(5, 1))
+
+        def estimate(codebook):
+            codebook.training_meta.pop("expected_error", None)
+            return quantization.error_estimate(codebook)
+
+        runs = {
+            "verify_appendix": lambda: _appendix("fig3", None, 50.0, 100_000, 3),
+            "verify_appendix 400k": lambda: _appendix("fig3", None, 50.0, 400_000, 3),
+            "expected_error": lambda: quantization.expected_error(cb, directions),
+            "error_estimate per-cell": lambda: estimate(per_cell),
+            "error_estimate global": lambda: estimate(cb),
+        }
+        _appendix("fig3", None, 50.0, 2, 3)  # codebooks built and cached outside the trace
         peaks = {}
-        for name, run in (("verify_appendix", lambda: _appendix("fig3", None, 50.0, 100_000, 3)),
-                          ("expected_error", lambda: quantization.expected_error(cb, directions))):
-            run()  # codebooks built and cached outside the trace
+        for name, run in runs.items():
             tracemalloc.start()
             try:
                 run()
                 peaks[name] = tracemalloc.get_traced_memory()[1] / 2**20
             finally:
                 tracemalloc.stop()
-        # the whole-array evaluation peaked at 82.5 and 147 MiB
-        assert peaks["verify_appendix"] <= 40.0 and peaks["expected_error"] <= 20.0, peaks
+        # measured peaks (MiB) plus a 25% margin, below what whole draws take:
+        # 30.6 MiB for the appendix, 13.7 and 25.9 MiB for the two estimates
+        measured = {"verify_appendix": 9.0, "expected_error": 12.75,
+                    "error_estimate per-cell": 2.76, "error_estimate global": 13.75}
+        assert all(peaks[name] <= 1.25 * peak for name, peak in measured.items()), peaks
+        # past the chunks, a draw keeps only its scalars: the interference
+        # check's complex sample (16 B), its sin^2 per BS (2 x 8 B) and the
+        # squared magnitudes and deviations its mean and SE take (2 x 8 B)
+        retained = 300_000 * 48 / 2**20
+        assert peaks["verify_appendix 400k"] - peaks["verify_appendix"] <= retained, peaks

@@ -270,6 +270,10 @@ class TestBound:
                          "appendix_check:decomposition": "2000",
                          "appendix_check:nullspace_moment": "20000",
                          "appendix_check:interference_moment": "20000"}
+        # the closed-form rows draw nothing: they write their error estimates' draws
+        closed = {f[7] for f in (r.split(",") for r in rows[1:])
+                  if not f[5].startswith("appendix_check:")}
+        assert closed == {str(quantization.DEFAULT_ERROR_ESTIMATE_DRAWS)}
 
     def test_sweep_scenario_needs_at(self, capsys):
         assert run_cli("bound", "--preset", "fig3") == 2
@@ -306,19 +310,23 @@ def variant_configs(tmp_path):
     """Paths of the fig3 scenario fixed with MS1 at 150 m, of the fig5
     cooperative random-drop arm cut to 2 drops, and of variants with one bad
     value each: 64-bit diagonal links, a boolean coordinate, a NaN or a
-    coincident base station, a core beyond the cell edge."""
+    coincident base station, a core beyond the cell edge, an n_tx no numpy
+    array can hold the draws of."""
     fig3 = scenario.preset("fig3").arms[0].scenario
     bits64 = json.loads(scenario.serialize(fig3))
     bits64["feedback"]["bits"] = [[64, 3], [3, 64]]  # no FeedbackConfig accepts it
     fixed = scenario.serialize(scenario.at_sweep_point(fig3, 150.0))
     bool_position = json.loads(fixed)
     bool_position["placement"]["positions"][1] = [True, 0]
+    huge_n_tx = json.loads(scenario.serialize(fig3))
+    huge_n_tx["n_tx"] = 10**30
     drops = scenario.serialize(replace(scenario.preset("fig5").arms[0].scenario, drops=2))
     paths = {}
     for name, text in (("{fixed}", fixed),
                        ("{bool_position}", json.dumps(bool_position)),
                        ("{drops}", drops),
                        ("{bits64}", json.dumps(bits64)),
+                       ("{huge_n_tx}", json.dumps(huge_n_tx)),
                        ("{nan_bs}", scenario.serialize(fig3).replace("500.0", "NaN")),
                        ("{same_bs}", scenario.serialize(fig3).replace("500.0", "0.0")),
                        ("{core_beyond_edge}", drops.replace('"d_min_m": 1.0', '"d_min_m": 300'))):
@@ -407,6 +415,13 @@ def test_bad_input_exits_2_with_error_line(env, argv, message, fig3_arm_config,
     assert message in err
     assert "Traceback" not in err
     assert not (tmp_path / "cb.cbk").exists()
+
+
+def test_n_tx_beyond_numpy_exits_2_with_one_error_line(variant_configs, capsys):
+    # parse rejects it before numpy is asked to shape a codebook draw
+    assert run_cli("simulate", "--config", str(variant_configs["{huge_n_tx}"])) == 2
+    assert capsys.readouterr().err == \
+        "error: n_tx: too large: a draw it sizes exceeds numpy's array size limit\n"
 
 
 def test_sweep_column_names_the_swept_user(tmp_path):

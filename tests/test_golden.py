@@ -37,9 +37,9 @@ RECORDED = {
     "simulate fig5 comp_per_cell_3_3 drops=30 --workers 2": "deaa046de143",
     "simulate fig5 single_cell_global_6bit drops=30 --workers 2": "6c5b71f9715d",
     "simulate fig3 --trials 20 --seed 18446744073709551617": "a41caf3675e3",
-    "bound fig3 --at 50 --verify-appendix --trials 2000 csv": "d93ddced0506",
+    "bound fig3 --at 50 --verify-appendix --trials 2000 csv": "0b528c1547f0",
     "bound fig3 --at 50 --verify-appendix --trials 2000 stdout": "d57cb1b4d828",
-    "bound fig4 per_cell_4_2 --at 100 --verify-appendix --trials 2000 csv": "b229ca820b89",
+    "bound fig4 per_cell_4_2 --at 100 --verify-appendix --trials 2000 csv": "9080dc36da4a",
     "bound fig4 per_cell_4_2 --at 100 --verify-appendix --trials 2000 stdout": "e1664c047323",
     "train-codebook --dimension 4 --bits 3 --seed 7103": "c79d3291da82",
     "train-codebook --dimension 4 --bits 4 --seed 7104": "a268644eb847",

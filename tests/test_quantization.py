@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from compsim import channel, montecarlo, quantization, scenario
+from compsim import rng as rngmod
 from compsim.errors import ConfigurationError, DomainError
 from compsim.quantization import (
     Codebook,
@@ -415,6 +416,26 @@ class TestExpectedError:
     def test_only_a_built_codebook_has_an_estimate(self):
         with pytest.raises(ConfigurationError, match="identity"):
             error_estimate(random_codebook(4, 3, substream(41, 0, 2)))
+
+    @pytest.mark.parametrize("identity", [(4, 3, "lloyd", 7001, None),
+                                          (8, 6, "lloyd", 7104, (0.7, 0.3))])
+    def test_streamed_estimate_equals_the_whole_draw(self, identity):
+        """``error_estimate`` draws its directions a row block at a time: the
+        same bits as ``expected_error`` over the whole draw."""
+        dimension, bits, _, seed, profile = identity
+        cb = quantization.build_codebook(*identity)
+        rng = substream(seed, rngmod.ERROR_ESTIMATE,
+                        *quantization._labels(dimension, bits, profile))
+        whole = quantization._directions(quantization.DEFAULT_ERROR_ESTIMATE_DRAWS,
+                                         dimension, profile, rng)
+        mean, se = expected_error(cb, whole)
+        assert error_estimate(cb) == {"mean": mean, "se": se, "draws": len(whole)}
+
+    def test_drawn_rows_are_read_in_order(self):
+        rows = quantization.DrawnRows(lambda n: np.arange(n), 10)
+        assert len(rows) == 10 and rows[0:4].tolist() == [0, 1, 2, 3]
+        with pytest.raises(DomainError, match="row 4 is next"):
+            rows[6:10]
 
 
 class TestResolveCodebooks:

@@ -218,6 +218,25 @@ class TestValidation:
         doc["geometry"]["d_min_m"] = 250.0  # a drop on the cell edge only
         assert scenario.scenario_from_dict(doc).geometry.d_min_m == 250.0
 
+    @pytest.mark.parametrize("preset, label, mode, blocks", [
+        ("fig3", "ms2_250m", None, 200 * 2**3),  # a 3-bit per-cell training set
+        ("fig4", "global_6bit", None, 200 * 2**6 * 2),  # a 6-bit global one, 2 cells long
+        ("fig3", "ms2_250m", "perfect", 2 * 2),  # one trial's channels
+    ])
+    def test_n_tx_stops_where_numpy_cannot_shape_a_draw(self, preset, label, mode, blocks):
+        arm = next(a for a in scenario.preset(preset).arms if a.label == label)
+        doc = json.loads(scenario.serialize(arm.scenario))
+        if mode:
+            doc["feedback"] = {"mode": mode}
+        largest = np.iinfo(np.intp).max // (16 * blocks)
+        doc["n_tx"] = largest
+        assert scenario.scenario_from_dict(doc).n_tx == largest
+        doc["n_tx"] = largest + 1
+        with pytest.raises(ScenarioError) as err:
+            scenario.scenario_from_dict(doc)
+        assert err.value.errors == [
+            "n_tx: too large: a draw it sizes exceeds numpy's array size limit"]
+
     def test_line_sweep_needs_two_cells(self):
         doc = self._doc()
         doc["geometry"] = {"n_cells": 1, "bs_positions": [[0.0, 0.0]], "cell_radius_m": 250.0}
