@@ -1,8 +1,8 @@
 """Trial orchestration: reproducible Monte Carlo runs and random-drop CDFs.
 
 Trials come as a stream of (context, small-scale draws) runs. A fixed
-placement's trials are drawn ``STREAM_TRIALS`` at a time: stream block i,
-trials ``i * STREAM_TRIALS`` up to the next block, is one draw from
+placement's trials are drawn ``rng.STREAM_TRIALS`` at a time: stream block
+i, trials ``i * STREAM_TRIALS`` up to the next block, is one draw from
 substream (TRIAL, i), whatever range or block reads it. A random drop is one
 run of its own context, whose substream (DROP, d) draws its placement and
 then all its trials. One loop cuts the runs into blocks of at most
@@ -44,7 +44,6 @@ from . import scenario as scenariomod
 from .errors import ConfigurationError, EstimationError
 
 BLOCK_TRIALS = 256  # trials evaluated together; bounds a block's memory
-STREAM_TRIALS = 256  # trials drawn from one TRIAL substream: part of the random-stream contract
 
 
 @dataclass
@@ -156,10 +155,10 @@ def _trial_runs(ctx: TrialContext, start: int, stop: int):
     stream block they touch: stream block i, trials ``i * STREAM_TRIALS`` up
     to the next block, is drawn whole from substream (TRIAL, i) and cut to
     the trials in range."""
-    for i in range(start // STREAM_TRIALS, -(-stop // STREAM_TRIALS)):
-        first = i * STREAM_TRIALS
+    for i in range(start // rngmod.STREAM_TRIALS, -(-stop // rngmod.STREAM_TRIALS)):
+        first = i * rngmod.STREAM_TRIALS
         draws = _small_scale(ctx, rngmod.substream(ctx.master_seed, rngmod.TRIAL, i),
-                             STREAM_TRIALS)
+                             rngmod.STREAM_TRIALS)
         yield ctx, draws[max(start - first, 0):stop - first]
 
 

@@ -20,9 +20,9 @@ from .errors import ConfigurationError, DomainError, TrainingError, raise_proble
 DEFAULT_LLOYD_OVERSAMPLING = 200  # training samples per codeword
 MIN_LLOYD_OVERSAMPLING = 100
 DEFAULT_LLOYD_MAX_ITERS = 100
-DEFAULT_LLOYD_TOL = 1e-6  # relative mean-distortion improvement
+DEFAULT_LLOYD_TOL = 1e-4  # relative mean-distortion improvement; BENCH_lloyd.json picks it
 DEFAULT_ERROR_ESTIMATE_DRAWS = 100_000
-BLOCK_ROWS = 8192  # rows a Monte Carlo estimate evaluates at once; bounds its memory
+BLOCK_ROWS = 8192  # rows an estimate or a Lloyd search evaluates at once; bounds its memory
 CODEBOOK_CACHE_SIZE = 32  # codebooks the cache keeps, the least recently used evicted first
 
 _UNIT_NORM_TOL = 1e-12
@@ -177,22 +177,33 @@ def train_lloyd(
             f"need at least {MIN_LLOYD_OVERSAMPLING * size} training samples for "
             f"{size} codewords, got {x.shape[0]}"
         )
-    if np.any(np.abs(np.linalg.norm(x, axis=1) - 1.0) > 1e-9):
-        raise ConfigurationError("training samples must be unit norm")
+    # written so that a NaN row fails it too
+    if not np.all(np.abs(np.linalg.norm(x, axis=1) - 1.0) <= 1e-9):
+        raise ConfigurationError("training samples must be finite and unit norm")
 
     codewords = isotropic_directions(size, dimension, rng)
-    # the assignment step's working arrays, allocated once
-    products = np.empty((x.shape[0], size), dtype=complex)
-    sims = np.empty((x.shape[0], size))
+    # The assignment step searches one row block at a time (each row gets the
+    # bits of a whole search), in one block's working arrays allocated once:
+    # a whole 6-bit training set's, about 20 MB, could stay on the heap after
+    # training, where every forked pool worker counted it in its RSS.
+    blocks = row_blocks(x.shape[0])
+    rows_max = max(b.stop - b.start for b in blocks)
+    products = np.empty((rows_max, size), dtype=complex)
+    sims = np.empty((rows_max, size))
+    assign = np.empty(x.shape[0], dtype=np.intp)
+    best = np.empty(x.shape[0])
     cluster_type = np.min_scalar_type(size - 1)  # narrow keys take numpy's radix sort
     history: list[float] = []
     reseeded = 0
     converged = False
     for _ in range(max_iters):
-        np.matmul(x, codewords.conj().T, out=products)
-        np.square(np.abs(products, out=sims), out=sims)  # |x c^H|^2
-        assign = sims.argmax(axis=1)
-        best = np.take_along_axis(sims, assign[:, None], axis=1)[:, 0]
+        conj = codewords.conj().T
+        for block in blocks:
+            n = block.stop - block.start
+            np.matmul(x[block], conj, out=products[:n])
+            np.square(np.abs(products[:n], out=sims[:n]), out=sims[:n])  # |x c^H|^2
+            sims[:n].argmax(axis=1, out=assign[block])
+            best[block] = sims[np.arange(n), assign[block]]
         distortion = float(1.0 - best.mean())
         if history and distortion > history[-1] + 1e-12:
             raise TrainingError("Lloyd distortion increased between iterations")
@@ -574,7 +585,12 @@ def build_codebook(
     if problem := _bits_problem(bits):
         raise ConfigurationError(f"bits {problem}")
     if profile is not None:
-        profile = tuple(np.asarray(profile, dtype=float).tolist())
+        split = np.asarray(profile, dtype=float)
+        if not (np.isfinite(split).all() and split.any()):
+            # e.g. the split of link energies that overflowed to inf
+            raise DomainError(f"a global codebook needs a finite, nonzero energy split, "
+                              f"got {split.tolist()}")
+        profile = tuple(split.tolist())
     train_rng = rngmod.substream(seed, rngmod.TRAINING, *_labels(dimension, bits, profile))
     if kind == "random":
         cb = random_codebook(dimension, bits, train_rng)

@@ -24,6 +24,10 @@ ERROR_ESTIMATE = 3
 APPENDIX = 4
 REDRAW = 5
 
+# Trials a fixed placement draws at once, from one TRIAL substream: part of
+# the random-stream contract.
+STREAM_TRIALS = 256
+
 
 def substream(master_seed: int, *key: int) -> np.random.Generator:
     """Return the generator for substream ``key`` (nonempty) of ``master_seed``."""

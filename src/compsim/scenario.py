@@ -22,6 +22,7 @@ import numpy as np
 from .channel import Geometry, single_cell, two_cell_line
 from .errors import ConfigurationError, ScenarioError, raise_problems
 from .quantization import FeedbackConfig
+from .rng import STREAM_TRIALS
 from .scheduling import PairingPolicy
 
 PLACEMENT_MODES = ("fixed", "line_sweep", "random_uniform")
@@ -139,11 +140,11 @@ class Scenario:
         if n_users > n_cells * self.n_tx:
             out.append(("n_users", "cannot exceed total transmit antennas"))
         # numpy shapes no array of more bytes than np.intp counts. The largest
-        # draw a run implies, in n_tx-long blocks of complex normals: one
-        # trial's channels, or a Lloyd training set (a global direction is
-        # n_cells blocks long)
+        # draw a run implies, in n_tx-long blocks of complex normals: the
+        # channels of a stream block of trials, or a Lloyd training set (a
+        # global direction is n_cells blocks long)
         fb = self.feedback
-        blocks = max(n_users * n_cells, FeedbackConfig.largest_training_set(fb)
+        blocks = max(STREAM_TRIALS * n_users * n_cells, FeedbackConfig.largest_training_set(fb)
                      * (n_cells if fb.mode == "global" else 1))
         nbytes = blocks * self.n_tx * np.dtype(complex).itemsize
         if self.n_tx >= 2 and nbytes > np.iinfo(np.intp).max:

@@ -318,29 +318,31 @@ class TestStreamedChecks:
 
     # (step, lhs, rhs, se, passed) of 100k draws at seed 3, as float.hex:
     # recorded from the whole-array evaluation the blocks replaced, and for
-    # nullspace_moment and interference_moment from the stream in chunks
+    # nullspace_moment and interference_moment from the stream in chunks.
+    # All but inverse_norm quantize with the preset codebooks, and hold the
+    # values of those trained at DEFAULT_LLOYD_TOL = 1e-4
     WHOLE = {
         ("fig3", None, 50.0): [
             ("inverse_norm:user0", "0x1.482d230567a9ap-14", "0x1.ed9e14828935ap-15",
              "0x1.7c0d701f7b3b0p-23", False),
             ("inverse_norm:user1", "0x1.d3f61a000342fp-7", "0x1.999999999999ap-7",
              "0x1.35de12d05d420p-16", False),
-            ("decomposition", "0x1.2f0f34d89d064p-49", "0x1.19799812dea11p-40", "0x0.0p+0", True),
-            ("nullspace_moment", "0x1.557d9752dd70fp-2", "0x1.5555555555555p-2",
-             "0x1.877bf85f94a35p-11", True),
-            ("interference_moment", "0x1.58ad167fd29fbp+16", "0x1.5ce8c6deb361ap+16",
-             "0x1.58611c0c3ad5cp+8", True),
+            ("decomposition", "0x1.97d9cc03edfedp-50", "0x1.19799812dea11p-40", "0x0.0p+0", True),
+            ("nullspace_moment", "0x1.550f53f313dc7p-2", "0x1.5555555555555p-2",
+             "0x1.85f1acabdf1cep-11", True),
+            ("interference_moment", "0x1.581938867397fp+16", "0x1.5d206d6396ea1p+16",
+             "0x1.53cceaab537a5p+8", True),
         ],
         ("fig4", "per_cell_4_2", 100.0): [
             ("inverse_norm:user0", "0x1.130f6a3093fbfp-10", "0x1.9fcf91d76a275p-11",
              "0x1.366c8c7327c87p-19", False),
             ("inverse_norm:user1", "0x1.d3f61a000342fp-7", "0x1.999999999999ap-7",
              "0x1.35de12d05d420p-16", False),
-            ("decomposition", "0x1.0d6dd4a4462d9p-49", "0x1.19799812dea11p-40", "0x0.0p+0", True),
-            ("nullspace_moment", "0x1.5649a7c217eb3p-2", "0x1.5555555555555p-2",
-             "0x1.880c1a37c049ep-11", True),
-            ("interference_moment", "0x1.478c5d818bf61p+12", "0x1.46b3806e14ecbp+12",
-             "0x1.4883e632d32efp+4", True),
+            ("decomposition", "0x1.001ffe003ff60p-49", "0x1.19799812dea11p-40", "0x0.0p+0", True),
+            ("nullspace_moment", "0x1.566d2e4d19b9fp-2", "0x1.5555555555555p-2",
+             "0x1.886b75d818f78p-11", True),
+            ("interference_moment", "0x1.470bf2fa94f85p+12", "0x1.471384a351ffcp+12",
+             "0x1.4887d09f3e258p+4", True),
         ],
     }
 
@@ -354,31 +356,32 @@ class TestStreamedChecks:
             assert c.passed is passed
 
     # (lhs, rhs, se) as float.hex at seed 3, recorded when each check drew
-    # its whole run at once: a run of at most STREAM_ROWS draws is one chunk
+    # its whole run at once (with the preset codebooks trained at
+    # DEFAULT_LLOYD_TOL = 1e-4): a run of at most STREAM_ROWS draws is one chunk
     ONE_CHUNK = {
         ("fig3", None, 50.0, 2000): {
-            "nullspace_moment": ("0x1.54c0b82f5a7f8p-2", "0x1.5555555555555p-2",
-                                 "0x1.5b361675499c2p-8"),
-            "interference_moment": ("0x1.4134a45e3dcc5p+16", "0x1.591e418fbafaep+16",
-                                    "0x1.034dccbe90a92p+11"),
+            "nullspace_moment": ("0x1.5200b4041fc75p-2", "0x1.5555555555555p-2",
+                                 "0x1.57a00bd4fe892p-8"),
+            "interference_moment": ("0x1.4b36ba3201b96p+16", "0x1.5d2cb2ed77b89p+16",
+                                    "0x1.1e6e254bda020p+11"),
         },
         ("fig3", None, 50.0, 8192): {
-            "nullspace_moment": ("0x1.57dca7a84fbbfp-2", "0x1.5555555555555p-2",
-                                 "0x1.598f820b5033ap-9"),
-            "interference_moment": ("0x1.57b875481ea06p+16", "0x1.5bf3bbb55e72ep+16",
-                                    "0x1.2cc16d51326fcp+10"),
+            "nullspace_moment": ("0x1.57da53aaa065ap-2", "0x1.5555555555555p-2",
+                                 "0x1.582f312171772p-9"),
+            "interference_moment": ("0x1.5704aced86ec8p+16", "0x1.5b93cfdc6ea86p+16",
+                                    "0x1.2e6bfb2900bf9p+10"),
         },
         ("fig4", "per_cell_4_2", 100.0, 2000): {
-            "nullspace_moment": ("0x1.5c9c332db5256p-2", "0x1.5555555555555p-2",
-                                 "0x1.5a3c1d0868445p-8"),
-            "interference_moment": ("0x1.474a1fae086c3p+12", "0x1.4536b157a53b1p+12",
-                                    "0x1.16784b41f2c6fp+7"),
+            "nullspace_moment": ("0x1.5a89a1c7545bep-2", "0x1.5555555555555p-2",
+                                 "0x1.58b333e6a7ab1p-8"),
+            "interference_moment": ("0x1.425e2e19cdbf7p+12", "0x1.44f09c4d7af52p+12",
+                                    "0x1.0c79616206275p+7"),
         },
         ("fig4", "per_cell_4_2", 100.0, 8192): {
-            "nullspace_moment": ("0x1.580d10d131a02p-2", "0x1.5555555555555p-2",
-                                 "0x1.5814a1d9082f2p-9"),
-            "interference_moment": ("0x1.45529edc7ddf2p+12", "0x1.4618931b307eap+12",
-                                    "0x1.279e7d4448242p+6"),
+            "nullspace_moment": ("0x1.5660b6a4d498dp-2", "0x1.5555555555555p-2",
+                                 "0x1.56ec9bc3c4552p-9"),
+            "interference_moment": ("0x1.422e33fe230b8p+12", "0x1.467e6e5538638p+12",
+                                    "0x1.21534ad5d717ap+6"),
         },
     }
 

@@ -311,7 +311,9 @@ def variant_configs(tmp_path):
     cooperative random-drop arm cut to 2 drops, and of variants with one bad
     value each: 64-bit diagonal links, a boolean coordinate, a NaN or a
     coincident base station, a core beyond the cell edge, an n_tx no numpy
-    array can hold the draws of."""
+    array can hold the draws of, and with perfect CSI the least n_tx whose
+    stream block of STREAM_TRIALS trials' channels no numpy array can hold
+    (test_scenario checks that the n_tx one below it parses)."""
     fig3 = scenario.preset("fig3").arms[0].scenario
     bits64 = json.loads(scenario.serialize(fig3))
     bits64["feedback"]["bits"] = [[64, 3], [3, 64]]  # no FeedbackConfig accepts it
@@ -320,6 +322,10 @@ def variant_configs(tmp_path):
     bool_position["placement"]["positions"][1] = [True, 0]
     huge_n_tx = json.loads(scenario.serialize(fig3))
     huge_n_tx["n_tx"] = 10**30
+    block_n_tx = json.loads(scenario.serialize(fig3))
+    block_n_tx["feedback"] = {"mode": "perfect"}
+    block_n_tx["n_tx"] = np.iinfo(np.intp).max // (
+        rngmod.STREAM_TRIALS * fig3.n_users * fig3.geometry.n_cells * 16) + 1
     drops = scenario.serialize(replace(scenario.preset("fig5").arms[0].scenario, drops=2))
     paths = {}
     for name, text in (("{fixed}", fixed),
@@ -327,6 +333,7 @@ def variant_configs(tmp_path):
                        ("{drops}", drops),
                        ("{bits64}", json.dumps(bits64)),
                        ("{huge_n_tx}", json.dumps(huge_n_tx)),
+                       ("{stream_block_n_tx}", json.dumps(block_n_tx)),
                        ("{nan_bs}", scenario.serialize(fig3).replace("500.0", "NaN")),
                        ("{same_bs}", scenario.serialize(fig3).replace("500.0", "0.0")),
                        ("{core_beyond_edge}", drops.replace('"d_min_m": 1.0', '"d_min_m": 300'))):
@@ -417,11 +424,29 @@ def test_bad_input_exits_2_with_error_line(env, argv, message, fig3_arm_config,
     assert not (tmp_path / "cb.cbk").exists()
 
 
-def test_n_tx_beyond_numpy_exits_2_with_one_error_line(variant_configs, capsys):
-    # parse rejects it before numpy is asked to shape a codebook draw
-    assert run_cli("simulate", "--config", str(variant_configs["{huge_n_tx}"])) == 2
+@pytest.mark.parametrize("variant", ["{huge_n_tx}", "{stream_block_n_tx}"])
+def test_n_tx_beyond_numpy_exits_2_with_one_error_line(variant, variant_configs, capsys):
+    # parse rejects it before numpy is asked to shape a codebook or channel draw
+    assert run_cli("simulate", "--config", str(variant_configs[variant])) == 2
     assert capsys.readouterr().err == \
         "error: n_tx: too large: a draw it sizes exceeds numpy's array size limit\n"
+
+
+def test_non_finite_energy_split_is_a_runtime_error(tmp_path, capsys):
+    # every link closer than the cell edge gets an infinite SNR, so the split
+    # a global codebook is trained on is NaN
+    doc = json.loads(scenario.serialize(replace(scenario.preset("fig4").arms[0].scenario,
+                                                trials=4)))
+    doc["geometry"]["pathloss_exponent"] = 1e20
+    config = tmp_path / "nan_split.json"
+    config.write_text(json.dumps(doc))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert run_cli("simulate", "--config", str(config),
+                       "--out", str(tmp_path / "out.csv")) == 3
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        "error: a global codebook needs a finite, nonzero energy split, got [nan, 0.0]"]
+    assert "Traceback" not in err
 
 
 def test_sweep_column_names_the_swept_user(tmp_path):

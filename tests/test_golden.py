@@ -31,23 +31,23 @@ RECORDED_NUMPY = "2.4.6"
 RECORDED_BLAS = "scipy-openblas 0.3.31.188.0"
 
 RECORDED = {
-    "simulate fig3 --trials 20": "6ddf5b2e01ff",
-    "simulate fig5 comp_per_cell_3_3 drops=10": "7c6da1f363f4",
-    "simulate fig5 single_cell_global_6bit drops=10": "ae3485e66013",
-    "simulate fig5 comp_per_cell_3_3 drops=30 --workers 2": "deaa046de143",
-    "simulate fig5 single_cell_global_6bit drops=30 --workers 2": "6c5b71f9715d",
-    "simulate fig3 --trials 20 --seed 18446744073709551617": "a41caf3675e3",
-    "bound fig3 --at 50 --verify-appendix --trials 2000 csv": "0b528c1547f0",
-    "bound fig3 --at 50 --verify-appendix --trials 2000 stdout": "d57cb1b4d828",
-    "bound fig4 per_cell_4_2 --at 100 --verify-appendix --trials 2000 csv": "9080dc36da4a",
-    "bound fig4 per_cell_4_2 --at 100 --verify-appendix --trials 2000 stdout": "e1664c047323",
-    "train-codebook --dimension 4 --bits 3 --seed 7103": "c79d3291da82",
-    "train-codebook --dimension 4 --bits 4 --seed 7104": "a268644eb847",
-    "train-codebook fig4 global_6bit --at 100 --user 0 --bits 2 --seed 7104": "e47dd64ae393",
-    "train-codebook fig4 global_6bit --at 100 --user 0 --bits 6 --seed 7104": "f89a1fe1787c",
-    "simulate fig4 global_6bit global_bits=2 --trials 20": "da5ed944acd2",
-    "rate_loss_montecarlo fig3 ms2_150m at 100 m": "b337d8fbd7f4",
-    "train_lloyd two point masses, 4 codewords": "8c8e8e036cc0",
+    "simulate fig3 --trials 20": "ce085824f731",
+    "simulate fig5 comp_per_cell_3_3 drops=10": "79b82faea7a9",
+    "simulate fig5 single_cell_global_6bit drops=10": "4898c01173c8",
+    "simulate fig5 comp_per_cell_3_3 drops=30 --workers 2": "f7a042cb9dd4",
+    "simulate fig5 single_cell_global_6bit drops=30 --workers 2": "198f9f41cfec",
+    "simulate fig3 --trials 20 --seed 18446744073709551617": "154bd4f2fb6f",
+    "bound fig3 --at 50 --verify-appendix --trials 2000 csv": "f63802976246",
+    "bound fig3 --at 50 --verify-appendix --trials 2000 stdout": "fb6f86210d40",
+    "bound fig4 per_cell_4_2 --at 100 --verify-appendix --trials 2000 csv": "8787ca8d6eb0",
+    "bound fig4 per_cell_4_2 --at 100 --verify-appendix --trials 2000 stdout": "680490a466b9",
+    "train-codebook --dimension 4 --bits 3 --seed 7103": "2d22d5debe80",
+    "train-codebook --dimension 4 --bits 4 --seed 7104": "a26b905d3bb4",
+    "train-codebook fig4 global_6bit --at 100 --user 0 --bits 2 --seed 7104": "30db6c9d7eb9",
+    "train-codebook fig4 global_6bit --at 100 --user 0 --bits 6 --seed 7104": "1343dfe073f3",
+    "simulate fig4 global_6bit global_bits=2 --trials 20": "829d1f572d98",
+    "rate_loss_montecarlo fig3 ms2_150m at 100 m": "c9a68d8ed518",
+    "train_lloyd two point masses, 4 codewords": "54356682f7d6",
 }
 
 # fields of the orthogonalized rate-loss run, digested in this order

@@ -159,7 +159,7 @@ class TestRun:
         small_scale = np.concatenate([
             channel.sample_small_scale(ls.n_users, ls.n_bs, scn.n_tx,
                                        substream(scn.master_seed, rngmod.TRIAL, i),
-                                       trials=montecarlo.STREAM_TRIALS)
+                                       trials=rngmod.STREAM_TRIALS)
             for i in range(2)])[:scn.trials]
         real = channel.realize_channels(ls, scn.n_tx, small_scale)
         _, ideal_reason = precoding.zf_precoder(real.global_channels)

@@ -1,3 +1,4 @@
+import math
 from collections import Counter
 from dataclasses import replace
 from types import SimpleNamespace
@@ -198,15 +199,115 @@ class TestLloyd:
             train_lloyd(4, 3, isotropic_directions(300, 4, substream(12, 0, 10)),
                         rng=substream(12, 0, 11))
 
-    def test_non_unit_samples_rejected(self):
-        samples = isotropic_directions(400, 4, substream(12, 0, 12)) * 2.0
-        with pytest.raises(ConfigurationError):
+    @pytest.mark.parametrize("scale", [2.0, np.nan])
+    def test_non_unit_samples_rejected(self, scale):
+        samples = isotropic_directions(400, 4, substream(12, 0, 12))
+        samples[7] *= scale
+        with pytest.raises(ConfigurationError, match="finite and unit norm"):
             train_lloyd(4, 0, samples, rng=substream(12, 0, 13))
 
     def test_non_convergence_flagged(self):
         samples = isotropic_directions(1600, 4, substream(12, 0, 14))
         cb = train_lloyd(4, 3, samples, max_iters=2, rng=substream(12, 0, 15))
         assert cb.training_meta["converged"] is False
+
+    @pytest.mark.parametrize("profile", [(np.nan, 0.0), (0.0, 0.0), (np.inf, 1.0)])
+    def test_global_codebook_needs_a_finite_nonzero_split(self, profile):
+        for kind in ("lloyd", "random"):
+            with pytest.raises(DomainError, match="finite, nonzero energy split"):
+                quantization.build_codebook(8, 2, kind, 7, profile)
+
+
+def _preset_lloyd_codebooks() -> dict:
+    """Every Lloyd codebook the fig3, fig4 and fig5 presets build, keyed by
+    (dimension, bits, training seed, the profile's first share to 4 places
+    or None for a per-cell codebook)."""
+    found = {}
+    for name in scenario.PRESET_NAMES:
+        for arm in scenario.preset(name).arms:
+            scn = arm.scenario
+            if scn.placement.mode == "random_uniform":
+                # a drop's codebooks are those of any other drop here: per-cell
+                # ones, and single-cell global ones whose split is (1.0,)
+                placements = [montecarlo._draw_positions(
+                    scn, substream(scn.master_seed, rngmod.DROP, 0))]
+            else:
+                placements = [fixed.placement.positions
+                              for _, fixed in scenario.resolved_points(scn)]
+            for positions in placements:
+                large_scale = montecarlo.large_scale_map(scn, positions)
+                for row in resolve_codebooks(scn.feedback, scn.n_tx, large_scale).codebooks:
+                    for cb in row:
+                        meta = cb.training_meta
+                        profile = meta.get("profile")
+                        found[(cb.dimension, cb.bits, meta["seed"],
+                               None if profile is None else round(profile[0], 4))] = cb
+    return found
+
+
+class TestPresetCodebooks:
+    """Did every codebook converge? Each Lloyd identity of the presets,
+    trained with the library defaults."""
+
+    # error_estimate means with DEFAULT_LLOYD_TOL at 1e-6, where two of the
+    # 8-dimension codebooks stopped at DEFAULT_LLOYD_MAX_ITERS unconverged
+    TOL_1E6_MEANS = {
+        (4, 3, 7103, None): 0.3942265577904883,
+        (8, 6, 7104, 0.5): 0.501569629193004,
+        (8, 6, 7104, 0.8212): 0.3625531079772252,
+        (8, 6, 7104, 0.9603): 0.23887711091642655,
+        (8, 6, 7104, 0.9946): 0.20318637385795896,
+        (8, 6, 7104, 0.9997): 0.1980781612632431,
+        (4, 2, 7104, None): 0.48108552850757197,
+        (4, 4, 7104, None): 0.3103040097015082,
+        (4, 3, 7104, None): 0.3949403626934276,
+        (4, 3, 7105, None): 0.3949919347965446,
+        (8, 6, 7105, 1.0): 0.501442768456144,
+    }
+
+    def test_every_codebook_converges_within_two_se_of_the_tight_tolerance(self):
+        codebooks = _preset_lloyd_codebooks()
+        assert set(codebooks) == set(self.TOL_1E6_MEANS)
+        for identity, cb in codebooks.items():
+            meta = cb.training_meta
+            assert meta["converged"] is True, identity
+            assert meta["iterations"] < quantization.DEFAULT_LLOYD_MAX_ITERS, identity
+            estimate = error_estimate(cb)
+            assert abs(estimate["mean"] - self.TOL_1E6_MEANS[identity]) <= 2 * estimate["se"], \
+                (identity, estimate)
+
+
+class TestRandomCodebookOracle:
+    """Random vector quantization against its closed forms: the ensemble
+    mean of E{sin^2 theta} over isotropic codebooks of 2^B words in M complex
+    dimensions is 2^B B(2^B, M/(M-1)) (Au-Yeung & Love, IEEE TWC 2007), and
+    Jindal's 2^(-B/(M-1)) (IEEE Trans. IT 2006) lies above it."""
+
+    CODEBOOKS, DRAWS = 300, 2000
+
+    @staticmethod
+    def exact(m: int, b: int) -> float:
+        n, a = 2**b, m / (m - 1)
+        return n * math.exp(math.lgamma(n) + math.lgamma(a) - math.lgamma(n + a))
+
+    def ensemble(self, m: int, b: int) -> tuple[float, float]:
+        """Mean and SE, over random codebooks, of each one's mean error on
+        its own isotropic draws."""
+        rng = substream(19, m, b)
+        means = np.array([
+            quantize_many(isotropic_directions(self.DRAWS, m, rng),
+                          random_codebook(m, b, rng))[1].mean()
+            for _ in range(self.CODEBOOKS)
+        ])
+        return float(means.mean()), float(means.std(ddof=1) / np.sqrt(self.CODEBOOKS))
+
+    @pytest.mark.parametrize("m, b", [(4, 2), (4, 3), (8, 6)])
+    def test_ensemble_mean_meets_the_closed_form(self, m, b):
+        mean, se = self.ensemble(m, b)
+        assert abs(mean - self.exact(m, b)) < 4 * se, (mean, se, self.exact(m, b))
+        jindal = 2.0 ** (-b / (m - 1))
+        assert self.exact(m, b) < jindal
+        assert mean + 4 * se < jindal
 
 
 def _two_cell_realization(seed, alpha_sq=None):

@@ -221,7 +221,7 @@ class TestValidation:
     @pytest.mark.parametrize("preset, label, mode, blocks", [
         ("fig3", "ms2_250m", None, 200 * 2**3),  # a 3-bit per-cell training set
         ("fig4", "global_6bit", None, 200 * 2**6 * 2),  # a 6-bit global one, 2 cells long
-        ("fig3", "ms2_250m", "perfect", 2 * 2),  # one trial's channels
+        ("fig3", "ms2_250m", "perfect", 256 * 2 * 2),  # a 256-trial stream block's channels
     ])
     def test_n_tx_stops_where_numpy_cannot_shape_a_draw(self, preset, label, mode, blocks):
         arm = next(a for a in scenario.preset(preset).arms if a.label == label)
