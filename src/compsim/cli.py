@@ -11,7 +11,8 @@ CSV schema (stable across commands):
   experiment,arm,sweep,sweep_value,user,metric,value,trials,seed
 One metric per row; floats printed with 17 significant digits; progress goes
 to stderr so stdout stays clean when '-' is the output path.
-Exit codes: 0 success, 2 configuration error, 3 runtime/numerical failure.
+Exit codes: 0 success, 2 configuration error, 3 runtime/numerical failure
+(an allocation that fails included).
 """
 
 from __future__ import annotations
@@ -362,6 +363,9 @@ def main(argv=None) -> int:
         return 2
     except (CompsimError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:  # numpy's message names the allocation it could not make
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
 
 

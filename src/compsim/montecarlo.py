@@ -99,8 +99,6 @@ class CdfResult:
     quantized: np.ndarray  # (drops, n_users), NaN where the whole drop failed
     ideal: np.ndarray
     failed_draws: int
-    dead_drops: int
-    drops: int
 
 
 def _evaluate_block(ctx: TrialContext, small_scale: np.ndarray, first: int) -> TrialLog:
@@ -184,9 +182,10 @@ def _blocks(runs):
 
 def _run_range(args) -> TrialLog:
     """Evaluate ``runs(payload, start, stop)`` block by block, numbering the
-    trials from ``start``: a fixed placement's trial indices. A block of several runs puts each trial's
-    large-scale map on the map's leading trial axis; a block of one run keeps
-    its map, which gives the same bits."""
+    trials from ``start``: a fixed placement's trial indices. A block of
+    several runs puts each trial's large-scale map on the map's leading trial
+    axis; a block of one run keeps its map, which gives the same bits and
+    spares a fixed placement the stacking."""
     (runs, payload), start, stop = args
     logs, first = [], start
     for block in _blocks(runs(payload, start, stop)):
@@ -365,14 +364,6 @@ def run_cdf(scn: scenariomod.Scenario, workers: int = 1) -> CdfResult:
     parts = _map_ranges(_drop_means, scn, scn.drops, workers)
     quant = np.concatenate([p[0] for p in parts])
     ideal = np.concatenate([p[1] for p in parts])
-    failed = sum(p[2] for p in parts)
-    dead = int(np.isnan(quant[:, 0]).sum())
-    if dead == scn.drops:
+    if np.isnan(quant[:, 0]).all():
         raise EstimationError("every drop failed")
-    return CdfResult(
-        quantized=quant,
-        ideal=ideal,
-        failed_draws=failed,
-        dead_drops=dead,
-        drops=scn.drops,
-    )
+    return CdfResult(quantized=quant, ideal=ideal, failed_draws=sum(p[2] for p in parts))

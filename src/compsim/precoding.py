@@ -41,13 +41,7 @@ def zf_precoder(reconstructed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     - **Gram path.** P = H^H G^-1 with G = H H^H, for every trial whose
       eigenvalues (``eigvalsh``) satisfy lambda_min > GRAM_EIGENVALUE_RATIO *
       lambda_max, that is cond(G) < 1e6 and cond(H) < 1e3. Such a trial is
-      "ok". Error bound: forming G and its LU solve are backward stable, so
-      the computed inverse is that of G + E with ||E|| <= c eps ||G||, c a
-      small multiple of n_users + n_bs * n_tx. Column k then moves by
-      -H^+ E G^-1 e_k, and ||H^H y|| >= sigma_min ||y||, so relative to the
-      column it moves by at most c eps cond(G) = c eps cond(H)^2: about
-      c * 2.2e-10 at the threshold, and far less at the condition numbers of
-      a few units that most trials have.
+      "ok". Its error bound is derived below.
     - **SVD tail** (``_svd_path``), the pseudo-inverse from the singular
       values of H, for every other trial and for any stack with more users
       than dimensions. It alone decides "rank" and "condition cap": cond(G)
@@ -55,6 +49,46 @@ def zf_precoder(reconstructed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
       decisions must stay on the singular values of H. A Gram-path trial,
       with cond(H) < 1e3, is five orders inside the cap, so the SVD would
       call it "ok" too.
+
+    **Gram-path error bound.** Each unit column is within c u kappa^2 of the
+    exact unit column of H^+ = H^H G^-1, to first order in u = eps / 2, where
+    H has n = n_users rows, m = n_bs * n_tx columns, singular values
+    sigma_1 >= ... >= sigma_n and kappa = cond(H) = sigma_1 / sigma_n, and
+
+        c = n (m + 2) + 3 (n + 11) nu + (n + 2) sqrt(n) + (m + 7) / 2.
+
+    The steps (standard bounds from Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., sections 3.6, 8 and 9):
+
+    1. Forming G. A complex inner product of length N errs by at most
+       (N + 2) u |x|^T |y|, so the computed G is G + E1 with
+       ||E1|| <= (m + 2) u || |H| ||^2 <= (m + 2) u ||H||_F^2
+       <= n (m + 2) u sigma_1^2.
+    2. The LU inverse. ``inv`` factors G with partial pivoting and solves
+       for each column of the identity, so column k is x = (G + E1 + E2)^-1
+       e_k with |E2| <= 3 (n + 11) u |L||U|. Real arithmetic gives 3n u
+       (Higham's theorem 9.4); in complex arithmetic each of the factoring
+       and the two triangular solves runs recurrences of at most n terms,
+       (n + 2) u as an inner product, and at most one complex division, or a
+       reciprocal and a product, 9 u. With nu = || |L||U| || / ||G||, the
+       growth of the LU factors, ||E2|| <= 3 (n + 11) nu u sigma_1^2. To
+       first order x moves by -G^-1 (E1 + E2) x, so the column H^H x moves
+       by -H^+ (E1 + E2) x, at most ||E1 + E2|| ||x|| / sigma_n; and
+       ||H^H x|| >= sigma_n ||x||, so relative to the column it moves by at
+       most (n (m + 2) + 3 (n + 11) nu) u kappa^2.
+    3. The product H^H x errs by at most (n + 2) u |H^H| |x|, that is by
+       (n + 2) sqrt(n) u kappa <= (n + 2) sqrt(n) u kappa^2 of the column.
+    4. The column normalization. Normalizing does not enlarge a column's
+       relative error, to first order. Its own rounding: the squared norm
+       sums m products |z|^2, (m + 1) u; the square root halves that and
+       adds u; each entry's division rounds twice, 2 u. In all (m + 7) u / 2.
+
+    With pivots chosen by |re| + |im|, as LAPACK chooses them, an entry of L
+    is at most sqrt(2) and nu at most sqrt(2) rho sqrt(n (n + 1) (n^2 + n +
+    1) / 6), rho <= (1 + sqrt(2))^(n - 1) the growth factor of partial
+    pivoting. That worst case is far above the growth of a Gram matrix in
+    practice, so ``tests/test_precoding.py`` computes nu for each matrix it
+    checks. At the threshold, kappa^2 u = 1.1e-10.
     """
     H = np.ascontiguousarray(reconstructed, dtype=complex)
     if H.ndim != 3:
@@ -96,20 +130,16 @@ def _svd_path(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return precoder, reason
 
 
-def cross_gains(true_channels: np.ndarray, precoder: np.ndarray) -> np.ndarray:
-    """Complex gains g_k v_j of every trial; entry (t, k, j)."""
-    g = np.asarray(true_channels, dtype=complex)
-    if g.ndim != 3 or g.shape[2] != precoder.shape[1]:
-        raise DomainError("true channel dimensions inconsistent with precoder")
-    return g @ precoder
-
-
 def interference_power(
     true_channels: np.ndarray, precoder: np.ndarray, tx_power: float = 1.0
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-trial, per-user signal power P |g_k v_k|^2 and residual inter-user
-    interference P * sum_{j != k} |g_k v_j|^2, from one gain matrix each."""
-    power = tx_power * np.abs(cross_gains(true_channels, precoder)) ** 2
+    interference P * sum_{j != k} |g_k v_j|^2, from one gain matrix g_k v_j
+    each."""
+    g = np.asarray(true_channels, dtype=complex)
+    if g.ndim != 3 or g.shape[2] != precoder.shape[1]:
+        raise DomainError("true channel dimensions inconsistent with precoder")
+    power = tx_power * np.abs(g @ precoder) ** 2
     signal = np.diagonal(power, axis1=1, axis2=2).copy()
     return signal, power.sum(axis=2) - signal
 

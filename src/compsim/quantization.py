@@ -154,8 +154,6 @@ def train_lloyd(
     dimension: int,
     bits: int,
     training_samples: np.ndarray,
-    max_iters: int = DEFAULT_LLOYD_MAX_ITERS,
-    tol: float = DEFAULT_LLOYD_TOL,
     *,
     rng: np.random.Generator,
 ) -> Codebook:
@@ -166,7 +164,9 @@ def train_lloyd(
     random codebook drawn from ``rng``; mean distortion is non-increasing
     across iterations, so the result is never worse than that initialization
     on the training set. Empty clusters are re-seeded with the worst-quantized
-    sample.
+    sample. Training stops after ``DEFAULT_LLOYD_MAX_ITERS`` iterations, or
+    once an iteration improves the mean distortion by less than
+    ``DEFAULT_LLOYD_TOL`` of it; both are read at call time.
     """
     x = np.asarray(training_samples, dtype=complex)
     size = 2**bits
@@ -196,7 +196,7 @@ def train_lloyd(
     history: list[float] = []
     reseeded = 0
     converged = False
-    for _ in range(max_iters):
+    for _ in range(DEFAULT_LLOYD_MAX_ITERS):
         conj = codewords.conj().T
         for block in blocks:
             n = block.stop - block.start
@@ -207,7 +207,8 @@ def train_lloyd(
         distortion = float(1.0 - best.mean())
         if history and distortion > history[-1] + 1e-12:
             raise TrainingError("Lloyd distortion increased between iterations")
-        if history and history[-1] - distortion < tol * max(history[-1], np.finfo(float).tiny):
+        if history and (history[-1] - distortion
+                        < DEFAULT_LLOYD_TOL * max(history[-1], np.finfo(float).tiny)):
             history.append(distortion)
             converged = True
             break
@@ -253,7 +254,7 @@ def train_lloyd(
         "training_size": int(x.shape[0]),
         "iterations": len(history) - 1,
         "converged": converged,
-        "tol": tol,
+        "tol": DEFAULT_LLOYD_TOL,
         "initial_distortion": history[0],
         "final_distortion": history[-1],
         "distortion_history": [float(d) for d in history],
@@ -396,17 +397,13 @@ def per_cell_feedback(
     return _quantize_blocks(h, large_scale.alpha, grid, "per_cell")
 
 
-def global_feedback(
-    realization: channel.ChannelRealization,
-    large_scale: channel.LargeScaleMap,
-    codebooks,
-) -> FeedbackReport:
+def global_feedback(realization: channel.ChannelRealization, codebooks) -> FeedbackReport:
     """Quantize each user's whole composite vector, in every trial, with one
     codebook.
 
     ``codebooks`` is one Codebook of dimension n_bs * n_tx shared by all
     users, or an n_users x 1 grid. Reconstruction: g_hat_k = ||g_k|| c_i;
-    the report holds one block per user. ``large_scale`` is not read: the
+    the report holds one block per user. No large-scale map is needed: the
     composite vectors already carry the link amplitudes.
     """
     g = realization.global_channels
@@ -521,7 +518,7 @@ class ResolvedFeedback:
             return None
         if self.mode == "per_cell":
             return per_cell_feedback(realization, large_scale, self.codebooks)
-        return global_feedback(realization, large_scale, self.codebooks)
+        return global_feedback(realization, self.codebooks)
 
     def shares_codebooks(self, other: "ResolvedFeedback") -> bool:
         """Whether ``other`` quantizes every block with the same codebook

@@ -44,6 +44,12 @@ def _distance_problem(geom: Geometry, distance_m) -> str | None:
     return None
 
 
+def _unshapeable(count: int, dtype) -> bool:
+    """Whether numpy cannot shape an array of ``count`` items of ``dtype``:
+    it shapes none of more bytes than np.intp counts."""
+    return count * np.dtype(dtype).itemsize > np.iinfo(np.intp).max
+
+
 @dataclass
 class Placement:
     """Where the mobile stations are.
@@ -128,6 +134,9 @@ class Scenario:
                         out.append((f"placement.{name}", problem))
                 if pl.steps is None or pl.steps < 1:
                     out.append(("placement.steps", "must be >= 1"))
+                elif _unshapeable(pl.steps, float):  # the sweep's distances, in one array
+                    out.append(("placement.steps", "too large: the sweep's distances "
+                                "exceed numpy's array size limit"))
 
         bits = self.feedback.bits
         if self.feedback.mode == "per_cell" and not (
@@ -139,16 +148,19 @@ class Scenario:
             out.append(("n_users", "must equal geometry.n_cells for cooperative scenarios"))
         if n_users > n_cells * self.n_tx:
             out.append(("n_users", "cannot exceed total transmit antennas"))
-        # numpy shapes no array of more bytes than np.intp counts. The largest
-        # draw a run implies, in n_tx-long blocks of complex normals: the
-        # channels of a stream block of trials, or a Lloyd training set (a
-        # global direction is n_cells blocks long)
+        # The largest draw a run implies, in n_tx-long blocks of complex
+        # normals: the channels of a stream block of trials, or a Lloyd
+        # training set (a global direction is n_cells blocks long). A random
+        # drop draws all of its trials at once.
         fb = self.feedback
         blocks = max(STREAM_TRIALS * n_users * n_cells, FeedbackConfig.largest_training_set(fb)
                      * (n_cells if fb.mode == "global" else 1))
-        nbytes = blocks * self.n_tx * np.dtype(complex).itemsize
-        if self.n_tx >= 2 and nbytes > np.iinfo(np.intp).max:
+        if self.n_tx >= 2 and _unshapeable(blocks * self.n_tx, complex):
             out.append(("n_tx", "too large: a draw it sizes exceeds numpy's array size limit"))
+        elif pl.mode == "random_uniform" and _unshapeable(
+                self.trials_per_drop * n_users * n_cells * self.n_tx, complex):
+            out.append(("trials_per_drop",
+                        "too large: a drop's draw exceeds numpy's array size limit"))
         return out
 
     def __post_init__(self):
@@ -391,7 +403,6 @@ def _two_cell_scenario(
     feedback: FeedbackConfig,
     ms2_distance_m: float,
     master_seed: int,
-    trials: int = 1000,
 ) -> Scenario:
     geom = two_cell_line()
     ms2 = _line_position(geom, 1, ms2_distance_m)
@@ -409,7 +420,6 @@ def _two_cell_scenario(
         ),
         feedback=feedback,
         pairing=PairingPolicy(mode="always_pair"),
-        trials=trials,
         master_seed=master_seed,
     )
 

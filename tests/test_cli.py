@@ -311,9 +311,10 @@ def variant_configs(tmp_path):
     cooperative random-drop arm cut to 2 drops, and of variants with one bad
     value each: 64-bit diagonal links, a boolean coordinate, a NaN or a
     coincident base station, a core beyond the cell edge, an n_tx no numpy
-    array can hold the draws of, and with perfect CSI the least n_tx whose
+    array can hold the draws of, with perfect CSI the least n_tx whose
     stream block of STREAM_TRIALS trials' channels no numpy array can hold
-    (test_scenario checks that the n_tx one below it parses)."""
+    (test_scenario checks that the n_tx one below it parses), a drop of
+    2^60 trials, and sweeps of 10^20 and 2^63 steps."""
     fig3 = scenario.preset("fig3").arms[0].scenario
     bits64 = json.loads(scenario.serialize(fig3))
     bits64["feedback"]["bits"] = [[64, 3], [3, 64]]  # no FeedbackConfig accepts it
@@ -327,6 +328,12 @@ def variant_configs(tmp_path):
     block_n_tx["n_tx"] = np.iinfo(np.intp).max // (
         rngmod.STREAM_TRIALS * fig3.n_users * fig3.geometry.n_cells * 16) + 1
     drops = scenario.serialize(replace(scenario.preset("fig5").arms[0].scenario, drops=2))
+    huge_trials_per_drop = json.loads(drops)
+    huge_trials_per_drop["trials_per_drop"] = 2**60
+    huge_steps = json.loads(scenario.serialize(fig3))
+    huge_steps["placement"]["steps"] = 10**20
+    steps_2_63 = json.loads(scenario.serialize(fig3))
+    steps_2_63["placement"]["steps"] = 2**63
     paths = {}
     for name, text in (("{fixed}", fixed),
                        ("{bool_position}", json.dumps(bool_position)),
@@ -334,6 +341,9 @@ def variant_configs(tmp_path):
                        ("{bits64}", json.dumps(bits64)),
                        ("{huge_n_tx}", json.dumps(huge_n_tx)),
                        ("{stream_block_n_tx}", json.dumps(block_n_tx)),
+                       ("{huge_trials_per_drop}", json.dumps(huge_trials_per_drop)),
+                       ("{huge_steps}", json.dumps(huge_steps)),
+                       ("{steps_2_63}", json.dumps(steps_2_63)),
                        ("{nan_bs}", scenario.serialize(fig3).replace("500.0", "NaN")),
                        ("{same_bs}", scenario.serialize(fig3).replace("500.0", "0.0")),
                        ("{core_beyond_edge}", drops.replace('"d_min_m": 1.0', '"d_min_m": 300'))):
@@ -430,6 +440,41 @@ def test_n_tx_beyond_numpy_exits_2_with_one_error_line(variant, variant_configs,
     assert run_cli("simulate", "--config", str(variant_configs[variant])) == 2
     assert capsys.readouterr().err == \
         "error: n_tx: too large: a draw it sizes exceeds numpy's array size limit\n"
+
+
+@pytest.mark.parametrize("variant, line", [
+    ("{huge_trials_per_drop}",
+     "error: trials_per_drop: too large: a drop's draw exceeds numpy's array size limit\n"),
+    ("{huge_steps}", "error: placement.steps: too large: the sweep's distances exceed numpy's "
+                     "array size limit\n"),
+    ("{steps_2_63}", "error: placement.steps: too large: the sweep's distances exceed numpy's "
+                     "array size limit\n"),
+], ids=["trials-per-drop-2^60", "steps-10^20", "steps-2^63"])
+def test_draw_sizes_beyond_numpy_exit_2_with_one_error_line(variant, line, variant_configs,
+                                                            capsys):
+    # numpy raised ValueError (a drop's draw, a sweep of 10^20 steps) or
+    # IndexError (2^63 steps) here before parse counted these sizes
+    assert run_cli("simulate", "--config", str(variant_configs[variant])) == 2
+    assert capsys.readouterr().err == line
+
+
+@pytest.mark.parametrize("exc, line", [
+    (MemoryError("Unable to allocate 7.28 TiB for an array with shape (1000000000000,) and "
+                 "data type float64"),
+     "error: Unable to allocate 7.28 TiB for an array with shape (1000000000000,) and "
+     "data type float64"),
+    (MemoryError(), "error: out of memory"),
+], ids=["numpy-message", "no-message"])
+def test_memory_error_is_a_runtime_error(exc, line, monkeypatch, capsys):
+    # where a sweep of 10^12 steps failed to allocate its distances
+    def fail(scn):
+        raise exc
+
+    monkeypatch.setattr(scenario, "sweep_values", fail)
+    assert run_cli("simulate", "--preset", "fig3", "--trials", "2") == 3
+    err = capsys.readouterr().err
+    assert [e for e in err.splitlines() if e.startswith("error:")] == [line]
+    assert "Traceback" not in err
 
 
 def test_non_finite_energy_split_is_a_runtime_error(tmp_path, capsys):

@@ -329,7 +329,7 @@ class TestWorkerInvariance:
         c2 = montecarlo.run_cdf(scn, workers=2)
         assert np.array_equal(c1.quantized, c2.quantized, equal_nan=True)
         assert np.array_equal(c1.ideal, c2.ideal, equal_nan=True)
-        assert (c1.failed_draws, c1.dead_drops) == (c2.failed_draws, c2.dead_drops)
+        assert c1.failed_draws == c2.failed_draws
 
 
 def contexts_of(per_cell_bits, global_bits: int, pairing: PairingPolicy,
@@ -393,7 +393,7 @@ class TestBlockInvariance:
                             assert np.array_equal(getattr(log, name), getattr(reference, name),
                                                   equal_nan=True), (block, workers, name)
                     cdf = montecarlo.run_cdf(cdf_scn, workers=workers)
-                    for name in ("quantized", "ideal", "failed_draws", "dead_drops"):
+                    for name in ("quantized", "ideal", "failed_draws"):
                         assert np.array_equal(getattr(cdf, name), getattr(cdf_reference, name),
                                               equal_nan=True), (block, workers, name)
 
@@ -413,7 +413,7 @@ class TestBlockInvariance:
                 patch.setattr(montecarlo, "BLOCK_TRIALS", block)
                 for workers in (1, 2):
                     cdf = montecarlo.run_cdf(scn, workers=workers)
-                    for name in ("quantized", "ideal", "failed_draws", "dead_drops"):
+                    for name in ("quantized", "ideal", "failed_draws"):
                         assert np.array_equal(getattr(cdf, name), getattr(reference, name),
                                               equal_nan=True), (block, workers, name)
 

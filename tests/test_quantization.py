@@ -206,9 +206,10 @@ class TestLloyd:
         with pytest.raises(ConfigurationError, match="finite and unit norm"):
             train_lloyd(4, 0, samples, rng=substream(12, 0, 13))
 
-    def test_non_convergence_flagged(self):
+    def test_non_convergence_flagged(self, monkeypatch):
+        monkeypatch.setattr(quantization, "DEFAULT_LLOYD_MAX_ITERS", 2)
         samples = isotropic_directions(1600, 4, substream(12, 0, 14))
-        cb = train_lloyd(4, 3, samples, max_iters=2, rng=substream(12, 0, 15))
+        cb = train_lloyd(4, 3, samples, rng=substream(12, 0, 15))
         assert cb.training_meta["converged"] is False
 
     @pytest.mark.parametrize("profile", [(np.nan, 0.0), (0.0, 0.0), (np.inf, 1.0)])
@@ -393,19 +394,19 @@ class TestPerCellFeedback:
 
 class TestGlobalFeedback:
     def test_perfect_codebook_reconstructs_exactly(self):
-        real, ls = _two_cell_realization(31)
+        real, _ = _two_cell_realization(31)
         g = real.global_channels[0]
         dirs = g / np.linalg.norm(g, axis=1, keepdims=True)
         cb = Codebook(codewords=dirs, bits=1, kind="random")
-        rep = global_feedback(real, ls, cb)
+        rep = global_feedback(real, cb)
         real, rep = _one_trial(real, rep)
         assert np.all(rep.error_sq <= 1e-12)
         assert np.allclose(rep.reconstructed, g, atol=1e-12)
 
     def test_norm_passthrough(self):
-        real, ls = _two_cell_realization(32)
+        real, _ = _two_cell_realization(32)
         cb = random_codebook(8, 6, substream(32, 1, 0))
-        rep = global_feedback(real, ls, cb)
+        rep = global_feedback(real, cb)
         real, rep = _one_trial(real, rep)
         for k in range(2):
             assert np.linalg.norm(rep.reconstructed[k]) == pytest.approx(
@@ -413,9 +414,9 @@ class TestGlobalFeedback:
             )
 
     def test_report_holds_one_block_per_user(self):
-        real, ls = _two_cell_realization(33)
+        real, _ = _two_cell_realization(33)
         grid = [[random_codebook(8, 6, substream(33, 1, k))] for k in range(2)]
-        rep = global_feedback(real, ls, grid)
+        rep = global_feedback(real, grid)
         real, rep = _one_trial(real, rep)
         assert rep.indices.shape == rep.error_sq.shape == rep.norms.shape == (2, 1)
         for k in range(2):
@@ -479,7 +480,7 @@ def test_block_feedback_properties(case):
         real, rep = _one_trial(real, rep)
         blocks, scale = real.small_scale, ls.alpha
     else:
-        rep = global_feedback(real, ls, codebooks)
+        rep = global_feedback(real, codebooks)
         real, rep = _one_trial(real, rep)
         blocks, scale = real.global_channels[:, None, :], np.ones((2, 1))
     n_blocks, dim = blocks.shape[1:]
