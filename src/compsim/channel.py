@@ -120,8 +120,10 @@ class LargeScaleMap:
         if self.snr_gamma_sq.ndim not in (2, 3):
             raise ConfigurationError(
                 "snr_gamma_sq must be an (n_users, n_bs) or (trials, n_users, n_bs) array")
-        if np.any(self.snr_gamma_sq < 0):
-            raise ConfigurationError("receive SNRs must be nonnegative")
+        s = self.snr_gamma_sq
+        if not np.all((s >= 0) & (s < np.inf)):  # written so that NaN fails too
+            raise ConfigurationError("receive SNRs must be finite and nonnegative: check "
+                                     "geometry.edge_snr_db and pathloss_exponent")
         if self.tx_power <= 0 or self.noise_power <= 0:
             raise ConfigurationError("tx_power and noise_power must be positive")
         self.alpha_sq = self.snr_gamma_sq * self.noise_power / self.tx_power

@@ -113,7 +113,8 @@ def _sweep_name(scn: scenariomod.Scenario) -> str:
 # simulate
 # ---------------------------------------------------------------------------
 
-def _load_experiment(args) -> scenariomod.Experiment:
+def _load_experiment(args, trials: int | None = None) -> scenariomod.Experiment:
+    """The preset or document of ``args``, ``--seed`` and any ``trials`` set on every arm."""
     if args.preset:
         exp = scenariomod.preset(args.preset)
     else:
@@ -122,22 +123,24 @@ def _load_experiment(args) -> scenariomod.Experiment:
         exp = scenariomod.Experiment(name="custom", arms=[scenariomod.Arm("run", scn)])
     arms = []
     for arm in exp.arms:
-        scn = scenariomod.apply_env_overrides(arm.scenario)
+        scn = arm.scenario
         if args.seed is not None:
             scn = replace(scn, master_seed=args.seed)
-        if args.trials is not None:
-            scenariomod.check_trials_override(scn, "--trials")
-            scn = replace(scn, trials=args.trials)
+        if trials is not None:
+            scn = replace(scn, trials=trials)
         arms.append(scenariomod.Arm(arm.label, scn))
     return scenariomod.Experiment(name=exp.name, arms=arms)
 
 
 def _user_bounds(scn: scenariomod.Scenario, ctx) -> list:
-    """(closed-form bound, interference terms) per user, from the per-cell
-    codebooks' cached expected errors."""
+    """(closed-form bound, interference terms, draws) per user, from the
+    per-cell codebooks' cached expected errors. A closed form draws nothing:
+    its draws are the fewest of the error estimates it rests on."""
     params = bounds.RateLossParams.from_large_scale(
         ctx.large_scale, scn.n_tx, ctx.feedback.expected_error_matrix())
-    return [bounds.rate_loss_bound_general(params, k) for k in range(scn.n_users)]
+    return [(*bounds.rate_loss_bound_general(params, k),
+             min(quantization.error_estimate(cb)["draws"] for cb in ctx.feedback.codebooks[k]))
+            for k in range(scn.n_users)]
 
 
 def _simulate_run_rows(exp_name, label, scn, workers) -> list:
@@ -157,13 +160,15 @@ def _simulate_run_rows(exp_name, label, scn, workers) -> list:
                 ("rate_loss_mc", result.delta_r[k]),
                 ("rate_loss_mc_se", result.delta_r_se[k]),
             ]
-            if bound_vals is not None:
-                metrics.append(("rate_loss_bound", bound_vals[k][0]))
             for name, value in metrics:
                 rows.append(
                     MetricsRow(exp_name, label, sweep_name, sweep_value, k, name,
                                float(value), scn.trials, scn.master_seed)
                 )
+            if bound_vals is not None:
+                value, _, draws = bound_vals[k]
+                rows.append(MetricsRow(exp_name, label, sweep_name, sweep_value, k,
+                                       "rate_loss_bound", float(value), draws, scn.master_seed))
         rows.append(
             MetricsRow(exp_name, label, sweep_name, sweep_value, None, "failures",
                        float(result.failures), scn.trials, scn.master_seed)
@@ -195,7 +200,11 @@ def _simulate_cdf_rows(exp_name, label, scn, workers) -> list:
 
 def cmd_simulate(args) -> int:
     montecarlo.check_workers(args.workers)
-    exp = _load_experiment(args)
+    exp = _load_experiment(args, args.trials)
+    if args.trials is not None and any(arm.scenario.placement.mode == "random_uniform"
+                                       for arm in exp.arms):
+        raise ConfigurationError("--trials: a random-drop scenario runs drops x "
+                                 "trials_per_drop trials; set those instead")
     rows = []
     for arm in exp.arms:
         scn = arm.scenario
@@ -203,10 +212,7 @@ def cmd_simulate(args) -> int:
             rows.extend(_simulate_cdf_rows(exp.name, arm.label, scn, args.workers))
         else:
             rows.extend(_simulate_run_rows(exp.name, arm.label, scn, args.workers))
-    out = args.out
-    if out is None:
-        out = exp.arms[0].scenario.output_csv or "-"
-    _write_output(format_rows(rows), out)
+    _write_output(format_rows(rows), args.out)
     return 0
 
 
@@ -234,9 +240,7 @@ def cmd_bound(args) -> int:
     lines = []
     lines.append(f"rate-loss bounds for {exp.name}/{arm.label}"
                  + (f" at {args.at:g} m" if args.at is not None else ""))
-    for k, (value, i_terms) in enumerate(_user_bounds(scn, ctx)):
-        # a closed form draws nothing: its value rests on user k's error estimates
-        draws = min(quantization.error_estimate(cb)["draws"] for cb in ctx.feedback.codebooks[k])
+    for k, (value, i_terms, draws) in enumerate(_user_bounds(scn, ctx)):
         lines.append(f"  user {k}: bound {value:.6f} bits/s/Hz")
         rows.append(MetricsRow(exp.name, arm.label, sweep_name, args.at, k,
                                "rate_loss_bound", value, draws, scn.master_seed))
@@ -316,8 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--trials", type=int, default=None)
     sim.add_argument("--workers", type=int, default=1)
     sim.add_argument("--out", default=None,
-                     help="CSV path, '-' for stdout (default: the scenario's "
-                          "output_csv, else stdout)")
+                     help="CSV path, '-' for stdout (default: stdout)")
     sim.set_defaults(func=cmd_simulate)
 
     bnd = sub.add_parser("bound", help="closed-form rate-loss bound table")

@@ -64,21 +64,6 @@ class Codebook:
         norms = np.linalg.norm(self.codewords, axis=1)
         if np.any(np.abs(norms - 1.0) > _UNIT_NORM_TOL):
             raise ConfigurationError("codewords must be unit norm (within 1e-12)")
-        n = self.codewords.shape[0]
-        if n > 1:
-            gram = np.abs(self.codewords @ self.codewords.conj().T)
-            np.fill_diagonal(gram, 0.0)
-            if np.any(
-                np.all(self.codewords[:, None, :] == self.codewords[None, :, :], axis=2)
-                & ~np.eye(n, dtype=bool)
-            ):
-                raise ConfigurationError("codebook contains two identical codewords")
-            collinear = int(np.count_nonzero(np.triu(gram, 1) > 1.0 - 1e-12))
-            if collinear:
-                # Permitted for random codebooks, but callers should know.
-                meta = dict(self.training_meta or {})
-                meta["collinear_pairs"] = collinear
-                self.training_meta = meta
 
     @property
     def dimension(self) -> int:

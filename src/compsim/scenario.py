@@ -12,7 +12,6 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
-import os
 import sys
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 from types import SimpleNamespace
@@ -26,9 +25,6 @@ from .rng import STREAM_TRIALS
 from .scheduling import PairingPolicy
 
 PLACEMENT_MODES = ("fixed", "line_sweep", "random_uniform")
-
-ENV_SEED = "COMPSIM_SEED"
-ENV_TRIALS = "COMPSIM_TRIALS"
 
 
 def _is_xy(entry) -> bool:
@@ -83,7 +79,6 @@ class Scenario:
     master_seed: int = 1
     tx_power: float = 1.0
     noise_power: float = 1.0
-    output_csv: str | None = None  # default CSV destination, CLI --out wins
 
     def problems(self) -> list:
         """(field path, message) pairs for the scalar fields, the placement,
@@ -107,6 +102,9 @@ class Scenario:
         elif pl.mode == "random_uniform":
             if self.drops < 1:
                 out.append(("drops", "random placement requires drops >= 1"))
+            if geom.cell_radius_m > sys.float_info.max ** 0.5:  # a drop squares it
+                out.append(("geometry.cell_radius_m",
+                            "too large: a drop's squared radius exceeds the float range"))
             fb = self.feedback
             if n_cells > 1 and fb.mode == "global" and fb.codebook_kind == "lloyd":
                 # each cooperative drop moves the energy split a global
@@ -321,32 +319,6 @@ def scenario_from_dict(doc: dict) -> Scenario:
         pairing=PairingPolicy(**vars(sections["pairing"])),
         **top,
     )
-
-
-def check_trials_override(s: Scenario, source: str) -> None:
-    """Reject a trial count set from ``source`` (a flag or an environment
-    variable) on a random-drop scenario, which runs drops x trials_per_drop
-    trials and never reads ``trials``."""
-    if s.placement.mode == "random_uniform":
-        raise ConfigurationError(f"{source}: a random-drop scenario runs drops x "
-                                 "trials_per_drop trials; set those instead")
-
-
-def apply_env_overrides(s: Scenario, env=None) -> Scenario:
-    """Apply the seed / trial-count environment overrides (only those two)."""
-    env = os.environ if env is None else env
-    changes = {}
-    for name, field_name in ((ENV_SEED, "master_seed"), (ENV_TRIALS, "trials")):
-        if name in env:
-            try:
-                changes[field_name] = int(env[name])
-            except ValueError:
-                raise ConfigurationError(
-                    f"{name}: expected an integer, got {env[name]!r}"
-                ) from None
-    if "trials" in changes:
-        check_trials_override(s, ENV_TRIALS)
-    return replace(s, **changes) if changes else s
 
 
 # ---------------------------------------------------------------------------

@@ -292,14 +292,13 @@ def test_criterion_09_quantizer_oracle_and_lloyd_monotonicity():
            f"non-increasing on every training run: {monotone}")
 
 
-def test_criterion_10_reproducible_csv_across_workers(tmp_path, monkeypatch):
-    monkeypatch.setenv(scenario.ENV_TRIALS, "40")
+def test_criterion_10_reproducible_csv_across_workers(tmp_path):
     out1 = tmp_path / "w1.csv"
     out8 = tmp_path / "w8.csv"
-    assert cli.main(["simulate", "--preset", "fig3", "--workers", "1",
+    assert cli.main(["simulate", "--preset", "fig3", "--trials", "40", "--workers", "1",
                      "--out", str(out1)]) == 0
     quantization.clear_codebook_cache()
-    assert cli.main(["simulate", "--preset", "fig3", "--workers", "8",
+    assert cli.main(["simulate", "--preset", "fig3", "--trials", "40", "--workers", "8",
                      "--out", str(out8)]) == 0
     identical = out1.read_bytes() == out8.read_bytes()
     report(10, identical, "preset CSV byte-identical for 1 and 8 workers")

@@ -1,9 +1,15 @@
+import contextlib
+import copy
 import hashlib
+import io
 import json
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from compsim import cli, montecarlo, quantization, scenario
 from compsim import rng as rngmod
@@ -185,12 +191,12 @@ class TestCodebookFileParity:
 
 
 class TestSimulate:
-    def test_preset_csv_shape_and_determinism(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(scenario.ENV_TRIALS, "25")
+    def test_preset_csv_shape_and_determinism(self, tmp_path):
         out1 = tmp_path / "a.csv"
         out2 = tmp_path / "b.csv"
         for out in (out1, out2):
-            assert run_cli("simulate", "--preset", "fig3", "--out", str(out)) == 0
+            assert run_cli("simulate", "--preset", "fig3", "--trials", "25",
+                           "--out", str(out)) == 0
         assert out1.read_bytes() == out2.read_bytes()
         lines = out1.read_text().splitlines()
         assert lines[0] == cli.CSV_HEADER
@@ -203,11 +209,13 @@ class TestSimulate:
         assert sweep_values == {"250", "200", "150", "100", "50"}
         metrics = {r[5] for r in rows}
         assert "throughput_mean" in metrics and "rate_loss_bound" in metrics
+        # the closed form draws nothing: it writes its error estimates' draws
+        assert {(r[5] == "rate_loss_bound", r[7]) for r in rows} == {
+            (False, "25"), (True, str(quantization.DEFAULT_ERROR_ESTIMATE_DRAWS))}
 
-    def test_floats_are_full_precision(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(scenario.ENV_TRIALS, "10")
+    def test_floats_are_full_precision(self, tmp_path):
         out = tmp_path / "c.csv"
-        assert run_cli("simulate", "--preset", "fig3", "--out", str(out)) == 0
+        assert run_cli("simulate", "--preset", "fig3", "--trials", "10", "--out", str(out)) == 0
         for line in out.read_text().splitlines()[1:]:
             value = line.split(",")[6]
             assert float(value) == float(repr(float(value)))  # round-trips
@@ -314,7 +322,10 @@ def variant_configs(tmp_path):
     array can hold the draws of, with perfect CSI the least n_tx whose
     stream block of STREAM_TRIALS trials' channels no numpy array can hold
     (test_scenario checks that the n_tx one below it parses), a drop of
-    2^60 trials, and sweeps of 10^20 and 2^63 steps."""
+    2^60 trials, sweeps of 10^20 and 2^63 steps, a document with a key
+    removed from the format, fig3's ms2_50m arm with a path-loss exponent
+    or an edge SNR of 1e308, whose receive SNRs overflow, and the drops with
+    a cell radius of 1e308, whose square overflows."""
     fig3 = scenario.preset("fig3").arms[0].scenario
     bits64 = json.loads(scenario.serialize(fig3))
     bits64["feedback"]["bits"] = [[64, 3], [3, 64]]  # no FeedbackConfig accepts it
@@ -334,6 +345,9 @@ def variant_configs(tmp_path):
     huge_steps["placement"]["steps"] = 10**20
     steps_2_63 = json.loads(scenario.serialize(fig3))
     steps_2_63["placement"]["steps"] = 2**63
+    removed_key = json.loads(fixed)
+    removed_key["output_csv"] = None  # as every document was serialized while it was a key
+    ms2_50m = scenario.serialize(scenario.preset("fig3").arms[2].scenario)
     paths = {}
     for name, text in (("{fixed}", fixed),
                        ("{bool_position}", json.dumps(bool_position)),
@@ -346,7 +360,14 @@ def variant_configs(tmp_path):
                        ("{steps_2_63}", json.dumps(steps_2_63)),
                        ("{nan_bs}", scenario.serialize(fig3).replace("500.0", "NaN")),
                        ("{same_bs}", scenario.serialize(fig3).replace("500.0", "0.0")),
-                       ("{core_beyond_edge}", drops.replace('"d_min_m": 1.0', '"d_min_m": 300'))):
+                       ("{core_beyond_edge}", drops.replace('"d_min_m": 1.0', '"d_min_m": 300')),
+                       ("{removed_key}", json.dumps(removed_key)),
+                       ("{huge_drop_radius}", drops.replace('"cell_radius_m": 250.0',
+                                                            '"cell_radius_m": 1e308')),
+                       ("{overflow_exponent}", ms2_50m.replace('"pathloss_exponent": 3.76',
+                                                               '"pathloss_exponent": 1e308')),
+                       ("{overflow_edge_snr}", ms2_50m.replace('"edge_snr_db": 10.0',
+                                                               '"edge_snr_db": 1e308'))):
         paths[name] = tmp_path / f"{name[1:-1]}.json"
         paths[name].write_text(text)
     return paths
@@ -363,64 +384,72 @@ def codebook_files_config(fig3_arm_config, tmp_path):
     return path
 
 
+_SNR_OVERFLOW = ("error: receive SNRs must be finite and nonnegative: check "
+                 "geometry.edge_snr_db and pathloss_exponent\n")
+
+
 # message: a line the error output must contain, where exit 2 alone does not
 # tell the failure apart from another one
-@pytest.mark.parametrize("env, argv, message", [
-    ({scenario.ENV_TRIALS: "abc"}, ["simulate", "--preset", "fig3"], ""),
-    ({scenario.ENV_SEED: "x"}, ["simulate", "--preset", "fig3"], ""),
-    ({}, ["simulate", "--preset", "fig3", "--seed", "-1"], ""),
-    ({}, ["bound", "--preset", "fig3", "--at", "300"], ""),
-    ({}, ["train-codebook", "--dimension", "4", "--bits", "-1"], ""),
-    ({}, ["train-codebook", "--dimension", "4", "--bits", "2", "--seed", "-1"], ""),
-    ({}, ["train-codebook", "--config", "{config}", "--at", "100", "--user", "5",
-          "--dimension", "8", "--bits", "2"], ""),
-    ({}, ["train-codebook", "--kind", "random", "--config", "{config}", "--at", "100",
-          "--dimension", "4", "--bits", "2"], ""),
-    ({}, ["bound", "--config", "{fixed}", "--at", "60"],
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "--preset", "fig3", "--seed", "-1"], ""),
+    (["bound", "--preset", "fig3", "--at", "300"], ""),
+    (["train-codebook", "--dimension", "4", "--bits", "-1"], ""),
+    (["train-codebook", "--dimension", "4", "--bits", "2", "--seed", "-1"], ""),
+    (["train-codebook", "--config", "{config}", "--at", "100", "--user", "5",
+      "--dimension", "8", "--bits", "2"], ""),
+    (["train-codebook", "--kind", "random", "--config", "{config}", "--at", "100",
+      "--dimension", "4", "--bits", "2"], ""),
+    (["bound", "--config", "{fixed}", "--at", "60"],
      "error: --at: the scenario has no sweep\n"),
-    ({}, ["bound", "--config", "{drops}"], "error: placement.mode: "),
-    ({}, ["train-codebook", "--config", "{drops}", "--dimension", "8", "--bits", "2"],
+    (["bound", "--config", "{drops}"], "error: placement.mode: "),
+    (["train-codebook", "--config", "{drops}", "--dimension", "8", "--bits", "2"],
      "error: placement.mode: "),
-    ({}, ["train-codebook", "--dimension", "4", "--bits", "2", "--at", "100"],
+    (["train-codebook", "--dimension", "4", "--bits", "2", "--at", "100"],
      "error: --at: only applies with --config\n"),
-    ({}, ["train-codebook", "--dimension", "4", "--bits", "2", "--user", "3"],
+    (["train-codebook", "--dimension", "4", "--bits", "2", "--user", "3"],
      "error: --user: only applies with --config\n"),
-    ({}, ["simulate", "--config", "{codebook_files}"],
+    (["simulate", "--config", "{codebook_files}"],
      "error: feedback.codebook_files: unknown key\n"),
-    ({}, ["simulate", "--preset", "fig3", "--workers", "0"], "error: workers must be >= 1\n"),
-    ({}, ["simulate", "--preset", "fig3", "--workers", "-3"], "error: workers must be >= 1\n"),
-    ({}, ["simulate", "--config", "{drops}", "--trials", "5"], "error: --trials: "),
-    ({scenario.ENV_TRIALS: "9"}, ["simulate", "--config", "{drops}"],
-     "error: COMPSIM_TRIALS: "),
-    ({}, ["bound", "--preset", "fig3", "--at", "50", "--verify-appendix", "--trials", "1"],
+    (["simulate", "--preset", "fig3", "--workers", "0"], "error: workers must be >= 1\n"),
+    (["simulate", "--preset", "fig3", "--workers", "-3"], "error: workers must be >= 1\n"),
+    (["simulate", "--config", "{drops}", "--trials", "5"], "error: --trials: "),
+    (["bound", "--preset", "fig5", "--verify-appendix", "--trials", "100"],
+     "error: placement.mode: "),
+    (["bound", "--preset", "fig3", "--at", "50", "--verify-appendix", "--trials", "1"],
      "error: inverse_norm:user0: a standard error needs at least 2 draws, got 1\n"),
-    ({}, ["bound", "--preset", "fig3", "--at", "50", "--trials", "7"],
+    (["bound", "--preset", "fig3", "--at", "50", "--trials", "7"],
      "error: --trials: only applies with --verify-appendix\n"),
-    ({}, ["train-codebook", "--dimension", "4", "--bits", "63"],
+    (["train-codebook", "--dimension", "4", "--bits", "63"],
      "error: bits must be in [0, 63)\n"),
-    ({}, ["simulate", "--config", "{bits64}"],
+    (["simulate", "--config", "{bits64}"],
      "error: feedback.bits[0][0]: must be in [0, 63)\n"),
-    ({}, ["simulate", "--config", "{nan_bs}"],
+    (["simulate", "--config", "{nan_bs}"],
      "error: geometry.bs_positions[1]: must be finite\n"),
-    ({}, ["simulate", "--config", "{bool_position}"],
+    (["simulate", "--config", "{bool_position}"],
      "error: placement.positions[1]: must be an [x, y] pair\n"),
-    ({}, ["simulate", "--config", "{same_bs}"],
+    (["simulate", "--config", "{same_bs}"],
      "error: geometry.bs_positions: base stations must not coincide\n"),
-    ({}, ["simulate", "--config", "{core_beyond_edge}"],
+    (["simulate", "--config", "{core_beyond_edge}"],
      "error: geometry.d_min_m: must not exceed cell_radius_m\n"),
-], ids=["env-trials", "env-seed", "negative-seed", "bound-outside-cell", "negative-bits",
+    (["simulate", "--config", "{removed_key}"], "error: output_csv: unknown key\n"),
+    (["simulate", "--config", "{overflow_exponent}"], _SNR_OVERFLOW),
+    (["simulate", "--config", "{overflow_edge_snr}"], _SNR_OVERFLOW),
+    (["simulate", "--config", "{huge_drop_radius}"],
+     "error: geometry.cell_radius_m: too large: a drop's squared radius exceeds the float "
+     "range\n"),
+], ids=["negative-seed", "bound-outside-cell", "negative-bits",
         "negative-training-seed", "user-out-of-range", "dimension-not-composite",
         "bound-at-without-sweep", "bound-random-drops", "train-random-drops",
         "train-at-without-config", "train-user-without-config",
         "codebook-files-unknown-key", "zero-workers", "negative-workers",
-        "trials-flag-random-drops", "trials-env-random-drops", "appendix-one-draw",
+        "trials-flag-random-drops", "bound-trials-random-drops", "appendix-one-draw",
         "bound-trials-without-appendix", "train-bits-63", "scenario-bits-64",
-        "scenario-nan-coordinate", "boolean-coordinate", "coincident-base-stations", "core-beyond-cell-edge"])
-def test_bad_input_exits_2_with_error_line(env, argv, message, fig3_arm_config,
+        "scenario-nan-coordinate", "boolean-coordinate", "coincident-base-stations",
+        "core-beyond-cell-edge", "output-csv-unknown-key", "pathloss-exponent-overflow",
+        "edge-snr-overflow", "drop-radius-overflow"])
+def test_bad_input_exits_2_with_error_line(argv, message, fig3_arm_config,
                                            codebook_files_config, variant_configs,
-                                           tmp_path, monkeypatch, capsys):
-    for name, value in env.items():
-        monkeypatch.setenv(name, value)
+                                           tmp_path, capsys):
     paths = {"{config}": fig3_arm_config, "{codebook_files}": codebook_files_config,
              **variant_configs}
     argv = [str(paths.get(a, a)) for a in argv]
@@ -478,11 +507,11 @@ def test_memory_error_is_a_runtime_error(exc, line, monkeypatch, capsys):
 
 
 def test_non_finite_energy_split_is_a_runtime_error(tmp_path, capsys):
-    # every link closer than the cell edge gets an infinite SNR, so the split
-    # a global codebook is trained on is NaN
+    # at the cell edge both links' SNRs are 1e308, finite, but their sum is
+    # infinite, so the split a global codebook is trained on is zero
     doc = json.loads(scenario.serialize(replace(scenario.preset("fig4").arms[0].scenario,
                                                 trials=4)))
-    doc["geometry"]["pathloss_exponent"] = 1e20
+    doc["geometry"]["edge_snr_db"] = 3080.0
     config = tmp_path / "nan_split.json"
     config.write_text(json.dumps(doc))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -490,7 +519,7 @@ def test_non_finite_energy_split_is_a_runtime_error(tmp_path, capsys):
                        "--out", str(tmp_path / "out.csv")) == 3
     err = capsys.readouterr().err
     assert [line for line in err.splitlines() if line.startswith("error:")] == [
-        "error: a global codebook needs a finite, nonzero energy split, got [nan, 0.0]"]
+        "error: a global codebook needs a finite, nonzero energy split, got [0.0, 0.0]"]
     assert "Traceback" not in err
 
 
@@ -520,3 +549,66 @@ def test_zero_workers_rejected_before_any_codebook_is_built():
     quantization.clear_codebook_cache()
     assert run_cli("simulate", "--preset", "fig4", "--workers", "0") == 2
     assert quantization._codebook_cache == {}
+
+
+def _json(scn) -> dict:
+    return json.loads(scenario.serialize(scn))
+
+
+# fig3's ms2_50m arm and fig5's cooperative arm at sizes that run in a few
+# milliseconds
+_FUZZ_DOCS = (_json(replace(scenario.preset("fig3").arms[2].scenario, trials=4)),
+              _json(replace(scenario.preset("fig5").arms[0].scenario, drops=2,
+                            trials_per_drop=3)))
+# JSON values of every type, sign and extreme; 2^63 is one past int64
+_HOSTILE = (None, True, "x", [], {}, -1, 0, 0.5, 1e308, -1e308, 2**63)
+# No ceiling bounds the work of a run, so these get no large count.
+_WORK = {("trials",), ("drops",)}
+
+
+def _leaves(node, path=()):
+    """The path of every leaf of a JSON value: a scalar, or an empty list or object."""
+    if isinstance(node, list):
+        node = dict(enumerate(node))
+    if not isinstance(node, dict) or not node:
+        return [path]
+    return [leaf for key, child in node.items() for leaf in _leaves(child, path + (key,))]
+
+
+@st.composite
+def _hostile_documents(draw):
+    """One of the fuzz documents with one or two leaves set to hostile values."""
+    doc = copy.deepcopy(draw(st.sampled_from(_FUZZ_DOCS)))
+    for path in draw(st.lists(st.sampled_from(_leaves(doc)), min_size=1, max_size=2,
+                              unique=True)):
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = draw(st.sampled_from(
+            [v for v in _HOSTILE if not (path in _WORK and v == 2**63)]))
+    return doc
+
+
+_OVERFLOW_EXPONENT = copy.deepcopy(_FUZZ_DOCS[0])
+_OVERFLOW_EXPONENT["geometry"]["pathloss_exponent"] = 1e308  # was an SVD traceback
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@example(doc=_OVERFLOW_EXPONENT)
+@given(doc=_hostile_documents())
+def test_hostile_documents_exit_with_an_error_line_not_a_traceback(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        config, out = Path(tmp) / "doc.json", str(Path(tmp) / "out")
+        config.write_text(json.dumps(doc))
+        for argv in (["simulate", "--config", str(config), "--out", out],
+                     ["bound", "--config", str(config), "--at", "50"],
+                     ["train-codebook", "--config", str(config), "--at", "50",
+                      "--dimension", "8", "--bits", "2", "--out", out]):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+                    np.errstate(all="ignore"):
+                rc = cli.main(argv)
+            lines = err.getvalue().splitlines()
+            assert rc in (0, 2, 3), (argv, lines)
+            assert rc == 0 or any(line.startswith("error: ") for line in lines), (argv, lines)
+            assert not any("Traceback" in line for line in lines)

@@ -31,12 +31,12 @@ RECORDED_NUMPY = "2.4.6"
 RECORDED_BLAS = "scipy-openblas 0.3.31.188.0"
 
 RECORDED = {
-    "simulate fig3 --trials 20": "ce085824f731",
+    "simulate fig3 --trials 20": "6708c3f17f94",
     "simulate fig5 comp_per_cell_3_3 drops=10": "79b82faea7a9",
     "simulate fig5 single_cell_global_6bit drops=10": "4898c01173c8",
     "simulate fig5 comp_per_cell_3_3 drops=30 --workers 2": "f7a042cb9dd4",
     "simulate fig5 single_cell_global_6bit drops=30 --workers 2": "198f9f41cfec",
-    "simulate fig3 --trials 20 --seed 18446744073709551617": "154bd4f2fb6f",
+    "simulate fig3 --trials 20 --seed 18446744073709551617": "e6cc27b2f2de",
     "bound fig3 --at 50 --verify-appendix --trials 2000 csv": "f63802976246",
     "bound fig3 --at 50 --verify-appendix --trials 2000 stdout": "fb6f86210d40",
     "bound fig4 per_cell_4_2 --at 100 --verify-appendix --trials 2000 csv": "8787ca8d6eb0",

@@ -316,21 +316,6 @@ class TestSweepResolution:
         assert scenario.resolved_points(s) == [(None, s)]
 
 
-class TestEnvOverrides:
-    def test_seed_and_trials_only(self):
-        s = scenario.preset("fig3").arms[0].scenario
-        out = scenario.apply_env_overrides(
-            s, env={"COMPSIM_SEED": "77", "COMPSIM_TRIALS": "12", "COMPSIM_DROPS": "9"}
-        )
-        assert out.master_seed == 77
-        assert out.trials == 12
-        assert out.drops == s.drops  # untouched
-
-    def test_no_overrides_is_identity(self):
-        s = scenario.preset("fig3").arms[0].scenario
-        assert scenario.apply_env_overrides(s, env={}) == s
-
-
 class TestSweepPointBounds:
     def test_point_outside_the_cell_rejected(self):
         s = scenario.preset("fig3").arms[0].scenario
@@ -407,7 +392,6 @@ def valid_scenarios(draw):
         master_seed=draw(st.integers(0, 2**63)),
         tx_power=draw(positive),
         noise_power=draw(positive),
-        output_csv=draw(st.none() | st.text(max_size=12)),
     )
 
 
