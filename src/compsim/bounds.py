@@ -24,12 +24,16 @@ numerically. The measured loss and the interference term are the
 ``delta_r`` and ``interference_log_bound`` of ``montecarlo.RunResult``;
 ``rate_loss_montecarlo`` runs one fixed placement for them. Each Monte Carlo
 check ends in ``_check``, the one home of its mean, standard error and
-verdict; the checks of the error split h_bar = cos(theta) h_hat +
-sin(theta) s share one decomposition (``_error_directions``). The
-100k-draw checks take their substream one chunk of ``STREAM_ROWS`` draws
-at a time, each chunk's draws after all of the chunk before it, and
-evaluate a chunk in ``quantization.row_blocks``: their memory is a chunk's
-plus a few scalars per draw.
+verdict. The 100k-draw checks take their substream one chunk of
+``STREAM_ROWS`` draws at a time, each chunk's draws after all of the chunk
+before it: their memory is a chunk's plus a few scalars per draw. The
+nullspace and interference checks evaluate a chunk, the interference
+check in blocks of ``EVAL_ROWS`` rows, from its codebook products: one
+product C^* X^T of the rows X with each codebook C. Each row's nearest
+codeword, its sin^2 error and its coefficient <h_hat, h> are read from that
+product (``_nearest``), and the interference check's paired directions from
+a table over the codeword pairs (``_pair_table``), so no row is normalized.
+Here <a, b> = sum conj(a) b.
 """
 
 from __future__ import annotations
@@ -44,8 +48,11 @@ from . import scenario as scenariomod
 from .errors import ConfigurationError, DomainError
 
 # draws an appendix check takes from its substream at once: part of the
-# random-stream contract, separate from the evaluation size quantization.BLOCK_ROWS
+# random-stream contract, separate from the evaluation sizes
 STREAM_ROWS = 8192
+# rows of a chunk the interference check evaluates at once, which bounds the
+# memory of its codebook products
+EVAL_ROWS = 2048
 
 
 @dataclass
@@ -224,15 +231,42 @@ def _stream_chunks(count: int) -> list[slice]:
     return [slice(a, min(a + STREAM_ROWS, count)) for a in range(0, count, STREAM_ROWS)]
 
 
+def _eval_blocks(count: int) -> list[slice]:
+    """Consecutive ``EVAL_ROWS``-row slices of ``range(count)``, the last shorter."""
+    return [slice(a, min(a + EVAL_ROWS, count)) for a in range(0, count, EVAL_ROWS)]
+
+
 def _project_out(v: np.ndarray, d: np.ndarray) -> np.ndarray:
     """Each row of ``v`` minus its component along the unit row of ``d``."""
     return v - ((v * d.conj()).sum(axis=1))[:, None] * d
 
 
-def _random_orthogonal(rng: np.random.Generator, d: np.ndarray) -> np.ndarray:
-    """Per unit row of ``d``, an isotropic unit row orthogonal to it."""
-    u = _project_out(rngmod.complex_normal(rng, d.shape), d)
-    return u / np.linalg.norm(u, axis=1, keepdims=True)
+def _nearest(products: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per column x of the codebook products ``products = C^* @ X^T`` (one
+    row <c, x> per codeword c), the index of the codeword maximizing
+    |<c, x>|^2, ties to the lowest as in ``quantization.quantize_many``, with
+    the product and its squared magnitude there."""
+    size, count = products.shape
+    sq = products.real**2
+    sq += products.imag**2
+    best = sq.max(axis=0)
+    # the largest weight size - i over the codewords i attaining the max, in
+    # the narrowest integer type: a bool times int64 casts at many times the cost
+    weights = np.arange(size, 0, -1, dtype=np.min_scalar_type(size))[:, None]
+    idx = size - ((sq == best) * weights).max(axis=0).astype(np.intp)
+    return idx, _pick(products, idx), best
+
+
+def _pick(products: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Entry ``idx[t]`` of each column t of the C-contiguous ``products``."""
+    count = products.shape[1]
+    return products.ravel().take(idx * count + np.arange(count))
+
+
+def _squared_norms(x: np.ndarray) -> np.ndarray:
+    """||x||^2 of each row (last axis) of complex ``x``."""
+    pairs = x.view(float)
+    return np.einsum("...i,...i->...", pairs, pairs)
 
 
 def check_inverse_norm(
@@ -283,33 +317,24 @@ def inverse_norm_moment(alpha_sq_row, n_tx: int) -> float:
     return 0.5 * float(w @ integrand) / peak
 
 
-def _error_directions(h: np.ndarray, cb: quantization.Codebook) -> tuple:
-    """Split each unit row of ``h`` as c * h_hat + sin(theta) * s, with h_hat
-    its codeword in ``cb`` and s a unit direction orthogonal to h_hat.
-
-    Returns (h_hat, c, sin(theta), sin^2 error) per row, the mask ``live`` of
-    rows with sin(theta) > 1e-12, and s for those rows.
-    """
-    idx, err = quantization.quantize_many(h, cb)
-    hq = cb.codewords[idx]
-    coeff = (h * hq.conj()).sum(axis=1)
-    resid = h - coeff[:, None] * hq
-    sin = np.linalg.norm(resid, axis=1)
-    live = sin > 1e-12
-    return hq, coeff, sin, err, live, resid[live] / sin[live, None]
-
-
 def check_decomposition(
     cb: quantization.Codebook, trials: int, master_seed: int
 ) -> AppendixCheck:
     """Direction split h_bar = c * h_hat + sin(theta) * s with unit s | h_hat.
 
     Deterministic (se 0): lhs is the largest of the recomposition error,
-    ||s|| - 1, |s h_hat^H| and |sin^2 - err| over the draws.
+    ||s|| - 1, |s h_hat^H| and |sin^2 - err| over the draws, with s taken
+    on the rows where sin(theta) > 1e-12.
     """
     rng = rngmod.substream(master_seed, rngmod.APPENDIX, 2)
     h = quantization.isotropic_directions(min(trials, 2000), cb.dimension, rng)
-    hq, coeff, sin, err, live, s = _error_directions(h, cb)
+    idx, err = quantization.quantize_many(h, cb)
+    hq = cb.codewords[idx]
+    coeff = (h * hq.conj()).sum(axis=1)
+    resid = h - coeff[:, None] * hq
+    sin = np.linalg.norm(resid, axis=1)
+    live = sin > 1e-12
+    s = resid[live] / sin[live, None]
     recomposed = coeff[live, None] * hq[live] + sin[live, None] * s
     lhs = float(max(np.abs(dev).max(initial=0.0) for dev in (
         recomposed - h[live], np.linalg.norm(s, axis=1) - 1.0,
@@ -324,20 +349,41 @@ def check_nullspace_moment(
 
     s is the quantization error direction (inside that same nullspace); u
     plays the paired user's orthogonal quantized direction, independent of s.
+    With r = h - <h_hat, h> h_hat the residual, sin^2 theta = ||r||^2 / ||h||^2,
+    and u = g - <h_hat, g> h_hat for an isotropic draw g, each sample is
+    |<u, r>|^2 / (||r||^2 ||u||^2), both coefficients read from the products
+    of h and g with the codebook.
     """
     rng = rngmod.substream(master_seed, rngmod.APPENDIX, 3)
-    d = cb.dimension
+    d, conj = cb.dimension, cb.codewords.conj()
     samples = []
     for chunk in _stream_chunks(trials):
-        h = quantization.isotropic_directions(chunk.stop - chunk.start, d, rng)
-        for block in quantization.row_blocks(len(h)):
-            # each block's u follow the u of the blocks before it in the
-            # stream, as one draw for every live row after all of the chunk's h
-            hq, _, _, _, live, s = _error_directions(h[block], cb)
-            u = _random_orthogonal(rng, hq[live])
-            samples.append(np.abs((s * u.conj()).sum(axis=1)) ** 2)
+        # the draws of quantization.isotropic_directions, whose scale no sample sees
+        h = rngmod.complex_normal(rng, (chunk.stop - chunk.start, d))
+        idx, coeff, _ = _nearest(conj @ h.T)
+        hq = cb.codewords.take(idx, axis=0)
+        r = h - coeff[:, None] * hq
+        sin_sq = _squared_norms(r)
+        live = np.flatnonzero(sin_sq > 1e-24 * _squared_norms(h))  # sin(theta) > 1e-12
+        # one u per live row, after all of the chunk's h
+        g = rngmod.complex_normal(rng, (live.size, d))
+        u = g - _pick(conj @ g.T, idx[live])[:, None] * hq[live]
+        ur = np.einsum("ij,ij->i", u.conj(), r[live])
+        samples.append((ur.real**2 + ur.imag**2) / (sin_sq[live] * _squared_norms(u)))
     return _check("nullspace_moment", np.concatenate(samples), 1.0 / (d - 1),
                   lambda lhs, rhs, se: abs(lhs - rhs) <= 3.0 * se)
+
+
+def _pair_table(ck: np.ndarray, cj: np.ndarray) -> tuple:
+    """For the codeword pair (c_j, c_k) = (cj[i_j], ck[i_k]) at i_j * len(ck) + i_k,
+    the paired direction v = c_j - <c_k, c_j> c_k orthogonal to c_k: its
+    coefficient <c_j, c_k>, 1 / ||v||, 0 where v degenerates (||v|| < 1e-9),
+    and the mask of those pairs."""
+    ck, cj = np.tile(ck, (len(cj), 1)), np.repeat(cj, len(ck), axis=0)
+    vn = rows.norms(_project_out(cj, ck))
+    degenerate = vn < 1e-9
+    inv_vn = np.divide(1.0, vn, out=np.zeros_like(vn), where=~degenerate)
+    return rows.inner(cj, ck), inv_vn, degenerate
 
 
 def check_interference_moment(
@@ -355,11 +401,20 @@ def check_interference_moment(
       = (n_t^2 / (n_t - 1)) sum_b alpha_sq_k alpha_sq_j E{sin^2 theta_k},
     using E{rho^2} = n_t alpha^2. The check asserts lhs <= rhs within noise,
     with E{sin^2 theta} taken from the same draws.
+
+    User j's quantized direction on each block is its codeword c_j made
+    orthogonal to user k's c_k, v = c_j - <c_k, c_j> c_k, or an isotropic
+    redraw orthogonal to c_k where v degenerates. With <c, z_k> read from
+    the products of z_k with both codebooks, <v, z_k> = <c_j, z_k> -
+    <c_j, c_k> <c_k, z_k> and sin^2 theta_k = 1 - |<c_k, z_k>|^2 / ||z_k||^2.
     """
     rng = rngmod.substream(master_seed, rngmod.APPENDIX, 4)
     n_bs, alpha_sq = large_scale.n_bs, large_scale.alpha_sq
     # rho_k rho_j = alpha_k alpha_j ||z_k|| ||z_j|| / 2
     scale = 0.5 * np.sqrt(alpha_sq[0] * alpha_sq[1])
+    codewords = [(codebooks[0][b].codewords, codebooks[1][b].codewords) for b in range(n_bs)]
+    tables = [(ck, np.concatenate([ck, cj]).conj(), cj.conj(), *_pair_table(ck, cj))
+              for ck, cj in codewords]
     q = np.zeros(trials, dtype=complex)
     errors = np.empty((n_bs, trials))  # sin^2 theta_k per BS and draw
     for chunk in _stream_chunks(trials):
@@ -368,22 +423,27 @@ def check_interference_moment(
         # after all of z_j, and before those of BS b + 1
         zk = rngmod.complex_normal(rng, (chunk.stop - chunk.start, n_bs, n_tx))
         zj = rngmod.complex_normal(rng, zk.shape)
+        # rho_k rho_j / ||z_k|| per BS
+        weight = scale * np.sqrt(_squared_norms(zj))
+        nk_sq = _squared_norms(zk)
         q_chunk, err_chunk = q[chunk], errors[:, chunk]
-        for b in range(n_bs):
-            cb_k, cb_j = codebooks[0][b], codebooks[1][b]
-            for block in quantization.row_blocks(len(zk)):
-                nk, nj = rows.norms(zk[block, b]), rows.norms(zj[block, b])
-                hk_bar = zk[block, b] / nk[:, None]
-                ik, err_chunk[b, block] = quantization.quantize_many(hk_bar, cb_k)
-                ij, _ = quantization.quantize_many(zj[block, b] / nj[:, None], cb_j)
-                ck = cb_k.codewords[ik]
-                v = _project_out(cb_j.codewords[ij], ck)  # the paired direction, orthogonal to c_k
-                vn = rows.norms(v)
-                degenerate = vn < 1e-9
-                if degenerate.any():
-                    v[degenerate] = _random_orthogonal(rng, ck[degenerate])
-                    vn[degenerate] = 1.0
-                q_chunk[block] += (scale[b] * nk * nj / vn) * rows.inner(v, hk_bar)
+        for b, (ck, both_conj, cj_conj, coeff, inv_vn, degenerate) in enumerate(tables):
+            size_k = len(ck)
+            for block in _eval_blocks(len(zk)):
+                z, w, q_block = zk[block, b], weight[block, b], q_chunk[block]
+                ij, _, _ = _nearest(cj_conj @ zj[block, b].T)
+                products = both_conj @ z.T  # <c_k, z_k> for each c_k, then <c_j, z_k>
+                ik, pk, pk_sq = _nearest(products[:size_k])
+                err = 1.0 - pk_sq / nk_sq[block, b]
+                err_chunk[b, block] = np.maximum(err, 0.0, out=err)
+                pair = ij * size_k + ik
+                q_block += w * inv_vn[pair] * (_pick(products[size_k:], ij) - coeff[pair] * pk)
+                redraw = np.flatnonzero(degenerate[pair])
+                if redraw.size:
+                    u = _project_out(rngmod.complex_normal(rng, (redraw.size, n_tx)),
+                                     ck.take(ik[redraw], axis=0))
+                    q_block[redraw] += w[redraw] / np.sqrt(_squared_norms(u)) * np.einsum(
+                        "ij,ij->i", u.conj(), z[redraw])
 
     err_mean = errors.mean(axis=1)
     rhs = float((n_tx**2 / (n_tx - 1)) * np.sum(alpha_sq[0] * alpha_sq[1] * err_mean))

@@ -124,6 +124,11 @@ class LargeScaleMap:
         if not np.all((s >= 0) & (s < np.inf)):  # written so that NaN fails too
             raise ConfigurationError("receive SNRs must be finite and nonnegative: check "
                                      "geometry.edge_snr_db and pathloss_exponent")
+        with np.errstate(over="ignore"):  # a sum past the float range is inf, rejected here
+            total = s.sum(axis=-1)
+        if not np.all(total < np.inf):
+            raise ConfigurationError("each user's receive SNRs must have a finite sum: check "
+                                     "geometry.edge_snr_db and pathloss_exponent")
         if self.tx_power <= 0 or self.noise_power <= 0:
             raise ConfigurationError("tx_power and noise_power must be positive")
         self.alpha_sq = self.snr_gamma_sq * self.noise_power / self.tx_power
@@ -172,10 +177,11 @@ def build_large_scale(
     dist = np.linalg.norm(pos[:, None, :] - geom.bs_positions[None, :, :], axis=2)
     if np.any(dist <= 0.0):
         raise ConfigurationError("MS positions must not coincide with a BS position")
-    snr_db = receive_snr_db(dist, geom)
-    return LargeScaleMap(
-        snr_gamma_sq=10.0 ** (snr_db / 10.0), tx_power=tx_power, noise_power=noise_power
-    )
+    # an SNR past the float range is inf, or NaN where an infinite path-loss
+    # exponent meets a distance of one cell radius; the map rejects either
+    with np.errstate(over="ignore", invalid="ignore"):
+        snr_gamma_sq = 10.0 ** (receive_snr_db(dist, geom) / 10.0)
+    return LargeScaleMap(snr_gamma_sq=snr_gamma_sq, tx_power=tx_power, noise_power=noise_power)
 
 
 @dataclass

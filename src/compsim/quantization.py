@@ -569,7 +569,7 @@ def build_codebook(
     if profile is not None:
         split = np.asarray(profile, dtype=float)
         if not (np.isfinite(split).all() and split.any()):
-            # e.g. the split of link energies that overflowed to inf
+            # a profile no large-scale map gives: the map rejects SNRs that overflow
             raise DomainError(f"a global codebook needs a finite, nonzero energy split, "
                               f"got {split.tolist()}")
         profile = tuple(split.tolist())

@@ -2,7 +2,8 @@
 
 import numpy as np
 
-from compsim import bounds, channel, quantization, scenario
+from compsim import bounds, channel, quantization, rows, scenario
+from compsim import rng as rngmod
 
 
 def two_cell_map(d1_m: float, d2_m: float, **geom_kwargs) -> channel.LargeScaleMap:
@@ -66,3 +67,61 @@ def perfect_codebook_for(realization: channel.ChannelRealization) -> quantizatio
     if 2**bits != dirs.shape[0]:
         raise ValueError("need a power-of-two number of blocks")
     return quantization.Codebook(codewords=dirs, bits=bits, kind="random")
+
+
+# Per-row references for the appendix checks that bounds reads from codebook
+# products: each row is normalized, quantized by quantization.quantize_many,
+# and its paired direction projected and normalized row by row.
+
+def _random_orthogonal(rng, d):
+    """Per unit row of ``d``, an isotropic unit row orthogonal to it."""
+    u = bounds._project_out(rngmod.complex_normal(rng, d.shape), d)
+    return u / np.linalg.norm(u, axis=1, keepdims=True)
+
+
+def nullspace_moment_per_row(cb, trials, master_seed):
+    """``bounds.check_nullspace_moment`` through unit rows s and u."""
+    rng = rngmod.substream(master_seed, rngmod.APPENDIX, 3)
+    samples = []
+    for chunk in bounds._stream_chunks(trials):
+        h = quantization.isotropic_directions(chunk.stop - chunk.start, cb.dimension, rng)
+        idx, _ = quantization.quantize_many(h, cb)
+        hq = cb.codewords[idx]
+        resid = h - (h * hq.conj()).sum(axis=1)[:, None] * hq
+        sin = np.linalg.norm(resid, axis=1)
+        live = sin > 1e-12
+        s = resid[live] / sin[live, None]
+        u = _random_orthogonal(rng, hq[live])
+        samples.append(np.abs((s * u.conj()).sum(axis=1)) ** 2)
+    return bounds._check("nullspace_moment", np.concatenate(samples), 1.0 / (cb.dimension - 1),
+                         lambda lhs, rhs, se: abs(lhs - rhs) <= 3.0 * se)
+
+
+def interference_moment_per_row(large_scale, n_tx, codebooks, trials, master_seed):
+    """``bounds.check_interference_moment`` through unit rows h_bar and each
+    row's paired direction v projected off its c_k."""
+    rng = rngmod.substream(master_seed, rngmod.APPENDIX, 4)
+    n_bs, alpha_sq = large_scale.n_bs, large_scale.alpha_sq
+    scale = 0.5 * np.sqrt(alpha_sq[0] * alpha_sq[1])
+    q = np.zeros(trials, dtype=complex)
+    errors = np.empty((n_bs, trials))
+    for chunk in bounds._stream_chunks(trials):
+        zk = rngmod.complex_normal(rng, (chunk.stop - chunk.start, n_bs, n_tx))
+        zj = rngmod.complex_normal(rng, zk.shape)
+        for b in range(n_bs):
+            cb_k, cb_j = codebooks[0][b], codebooks[1][b]
+            nk, nj = rows.norms(zk[:, b]), rows.norms(zj[:, b])
+            hk_bar = zk[:, b] / nk[:, None]
+            ik, errors[b, chunk] = quantization.quantize_many(hk_bar, cb_k)
+            ij, _ = quantization.quantize_many(zj[:, b] / nj[:, None], cb_j)
+            ck = cb_k.codewords[ik]
+            v = bounds._project_out(cb_j.codewords[ij], ck)
+            vn = rows.norms(v)
+            degenerate = vn < 1e-9
+            if degenerate.any():
+                v[degenerate] = _random_orthogonal(rng, ck[degenerate])
+                vn[degenerate] = 1.0
+            q[chunk] += (scale[b] * nk * nj / vn) * rows.inner(v, hk_bar)
+    rhs = float((n_tx**2 / (n_tx - 1)) * np.sum(alpha_sq[0] * alpha_sq[1] * errors.mean(axis=1)))
+    return bounds._check("interference_moment", q.real**2 + q.imag**2, rhs,
+                         lambda lhs, rhs, se: lhs <= rhs + 3.0 * se)

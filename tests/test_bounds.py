@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -357,31 +358,34 @@ class TestStreamedChecks:
 
     # (lhs, rhs, se) as float.hex at seed 3, recorded when each check drew
     # its whole run at once (with the preset codebooks trained at
-    # DEFAULT_LLOYD_TOL = 1e-4): a run of at most STREAM_ROWS draws is one chunk
+    # DEFAULT_LLOYD_TOL = 1e-4): a run of at most STREAM_ROWS draws is one chunk.
+    # Reading the checks from codebook products moved the last bits of seven
+    # entries: the interference rhs of all four runs and its se at fig4 8192
+    # draws, and the nullspace se of both 2000-draw runs
     ONE_CHUNK = {
         ("fig3", None, 50.0, 2000): {
             "nullspace_moment": ("0x1.5200b4041fc75p-2", "0x1.5555555555555p-2",
-                                 "0x1.57a00bd4fe892p-8"),
-            "interference_moment": ("0x1.4b36ba3201b96p+16", "0x1.5d2cb2ed77b89p+16",
+                                 "0x1.57a00bd4fe893p-8"),
+            "interference_moment": ("0x1.4b36ba3201b96p+16", "0x1.5d2cb2ed77b8ap+16",
                                     "0x1.1e6e254bda020p+11"),
         },
         ("fig3", None, 50.0, 8192): {
             "nullspace_moment": ("0x1.57da53aaa065ap-2", "0x1.5555555555555p-2",
                                  "0x1.582f312171772p-9"),
-            "interference_moment": ("0x1.5704aced86ec8p+16", "0x1.5b93cfdc6ea86p+16",
+            "interference_moment": ("0x1.5704aced86ec8p+16", "0x1.5b93cfdc6ea88p+16",
                                     "0x1.2e6bfb2900bf9p+10"),
         },
         ("fig4", "per_cell_4_2", 100.0, 2000): {
             "nullspace_moment": ("0x1.5a89a1c7545bep-2", "0x1.5555555555555p-2",
-                                 "0x1.58b333e6a7ab1p-8"),
-            "interference_moment": ("0x1.425e2e19cdbf7p+12", "0x1.44f09c4d7af52p+12",
+                                 "0x1.58b333e6a7ab0p-8"),
+            "interference_moment": ("0x1.425e2e19cdbf7p+12", "0x1.44f09c4d7af54p+12",
                                     "0x1.0c79616206275p+7"),
         },
         ("fig4", "per_cell_4_2", 100.0, 8192): {
             "nullspace_moment": ("0x1.5660b6a4d498dp-2", "0x1.5555555555555p-2",
                                  "0x1.56ec9bc3c4552p-9"),
-            "interference_moment": ("0x1.422e33fe230b8p+12", "0x1.467e6e5538638p+12",
-                                    "0x1.21534ad5d717ap+6"),
+            "interference_moment": ("0x1.422e33fe230b8p+12", "0x1.467e6e553863ap+12",
+                                    "0x1.21534ad5d717bp+6"),
         },
     }
 
@@ -467,3 +471,63 @@ class TestStreamedChecks:
         # squared magnitudes and deviations its mean and SE take (2 x 8 B)
         retained = 300_000 * 48 / 2**20
         assert peaks["verify_appendix 400k"] - peaks["verify_appendix"] <= retained, peaks
+
+
+class TestProductForm:
+    """The nullspace and interference checks, read from codebook products,
+    against per-row references that normalize, quantize and project each row."""
+
+    @staticmethod
+    def _counted(run):
+        """``run()`` and the number of complex normals it drew."""
+        drawn = []
+
+        def spy(gen, shape):
+            drawn.append(math.prod(shape))
+            return complex_normal(gen, shape)
+
+        complex_normal = rngmod.complex_normal
+        with mock.patch.object(rngmod, "complex_normal", spy):
+            return run(), sum(drawn)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dimension=st.integers(2, 8),
+           bits=st.tuples(st.integers(1, 4), st.integers(1, 4)), shared=st.booleans(),
+           draws=st.integers(2, 8192),
+           alpha_sq=st.lists(st.floats(0.01, 100.0), min_size=4, max_size=4))
+    @example(seed=1, dimension=4, bits=(3, 2), shared=True, draws=8192,
+             alpha_sq=[1.0, 0.5, 0.2, 3.0])
+    @example(seed=2, dimension=2, bits=(1, 4), shared=False, draws=5000,
+             alpha_sq=[1.0, 1.0, 1.0, 1.0])
+    def test_checks_match_their_per_row_references(self, seed, dimension, bits, shared,
+                                                   draws, alpha_sq):
+        ls = channel.LargeScaleMap(snr_gamma_sq=np.reshape(alpha_sq, (2, 2)))
+        user_k = [random_codebook(dimension, bits[b], substream(seed, 0, b)) for b in range(2)]
+        # a shared codebook makes user j pick user k's codeword, whose pairs redraw
+        user_j = user_k if shared else [random_codebook(dimension, bits[1 - b],
+                                                        substream(seed, 1, b))
+                                        for b in range(2)]
+        for check, reference, main_draws in (
+            (lambda: check_nullspace_moment(user_k[0], draws, seed),
+             lambda: _support.nullspace_moment_per_row(user_k[0], draws, seed),
+             draws * dimension),
+            (lambda: check_interference_moment(ls, dimension, [user_k, user_j], draws, seed),
+             lambda: _support.interference_moment_per_row(ls, dimension, [user_k, user_j],
+                                                          draws, seed),
+             draws * 2 * 2 * dimension),
+        ):
+            (new, new_drawn), (ref, ref_drawn) = self._counted(check), self._counted(reference)
+            assert new.step == ref.step and new.draws == ref.draws == draws
+            assert new_drawn == ref_drawn, (new.step, new_drawn - main_draws,
+                                            ref_drawn - main_draws)
+            if new.step == "nullspace_moment" and dimension == 2:
+                # a one-dimensional nullspace makes every sample 1, up to
+                # rounding, and se and the verdict rounding noise
+                for c in (new, ref):
+                    assert math.isclose(c.lhs, 1.0, rel_tol=1e-12) and c.se < 1e-12, c
+                continue
+            for got, want in ((new.lhs, ref.lhs), (new.rhs, ref.rhs), (new.se, ref.se)):
+                assert math.isclose(got, want, rel_tol=1e-12), (new, ref)
+            assert new.passed == ref.passed, (new, ref)
+            if new.step == "interference_moment" and shared and draws >= 64 * 2 ** max(bits):
+                assert new_drawn > main_draws  # degenerate pairs occurred and redrew

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -92,6 +94,19 @@ class TestBuildLargeScale:
             [[100.0, 0.0], [400.0, 0.0]], geom, tx_power=2.0, noise_power=0.5
         )
         assert np.allclose(ls.snr_gamma_sq, ls.alpha_sq * 4.0, rtol=1e-12)
+
+    @pytest.mark.parametrize("geom, message", [
+        (channel.two_cell_line(edge_snr_db=1e308), "receive SNRs must be finite"),
+        (channel.two_cell_line(pathloss_exponent=1e308), "receive SNRs must be finite"),
+        (channel.two_cell_line(edge_snr_db=3080.0), "must have a finite sum"),
+    ], ids=["edge-snr", "pathloss-exponent", "snr-sum"])
+    def test_overflowing_snrs_are_rejected_without_a_warning(self, geom, message):
+        # both MSs at the cell edge, where an infinite exponent times a zero
+        # log distance is NaN and an edge SNR of 3080 dB makes each link 1e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigurationError, match=message):
+                channel.build_large_scale([[250.0, 0.0], [250.0, 0.0]], geom)
 
 
 class TestSmallScale:

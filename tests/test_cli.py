@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import tempfile
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -455,12 +456,17 @@ def test_bad_input_exits_2_with_error_line(argv, message, fig3_arm_config,
     argv = [str(paths.get(a, a)) for a in argv]
     if argv[0] == "train-codebook":
         argv += ["--out", str(tmp_path / "cb.cbk")]
-    assert run_cli(*argv) == 2
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli(*argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert message in err
     assert "Traceback" not in err
     assert not (tmp_path / "cb.cbk").exists()
+    if message == _SNR_OVERFLOW:
+        # run as a program, each warning would print to stderr before the error line
+        assert err == message and not caught, [str(w.message) for w in caught]
 
 
 @pytest.mark.parametrize("variant", ["{huge_n_tx}", "{stream_block_n_tx}"])
@@ -506,20 +512,20 @@ def test_memory_error_is_a_runtime_error(exc, line, monkeypatch, capsys):
     assert "Traceback" not in err
 
 
-def test_non_finite_energy_split_is_a_runtime_error(tmp_path, capsys):
+def test_infinite_snr_sum_is_a_config_error(tmp_path, capsys):
     # at the cell edge both links' SNRs are 1e308, finite, but their sum is
-    # infinite, so the split a global codebook is trained on is zero
+    # infinite, which would make the split a global codebook is trained on zero
     doc = json.loads(scenario.serialize(replace(scenario.preset("fig4").arms[0].scenario,
                                                 trials=4)))
     doc["geometry"]["edge_snr_db"] = 3080.0
     config = tmp_path / "nan_split.json"
     config.write_text(json.dumps(doc))
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert run_cli("simulate", "--config", str(config),
-                       "--out", str(tmp_path / "out.csv")) == 3
+    assert run_cli("simulate", "--config", str(config),
+                   "--out", str(tmp_path / "out.csv")) == 2
     err = capsys.readouterr().err
     assert [line for line in err.splitlines() if line.startswith("error:")] == [
-        "error: a global codebook needs a finite, nonzero energy split, got [0.0, 0.0]"]
+        "error: each user's receive SNRs must have a finite sum: check "
+        "geometry.edge_snr_db and pathloss_exponent"]
     assert "Traceback" not in err
 
 
