@@ -80,7 +80,7 @@ def single_cell(cell_radius_m: float = DEFAULT_CELL_RADIUS_M, **kwargs) -> Geome
 
 
 def receive_snr_db(distance_m, geom: Geometry):
-    """Receive SNR in dB at the given BS-MS distance.
+    """Receive SNR in dB at each given BS-MS distance (an array or a scalar).
 
     gamma(d) = edge_snr_db - 10 * eps * log10(d / r): equals ``edge_snr_db``
     at d = r and is strictly decreasing in d for eps > 0. Distances below
@@ -90,10 +90,7 @@ def receive_snr_db(distance_m, geom: Geometry):
     if np.any(d <= 0.0):
         raise DomainError("distance must be positive")
     d = np.maximum(d, geom.d_min_m)
-    out = geom.edge_snr_db - 10.0 * geom.pathloss_exponent * np.log10(d / geom.cell_radius_m)
-    if np.isscalar(distance_m) or np.ndim(distance_m) == 0:
-        return float(out)
-    return out
+    return geom.edge_snr_db - 10.0 * geom.pathloss_exponent * np.log10(d / geom.cell_radius_m)
 
 
 @dataclass
@@ -213,30 +210,20 @@ def sample_small_scale(
     return rngmod.complex_normal(rng, shape) / np.sqrt(2.0)
 
 
-def assemble_global(small_scale: np.ndarray, large_scale: LargeScaleMap) -> np.ndarray:
-    """Concatenate the per-BS blocks: g_k = [alpha_{k,1} h_{k,1}, ..., alpha_{k,B} h_{k,B}].
-
-    ``small_scale`` is (..., n_users, n_bs, n_tx); leading axes, such as a
-    trial axis, pass through, and a map with a trial axis scales each trial
-    by its own map.
-    """
-    h = np.asarray(small_scale)
-    if h.ndim <= large_scale.alpha_sq.ndim or h.shape[-1 - large_scale.alpha_sq.ndim:-1] \
-            != large_scale.alpha_sq.shape:
-        raise ConfigurationError(
-            f"small_scale shape {h.shape} inconsistent with large-scale map "
-            f"{large_scale.alpha_sq.shape}"
-        )
-    scaled = large_scale.alpha[..., None] * h
-    return scaled.reshape(h.shape[:-2] + (h.shape[-2] * h.shape[-1],))
-
-
 def realize_channels(large_scale: LargeScaleMap, n_tx: int, small_scale) -> ChannelRealization:
     """A block of channel realizations from its (trials, n_users, n_bs, n_tx)
-    small-scale draws, as ``sample_small_scale`` with a trial axis draws them."""
+    small-scale draws, as ``sample_small_scale`` with a trial axis draws them.
+
+    The composite vector of user k concatenates the per-BS blocks, g_k =
+    [alpha_{k,1} h_{k,1}, ..., alpha_{k,B} h_{k,B}]; a map with a trial axis
+    scales each trial by its own map.
+    """
     _check_dimensions(large_scale.n_users, large_scale.n_bs, n_tx)
     h = np.asarray(small_scale)
-    if h.ndim != 4 or h.shape[-1] != n_tx:
+    alpha = large_scale.alpha
+    if h.ndim != 4 or h.shape[-1] != n_tx or h.shape[3 - alpha.ndim:3] != alpha.shape:
         raise ConfigurationError(
-            f"small_scale shape {h.shape} is not (trials, n_users, n_bs, {n_tx})")
-    return ChannelRealization(small_scale=h, global_channels=assemble_global(h, large_scale))
+            f"small_scale shape {h.shape} is not (trials, n_users, n_bs, {n_tx}) "
+            f"under a large-scale map of shape {alpha.shape}")
+    g = (alpha[..., None] * h).reshape(h.shape[:2] + (h.shape[2] * n_tx,))
+    return ChannelRealization(small_scale=h, global_channels=g)

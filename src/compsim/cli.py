@@ -223,6 +223,8 @@ def cmd_simulate(args) -> int:
 def cmd_bound(args) -> int:
     if args.trials is not None and not args.verify_appendix:
         raise_problems([("--trials", "only applies with --verify-appendix")])
+    if args.trials is not None and args.trials < 2:
+        raise_problems([("--trials", "must be >= 2: a standard error needs 2 draws")])
     exp = _load_experiment(args)
     arm = exp.arms[0]
     if args.arm:
@@ -252,7 +254,7 @@ def cmd_bound(args) -> int:
     if args.verify_appendix:
         checks = bounds.verify_appendix(
             scn.n_tx, ctx.large_scale, ctx.feedback.codebooks,
-            args.trials or 100_000, scn.master_seed,
+            100_000 if args.trials is None else args.trials, scn.master_seed,
         )
         lines.append("derivation-step checks:")
         for c in checks:
@@ -275,6 +277,8 @@ def cmd_bound(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_train_codebook(args) -> int:
+    if args.seed < 0:
+        raise_problems([("--seed", "must be nonnegative")])
     profile = None
     if args.config:
         # Train on the composite-direction distribution of one scenario user.

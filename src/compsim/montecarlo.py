@@ -118,9 +118,7 @@ def _evaluate_block(ctx: TrialContext, small_scale: np.ndarray, first: int) -> T
 
         recon = bounds.orthogonalize_report(report, ctx.n_tx, ctx.master_seed, first)
 
-    ok = np.ones(len(g), dtype=bool)
-    if ctx.pairing.mode == "sus_threshold":
-        ok &= scheduling.select_pairing(recon, ctx.pairing)
+    ok = scheduling.select_pairing(recon, ctx.pairing)
     ideal_pre, ideal_reason = precoding.zf_precoder(g)
     quant_pre, quant_reason = precoding.zf_precoder(recon)
     ok &= (ideal_reason == "ok") & (quant_reason == "ok")

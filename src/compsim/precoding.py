@@ -43,8 +43,9 @@ def zf_precoder(reconstructed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
       lambda_max, that is cond(G) < 1e6 and cond(H) < 1e3. Such a trial is
       "ok". Its error bound is derived below.
     - **SVD tail** (``_svd_path``), the pseudo-inverse from the singular
-      values of H, for every other trial and for any stack with more users
-      than dimensions. It alone decides "rank" and "condition cap": cond(G)
+      values of H, for every other trial, among them any with more users
+      than dimensions: a singular G has lambda_min at rounding level, far
+      below the ratio. It alone decides "rank" and "condition cap": cond(G)
       = cond(H)^2 is 1e16 at the cap, past double precision, so those
       decisions must stay on the singular values of H. A Gram-path trial,
       with cond(H) < 1e3, is five orders inside the cap, so the SVD would
@@ -94,8 +95,6 @@ def zf_precoder(reconstructed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if H.ndim != 3:
         raise DomainError("reconstructed channels must be a (trials, users, dims) stack")
     trials, users, dims = H.shape
-    if users > dims:
-        return _svd_path(H)
     G = H @ np.swapaxes(H.conj(), 1, 2)
     eig = np.linalg.eigvalsh(G)
     gram = eig[:, 0] > GRAM_EIGENVALUE_RATIO * eig[:, -1]

@@ -248,35 +248,15 @@ def train_lloyd(
     return Codebook(codewords=codewords, bits=bits, kind="lloyd", training_meta=meta)
 
 
-class DrawnRows:
-    """The ``count`` rows that ``draw(n)`` returns ``n`` at a time, drawn as
-    they are sliced. Slices must come in row order, as ``row_blocks`` gives
-    them, so a reader holds one block of the draw, never all of it."""
-
-    def __init__(self, draw, count: int):
-        self.draw, self.count, self.drawn = draw, count, 0
-
-    def __len__(self) -> int:
-        return self.count
-
-    def __getitem__(self, rows: slice) -> np.ndarray:
-        start, stop, _ = rows.indices(self.count)
-        if start != self.drawn:
-            raise DomainError(f"rows are drawn in order: row {self.drawn} is next, not {start}")
-        self.drawn = stop
-        return self.draw(stop - start)
-
-
 def expected_error(cb: Codebook, directions) -> tuple[float, float]:
-    """Monte Carlo estimate (mean, standard error) of E{sin^2 theta} over the
-    rows of ``directions``, drawn from the codebook's input distribution.
+    """Monte Carlo estimate (mean, standard error) of E{sin^2 theta} over
+    directions drawn from the codebook's input distribution.
 
-    ``directions`` (an array, or ``DrawnRows`` to draw them lazily) is read
-    one ``row_blocks`` block at a time, in order, so the search's
-    temporaries stay a block's size, and one mean and SE are taken over all
-    the errors."""
-    err = np.concatenate([quantize_many(directions[block], cb)[1]
-                          for block in row_blocks(len(directions))])
+    ``directions`` is an iterable of (rows, dimension) arrays, such as the
+    ``row_blocks`` blocks of one draw. Each is searched alone, so the
+    search's temporaries stay one array's size, and one mean and SE are
+    taken over all the errors."""
+    err = np.concatenate([quantize_many(block, cb)[1] for block in directions])
     n = err.shape[0]
     return float(err.mean()), float(err.std(ddof=1) / np.sqrt(n))
 
@@ -287,15 +267,13 @@ def expected_error(cb: Codebook, directions) -> tuple[float, float]:
 
 @dataclass
 class FeedbackReport:
-    """Quantized CSI of a block of trials: one index, error and norm per
-    trial, user and block.
+    """Quantized CSI of a block of trials: the passed-through norm of each
+    trial, user and block, and each user's reconstructed composite vector.
 
     Per-cell mode quantizes the n_bs per-BS blocks of each user, global mode
     the single composite block.
     """
 
-    indices: np.ndarray  # (trials, n_users, n_blocks) int
-    error_sq: np.ndarray  # (trials, n_users, n_blocks) float in [0, 1]
     norms: np.ndarray  # (trials, n_users, n_blocks) float
     reconstructed: np.ndarray  # (trials, n_users, n_bs * n_tx) complex
     mode: str  # "per_cell" | "global"
@@ -335,8 +313,6 @@ def _quantize_blocks(blocks: np.ndarray, scale: np.ndarray, grid, mode: str) -> 
     groups: dict[int, tuple] = {}
     for m, cb in enumerate(cb for row in grid for cb in row):
         groups.setdefault(id(cb), (cb, []))[1].append(m)
-    indices = np.zeros((trials, count), dtype=int)
-    error_sq = np.zeros((trials, count))
     codewords = np.zeros((trials, count, dim), dtype=complex)
     for cb, members in groups.values():
         if cb.dimension != dim:
@@ -344,9 +320,7 @@ def _quantize_blocks(blocks: np.ndarray, scale: np.ndarray, grid, mode: str) -> 
                 f"codebook for block {divmod(members[0], n_blocks)} has dimension "
                 f"{cb.dimension}, expected {dim}"
             )
-        idx, err = quantize_many(flat[:, members].reshape(-1, dim), cb)
-        indices[:, members] = idx.reshape(trials, len(members))
-        error_sq[:, members] = err.reshape(trials, len(members))
+        idx = quantize_many(flat[:, members].reshape(-1, dim), cb)[0]
         codewords[:, members] = cb.codewords[idx].reshape(trials, len(members), dim)
     norms = scale.reshape(scale.shape[:-2] + (count,)) * rows.norms(flat)
     c = rows.inner(codewords, flat)  # <block, codeword> = block codeword^H
@@ -354,8 +328,6 @@ def _quantize_blocks(blocks: np.ndarray, scale: np.ndarray, grid, mode: str) -> 
     phase = c / np.where(zero, 1.0, rows.magnitude(c))
     recon = norms[..., None] * np.where(zero[..., None], codewords, phase[..., None] * codewords)
     return FeedbackReport(
-        indices=indices.reshape(trials, n_users, n_blocks),
-        error_sq=error_sq.reshape(trials, n_users, n_blocks),
         norms=norms.reshape(trials, n_users, n_blocks),
         reconstructed=recon.reshape(trials, n_users, n_blocks * dim),
         mode=mode,
@@ -566,6 +538,10 @@ def build_codebook(
         raise ConfigurationError("dimension must be >= 1")
     if problem := _bits_problem(bits):
         raise ConfigurationError(f"bits {problem}")
+    rows_drawn = 2**bits if kind == "random" else DEFAULT_LLOYD_OVERSAMPLING * 2**bits
+    if rngmod.unshapeable(rows_drawn * dimension, complex):
+        raise ConfigurationError("bits and dimension too large: the codebook's draw exceeds "
+                                 "numpy's array size limit")
     if profile is not None:
         split = np.asarray(profile, dtype=float)
         if not (np.isfinite(split).all() and split.any()):
@@ -577,7 +553,7 @@ def build_codebook(
     if kind == "random":
         cb = random_codebook(dimension, bits, train_rng)
     else:
-        samples = _directions(DEFAULT_LLOYD_OVERSAMPLING * 2**bits, dimension, profile, train_rng)
+        samples = _directions(rows_drawn, dimension, profile, train_rng)
         cb = train_lloyd(dimension, bits, samples, rng=train_rng)
     meta = dict(cb.training_meta or {})
     meta["seed"] = seed
@@ -604,9 +580,9 @@ def error_estimate(cb: Codebook) -> dict:
         err_rng = rngmod.substream(meta["seed"], rngmod.ERROR_ESTIMATE,
                                    *_labels(cb.dimension, cb.bits, profile))
         # each block is the next rows of the one draw, bit for bit
-        mean, se = expected_error(cb, DrawnRows(
-            lambda n: _directions(n, cb.dimension, profile, err_rng),
-            DEFAULT_ERROR_ESTIMATE_DRAWS))
+        blocks = (_directions(b.stop - b.start, cb.dimension, profile, err_rng)
+                  for b in row_blocks(DEFAULT_ERROR_ESTIMATE_DRAWS))
+        mean, se = expected_error(cb, blocks)
         meta["expected_error"] = {"mean": mean, "se": se, "draws": DEFAULT_ERROR_ESTIMATE_DRAWS}
     return meta["expected_error"]
 

@@ -47,3 +47,9 @@ def complex_normal(gen: np.random.Generator, shape: tuple) -> np.ndarray:
     every complex draw of the package goes through here.
     """
     return gen.standard_normal(tuple(shape) + (2,)).view(np.complex128)[..., 0]
+
+
+def unshapeable(count: int, dtype) -> bool:
+    """Whether numpy cannot shape an array of ``count`` items of ``dtype``:
+    it shapes none of more bytes than np.intp counts."""
+    return count * np.dtype(dtype).itemsize > np.iinfo(np.intp).max

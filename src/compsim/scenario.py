@@ -21,7 +21,7 @@ import numpy as np
 from .channel import Geometry, single_cell, two_cell_line
 from .errors import ConfigurationError, ScenarioError, raise_problems
 from .quantization import FeedbackConfig
-from .rng import STREAM_TRIALS
+from .rng import STREAM_TRIALS, unshapeable
 from .scheduling import PairingPolicy
 
 PLACEMENT_MODES = ("fixed", "line_sweep", "random_uniform")
@@ -38,12 +38,6 @@ def _distance_problem(geom: Geometry, distance_m) -> str | None:
     if distance_m is None or not geom.d_min_m <= distance_m <= geom.cell_radius_m:
         return f"must lie within [{geom.d_min_m}, {geom.cell_radius_m}] m"
     return None
-
-
-def _unshapeable(count: int, dtype) -> bool:
-    """Whether numpy cannot shape an array of ``count`` items of ``dtype``:
-    it shapes none of more bytes than np.intp counts."""
-    return count * np.dtype(dtype).itemsize > np.iinfo(np.intp).max
 
 
 @dataclass
@@ -132,7 +126,7 @@ class Scenario:
                         out.append((f"placement.{name}", problem))
                 if pl.steps is None or pl.steps < 1:
                     out.append(("placement.steps", "must be >= 1"))
-                elif _unshapeable(pl.steps, float):  # the sweep's distances, in one array
+                elif unshapeable(pl.steps, float):  # the sweep's distances, in one array
                     out.append(("placement.steps", "too large: the sweep's distances "
                                 "exceed numpy's array size limit"))
 
@@ -153,9 +147,9 @@ class Scenario:
         fb = self.feedback
         blocks = max(STREAM_TRIALS * n_users * n_cells, FeedbackConfig.largest_training_set(fb)
                      * (n_cells if fb.mode == "global" else 1))
-        if self.n_tx >= 2 and _unshapeable(blocks * self.n_tx, complex):
+        if self.n_tx >= 2 and unshapeable(blocks * self.n_tx, complex):
             out.append(("n_tx", "too large: a draw it sizes exceeds numpy's array size limit"))
-        elif pl.mode == "random_uniform" and _unshapeable(
+        elif pl.mode == "random_uniform" and unshapeable(
                 self.trials_per_drop * n_users * n_cells * self.n_tx, complex):
             out.append(("trials_per_drop",
                         "too large: a drop's draw exceeds numpy's array size limit"))

@@ -22,6 +22,12 @@ def realize(large_scale: channel.LargeScaleMap, n_tx: int, gens) -> channel.Chan
          for gen in gens]))
 
 
+def row_blocks_of(draw: np.ndarray) -> list:
+    """The ``quantization.row_blocks`` blocks of the rows of ``draw``, the
+    form in which ``quantization.expected_error`` reads one draw."""
+    return [draw[block] for block in quantization.row_blocks(len(draw))]
+
+
 def fig3_fixed(ms2_distance_m: float, ms1_distance_m: float, **overrides) -> scenario.Scenario:
     """The position study with MS2 at ``ms2_distance_m`` from BS2 and MS1 at
     ``ms1_distance_m`` from BS1; at fig3's MS2 distances, one cell of its grid."""

@@ -413,7 +413,8 @@ class TestStreamedChecks:
             for size in (block, whole):
                 monkeypatch.setattr(quantization, "BLOCK_ROWS", size)
                 results.append((_printed(_appendix("fig3", None, 50.0, draws, 3)),
-                                quantization.expected_error(cb, directions[:draws])))
+                                quantization.expected_error(
+                                    cb, _support.row_blocks_of(directions[:draws]))))
             assert results[0] == results[1], draws
         estimates = []
         for size in (block, whole):
@@ -448,7 +449,8 @@ class TestStreamedChecks:
         runs = {
             "verify_appendix": lambda: _appendix("fig3", None, 50.0, 100_000, 3),
             "verify_appendix 400k": lambda: _appendix("fig3", None, 50.0, 400_000, 3),
-            "expected_error": lambda: quantization.expected_error(cb, directions),
+            "expected_error": lambda: quantization.expected_error(
+                cb, _support.row_blocks_of(directions)),
             "error_estimate per-cell": lambda: estimate(per_cell),
             "error_estimate global": lambda: estimate(cb),
         }
@@ -463,7 +465,7 @@ class TestStreamedChecks:
                 tracemalloc.stop()
         # measured peaks (MiB) plus a 25% margin, below what whole draws take:
         # 30.6 MiB for the appendix, 13.7 and 25.9 MiB for the two estimates
-        measured = {"verify_appendix": 9.0, "expected_error": 12.75,
+        measured = {"verify_appendix": 7.96, "expected_error": 12.75,
                     "error_estimate per-cell": 2.76, "error_estimate global": 13.75}
         assert all(peaks[name] <= 1.25 * peak for name, peak in measured.items()), peaks
         # past the chunks, a draw keeps only its scalars: the interference

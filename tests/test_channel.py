@@ -154,12 +154,17 @@ class TestSmallScale:
                 channel.realize_channels(ls, 4, bad)
 
 
-class TestAssembleGlobal:
+def _global(h, ls):
+    """The composite vectors ``realize_channels`` forms from one trial's draws ``h``."""
+    return channel.realize_channels(ls, h.shape[-1], h[None]).global_channels[0]
+
+
+class TestCompositeAssembly:
     def test_unit_alpha_is_plain_concatenation(self):
         rng = substream(9, 0, 0)
         h = channel.sample_small_scale(2, 2, 4, rng)
         ls = channel.LargeScaleMap(snr_gamma_sq=np.ones((2, 2)))
-        g = channel.assemble_global(h, ls)
+        g = _global(h, ls)
         assert np.array_equal(g[0], np.concatenate([h[0, 0], h[0, 1]]))
 
     def test_vanishing_cross_link_zeroes_block(self):
@@ -167,7 +172,7 @@ class TestAssembleGlobal:
         h = channel.sample_small_scale(2, 2, 4, rng)
         alpha_sq = np.array([[1.0, 0.0], [1.0, 1.0]])
         ls = channel.LargeScaleMap(snr_gamma_sq=alpha_sq)
-        g = channel.assemble_global(h, ls)
+        g = _global(h, ls)
         assert np.all(g[0, 4:] == 0.0)
 
     def test_norm_identity_two_ways(self):
@@ -175,7 +180,7 @@ class TestAssembleGlobal:
         h = channel.sample_small_scale(2, 2, 4, rng)
         alpha_sq = np.array([[2.0, 0.3], [0.7, 1.4]])
         ls = channel.LargeScaleMap(snr_gamma_sq=alpha_sq)
-        g = channel.assemble_global(h, ls)
+        g = _global(h, ls)
         for k in range(2):
             direct = np.linalg.norm(g[k]) ** 2
             blockwise = sum(
@@ -188,11 +193,12 @@ class TestAssembleGlobal:
         h = channel.sample_small_scale(2, 2, 4, rng)
         alpha_sq = np.array([[2.0, 0.3], [0.7, 1.4]])
         ls = channel.LargeScaleMap(snr_gamma_sq=alpha_sq)
-        assert np.array_equal(
-            channel.assemble_global(h, ls), channel.assemble_global(h, ls)
-        )
+        assert np.array_equal(_global(h, ls), _global(h, ls))
 
     def test_dimension_mismatch_rejected(self):
         ls = channel.LargeScaleMap(snr_gamma_sq=np.ones((2, 2)))
         with pytest.raises(ConfigurationError):
-            channel.assemble_global(np.zeros((3, 2, 4), dtype=complex), ls)
+            channel.realize_channels(ls, 4, np.zeros((1, 3, 2, 4), dtype=complex))
+        per_trial = channel.LargeScaleMap(snr_gamma_sq=np.ones((3, 2, 2)))
+        with pytest.raises(ConfigurationError):
+            channel.realize_channels(per_trial, 4, np.zeros((2, 2, 2, 4), dtype=complex))

@@ -18,6 +18,8 @@ from compsim.quantization import (build_codebook, codebook_text, expected_error,
                                   isotropic_directions)
 from compsim.rng import substream
 
+import _support
+
 
 def run_cli(*argv):
     return cli.main(list(argv))
@@ -58,8 +60,8 @@ class TestTrainCodebook:
         cb = build_codebook(4, 3, "lloyd", 7103)
         assert out.read_text() == codebook_text(cb)
         cached = quantization.error_estimate(cb)
-        mean, se = expected_error(cb, isotropic_directions(100_000, cb.dimension,
-                                                           substream(999, 3, 0)))
+        mean, se = expected_error(cb, _support.row_blocks_of(
+            isotropic_directions(100_000, cb.dimension, substream(999, 3, 0))))
         assert abs(cached["mean"] - mean) <= 3 * np.hypot(se, cached["se"])
 
     def test_random_kind(self, tmp_path):
@@ -124,7 +126,7 @@ class TestLazyErrorEstimate:
         else:
             gen = substream(meta["seed"], rngmod.ERROR_ESTIMATE, cb.dimension, cb.bits)
             directions = isotropic_directions(100_000, cb.dimension, gen)
-        mean, se = expected_error(cb, directions)
+        mean, se = expected_error(cb, _support.row_blocks_of(directions))
         return {"mean": mean, "se": se, "draws": 100_000}
 
     def test_simulate_draws_only_the_per_cell_bounds_estimates(self, estimates, tmp_path):
@@ -388,6 +390,10 @@ def codebook_files_config(fig3_arm_config, tmp_path):
 _SNR_OVERFLOW = ("error: receive SNRs must be finite and nonnegative: check "
                  "geometry.edge_snr_db and pathloss_exponent\n")
 
+_TOO_FEW_DRAWS = "error: --trials: must be >= 2: a standard error needs 2 draws\n"
+_UNSHAPEABLE_CODEBOOK = ("error: bits and dimension too large: the codebook's draw exceeds "
+                         "numpy's array size limit\n")
+
 
 # message: a line the error output must contain, where exit 2 alone does not
 # tell the failure apart from another one
@@ -395,7 +401,8 @@ _SNR_OVERFLOW = ("error: receive SNRs must be finite and nonnegative: check "
     (["simulate", "--preset", "fig3", "--seed", "-1"], ""),
     (["bound", "--preset", "fig3", "--at", "300"], ""),
     (["train-codebook", "--dimension", "4", "--bits", "-1"], ""),
-    (["train-codebook", "--dimension", "4", "--bits", "2", "--seed", "-1"], ""),
+    (["train-codebook", "--dimension", "4", "--bits", "2", "--seed", "-1"],
+     "error: --seed: must be nonnegative\n"),
     (["train-codebook", "--config", "{config}", "--at", "100", "--user", "5",
       "--dimension", "8", "--bits", "2"], ""),
     (["train-codebook", "--kind", "random", "--config", "{config}", "--at", "100",
@@ -417,11 +424,21 @@ _SNR_OVERFLOW = ("error: receive SNRs must be finite and nonnegative: check "
     (["bound", "--preset", "fig5", "--verify-appendix", "--trials", "100"],
      "error: placement.mode: "),
     (["bound", "--preset", "fig3", "--at", "50", "--verify-appendix", "--trials", "1"],
-     "error: inverse_norm:user0: a standard error needs at least 2 draws, got 1\n"),
+     _TOO_FEW_DRAWS),
+    (["bound", "--preset", "fig3", "--at", "50", "--verify-appendix", "--trials", "0"],
+     _TOO_FEW_DRAWS),
+    (["bound", "--preset", "fig3", "--at", "50", "--verify-appendix", "--trials", "-3"],
+     _TOO_FEW_DRAWS),
     (["bound", "--preset", "fig3", "--at", "50", "--trials", "7"],
      "error: --trials: only applies with --verify-appendix\n"),
     (["train-codebook", "--dimension", "4", "--bits", "63"],
      "error: bits must be in [0, 63)\n"),
+    (["train-codebook", "--dimension", "4", "--bits", "55"], _UNSHAPEABLE_CODEBOOK),
+    (["train-codebook", "--dimension", "4", "--bits", "56"], _UNSHAPEABLE_CODEBOOK),
+    (["train-codebook", "--kind", "random", "--dimension", "4", "--bits", "61"],
+     _UNSHAPEABLE_CODEBOOK),
+    (["train-codebook", "--kind", "random", "--dimension", str(2**62), "--bits", "0"],
+     _UNSHAPEABLE_CODEBOOK),
     (["simulate", "--config", "{bits64}"],
      "error: feedback.bits[0][0]: must be in [0, 63)\n"),
     (["simulate", "--config", "{nan_bs}"],
@@ -444,7 +461,9 @@ _SNR_OVERFLOW = ("error: receive SNRs must be finite and nonnegative: check "
         "train-at-without-config", "train-user-without-config",
         "codebook-files-unknown-key", "zero-workers", "negative-workers",
         "trials-flag-random-drops", "bound-trials-random-drops", "appendix-one-draw",
-        "bound-trials-without-appendix", "train-bits-63", "scenario-bits-64",
+        "appendix-zero-draws", "appendix-negative-draws", "bound-trials-without-appendix",
+        "train-bits-63", "train-bits-55", "train-bits-56", "train-random-bits-61",
+        "train-random-dimension-2^62", "scenario-bits-64",
         "scenario-nan-coordinate", "boolean-coordinate", "coincident-base-stations",
         "core-beyond-cell-edge", "output-csv-unknown-key", "pathloss-exponent-overflow",
         "edge-snr-overflow", "drop-radius-overflow"])
@@ -618,3 +637,59 @@ def test_hostile_documents_exit_with_an_error_line_not_a_traceback(doc):
             assert rc in (0, 2, 3), (argv, lines)
             assert rc == 0 or any(line.startswith("error: ") for line in lines), (argv, lines)
             assert not any("Traceback" in line for line in lines)
+
+
+# Integer flag values: tiny, or (for --bits and --dimension) far past numpy's
+# limits, 2^55 elements or more, never in between, since Linux may grant a
+# mid-sized draw and then kill the process that fills it.
+_TINY = (-2**63, -1, 0, 1, 2, 3)
+_PAST_NUMPY_BITS = (55, 56, 61, 62)
+_PAST_NUMPY_DIMENSIONS = (2**55, 2**62, 2**63)
+
+
+@st.composite
+def _flag_argvs(draw):
+    """A ``bound``, ``train-codebook`` or ``simulate`` command line whose
+    integer flags take hostile values, at a size that runs in milliseconds."""
+    tiny = st.sampled_from(_TINY)
+    command = draw(st.sampled_from(("bound", "train-codebook", "simulate")))
+    if command == "bound":
+        return ["bound", "--preset", "fig3", "--at", "50", "--verify-appendix",
+                "--trials", str(draw(tiny))]
+    if command == "simulate":
+        return ["simulate", "--preset", "fig3", "--trials", str(draw(tiny)),
+                "--seed", str(draw(tiny)),
+                "--workers", str(draw(st.sampled_from([v for v in _TINY if v <= 2]))),
+                "--out", "{out}"]
+    argv = ["train-codebook", "--kind", draw(st.sampled_from(("lloyd", "random"))),
+            "--bits", str(draw(st.sampled_from(_TINY + _PAST_NUMPY_BITS))),
+            "--dimension", str(draw(st.sampled_from(_TINY + _PAST_NUMPY_DIMENSIONS))),
+            "--seed", str(draw(tiny)), "--out", "{out}"]
+    if draw(st.booleans()):
+        argv += ["--user", str(draw(tiny))]
+    if draw(st.booleans()):
+        argv += ["--config", "{config}", "--at", "50"]
+    return argv
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@example(argv=["simulate", "--preset", "fig3", "--trials", "3", "--seed", "3",
+               "--workers", "2", "--out", "{out}"])
+@example(argv=["simulate", "--preset", "fig3", "--trials", "1", "--seed", "0",
+               "--workers", "1", "--out", "{out}"])
+@given(argv=_flag_argvs())
+def test_hostile_integer_flags_exit_with_an_error_line_not_a_traceback(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "doc.json"
+        config.write_text(json.dumps(_FUZZ_DOCS[0]))
+        paths = {"{out}": str(Path(tmp) / "out"), "{config}": str(config)}
+        argv = [paths.get(a, a) for a in argv]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = cli.main(argv)
+    lines = err.getvalue().splitlines()
+    assert rc in (0, 2, 3), (argv, lines)
+    assert rc == 0 or any(line.startswith("error: ") for line in lines), (argv, lines)
+    assert not any("Traceback" in line for line in lines)
+    if argv[0] == "bound" and int(argv[-1]) < 2:
+        assert rc == 2, (argv, lines)  # a check of fewer than 2 draws has no standard error

@@ -336,24 +336,12 @@ class TestPerCellFeedback:
         cb = _support.perfect_codebook_for(real)
         rep = per_cell_feedback(real, ls, cb)
         real, rep = _one_trial(real, rep)
-        assert np.all(rep.error_sq <= 1e-12)
         # coherent reconstruction convention: zero error recovers g itself
         assert np.allclose(rep.reconstructed, real.global_channels, atol=1e-12)
         for k in range(2):
             assert np.linalg.norm(rep.reconstructed[k]) == pytest.approx(
                 np.linalg.norm(real.global_channels[k]), rel=1e-12
             )
-
-    def test_error_matrix_recomputable_from_indices(self):
-        real, ls = _two_cell_realization(23)
-        cb = random_codebook(4, 3, substream(23, 1, 0))
-        rep = per_cell_feedback(real, ls, cb)
-        real, rep = _one_trial(real, rep)
-        for k in range(2):
-            for b in range(2):
-                hbar = real.small_scale[k, b] / np.linalg.norm(real.small_scale[k, b])
-                sim = abs(np.vdot(cb.codewords[rep.indices[k, b]], hbar)) ** 2
-                assert rep.error_sq[k, b] == pytest.approx(1.0 - sim, abs=1e-12)
 
     def test_reconstruction_invariants(self):
         real, ls = _two_cell_realization(24)
@@ -367,8 +355,9 @@ class TestPerCellFeedback:
                 assert rep.norms[k, b] == pytest.approx(rho, rel=1e-12)
                 block = rep.reconstructed[k, b * 4 : (b + 1) * 4]
                 assert np.linalg.norm(block) == pytest.approx(rho, rel=1e-12)
-                # block direction is the selected codeword up to phase
-                overlap = abs(np.vdot(cb.codewords[rep.indices[k, b]], block / rho))
+                # block direction is the nearest codeword up to phase
+                nearest = oracle_quantize(real.small_scale[k, b], cb)[0]
+                overlap = abs(np.vdot(cb.codewords[nearest], block / rho))
                 assert overlap == pytest.approx(1.0, abs=1e-12)
             assert np.linalg.norm(rep.reconstructed[k]) ** 2 == pytest.approx(
                 float((rep.norms[k] ** 2).sum()), rel=1e-12
@@ -403,7 +392,6 @@ class TestGlobalFeedback:
         cb = Codebook(codewords=dirs, bits=1, kind="random")
         rep = global_feedback(real, cb)
         real, rep = _one_trial(real, rep)
-        assert np.all(rep.error_sq <= 1e-12)
         assert np.allclose(rep.reconstructed, g, atol=1e-12)
 
     def test_norm_passthrough(self):
@@ -421,13 +409,15 @@ class TestGlobalFeedback:
         grid = [[random_codebook(8, 6, substream(33, 1, k))] for k in range(2)]
         rep = global_feedback(real, grid)
         real, rep = _one_trial(real, rep)
-        assert rep.indices.shape == rep.error_sq.shape == rep.norms.shape == (2, 1)
+        assert rep.norms.shape == (2, 1)
         for k in range(2):
             g = real.global_channels[k]
             assert rep.norms[k, 0] == np.linalg.norm(g)
-            oi, oe = oracle_quantize(g, grid[k][0])
-            assert rep.indices[k, 0] == oi
-            assert rep.error_sq[k, 0] == pytest.approx(oe, abs=1e-12)
+            # the reconstruction is the nearest codeword of the user's own
+            # codebook, up to phase
+            nearest = grid[k][0].codewords[oracle_quantize(g, grid[k][0])[0]]
+            assert abs(np.vdot(nearest, rep.reconstructed[k])) == pytest.approx(
+                rep.norms[k, 0], rel=1e-12)
 
     def test_global_beats_percell_on_chordal_error_at_matched_budget(self):
         # 6-bit global vs 3+3 per-cell, identical channel draws, lloyd books
@@ -492,10 +482,11 @@ def test_block_feedback_properties(case):
             cb = codebooks if isinstance(codebooks, Codebook) else codebooks[k][b]
             block = blocks[k, b]
             recon = rep.reconstructed[k, b * dim:(b + 1) * dim]
-            # the index is the exhaustive nearest codeword
-            assert rep.indices[k, b] == oracle_quantize(block, cb)[0]
             # the norm, times the block's scale, passes through
             rho = scale[k, b] * np.linalg.norm(block)
+            # the direction is the exhaustive nearest codeword, up to phase
+            nearest = cb.codewords[oracle_quantize(block, cb)[0]]
+            assert abs(np.vdot(nearest, recon)) == pytest.approx(rho, rel=1e-12)
             assert rep.norms[k, b] == pytest.approx(rho, rel=1e-12)
             assert np.linalg.norm(recon) == pytest.approx(rho, rel=1e-12)
             # the projection on the true block is real and nonnegative
@@ -513,8 +504,10 @@ def test_block_feedback_properties(case):
 class TestExpectedError:
     def test_estimate_reproducible_and_in_range(self):
         cb = random_codebook(4, 3, substream(41, 0, 0))
-        m1, se1 = expected_error(cb, isotropic_directions(20_000, 4, substream(41, 0, 1)))
-        m2, _ = expected_error(cb, isotropic_directions(20_000, 4, substream(41, 0, 1)))
+        m1, se1 = expected_error(cb, _support.row_blocks_of(
+            isotropic_directions(20_000, 4, substream(41, 0, 1))))
+        m2, _ = expected_error(cb, _support.row_blocks_of(
+            isotropic_directions(20_000, 4, substream(41, 0, 1))))
         assert m1 == m2
         assert 0.0 < m1 < 1.0 and se1 > 0.0
 
@@ -533,14 +526,8 @@ class TestExpectedError:
                         *quantization._labels(dimension, bits, profile))
         whole = quantization._directions(quantization.DEFAULT_ERROR_ESTIMATE_DRAWS,
                                          dimension, profile, rng)
-        mean, se = expected_error(cb, whole)
+        mean, se = expected_error(cb, _support.row_blocks_of(whole))
         assert error_estimate(cb) == {"mean": mean, "se": se, "draws": len(whole)}
-
-    def test_drawn_rows_are_read_in_order(self):
-        rows = quantization.DrawnRows(lambda n: np.arange(n), 10)
-        assert len(rows) == 10 and rows[0:4].tolist() == [0, 1, 2, 3]
-        with pytest.raises(DomainError, match="row 4 is next"):
-            rows[6:10]
 
 
 class TestResolveCodebooks:
