@@ -27,13 +27,15 @@ check ends in ``_check``, the one home of its mean, standard error and
 verdict. The 100k-draw checks take their substream one chunk of
 ``STREAM_ROWS`` draws at a time, each chunk's draws after all of the chunk
 before it: their memory is a chunk's plus a few scalars per draw. The
-nullspace and interference checks evaluate a chunk, the interference
-check in blocks of ``EVAL_ROWS`` rows, from its codebook products: one
-product C^* X^T of the rows X with each codebook C. Each row's nearest
-codeword, its sin^2 error and its coefficient <h_hat, h> are read from that
-product (``_nearest``), and the interference check's paired directions from
-a table over the codeword pairs (``_pair_table``), so no row is normalized.
-Here <a, b> = sum conj(a) b.
+inverse-norm check reads nothing of a channel h_b ~ CN(0, I_{n_t}) but its
+energy ||h_b||^2, so it draws that alone, one Gamma(n_t, 1) variate per
+(draw, BS) link. The nullspace and interference checks evaluate a chunk,
+the interference check in blocks of ``EVAL_ROWS`` rows, from its codebook
+products: one product C^* X^T of the rows X with each codebook C. Each
+row's nearest codeword, its sin^2 error and its coefficient <h_hat, h> are
+read from that product (``_nearest``), and the interference check's paired
+directions from a table over the codeword pairs (``_pair_table``), so no row
+is normalized. Here <a, b> = sum conj(a) b.
 """
 
 from __future__ import annotations
@@ -279,19 +281,20 @@ def check_inverse_norm(
     """Stated inequality: E{1 / ||g_hat||^2} < 1 / (n_t * sum_b alpha_sq).
 
     ||g_hat||^2 = sum_b alpha_sq_b ||h_b||^2 exactly (unit-norm codewords and
-    unquantized norms), so no quantizer is involved. Note 1/x is convex, so
-    Jensen gives E{1/X} >= 1/E{X}: the stated direction cannot hold for a
-    nondegenerate channel, so lhs > rhs (a FAIL) is the expected outcome.
+    unquantized norms), so no quantizer is involved. Each link energy
+    ||h_b||^2 of h_b ~ CN(0, I_{n_t}) is Gamma(n_t, 1), the law
+    ``inverse_norm_moment`` integrates: a chunk draws one gamma variate per
+    (draw, BS) link, and each sample reduces its own row, so its bits do not
+    depend on the chunk. Note 1/x is convex, so Jensen gives E{1/X} >=
+    1/E{X}: the stated direction cannot hold for a nondegenerate channel, so
+    lhs > rhs (a FAIL) is the expected outcome.
     """
     alpha_sq = large_scale.alpha_sq[user]
     rng = rngmod.substream(master_seed, rngmod.APPENDIX, 1, user)
     samples = []
-    for block in quantization.row_blocks(trials):
-        # the draws of channel.sample_small_scale, h = z / sqrt(2): each
-        # link's ||z_b||^2 sums the (re, im) pairs of its row
-        z = rngmod.complex_normal(rng, (block.stop - block.start, alpha_sq.shape[0], n_tx))
-        pairs = z.view(float)
-        samples.append(2.0 / np.vecdot(np.vecdot(pairs, pairs), alpha_sq))
+    for chunk in _stream_chunks(trials):
+        energy = rng.standard_gamma(n_tx, size=(chunk.stop - chunk.start, large_scale.n_bs))
+        samples.append(1.0 / np.vecdot(energy, alpha_sq))
     return _check(f"inverse_norm:user{user}", np.concatenate(samples),
                   float(1.0 / (n_tx * alpha_sq.sum())),
                   lambda lhs, rhs, se: lhs < rhs and (rhs - lhs) > 3.0 * se)

@@ -49,7 +49,13 @@ def complex_normal(gen: np.random.Generator, shape: tuple) -> np.ndarray:
     return gen.standard_normal(tuple(shape) + (2,)).view(np.complex128)[..., 0]
 
 
+# The most bytes a draw may take: 2^57, the virtual address space of x86-64
+# with five-level paging, the largest of any 64-bit platform numpy runs on.
+# numpy shapes larger arrays, up to np.intp's maximum, that no machine holds.
+MAX_DRAW_BYTES = 2**57
+
+
 def unshapeable(count: int, dtype) -> bool:
-    """Whether numpy cannot shape an array of ``count`` items of ``dtype``:
-    it shapes none of more bytes than np.intp counts."""
-    return count * np.dtype(dtype).itemsize > np.iinfo(np.intp).max
+    """Whether no machine can hold an array of ``count`` items of ``dtype``:
+    it would take more than ``MAX_DRAW_BYTES``."""
+    return count * np.dtype(dtype).itemsize > MAX_DRAW_BYTES

@@ -238,6 +238,29 @@ class TestAppendixChecks:
         assert chk.lhs > chk.rhs
         assert chk.passed is False
 
+    def test_inverse_norm_does_not_depend_on_the_stream_chunk(self, monkeypatch):
+        # each sample reduces its own row of gamma draws, and the draws of a
+        # gamma stream do not depend on how many are taken at once
+        ls = _support.two_cell_map(50.0, 150.0)
+        results = set()
+        for rows in (1, 7, 8192, 20_001):
+            monkeypatch.setattr(bounds, "STREAM_ROWS", rows)
+            for user in range(ls.n_users):
+                chk = check_inverse_norm(ls, 4, user, 20_001, 157)
+                results.add((user, chk.lhs.hex(), chk.se.hex()))
+        assert len(results) == ls.n_users, sorted(results)
+
+    def test_channel_model_meets_the_inverse_norm_quadrature(self):
+        # check_inverse_norm draws each link energy ||h_b||^2 as Gamma(n_t, 1):
+        # the channels of channel.sample_small_scale must give the same E{1/X}
+        ls, n_tx, trials = _support.two_cell_map(50.0, 250.0), 4, 20_000
+        h = channel.sample_small_scale(ls.n_users, ls.n_bs, n_tx, substream(158, 0), trials)
+        samples = 1.0 / ((h.real**2 + h.imag**2).sum(axis=-1) * ls.alpha_sq).sum(axis=-1)
+        for k in range(ls.n_users):
+            se = samples[:, k].std(ddof=1) / math.sqrt(trials)
+            exact = bounds.inverse_norm_moment(ls.alpha_sq[k], n_tx)
+            assert abs(samples[:, k].mean() - exact) <= 3.0 * se, (k, exact, se)
+
     def test_decomposition_is_exact(self):
         cb = random_codebook(4, 3, substream(152, 0, 0))
         chk = check_decomposition(cb, 2000, 152)
@@ -318,16 +341,17 @@ class TestStreamedChecks:
     ``quantization.BLOCK_ROWS``."""
 
     # (step, lhs, rhs, se, passed) of 100k draws at seed 3, as float.hex:
-    # recorded from the whole-array evaluation the blocks replaced, and for
-    # nullspace_moment and interference_moment from the stream in chunks.
+    # recorded from the whole-array evaluation the blocks replaced, for
+    # nullspace_moment and interference_moment from the stream in chunks,
+    # and for the lhs and se of inverse_norm from its gamma link energies.
     # All but inverse_norm quantize with the preset codebooks, and hold the
     # values of those trained at DEFAULT_LLOYD_TOL = 1e-4
     WHOLE = {
         ("fig3", None, 50.0): [
-            ("inverse_norm:user0", "0x1.482d230567a9ap-14", "0x1.ed9e14828935ap-15",
-             "0x1.7c0d701f7b3b0p-23", False),
-            ("inverse_norm:user1", "0x1.d3f61a000342fp-7", "0x1.999999999999ap-7",
-             "0x1.35de12d05d420p-16", False),
+            ("inverse_norm:user0", "0x1.497a2d28d9dfap-14", "0x1.ed9e14828935ap-15",
+             "0x1.773ae292b9408p-23", False),
+            ("inverse_norm:user1", "0x1.d34ae94906957p-7", "0x1.999999999999ap-7",
+             "0x1.359a68c5f6befp-16", False),
             ("decomposition", "0x1.97d9cc03edfedp-50", "0x1.19799812dea11p-40", "0x0.0p+0", True),
             ("nullspace_moment", "0x1.550f53f313dc7p-2", "0x1.5555555555555p-2",
              "0x1.85f1acabdf1cep-11", True),
@@ -335,10 +359,10 @@ class TestStreamedChecks:
              "0x1.53cceaab537a5p+8", True),
         ],
         ("fig4", "per_cell_4_2", 100.0): [
-            ("inverse_norm:user0", "0x1.130f6a3093fbfp-10", "0x1.9fcf91d76a275p-11",
-             "0x1.366c8c7327c87p-19", False),
-            ("inverse_norm:user1", "0x1.d3f61a000342fp-7", "0x1.999999999999ap-7",
-             "0x1.35de12d05d420p-16", False),
+            ("inverse_norm:user0", "0x1.1424e7e4b0ab2p-10", "0x1.9fcf91d76a275p-11",
+             "0x1.32882ffb68e1bp-19", False),
+            ("inverse_norm:user1", "0x1.d34ae94906957p-7", "0x1.999999999999ap-7",
+             "0x1.359a68c5f6befp-16", False),
             ("decomposition", "0x1.001ffe003ff60p-49", "0x1.19799812dea11p-40", "0x0.0p+0", True),
             ("nullspace_moment", "0x1.566d2e4d19b9fp-2", "0x1.5555555555555p-2",
              "0x1.886b75d818f78p-11", True),

@@ -339,7 +339,7 @@ def variant_configs(tmp_path):
     huge_n_tx["n_tx"] = 10**30
     block_n_tx = json.loads(scenario.serialize(fig3))
     block_n_tx["feedback"] = {"mode": "perfect"}
-    block_n_tx["n_tx"] = np.iinfo(np.intp).max // (
+    block_n_tx["n_tx"] = rngmod.MAX_DRAW_BYTES // (
         rngmod.STREAM_TRIALS * fig3.n_users * fig3.geometry.n_cells * 16) + 1
     drops = scenario.serialize(replace(scenario.preset("fig5").arms[0].scenario, drops=2))
     huge_trials_per_drop = json.loads(drops)
@@ -639,12 +639,13 @@ def test_hostile_documents_exit_with_an_error_line_not_a_traceback(doc):
             assert not any("Traceback" in line for line in lines)
 
 
-# Integer flag values: tiny, or (for --bits and --dimension) far past numpy's
-# limits, 2^55 elements or more, never in between, since Linux may grant a
-# mid-sized draw and then kill the process that fills it.
+# Integer flag values: tiny, or (for --bits and --dimension) so large that the
+# codebook they size takes 2^55 complex elements or more, past the 2^57 bytes
+# any machine addresses, never in between, since Linux may grant a mid-sized
+# draw and then kill the process that fills it.
 _TINY = (-2**63, -1, 0, 1, 2, 3)
-_PAST_NUMPY_BITS = (55, 56, 61, 62)
-_PAST_NUMPY_DIMENSIONS = (2**55, 2**62, 2**63)
+_HUGE_BITS = (55, 56, 61, 62)
+_HUGE_DIMENSIONS = (2**55, 2**62, 2**63)
 
 
 @st.composite
@@ -662,8 +663,8 @@ def _flag_argvs(draw):
                 "--workers", str(draw(st.sampled_from([v for v in _TINY if v <= 2]))),
                 "--out", "{out}"]
     argv = ["train-codebook", "--kind", draw(st.sampled_from(("lloyd", "random"))),
-            "--bits", str(draw(st.sampled_from(_TINY + _PAST_NUMPY_BITS))),
-            "--dimension", str(draw(st.sampled_from(_TINY + _PAST_NUMPY_DIMENSIONS))),
+            "--bits", str(draw(st.sampled_from(_TINY + _HUGE_BITS))),
+            "--dimension", str(draw(st.sampled_from(_TINY + _HUGE_DIMENSIONS))),
             "--seed", str(draw(tiny)), "--out", "{out}"]
     if draw(st.booleans()):
         argv += ["--user", str(draw(tiny))]
@@ -677,6 +678,10 @@ def _flag_argvs(draw):
                "--workers", "2", "--out", "{out}"])
 @example(argv=["simulate", "--preset", "fig3", "--trials", "1", "--seed", "0",
                "--workers", "1", "--out", "{out}"])
+@example(argv=["train-codebook", "--kind", "random", "--bits", "55", "--dimension", "1",
+               "--seed", "3", "--out", "{out}"])
+@example(argv=["train-codebook", "--kind", "random", "--bits", "3", "--dimension", str(2**55),
+               "--seed", "3", "--out", "{out}"])
 @given(argv=_flag_argvs())
 def test_hostile_integer_flags_exit_with_an_error_line_not_a_traceback(argv):
     with tempfile.TemporaryDirectory() as tmp:
@@ -693,3 +698,7 @@ def test_hostile_integer_flags_exit_with_an_error_line_not_a_traceback(argv):
     assert not any("Traceback" in line for line in lines)
     if argv[0] == "bound" and int(argv[-1]) < 2:
         assert rc == 2, (argv, lines)  # a check of fewer than 2 draws has no standard error
+    if argv[0] == "train-codebook":
+        bits, dimension = (int(argv[argv.index(flag) + 1]) for flag in ("--bits", "--dimension"))
+        if bits in _HUGE_BITS or dimension in _HUGE_DIMENSIONS:
+            assert rc == 2, (argv, lines)  # no machine holds the draw, so none is attempted

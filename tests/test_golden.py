@@ -38,9 +38,9 @@ RECORDED = {
     "simulate fig5 single_cell_global_6bit drops=30 --workers 2": "198f9f41cfec",
     "simulate fig3 --trials 20 --seed 18446744073709551617": "e6cc27b2f2de",
     "bound fig3 --at 50 --verify-appendix --trials 2000 csv": "f63802976246",
-    "bound fig3 --at 50 --verify-appendix --trials 2000 stdout": "fb6f86210d40",
+    "bound fig3 --at 50 --verify-appendix --trials 2000 stdout": "9f1886bc5230",
     "bound fig4 per_cell_4_2 --at 100 --verify-appendix --trials 2000 csv": "8787ca8d6eb0",
-    "bound fig4 per_cell_4_2 --at 100 --verify-appendix --trials 2000 stdout": "680490a466b9",
+    "bound fig4 per_cell_4_2 --at 100 --verify-appendix --trials 2000 stdout": "74bfdef26bee",
     "train-codebook --dimension 4 --bits 3 --seed 7103": "2d22d5debe80",
     "train-codebook --dimension 4 --bits 4 --seed 7104": "a26b905d3bb4",
     "train-codebook fig4 global_6bit --at 100 --user 0 --bits 2 --seed 7104": "30db6c9d7eb9",

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from compsim import channel, scenario
+from compsim import rng as rngmod
 from compsim.errors import ConfigurationError, ScenarioError
 from compsim.quantization import FEEDBACK_MODES, FeedbackConfig
 from compsim.scheduling import PAIRING_MODES, PairingPolicy
@@ -228,7 +229,7 @@ class TestValidation:
         doc = json.loads(scenario.serialize(arm.scenario))
         if mode:
             doc["feedback"] = {"mode": mode}
-        largest = np.iinfo(np.intp).max // (16 * blocks)
+        largest = rngmod.MAX_DRAW_BYTES // (16 * blocks)
         doc["n_tx"] = largest
         assert scenario.scenario_from_dict(doc).n_tx == largest
         doc["n_tx"] = largest + 1
@@ -254,7 +255,7 @@ class TestValidation:
         doc = json.loads(scenario.serialize(arm.scenario))
         *sections, key = field.split(".")
         target = doc[sections[0]] if sections else doc
-        largest = np.iinfo(np.intp).max // itemsize
+        largest = rngmod.MAX_DRAW_BYTES // itemsize
         target[key] = largest
         assert scenario.scenario_from_dict(doc)
         target[key] = largest + 1
