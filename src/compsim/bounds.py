@@ -226,16 +226,12 @@ def _check(step: str, samples: np.ndarray, rhs: float, passes) -> AppendixCheck:
     return AppendixCheck(step, lhs, rhs, se, passes(lhs, rhs, se), n)
 
 
-def _stream_chunks(count: int) -> list[slice]:
-    """The ``STREAM_ROWS`` chunks of ``range(count)`` a check draws in turn.
-    Boundaries fall at multiples of ``STREAM_ROWS``, so a run of n draws
-    uses the first n draws of any longer run."""
-    return [slice(a, min(a + STREAM_ROWS, count)) for a in range(0, count, STREAM_ROWS)]
-
-
-def _eval_blocks(count: int) -> list[slice]:
-    """Consecutive ``EVAL_ROWS``-row slices of ``range(count)``, the last shorter."""
-    return [slice(a, min(a + EVAL_ROWS, count)) for a in range(0, count, EVAL_ROWS)]
+def _chunks(count: int, size: int) -> list[slice]:
+    """Consecutive ``size``-row slices of ``range(count)``, the last shorter.
+    A check draws ``STREAM_ROWS`` chunks in turn: their boundaries fall at
+    multiples of ``STREAM_ROWS``, so a run of n draws uses the first n draws
+    of any longer run."""
+    return [slice(a, min(a + size, count)) for a in range(0, count, size)]
 
 
 def _project_out(v: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -292,7 +288,7 @@ def check_inverse_norm(
     alpha_sq = large_scale.alpha_sq[user]
     rng = rngmod.substream(master_seed, rngmod.APPENDIX, 1, user)
     samples = []
-    for chunk in _stream_chunks(trials):
+    for chunk in _chunks(trials, STREAM_ROWS):
         energy = rng.standard_gamma(n_tx, size=(chunk.stop - chunk.start, large_scale.n_bs))
         samples.append(1.0 / np.vecdot(energy, alpha_sq))
     return _check(f"inverse_norm:user{user}", np.concatenate(samples),
@@ -360,7 +356,7 @@ def check_nullspace_moment(
     rng = rngmod.substream(master_seed, rngmod.APPENDIX, 3)
     d, conj = cb.dimension, cb.codewords.conj()
     samples = []
-    for chunk in _stream_chunks(trials):
+    for chunk in _chunks(trials, STREAM_ROWS):
         # the draws of quantization.isotropic_directions, whose scale no sample sees
         h = rngmod.complex_normal(rng, (chunk.stop - chunk.start, d))
         idx, coeff, _ = _nearest(conj @ h.T)
@@ -420,7 +416,7 @@ def check_interference_moment(
               for ck, cj in codewords]
     q = np.zeros(trials, dtype=complex)
     errors = np.empty((n_bs, trials))  # sin^2 theta_k per BS and draw
-    for chunk in _stream_chunks(trials):
+    for chunk in _chunks(trials, STREAM_ROWS):
         # the draws of channel.sample_small_scale for users k and j,
         # h = z / sqrt(2), then the chunk's redraws: BS b's in row order
         # after all of z_j, and before those of BS b + 1
@@ -432,7 +428,7 @@ def check_interference_moment(
         q_chunk, err_chunk = q[chunk], errors[:, chunk]
         for b, (ck, both_conj, cj_conj, coeff, inv_vn, degenerate) in enumerate(tables):
             size_k = len(ck)
-            for block in _eval_blocks(len(zk)):
+            for block in _chunks(len(zk), EVAL_ROWS):
                 z, w, q_block = zk[block, b], weight[block, b], q_chunk[block]
                 ij, _, _ = _nearest(cj_conj @ zj[block, b].T)
                 products = both_conj @ z.T  # <c_k, z_k> for each c_k, then <c_j, z_k>

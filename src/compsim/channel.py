@@ -101,22 +101,19 @@ class LargeScaleMap:
     ``snr_gamma_sq[k, b]`` is the receive SNR of composite link (MS k, BS b);
     ``alpha_sq[k, b] = snr_gamma_sq[k, b] * noise_power / tx_power`` is that
     link's average energy. With the default normalization tx_power =
-    noise_power = 1 the two matrices are equal.
-
-    Both may carry an optional leading trial axis, (trials, n_users, n_bs):
-    one map per trial of a block, which may hold the trials of several drops.
+    noise_power = 1 the two matrices are equal. A map is one placement's:
+    a block of trials carries its link amplitudes as an array of its own.
     """
 
-    snr_gamma_sq: np.ndarray  # ([trials,] n_users, n_bs)
+    snr_gamma_sq: np.ndarray  # (n_users, n_bs)
     tx_power: float = 1.0
     noise_power: float = 1.0
-    alpha_sq: np.ndarray = field(init=False)  # ([trials,] n_users, n_bs)
+    alpha_sq: np.ndarray = field(init=False)  # (n_users, n_bs)
 
     def __post_init__(self):
         self.snr_gamma_sq = np.asarray(self.snr_gamma_sq, dtype=float)
-        if self.snr_gamma_sq.ndim not in (2, 3):
-            raise ConfigurationError(
-                "snr_gamma_sq must be an (n_users, n_bs) or (trials, n_users, n_bs) array")
+        if self.snr_gamma_sq.ndim != 2:
+            raise ConfigurationError("snr_gamma_sq must be an (n_users, n_bs) array")
         s = self.snr_gamma_sq
         if not np.all((s >= 0) & (s < np.inf)):  # written so that NaN fails too
             raise ConfigurationError("receive SNRs must be finite and nonnegative: check "
@@ -132,20 +129,20 @@ class LargeScaleMap:
 
     @property
     def n_users(self) -> int:
-        return self.alpha_sq.shape[-2]
+        return self.alpha_sq.shape[0]
 
     @property
     def n_bs(self) -> int:
-        return self.alpha_sq.shape[-1]
+        return self.alpha_sq.shape[1]
 
     @property
     def alpha(self) -> np.ndarray:
         return np.sqrt(self.alpha_sq)
 
     def energy_split(self) -> np.ndarray:
-        """([trials,] n_users, n_bs) share of each user's link energy carried
-        by each BS: the bound's beta and a global codebook's training profile."""
-        total = self.alpha_sq.sum(axis=-1, keepdims=True)
+        """(n_users, n_bs) share of each user's link energy carried by each
+        BS: the bound's beta and a global codebook's training profile."""
+        total = self.alpha_sq.sum(axis=1, keepdims=True)
         if np.any(total <= 0):
             raise ConfigurationError(f"user {int(np.argmin(total))} has no link energy")
         return self.alpha_sq / total
@@ -181,14 +178,6 @@ def build_large_scale(
     return LargeScaleMap(snr_gamma_sq=snr_gamma_sq, tx_power=tx_power, noise_power=noise_power)
 
 
-@dataclass
-class ChannelRealization:
-    """A block of channel draws, one per trial, and their composite vectors."""
-
-    small_scale: np.ndarray  # (trials, n_users, n_bs, n_tx) complex
-    global_channels: np.ndarray  # (trials, n_users, n_bs * n_tx) complex
-
-
 def _check_dimensions(n_users: int, n_bs: int, n_tx: int) -> None:
     if n_tx < 2:
         raise ConfigurationError("n_tx must be >= 2 (single-antenna BSs are unsupported)")
@@ -210,20 +199,16 @@ def sample_small_scale(
     return rngmod.complex_normal(rng, shape) / np.sqrt(2.0)
 
 
-def realize_channels(large_scale: LargeScaleMap, n_tx: int, small_scale) -> ChannelRealization:
-    """A block of channel realizations from its (trials, n_users, n_bs, n_tx)
-    small-scale draws, as ``sample_small_scale`` with a trial axis draws them.
-
-    The composite vector of user k concatenates the per-BS blocks, g_k =
-    [alpha_{k,1} h_{k,1}, ..., alpha_{k,B} h_{k,B}]; a map with a trial axis
-    scales each trial by its own map.
+def realize_channels(alpha: np.ndarray, small_scale: np.ndarray) -> np.ndarray:
+    """The (trials, n_users, n_bs * n_tx) composite channels of a block of
+    trials from its (trials, n_users, n_bs) link amplitudes and its
+    (trials, n_users, n_bs, n_tx) small-scale draws, as ``sample_small_scale``
+    with a trial axis draws them: g_k = [alpha_{k,1} h_{k,1}, ...,
+    alpha_{k,B} h_{k,B}] in each trial, with that trial's amplitudes.
     """
-    _check_dimensions(large_scale.n_users, large_scale.n_bs, n_tx)
-    h = np.asarray(small_scale)
-    alpha = large_scale.alpha
-    if h.ndim != 4 or h.shape[-1] != n_tx or h.shape[3 - alpha.ndim:3] != alpha.shape:
-        raise ConfigurationError(
-            f"small_scale shape {h.shape} is not (trials, n_users, n_bs, {n_tx}) "
-            f"under a large-scale map of shape {alpha.shape}")
-    g = (alpha[..., None] * h).reshape(h.shape[:2] + (h.shape[2] * n_tx,))
-    return ChannelRealization(small_scale=h, global_channels=g)
+    if small_scale.ndim != 4 or alpha.shape != small_scale.shape[:3]:
+        raise ConfigurationError(f"small_scale shape {small_scale.shape} is not (trials, "
+                                 f"n_users, n_bs, n_tx) under amplitudes of shape {alpha.shape}")
+    trials, n_users, n_bs, n_tx = small_scale.shape
+    _check_dimensions(n_users, n_bs, n_tx)
+    return (alpha[..., None] * small_scale).reshape(trials, n_users, n_bs * n_tx)

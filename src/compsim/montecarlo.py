@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -101,17 +101,17 @@ class CdfResult:
     failed_draws: int
 
 
-def _evaluate_block(ctx: TrialContext, small_scale: np.ndarray, first: int) -> TrialLog:
-    """Evaluate both arms on a block of trials with the given small-scale
-    draws, its row t being trial ``first + t`` (which only an orthogonalized
-    fixed placement reads, for its redraw substreams).
+def _evaluate_block(ctx: TrialContext, alpha: np.ndarray, small_scale: np.ndarray,
+                    first: int) -> TrialLog:
+    """Evaluate both arms on a block of trials with the given link amplitudes
+    and small-scale draws, its row t being trial ``first + t`` (which only an
+    orthogonalized fixed placement reads, for its redraw substreams).
 
     A trial is rejected (``ok`` False, NaN values) when the pairing rule or
     either zero-forcing precoder rejects it.
     """
-    realization = channel.realize_channels(ctx.large_scale, ctx.n_tx, small_scale)
-    g = realization.global_channels
-    report = ctx.feedback.apply(realization, ctx.large_scale)
+    g = channel.realize_channels(alpha, small_scale)
+    report = ctx.feedback.apply(small_scale, alpha, g)
     recon = g if report is None else report.reconstructed
     if ctx.orthogonalize and report is not None:
         from . import bounds  # imported here: bounds imports this module
@@ -180,21 +180,15 @@ def _blocks(runs):
 
 def _run_range(args) -> TrialLog:
     """Evaluate ``runs(payload, start, stop)`` block by block, numbering the
-    trials from ``start``: a fixed placement's trial indices. A block of
-    several runs puts each trial's large-scale map on the map's leading trial
-    axis; a block of one run keeps its map, which gives the same bits and
-    spares a fixed placement the stacking."""
+    trials from ``start``: a fixed placement's trial indices. Each trial of
+    a block carries its run's link amplitudes on the block's trial axis."""
     (runs, payload), start, stop = args
     logs, first = [], start
     for block in _blocks(runs(payload, start, stop)):
-        ctx = block[0][0]
-        if len(block) > 1:
-            snr = np.concatenate([np.broadcast_to(c.large_scale.snr_gamma_sq,
-                                                  (len(draws),) + c.large_scale.snr_gamma_sq.shape)
-                                  for c, draws in block])
-            ctx = replace(ctx, large_scale=replace(ctx.large_scale, snr_gamma_sq=snr))
+        alpha = np.concatenate([np.broadcast_to(c.large_scale.alpha, draws.shape[:3])
+                                for c, draws in block])
         draws = np.concatenate([draws for _, draws in block])
-        logs.append(_evaluate_block(ctx, draws, first))
+        logs.append(_evaluate_block(block[0][0], alpha, draws, first))
         first += len(draws)
     return _concatenate(logs)
 

@@ -280,8 +280,6 @@ class FeedbackReport:
 
 
 def _codebook_grid(codebooks, n_users: int, n_blocks: int) -> list[list[Codebook]]:
-    if isinstance(codebooks, Codebook):
-        return [[codebooks] * n_blocks for _ in range(n_users)]
     grid = [list(row) for row in codebooks]
     if len(grid) != n_users or any(len(row) != n_blocks for row in grid):
         raise ConfigurationError(
@@ -294,7 +292,7 @@ def _codebook_grid(codebooks, n_users: int, n_blocks: int) -> list[list[Codebook
 def _quantize_blocks(blocks: np.ndarray, scale: np.ndarray, grid, mode: str) -> FeedbackReport:
     """Quantize block (k, b) of every trial of ``blocks`` (trials, n_users,
     n_blocks, dim) with the codebook ``grid[k][b]``; its norm times
-    ``scale[k, b]``, or ``scale[t, k, b]`` in trial t, passes through.
+    ``scale[t, k, b]`` in trial t passes through.
 
     Each codebook searches all of its blocks, over every trial, in one
     ``quantize_many`` call. The reconstructed block is rho e^{j phi} times
@@ -322,7 +320,7 @@ def _quantize_blocks(blocks: np.ndarray, scale: np.ndarray, grid, mode: str) -> 
             )
         idx = quantize_many(flat[:, members].reshape(-1, dim), cb)[0]
         codewords[:, members] = cb.codewords[idx].reshape(trials, len(members), dim)
-    norms = scale.reshape(scale.shape[:-2] + (count,)) * rows.norms(flat)
+    norms = scale.reshape(trials, count) * rows.norms(flat)
     c = rows.inner(codewords, flat)  # <block, codeword> = block codeword^H
     zero = c == 0.0  # no phase to align to: the codeword as it is
     phase = c / np.where(zero, 1.0, rows.magnitude(c))
@@ -334,38 +332,32 @@ def _quantize_blocks(blocks: np.ndarray, scale: np.ndarray, grid, mode: str) -> 
     )
 
 
-def per_cell_feedback(
-    realization: channel.ChannelRealization,
-    large_scale: channel.LargeScaleMap,
-    codebooks,
-) -> FeedbackReport:
-    """Quantize each per-BS block of every trial independently; norms pass
-    through unquantized.
+def per_cell_feedback(small_scale: np.ndarray, alpha: np.ndarray, codebooks) -> FeedbackReport:
+    """Quantize each per-BS block of every trial of the (trials, n_users,
+    n_bs, n_tx) draws ``small_scale`` independently; norms pass through
+    unquantized.
 
-    ``codebooks`` is one Codebook of dimension n_tx shared by every link, or
-    an n_users x n_bs grid. Reconstruction per user k: g_hat_k =
-    [rho_{k,1} h_hat_{k,1}, ..., rho_{k,B} h_hat_{k,B}] with rho_{k,b} =
-    alpha_{k,b} ||h_{k,b}|| (from each trial's own map when ``large_scale``
-    has a trial axis) and h_hat_{k,b} the phase-aligned representative of the
-    selected codeword.
+    ``codebooks`` is an n_users x n_bs grid of codebooks of dimension n_tx.
+    Reconstruction per user k: g_hat_k = [rho_{k,1} h_hat_{k,1}, ...,
+    rho_{k,B} h_hat_{k,B}] with rho_{k,b} = alpha_{k,b} ||h_{k,b}||, from the
+    trial's own (trials, n_users, n_bs) amplitudes ``alpha``, and
+    h_hat_{k,b} the phase-aligned representative of the selected codeword.
     """
-    h = realization.small_scale
-    grid = _codebook_grid(codebooks, h.shape[1], h.shape[2])
-    return _quantize_blocks(h, large_scale.alpha, grid, "per_cell")
+    grid = _codebook_grid(codebooks, small_scale.shape[1], small_scale.shape[2])
+    return _quantize_blocks(small_scale, alpha, grid, "per_cell")
 
 
-def global_feedback(realization: channel.ChannelRealization, codebooks) -> FeedbackReport:
-    """Quantize each user's whole composite vector, in every trial, with one
-    codebook.
+def global_feedback(g: np.ndarray, codebooks) -> FeedbackReport:
+    """Quantize each user's whole composite vector of the (trials, n_users,
+    n_bs * n_tx) channels ``g``, in every trial, with one codebook.
 
-    ``codebooks`` is one Codebook of dimension n_bs * n_tx shared by all
-    users, or an n_users x 1 grid. Reconstruction: g_hat_k = ||g_k|| c_i;
-    the report holds one block per user. No large-scale map is needed: the
-    composite vectors already carry the link amplitudes.
+    ``codebooks`` is an n_users x 1 grid of codebooks of dimension n_bs *
+    n_tx. Reconstruction: g_hat_k = ||g_k|| c_i; the report holds one block
+    per user. No amplitudes are needed: the composite vectors already carry
+    them.
     """
-    g = realization.global_channels
     grid = _codebook_grid(codebooks, g.shape[1], 1)
-    return _quantize_blocks(g[:, :, None, :], np.ones((g.shape[1], 1)), grid, "global")
+    return _quantize_blocks(g[:, :, None, :], np.ones(g.shape[:2] + (1,)), grid, "global")
 
 
 # ---------------------------------------------------------------------------
@@ -465,17 +457,15 @@ class ResolvedFeedback:
     # feedback, n_users x 1 for global feedback, None for perfect CSI
     codebooks: list | None = None
 
-    def apply(
-        self,
-        realization: channel.ChannelRealization,
-        large_scale: channel.LargeScaleMap,
-    ) -> FeedbackReport | None:
-        """The feedback report of a block of trials; None means perfect CSI."""
+    def apply(self, small_scale: np.ndarray, alpha: np.ndarray,
+              g: np.ndarray) -> FeedbackReport | None:
+        """The feedback report of a block of trials from its draws, link
+        amplitudes and composite channels; None means perfect CSI."""
         if self.mode == "perfect":
             return None
         if self.mode == "per_cell":
-            return per_cell_feedback(realization, large_scale, self.codebooks)
-        return global_feedback(realization, self.codebooks)
+            return per_cell_feedback(small_scale, alpha, self.codebooks)
+        return global_feedback(g, self.codebooks)
 
     def shares_codebooks(self, other: "ResolvedFeedback") -> bool:
         """Whether ``other`` quantizes every block with the same codebook
@@ -541,7 +531,7 @@ def build_codebook(
     rows_drawn = 2**bits if kind == "random" else DEFAULT_LLOYD_OVERSAMPLING * 2**bits
     if rngmod.unshapeable(rows_drawn * dimension, complex):
         raise ConfigurationError("bits and dimension too large: the codebook's draw exceeds "
-                                 "numpy's array size limit")
+                                 "the 2^57-byte draw limit")
     if profile is not None:
         split = np.asarray(profile, dtype=float)
         if not (np.isfinite(split).all() and split.any()):

@@ -128,7 +128,7 @@ class Scenario:
                     out.append(("placement.steps", "must be >= 1"))
                 elif unshapeable(pl.steps, float):  # the sweep's distances, in one array
                     out.append(("placement.steps", "too large: the sweep's distances "
-                                "exceed numpy's array size limit"))
+                                "exceed the 2^57-byte draw limit"))
 
         bits = self.feedback.bits
         if self.feedback.mode == "per_cell" and not (
@@ -148,11 +148,11 @@ class Scenario:
         blocks = max(STREAM_TRIALS * n_users * n_cells, FeedbackConfig.largest_training_set(fb)
                      * (n_cells if fb.mode == "global" else 1))
         if self.n_tx >= 2 and unshapeable(blocks * self.n_tx, complex):
-            out.append(("n_tx", "too large: a draw it sizes exceeds numpy's array size limit"))
+            out.append(("n_tx", "too large: a draw it sizes exceeds the 2^57-byte draw limit"))
         elif pl.mode == "random_uniform" and unshapeable(
                 self.trials_per_drop * n_users * n_cells * self.n_tx, complex):
             out.append(("trials_per_drop",
-                        "too large: a drop's draw exceeds numpy's array size limit"))
+                        "too large: a drop's draw exceeds the 2^57-byte draw limit"))
         return out
 
     def __post_init__(self):

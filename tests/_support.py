@@ -1,5 +1,7 @@
 """Shared helpers for the test suite."""
 
+from types import SimpleNamespace
+
 import numpy as np
 
 from compsim import bounds, channel, quantization, rows, scenario
@@ -14,12 +16,21 @@ def two_cell_map(d1_m: float, d2_m: float, **geom_kwargs) -> channel.LargeScaleM
     return channel.build_large_scale([ms1, ms2], geom)
 
 
-def realize(large_scale: channel.LargeScaleMap, n_tx: int, gens) -> channel.ChannelRealization:
+def realize(large_scale: channel.LargeScaleMap, n_tx: int, gens) -> SimpleNamespace:
     """A block of one trial per generator of ``gens``, each trial's channels
-    ``sample_small_scale`` from its generator."""
-    return channel.realize_channels(large_scale, n_tx, np.stack(
-        [channel.sample_small_scale(large_scale.n_users, large_scale.n_bs, n_tx, gen)
-         for gen in gens]))
+    ``sample_small_scale`` from its generator: the draws ``small_scale``, the
+    map's amplitudes ``alpha`` in every trial and the composite channels
+    ``global_channels`` that ``realize_channels`` forms from them."""
+    h = np.stack([channel.sample_small_scale(large_scale.n_users, large_scale.n_bs, n_tx, gen)
+                  for gen in gens])
+    alpha = np.broadcast_to(large_scale.alpha, h.shape[:3])
+    return SimpleNamespace(small_scale=h, alpha=alpha,
+                           global_channels=channel.realize_channels(alpha, h))
+
+
+def shared(cb: quantization.Codebook, n_users: int, n_blocks: int) -> list:
+    """The n_users x n_blocks codebook grid that quantizes every block with ``cb``."""
+    return [[cb] * n_blocks for _ in range(n_users)]
 
 
 def row_blocks_of(draw: np.ndarray) -> list:
@@ -59,14 +70,13 @@ def twocell_bound(*args) -> float:
     return bounds.rate_loss_bound_general(twocell_params(*args), 0)[0]
 
 
-def perfect_codebook_for(realization: channel.ChannelRealization) -> quantization.Codebook:
+def perfect_codebook_for(h: np.ndarray) -> quantization.Codebook:
     """Codebook whose codewords are exactly the block directions of every
-    trial of the realization.
+    trial of the (trials, n_users, n_bs, n_tx) draws ``h``.
 
     With trials * n_users * n_bs a power of two, quantizing any block yields
     zero error.
     """
-    h = realization.small_scale
     dirs = h.reshape(-1, h.shape[-1])
     dirs = dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
     bits = int(np.log2(dirs.shape[0]))
@@ -89,7 +99,7 @@ def nullspace_moment_per_row(cb, trials, master_seed):
     """``bounds.check_nullspace_moment`` through unit rows s and u."""
     rng = rngmod.substream(master_seed, rngmod.APPENDIX, 3)
     samples = []
-    for chunk in bounds._stream_chunks(trials):
+    for chunk in bounds._chunks(trials, bounds.STREAM_ROWS):
         h = quantization.isotropic_directions(chunk.stop - chunk.start, cb.dimension, rng)
         idx, _ = quantization.quantize_many(h, cb)
         hq = cb.codewords[idx]
@@ -111,7 +121,7 @@ def interference_moment_per_row(large_scale, n_tx, codebooks, trials, master_see
     scale = 0.5 * np.sqrt(alpha_sq[0] * alpha_sq[1])
     q = np.zeros(trials, dtype=complex)
     errors = np.empty((n_bs, trials))
-    for chunk in bounds._stream_chunks(trials):
+    for chunk in bounds._chunks(trials, bounds.STREAM_ROWS):
         zk = rngmod.complex_normal(rng, (chunk.stop - chunk.start, n_bs, n_tx))
         zj = rngmod.complex_normal(rng, zk.shape)
         for b in range(n_bs):

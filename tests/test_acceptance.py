@@ -32,7 +32,6 @@ from compsim.bounds import (
 from compsim.precoding import zf_precoder
 from compsim.quantization import (
     isotropic_directions,
-    per_cell_feedback,
     quantize_many,
     random_codebook,
     train_lloyd,
@@ -238,7 +237,7 @@ def test_criterion_08_zero_forcing_invariants():
     fixed = _support.fig3_fixed(250.0, 150.0)
     ctx = montecarlo.build_context(fixed)
     real = _support.realize(ctx.large_scale, 4, [substream(1008, 0, t) for t in range(1000)])
-    recon = ctx.feedback.apply(real, ctx.large_scale).reconstructed
+    recon = ctx.feedback.apply(real.small_scale, real.alpha, real.global_channels).reconstructed
     pre, reason = zf_precoder(recon)
     ok = reason == "ok"
     successes = int(ok.sum())

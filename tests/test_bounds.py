@@ -127,7 +127,7 @@ class TestOrthogonalization:
         ls = _support.two_cell_map(150.0, 250.0)
         real = _support.realize(ls, 4, [substream(seed, 0, 0)])
         cb = random_codebook(4, bits, substream(seed, 1, 0))
-        return real, ls, per_cell_feedback(real, ls, cb)
+        return real, ls, per_cell_feedback(real.small_scale, real.alpha, _support.shared(cb, 2, 2))
 
     def test_blocks_become_orthogonal_and_norms_survive(self):
         real, ls, rep = self._report(141)
@@ -155,11 +155,14 @@ class TestOrthogonalization:
         ls = _support.two_cell_map(150.0, 250.0)
         cb = random_codebook(4, 0, substream(145, 1, 0))
         gens = [substream(145, 0, t) for t in range(6)]
-        block = orthogonalize_report(per_cell_feedback(_support.realize(ls, 4, gens), ls, cb),
+        grid = _support.shared(cb, 2, 2)
+        real = _support.realize(ls, 4, gens)
+        block = orthogonalize_report(per_cell_feedback(real.small_scale, real.alpha, grid),
                                      4, 145, 300)
         for t in range(6):
             alone = _support.realize(ls, 4, [substream(145, 0, t)])
-            out = orthogonalize_report(per_cell_feedback(alone, ls, cb), 4, 145, 300 + t)
+            out = orthogonalize_report(per_cell_feedback(alone.small_scale, alone.alpha, grid),
+                                       4, 145, 300 + t)
             assert np.array_equal(out[0], block[t])
         # the redraws are those of substream (REDRAW, 300 + t): user 1's first
         # redraw on BS 0, minus its projection on user 0
@@ -175,8 +178,8 @@ class TestOrthogonalization:
         ls = _support.two_cell_map(150.0, 250.0)
         for t in range(50):
             real = _support.realize(ls, 4, [substream(143, 0, t)])
-            cb = _support.perfect_codebook_for(real)
-            rep = per_cell_feedback(real, ls, cb)
+            cb = _support.perfect_codebook_for(real.small_scale)
+            rep = per_cell_feedback(real.small_scale, real.alpha, _support.shared(cb, 2, 2))
             out = orthogonalize_report(rep, 4, 143, t)[0]
             q = np.dot(real.global_channels[0, 0], out[1].conj())
             assert abs(q) <= 1e-9
@@ -423,7 +426,8 @@ class TestStreamedChecks:
 
     def test_stream_chunks_end_at_multiples_of_stream_rows(self, monkeypatch):
         monkeypatch.setattr(bounds, "STREAM_ROWS", 4)
-        sizes = {n: [(c.start, c.stop) for c in bounds._stream_chunks(n)] for n in (1, 4, 5, 9)}
+        sizes = {n: [(c.start, c.stop) for c in bounds._chunks(n, bounds.STREAM_ROWS)]
+                 for n in (1, 4, 5, 9)}
         assert sizes == {1: [(0, 1)], 4: [(0, 4)], 5: [(0, 4), (4, 5)],
                          9: [(0, 4), (4, 8), (8, 9)]}
 

@@ -95,6 +95,11 @@ class TestBuildLargeScale:
         )
         assert np.allclose(ls.snr_gamma_sq, ls.alpha_sq * 4.0, rtol=1e-12)
 
+    def test_map_is_one_placement(self):
+        # a block's per-trial amplitudes are an array, not a stacked map
+        with pytest.raises(ConfigurationError, match=r"\(n_users, n_bs\)"):
+            channel.LargeScaleMap(snr_gamma_sq=np.ones((3, 2, 2)))
+
     @pytest.mark.parametrize("geom, message", [
         (channel.two_cell_line(edge_snr_db=1e308), "receive SNRs must be finite"),
         (channel.two_cell_line(pathloss_exponent=1e308), "receive SNRs must be finite"),
@@ -145,18 +150,24 @@ class TestSmallScale:
             channel.sample_small_scale(2, 2, 1, substream(7, 0, 0))
 
     def test_realization_checks_the_draws_shape(self):
-        ls = channel.LargeScaleMap(snr_gamma_sq=np.ones((2, 2)))
+        alpha = np.ones((3, 2, 2))
         h = channel.sample_small_scale(2, 2, 4, substream(7, 0, 7), trials=3)
-        real = channel.realize_channels(ls, 4, h)
-        assert real.global_channels.shape == (3, 2, 8)
-        for bad in (h[0], h[..., :3]):
+        g = channel.realize_channels(alpha, h)
+        assert g.shape == (3, 2, 8)
+        for bad in (h[0], h[:, :1]):
             with pytest.raises(ConfigurationError):
-                channel.realize_channels(ls, 4, bad)
+                channel.realize_channels(alpha, bad)
+
+    def test_realization_rejects_amplitudes_of_another_shape(self):
+        h = channel.sample_small_scale(2, 2, 4, substream(7, 0, 8), trials=3)
+        for shape in ((2, 2), (1, 2, 2), (3, 2, 1), (3, 2, 2, 1)):
+            with pytest.raises(ConfigurationError):
+                channel.realize_channels(np.ones(shape), h)
 
 
 def _global(h, ls):
     """The composite vectors ``realize_channels`` forms from one trial's draws ``h``."""
-    return channel.realize_channels(ls, h.shape[-1], h[None]).global_channels[0]
+    return channel.realize_channels(ls.alpha[None], h[None])[0]
 
 
 class TestCompositeAssembly:
@@ -198,7 +209,7 @@ class TestCompositeAssembly:
     def test_dimension_mismatch_rejected(self):
         ls = channel.LargeScaleMap(snr_gamma_sq=np.ones((2, 2)))
         with pytest.raises(ConfigurationError):
-            channel.realize_channels(ls, 4, np.zeros((1, 3, 2, 4), dtype=complex))
-        per_trial = channel.LargeScaleMap(snr_gamma_sq=np.ones((3, 2, 2)))
+            channel.realize_channels(ls.alpha[None], np.zeros((1, 3, 2, 4), dtype=complex))
+        per_trial = np.ones((3, 2, 2))
         with pytest.raises(ConfigurationError):
-            channel.realize_channels(per_trial, 4, np.zeros((2, 2, 2, 4), dtype=complex))
+            channel.realize_channels(per_trial, np.zeros((2, 2, 2, 4), dtype=complex))

@@ -392,7 +392,7 @@ _SNR_OVERFLOW = ("error: receive SNRs must be finite and nonnegative: check "
 
 _TOO_FEW_DRAWS = "error: --trials: must be >= 2: a standard error needs 2 draws\n"
 _UNSHAPEABLE_CODEBOOK = ("error: bits and dimension too large: the codebook's draw exceeds "
-                         "numpy's array size limit\n")
+                         "the 2^57-byte draw limit\n")
 
 
 # message: a line the error output must contain, where exit 2 alone does not
@@ -493,16 +493,16 @@ def test_n_tx_beyond_numpy_exits_2_with_one_error_line(variant, variant_configs,
     # parse rejects it before numpy is asked to shape a codebook or channel draw
     assert run_cli("simulate", "--config", str(variant_configs[variant])) == 2
     assert capsys.readouterr().err == \
-        "error: n_tx: too large: a draw it sizes exceeds numpy's array size limit\n"
+        "error: n_tx: too large: a draw it sizes exceeds the 2^57-byte draw limit\n"
 
 
 @pytest.mark.parametrize("variant, line", [
     ("{huge_trials_per_drop}",
-     "error: trials_per_drop: too large: a drop's draw exceeds numpy's array size limit\n"),
-    ("{huge_steps}", "error: placement.steps: too large: the sweep's distances exceed numpy's "
-                     "array size limit\n"),
-    ("{steps_2_63}", "error: placement.steps: too large: the sweep's distances exceed numpy's "
-                     "array size limit\n"),
+     "error: trials_per_drop: too large: a drop's draw exceeds the 2^57-byte draw limit\n"),
+    ("{huge_steps}", "error: placement.steps: too large: the sweep's distances exceed the "
+                     "2^57-byte draw limit\n"),
+    ("{steps_2_63}", "error: placement.steps: too large: the sweep's distances exceed the "
+                     "2^57-byte draw limit\n"),
 ], ids=["trials-per-drop-2^60", "steps-10^20", "steps-2^63"])
 def test_draw_sizes_beyond_numpy_exit_2_with_one_error_line(variant, line, variant_configs,
                                                             capsys):

@@ -161,10 +161,11 @@ class TestRun:
                                        substream(scn.master_seed, rngmod.TRIAL, i),
                                        trials=rngmod.STREAM_TRIALS)
             for i in range(2)])[:scn.trials]
-        real = channel.realize_channels(ls, scn.n_tx, small_scale)
-        _, ideal_reason = precoding.zf_precoder(real.global_channels)
+        alpha = np.broadcast_to(ls.alpha, small_scale.shape[:3])
+        g = channel.realize_channels(alpha, small_scale)
+        _, ideal_reason = precoding.zf_precoder(g)
         _, quant_reason = precoding.zf_precoder(
-            ctx.feedback.apply(real, ctx.large_scale).reconstructed)
+            ctx.feedback.apply(small_scale, alpha, g).reconstructed)
         rejected = (ideal_reason != "ok") | (quant_reason != "ok")
         assert set(quant_reason.tolist()) >= {"ok", "rank"}
         assert montecarlo.run(scn).failures == np.count_nonzero(rejected) > 0
@@ -423,9 +424,9 @@ class TestBlockInvariance:
         sizes = []
         evaluate_block = montecarlo._evaluate_block
 
-        def recorder(ctx, small_scale, first):
+        def recorder(ctx, alpha, small_scale, first):
             sizes.append(len(small_scale))
-            return evaluate_block(ctx, small_scale, first)
+            return evaluate_block(ctx, alpha, small_scale, first)
 
         monkeypatch.setattr(montecarlo, "_evaluate_block", recorder)
         return sizes

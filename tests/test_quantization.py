@@ -333,8 +333,8 @@ def _one_trial(*blocks):
 class TestPerCellFeedback:
     def test_perfect_codebook_reconstructs_exactly(self):
         real, ls = _two_cell_realization(21)
-        cb = _support.perfect_codebook_for(real)
-        rep = per_cell_feedback(real, ls, cb)
+        cb = _support.perfect_codebook_for(real.small_scale)
+        rep = per_cell_feedback(real.small_scale, real.alpha, _support.shared(cb, 2, 2))
         real, rep = _one_trial(real, rep)
         # coherent reconstruction convention: zero error recovers g itself
         assert np.allclose(rep.reconstructed, real.global_channels, atol=1e-12)
@@ -346,7 +346,7 @@ class TestPerCellFeedback:
     def test_reconstruction_invariants(self):
         real, ls = _two_cell_realization(24)
         cb = random_codebook(4, 3, substream(24, 1, 0))
-        rep = per_cell_feedback(real, ls, cb)
+        rep = per_cell_feedback(real.small_scale, real.alpha, _support.shared(cb, 2, 2))
         real, rep = _one_trial(real, rep)
         for k in range(2):
             # norms pass through unquantized
@@ -368,7 +368,7 @@ class TestPerCellFeedback:
         # is real and nonnegative
         real, ls = _two_cell_realization(25)
         cb = random_codebook(4, 3, substream(25, 1, 0))
-        rep = per_cell_feedback(real, ls, cb)
+        rep = per_cell_feedback(real.small_scale, real.alpha, _support.shared(cb, 2, 2))
         real, rep = _one_trial(real, rep)
         for k in range(2):
             for b in range(2):
@@ -381,7 +381,7 @@ class TestPerCellFeedback:
         real, ls = _two_cell_realization(26)
         cb = random_codebook(5, 3, substream(26, 1, 0))
         with pytest.raises(ConfigurationError):
-            per_cell_feedback(real, ls, cb)
+            per_cell_feedback(real.small_scale, real.alpha, _support.shared(cb, 2, 2))
 
 
 class TestGlobalFeedback:
@@ -390,14 +390,14 @@ class TestGlobalFeedback:
         g = real.global_channels[0]
         dirs = g / np.linalg.norm(g, axis=1, keepdims=True)
         cb = Codebook(codewords=dirs, bits=1, kind="random")
-        rep = global_feedback(real, cb)
+        rep = global_feedback(real.global_channels, _support.shared(cb, 2, 1))
         real, rep = _one_trial(real, rep)
         assert np.allclose(rep.reconstructed, g, atol=1e-12)
 
     def test_norm_passthrough(self):
         real, _ = _two_cell_realization(32)
         cb = random_codebook(8, 6, substream(32, 1, 0))
-        rep = global_feedback(real, cb)
+        rep = global_feedback(real.global_channels, _support.shared(cb, 2, 1))
         real, rep = _one_trial(real, rep)
         for k in range(2):
             assert np.linalg.norm(rep.reconstructed[k]) == pytest.approx(
@@ -407,7 +407,7 @@ class TestGlobalFeedback:
     def test_report_holds_one_block_per_user(self):
         real, _ = _two_cell_realization(33)
         grid = [[random_codebook(8, 6, substream(33, 1, k))] for k in range(2)]
-        rep = global_feedback(real, grid)
+        rep = global_feedback(real.global_channels, grid)
         real, rep = _one_trial(real, rep)
         assert rep.norms.shape == (2, 1)
         for k in range(2):
@@ -437,7 +437,7 @@ class TestGlobalFeedback:
         gbar = g / np.linalg.norm(g, axis=1, keepdims=True)
         err = []
         for res in (res_global, res_percell):
-            ghat = res.apply(real, ls).reconstructed[:, 0]
+            ghat = res.apply(real.small_scale, real.alpha, real.global_channels).reconstructed[:, 0]
             ghat = ghat / np.linalg.norm(ghat, axis=1, keepdims=True)
             err.append(1.0 - np.abs((ghat.conj() * gbar).sum(axis=1)) ** 2)
         err_g, err_p = err
@@ -448,15 +448,16 @@ class TestGlobalFeedback:
 
 @st.composite
 def feedback_cases(draw):
-    """A two-cell realization, a feedback mode, and either one codebook shared
-    by every block or a distinct codebook per block."""
+    """A two-cell realization, a feedback mode, and a codebook grid holding
+    either one codebook shared by every block or a distinct one per block."""
     seed = draw(st.integers(0, 2**32 - 1))
     alpha_sq = np.array(draw(st.lists(st.floats(1e-3, 1e3), min_size=4, max_size=4)))
     real, ls = _two_cell_realization(seed, alpha_sq.reshape(2, 2))
     mode = draw(st.sampled_from(("per_cell", "global")))
     dim, n_blocks = (4, 2) if mode == "per_cell" else (8, 1)
     if draw(st.booleans()):
-        codebooks = random_codebook(dim, draw(st.integers(0, 4)), substream(seed, 1, 0))
+        codebooks = _support.shared(random_codebook(dim, draw(st.integers(0, 4)),
+                                                    substream(seed, 1, 0)), 2, n_blocks)
     else:
         codebooks = [[random_codebook(dim, draw(st.integers(0, 4)),
                                       substream(seed, 1, 1 + n_blocks * k + b))
@@ -469,17 +470,17 @@ def feedback_cases(draw):
 def test_block_feedback_properties(case):
     mode, real, ls, codebooks = case
     if mode == "per_cell":
-        rep = per_cell_feedback(real, ls, codebooks)
+        rep = per_cell_feedback(real.small_scale, real.alpha, codebooks)
         real, rep = _one_trial(real, rep)
         blocks, scale = real.small_scale, ls.alpha
     else:
-        rep = global_feedback(real, codebooks)
+        rep = global_feedback(real.global_channels, codebooks)
         real, rep = _one_trial(real, rep)
         blocks, scale = real.global_channels[:, None, :], np.ones((2, 1))
     n_blocks, dim = blocks.shape[1:]
     for k in range(2):
         for b in range(n_blocks):
-            cb = codebooks if isinstance(codebooks, Codebook) else codebooks[k][b]
+            cb = codebooks[k][b]
             block = blocks[k, b]
             recon = rep.reconstructed[k, b * dim:(b + 1) * dim]
             # the norm, times the block's scale, passes through

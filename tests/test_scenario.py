@@ -236,18 +236,18 @@ class TestValidation:
         with pytest.raises(ScenarioError) as err:
             scenario.scenario_from_dict(doc)
         assert err.value.errors == [
-            "n_tx: too large: a draw it sizes exceeds numpy's array size limit"]
+            "n_tx: too large: a draw it sizes exceeds the 2^57-byte draw limit"]
 
     @pytest.mark.parametrize("label, field, itemsize, message", [
         # a drop's channels: trials_per_drop x 2 users x 2 cells x 4 antennas
         ("comp_per_cell_3_3", "trials_per_drop", 16 * 2 * 2 * 4,
-         "too large: a drop's draw exceeds numpy's array size limit"),
+         "too large: a drop's draw exceeds the 2^57-byte draw limit"),
         # 2 users x 1 cell x 8 antennas
         ("single_cell_global_6bit", "trials_per_drop", 16 * 2 * 1 * 8,
-         "too large: a drop's draw exceeds numpy's array size limit"),
+         "too large: a drop's draw exceeds the 2^57-byte draw limit"),
         # the float64 distances of a sweep
         ("ms2_250m", "placement.steps", 8,
-         "too large: the sweep's distances exceed numpy's array size limit"),
+         "too large: the sweep's distances exceed the 2^57-byte draw limit"),
     ], ids=["cooperative-drop", "single-cell-drop", "sweep"])
     def test_sizes_stop_where_numpy_cannot_shape_a_draw(self, label, field, itemsize, message):
         arm = next(a for p in ("fig3", "fig5") for a in scenario.preset(p).arms
