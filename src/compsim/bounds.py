@@ -128,36 +128,26 @@ def rate_loss_bound_general(params: RateLossParams, k: int) -> tuple[float, dict
 # ---------------------------------------------------------------------------
 
 def orthogonalize_report(
-    report: quantization.FeedbackReport, n_tx: int, master_seed: int, first_trial: int
+    report: quantization.FeedbackReport, n_tx: int, spares: np.ndarray
 ) -> np.ndarray:
-    """Rebuild a block's reconstructions with per-block mutually orthogonal
-    directions; the block's row t is trial ``first_trial + t``.
+    """Rebuild a block's per-cell reconstructions with per-block mutually
+    orthogonal directions.
 
     Sequential Gram-Schmidt over users within each per-BS block: user k's
     quantized block direction is projected out of every later user's, keeping
-    the fed-back norms. When two users picked the same codeword the residual
-    vanishes and the replacement direction is drawn isotropically from the
-    remaining nullspace. Trial t draws its redraws, in (block, user) order,
-    from its own substream (REDRAW, t) of ``master_seed``, created on its
-    first redraw, so a trial's result does not depend on the block around it.
-    This realizes, by construction, the orthogonal-selection assumption the
-    closed-form bound relies on (a zero threshold has probability zero for
-    continuous channels).
+    the fed-back norms. Where two users picked the same codeword the residual
+    vanishes, and trial t projects its spare ``spares[t, b, k - 1]`` (of a
+    (trials, n_bs, n_users - 1, n_tx) array) instead: an isotropic direction
+    in the remaining nullspace, fixed by the trial alone. Should the spare
+    degenerate too (probability zero), the user's reconstruction in that
+    trial is left at zero, which ``zf_precoder`` rejects as "rank". This
+    realizes, by construction, the orthogonal-selection assumption the
+    closed-form bound relies on.
     """
-    if report.mode != "per_cell":
-        raise ConfigurationError("orthogonal construction requires per-cell feedback")
     norms = report.norms
     trials, n_users, n_bs = norms.shape
-    if n_users - 1 >= n_tx:
-        raise ConfigurationError("per-block orthogonalization needs n_tx > n_users - 1")
     directions = report.reconstructed.reshape(trials, n_users, n_bs, n_tx) / norms[..., None]
-    redraw_rngs = {}
-
-    def fresh(t):
-        """One isotropic draw from trial t's redraw substream."""
-        if t not in redraw_rngs:
-            redraw_rngs[t] = rngmod.substream(master_seed, rngmod.REDRAW, first_trial + int(t))
-        return rngmod.complex_normal(redraw_rngs[t], (n_tx,))
+    dead = np.zeros((trials, n_users), dtype=bool)
 
     def residual(v, t, k, b):
         """Rows ``v`` minus their projections on users 0..k-1 of trials ``t``,
@@ -171,11 +161,10 @@ def orthogonalize_report(
         for k in range(1, n_users):
             v, vn = residual(directions[:, k, b], slice(None), k, b)
             redraw = np.flatnonzero(vn < 1e-9)
-            while redraw.size:
-                fresh_rows = np.stack([fresh(t) for t in redraw])
-                v[redraw], vn[redraw] = residual(fresh_rows, redraw, k, b)
-                redraw = redraw[vn[redraw] < 1e-9]
-            directions[:, k, b] = v / vn[:, None]
+            v[redraw], vn[redraw] = residual(spares[redraw, b, k - 1], redraw, k, b)
+            dead[:, k] |= vn < 1e-9
+            directions[:, k, b] = v / np.where(dead[:, k], np.inf, vn)[:, None]
+    directions[dead] = 0.0
     return (norms[..., None] * directions).reshape(trials, n_users, n_bs * n_tx)
 
 

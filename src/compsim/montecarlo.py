@@ -1,8 +1,8 @@
 """Trial orchestration: reproducible Monte Carlo runs and random-drop CDFs.
 
-Trials come as a stream of (context, small-scale draws) runs. A fixed
-placement's trials are drawn ``rng.STREAM_TRIALS`` at a time: stream block
-i, trials ``i * STREAM_TRIALS`` up to the next block, is one draw from
+Trials come as a stream of (context, small-scale draws[, spares]) runs. A
+fixed placement's trials are drawn ``rng.STREAM_TRIALS`` at a time: stream
+block i, trials ``i * STREAM_TRIALS`` up to the next block, is one draw from
 substream (TRIAL, i), whatever range or block reads it. A random drop is one
 run of its own context, whose substream (DROP, d) draws its placement and
 then all its trials. One loop cuts the runs into blocks of at most
@@ -20,8 +20,9 @@ a log holds three floats per user and an ``ok`` flag per trial of its range.
 A trial evaluates to the same bits in a block of any size, alone or among
 others, so results do not depend on the block size, the chunk layout or the
 worker count:
-- its channels are fixed by its stream block (or drop) alone, and a
-  Gram-Schmidt redraw comes from the trial's own substream (REDRAW, t);
+- its channels are fixed by its stream block (or drop) alone, and so are its
+  Gram-Schmidt spares: row t of stream block i's one (STREAM_TRIALS, n_bs,
+  n_users - 1, n_tx) draw from (REDRAW, i), in (BS, user) order;
 - row norms, inner products and phases go through ``rows``, which rounds each
   row as numpy rounds a single vector;
 - each trial's zero-forcing path (Gram matrix or SVD) is chosen from its own
@@ -55,7 +56,7 @@ class TrialContext:
     feedback: quantization.ResolvedFeedback
     pairing: scheduling.PairingPolicy
     master_seed: int
-    orthogonalize: bool = False  # bounds.orthogonalize_report the feedback first
+    orthogonalize: bool = False  # bounds.orthogonalize_report the per-cell feedback first
 
 
 @dataclass
@@ -102,10 +103,9 @@ class CdfResult:
 
 
 def _evaluate_block(ctx: TrialContext, alpha: np.ndarray, small_scale: np.ndarray,
-                    first: int) -> TrialLog:
-    """Evaluate both arms on a block of trials with the given link amplitudes
-    and small-scale draws, its row t being trial ``first + t`` (which only an
-    orthogonalized fixed placement reads, for its redraw substreams).
+                    spares: np.ndarray | None = None) -> TrialLog:
+    """Evaluate both arms on a block of trials with the given link amplitudes,
+    small-scale draws and, for an orthogonalized context, Gram-Schmidt spares.
 
     A trial is rejected (``ok`` False, NaN values) when the pairing rule or
     either zero-forcing precoder rejects it.
@@ -113,10 +113,10 @@ def _evaluate_block(ctx: TrialContext, alpha: np.ndarray, small_scale: np.ndarra
     g = channel.realize_channels(alpha, small_scale)
     report = ctx.feedback.apply(small_scale, alpha, g)
     recon = g if report is None else report.reconstructed
-    if ctx.orthogonalize and report is not None:
+    if spares is not None:
         from . import bounds  # imported here: bounds imports this module
 
-        recon = bounds.orthogonalize_report(report, ctx.n_tx, ctx.master_seed, first)
+        recon = bounds.orthogonalize_report(report, ctx.n_tx, spares)
 
     ok = scheduling.select_pairing(recon, ctx.pairing)
     ideal_pre, ideal_reason = precoding.zf_precoder(g)
@@ -147,49 +147,51 @@ def _small_scale(ctx: TrialContext, rng, trials: int) -> np.ndarray:
 
 
 def _trial_runs(ctx: TrialContext, start: int, stop: int):
-    """Trials ``start..stop`` as (context, small-scale draws) runs, one per
-    stream block they touch: stream block i, trials ``i * STREAM_TRIALS`` up
-    to the next block, is drawn whole from substream (TRIAL, i) and cut to
-    the trials in range."""
-    for i in range(start // rngmod.STREAM_TRIALS, -(-stop // rngmod.STREAM_TRIALS)):
-        first = i * rngmod.STREAM_TRIALS
-        draws = _small_scale(ctx, rngmod.substream(ctx.master_seed, rngmod.TRIAL, i),
-                             rngmod.STREAM_TRIALS)
-        yield ctx, draws[max(start - first, 0):stop - first]
+    """Trials ``start..stop`` as (context, small-scale draws[, spares]) runs,
+    one per stream block they touch: stream block i, trials ``i * STREAM_TRIALS``
+    up to the next block, is drawn whole from substream (TRIAL, i), and an
+    orthogonalized context's spares from (REDRAW, i), each cut to the range."""
+    ls, size = ctx.large_scale, rngmod.STREAM_TRIALS
+    for i in range(start // size, -(-stop // size)):
+        run = [_small_scale(ctx, rngmod.substream(ctx.master_seed, rngmod.TRIAL, i), size)]
+        if ctx.orthogonalize:
+            run.append(rngmod.complex_normal(rngmod.substream(ctx.master_seed, rngmod.REDRAW, i),
+                                             (size, ls.n_bs, ls.n_users - 1, ctx.n_tx)))
+        yield ctx, *(draws[max(start - i * size, 0):stop - i * size] for draws in run)
 
 
 def _blocks(runs):
-    """Cut (context, small-scale draws) runs, in order, into blocks of at
-    most ``BLOCK_TRIALS`` trials, each a list of (context, draws) pieces: a
-    block is cut early only where the codebooks change between runs."""
+    """Cut (context, draws...) runs, in order, into blocks of at most
+    ``BLOCK_TRIALS`` trials, each a list of (context, draws) pieces cut from
+    all of a run's draws at the same trials: a block is cut early only where
+    the codebooks change between runs."""
     block, size = [], 0
-    for ctx, draws in runs:
+    for ctx, *draws in runs:
         if block and not block[-1][0].feedback.shares_codebooks(ctx.feedback):
             yield block
             block, size = [], 0
-        while len(draws):
+        while len(draws[0]):
             if size == BLOCK_TRIALS:
                 yield block
                 block, size = [], 0
-            piece, draws = draws[:BLOCK_TRIALS - size], draws[BLOCK_TRIALS - size:]
+            piece = [d[:BLOCK_TRIALS - size] for d in draws]
+            draws = [d[len(piece[0]):] for d in draws]
             block.append((ctx, piece))
-            size += len(piece)
+            size += len(piece[0])
     if block:
         yield block
 
 
 def _run_range(args) -> TrialLog:
-    """Evaluate ``runs(payload, start, stop)`` block by block, numbering the
-    trials from ``start``: a fixed placement's trial indices. Each trial of
+    """Evaluate ``runs(payload, start, stop)`` block by block. Each trial of
     a block carries its run's link amplitudes on the block's trial axis."""
     (runs, payload), start, stop = args
-    logs, first = [], start
+    logs = []
     for block in _blocks(runs(payload, start, stop)):
-        alpha = np.concatenate([np.broadcast_to(c.large_scale.alpha, draws.shape[:3])
+        alpha = np.concatenate([np.broadcast_to(c.large_scale.alpha, draws[0].shape[:3])
                                 for c, draws in block])
-        draws = np.concatenate([draws for _, draws in block])
-        logs.append(_evaluate_block(block[0][0], alpha, draws, first))
-        first += len(draws)
+        draws = [np.concatenate(pieces) for pieces in zip(*(draws for _, draws in block))]
+        logs.append(_evaluate_block(block[0][0], alpha, *draws))
     return _concatenate(logs)
 
 
@@ -257,13 +259,19 @@ def _context(scn: scenariomod.Scenario, positions, orthogonalize=False) -> Trial
 
 
 def build_context(scn: scenariomod.Scenario, orthogonalize: bool = False) -> TrialContext:
-    """Resolve a fixed-placement scenario into a trial context."""
+    """Resolve a fixed-placement scenario into a trial context; perfect CSI
+    has nothing to orthogonalize."""
     if scn.placement.mode != "fixed":
         raise ConfigurationError(
             "build_context requires fixed placement; resolve sweeps with "
             "scenario.resolved_points or use run_cdf for random placement"
         )
-    return _context(scn, scn.placement.positions, orthogonalize)
+    mode = scn.feedback.mode if orthogonalize else "perfect"
+    if mode == "global":
+        raise ConfigurationError("orthogonal construction requires per-cell feedback")
+    if mode == "per_cell" and scn.n_users - 1 >= scn.n_tx:
+        raise ConfigurationError("per-block orthogonalization needs n_tx > n_users - 1")
+    return _context(scn, scn.placement.positions, mode == "per_cell")
 
 
 def aggregate(scn: scenariomod.Scenario, log: TrialLog) -> RunResult:

@@ -4,10 +4,13 @@ All randomness in the package flows from one integer master seed. The
 substream of key ``(k_1, ..., k_n)`` is the PCG64 generator that
 ``numpy.random.default_rng(numpy.random.SeedSequence(master_seed,
 spawn_key=key))`` returns (stream-stable under NEP 19), so any consumer (a
-stream block of Monte Carlo trials, a user drop, a Gram-Schmidt redraw, a
-codebook training run) can reconstruct its own stream from
+stream block of Monte Carlo trials or of their Gram-Schmidt spares, a user
+drop, a codebook training run) can reconstruct its own stream from
 ``(master_seed, labels...)`` without coordinating with other consumers.
 Results are therefore independent of execution order and worker count.
+Stream block i of an orthogonalized run draws its spares from (REDRAW, i)
+in one ``complex_normal`` call of shape (STREAM_TRIALS, n_bs, n_users - 1,
+n_tx): row t for the block's trial t, in (BS, user) order.
 """
 
 from __future__ import annotations

@@ -1,13 +1,14 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from compsim import bounds, channel, montecarlo, quantization, scenario
+from compsim import bounds, channel, montecarlo, precoding, quantization, scenario
 from compsim import rng as rngmod
 from compsim.bounds import (
     RateLossParams,
@@ -121,6 +122,17 @@ class TestClosedForms:
         assert np.array_equal(params.gamma_sq, ls.snr_gamma_sq)
 
 
+def spares_of(seed, trials, n_bs=2, n_users=2, n_tx=4):
+    """Gram-Schmidt spares for a block of ``trials`` trials, in the layout
+    ``orthogonalize_report`` reads."""
+    return rngmod.complex_normal(substream(seed, rngmod.REDRAW, 0),
+                                 (trials, n_bs, n_users - 1, n_tx))
+
+
+def unit(v):
+    return v / np.linalg.norm(v)
+
+
 class TestOrthogonalization:
     # one-trial blocks: index 0 is the trial
     def _report(self, seed, bits=3):
@@ -131,7 +143,7 @@ class TestOrthogonalization:
 
     def test_blocks_become_orthogonal_and_norms_survive(self):
         real, ls, rep = self._report(141)
-        out = orthogonalize_report(rep, 4, 141, 0)[0]
+        out = orthogonalize_report(rep, 4, spares_of(141, 1))[0]
         for b in range(2):
             blk0 = out[0, b * 4 : (b + 1) * 4]
             blk1 = out[1, b * 4 : (b + 1) * 4]
@@ -143,44 +155,66 @@ class TestOrthogonalization:
     def test_identical_codewords_fall_back_to_random_direction(self):
         # a 0-bit codebook forces both users onto the same codeword
         real, ls, rep = self._report(142, bits=0)
-        out = orthogonalize_report(rep, 4, 142, 0)[0]
+        out = orthogonalize_report(rep, 4, spares_of(142, 1))[0]
         for b in range(2):
             blk0 = out[0, b * 4 : (b + 1) * 4]
             blk1 = out[1, b * 4 : (b + 1) * 4]
             assert abs(np.vdot(blk0, blk1)) <= 1e-9 * np.linalg.norm(blk0) * np.linalg.norm(blk1)
 
-    def test_redraws_come_from_each_trials_own_generator(self):
-        # with 0 bits every trial redraws; a trial's result must not depend
-        # on the block around it, only on its index
+    def test_redraws_come_from_each_trials_own_spare_row(self):
+        # with 0 bits every trial redraws; a trial's result must depend only
+        # on its own spare row, whatever the block around it
         ls = _support.two_cell_map(150.0, 250.0)
         cb = random_codebook(4, 0, substream(145, 1, 0))
-        gens = [substream(145, 0, t) for t in range(6)]
         grid = _support.shared(cb, 2, 2)
-        real = _support.realize(ls, 4, gens)
-        block = orthogonalize_report(per_cell_feedback(real.small_scale, real.alpha, grid),
-                                     4, 145, 300)
+        real = _support.realize(ls, 4, [substream(145, 0, t) for t in range(6)])
+        report = per_cell_feedback(real.small_scale, real.alpha, grid)
+        spares = spares_of(145, 6)
+        block = orthogonalize_report(report, 4, spares)
+        others = spares_of(146, 6)
         for t in range(6):
             alone = _support.realize(ls, 4, [substream(145, 0, t)])
             out = orthogonalize_report(per_cell_feedback(alone.small_scale, alone.alpha, grid),
-                                       4, 145, 300 + t)
+                                       4, spares[t:t + 1])
             assert np.array_equal(out[0], block[t])
-        # the redraws are those of substream (REDRAW, 300 + t): user 1's first
-        # redraw on BS 0, minus its projection on user 0
-        d = block[0, 0, :4] / np.linalg.norm(block[0, 0, :4])
-        fresh = rngmod.complex_normal(substream(145, rngmod.REDRAW, 300), (4,))
-        v = fresh - np.vdot(d, fresh) * d
-        assert np.allclose(block[0, 1, :4] / np.linalg.norm(block[0, 1, :4]),
-                           v / np.linalg.norm(v), atol=1e-12)
+            mixed = others.copy()
+            mixed[t] = spares[t]
+            assert np.array_equal(orthogonalize_report(report, 4, mixed)[t], block[t])
+        # user 1's direction on BS b is spare [t, b, 0] minus its projection on user 0
+        for t, b in itertools.product(range(6), range(2)):
+            d = unit(block[t, 0, 4 * b:4 * b + 4])
+            v = spares[t, b, 0] - np.vdot(d, spares[t, b, 0]) * d
+            assert np.allclose(unit(block[t, 1, 4 * b:4 * b + 4]), unit(v), atol=1e-12)
+
+    def test_a_degenerate_spare_leaves_the_user_at_zero_and_the_precoder_rejects(self):
+        # 0 bits: both users feed back the one codeword c on each BS, so
+        # user 1 takes its spare; a spare along c has no residual either
+        ls = _support.two_cell_map(150.0, 250.0)
+        cb = random_codebook(4, 0, substream(147, 1, 0))
+        real = _support.realize(ls, 4, [substream(147, 0, t) for t in range(5)])
+        report = per_cell_feedback(real.small_scale, real.alpha, _support.shared(cb, 2, 2))
+        spares = spares_of(147, 5)
+        spares[1, :, 0] = (0.3 - 1.2j) * cb.codewords[0]  # on both BSs
+        spares[3, 0, 0] = 2.0 * cb.codewords[0]  # on BS 0 only
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            out = orthogonalize_report(report, 4, spares)
+            _, reason = precoding.zf_precoder(out)
+        degenerate = np.isin(np.arange(5), [1, 3])
+        assert np.all(out[degenerate, 1] == 0.0)
+        assert np.all(np.linalg.norm(out[~degenerate, 1], axis=1) > 0.0)
+        assert list(reason) == ["rank" if bad else "ok" for bad in degenerate]
 
     def test_zero_error_quantization_kills_interference_term(self):
         # with sin(theta) = 0 the composite residual Q = g_1 ghat_2'^H vanishes
         # under per-block orthogonality
         ls = _support.two_cell_map(150.0, 250.0)
+        spares = spares_of(143, 50)
         for t in range(50):
             real = _support.realize(ls, 4, [substream(143, 0, t)])
             cb = _support.perfect_codebook_for(real.small_scale)
             rep = per_cell_feedback(real.small_scale, real.alpha, _support.shared(cb, 2, 2))
-            out = orthogonalize_report(rep, 4, 143, t)[0]
+            out = orthogonalize_report(rep, 4, spares[t:t + 1])[0]
             q = np.dot(real.global_channels[0, 0], out[1].conj())
             assert abs(q) <= 1e-9
 
@@ -529,6 +563,10 @@ class TestProductForm:
              alpha_sq=[1.0, 0.5, 0.2, 3.0])
     @example(seed=2, dimension=2, bits=(1, 4), shared=False, draws=5000,
              alpha_sq=[1.0, 1.0, 1.0, 1.0])
+    # two draws: se = |x1 - x2| / 2, so the samples' rounding (about 1e-15 of
+    # 59.5) is about 1e-12 of se
+    @example(seed=26725200, dimension=2, bits=(1, 1), shared=False, draws=2,
+             alpha_sq=[0.01, 22.0, 0.01, 22.0])
     def test_checks_match_their_per_row_references(self, seed, dimension, bits, shared,
                                                    draws, alpha_sq):
         ls = channel.LargeScaleMap(snr_gamma_sq=np.reshape(alpha_sq, (2, 2)))
@@ -556,8 +594,11 @@ class TestProductForm:
                 for c in (new, ref):
                     assert math.isclose(c.lhs, 1.0, rel_tol=1e-12) and c.se < 1e-12, c
                 continue
-            for got, want in ((new.lhs, ref.lhs), (new.rhs, ref.rhs), (new.se, ref.se)):
+            for got, want in ((new.lhs, ref.lhs), (new.rhs, ref.rhs)):
                 assert math.isclose(got, want, rel_tol=1e-12), (new, ref)
+            # se is a difference of samples, so their rounding counts against lhs
+            assert math.isclose(new.se, ref.se, rel_tol=1e-12, abs_tol=1e-12 * abs(ref.lhs)), \
+                (new, ref)
             assert new.passed == ref.passed, (new, ref)
             if new.step == "interference_moment" and shared and draws >= 64 * 2 ** max(bits):
                 assert new_drawn > main_draws  # degenerate pairs occurred and redrew

@@ -46,7 +46,7 @@ RECORDED = {
     "train-codebook fig4 global_6bit --at 100 --user 0 --bits 2 --seed 7104": "30db6c9d7eb9",
     "train-codebook fig4 global_6bit --at 100 --user 0 --bits 6 --seed 7104": "1343dfe073f3",
     "simulate fig4 global_6bit global_bits=2 --trials 20": "829d1f572d98",
-    "rate_loss_montecarlo fig3 ms2_150m at 100 m": "c9a68d8ed518",
+    "rate_loss_montecarlo fig3 ms2_150m at 100 m": "bd4c7b61bf45",
     "train_lloyd two point masses, 4 codewords": "54356682f7d6",
 }
 

@@ -1,11 +1,12 @@
 import os
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from compsim import channel, montecarlo, precoding, quantization, scenario
+from compsim import bounds, channel, montecarlo, precoding, quantization, scenario
 from compsim import rng as rngmod
 from compsim.errors import ConfigurationError, EstimationError
 from compsim.quantization import FeedbackConfig
@@ -204,6 +205,90 @@ class TestRun:
         assert scenario.fingerprint(a) == scenario.fingerprint(small_fixed())
         for other in (replace(a, master_seed=a.master_seed + 1), small_fixed(trials=a.trials + 1)):
             assert scenario.fingerprint(other) != scenario.fingerprint(a)
+
+
+def zero_bit(trials):
+    """``small_fixed`` with 0-bit per-cell codebooks: both users feed back the
+    one codeword on each BS, so every orthogonalized trial takes its spares."""
+    feedback = FeedbackConfig(mode="per_cell", codebook_kind="random", training_seed=62,
+                              bits=[[0, 0], [0, 0]])
+    return small_fixed(trials=trials, feedback=feedback)
+
+
+class TestOrthogonalizedRuns:
+    @pytest.mark.parametrize("block", [7, montecarlo.BLOCK_TRIALS])
+    def test_trial_257_redraws_from_row_1_of_stream_block_1(self, block, monkeypatch):
+        scn = zero_bit(300)
+        ctx = montecarlo.build_context(scn, orthogonalize=True)
+        outputs = []
+        orthogonalize_report = bounds.orthogonalize_report
+
+        def recorder(report, n_tx, spares):
+            outputs.append(orthogonalize_report(report, n_tx, spares))
+            return outputs[-1]
+
+        monkeypatch.setattr(bounds, "orthogonalize_report", recorder)
+        monkeypatch.setattr(montecarlo, "BLOCK_TRIALS", block)
+        montecarlo.run_trials(ctx, scn.trials)
+        trial = np.concatenate(outputs)[257]  # row 1 of stream block 1
+        spares = rngmod.complex_normal(substream(scn.master_seed, rngmod.REDRAW, 1),
+                                       (rngmod.STREAM_TRIALS, 2, 1, 4))
+        for b in range(2):
+            c = ctx.feedback.codebooks[0][b].codewords[0]
+            v = spares[1, b, 0] - np.vdot(c, spares[1, b, 0]) * c
+            got = trial[1, 4 * b:4 * b + 4]
+            assert np.allclose(got / np.linalg.norm(got), v / np.linalg.norm(v), atol=1e-12)
+
+    def test_a_run_counts_degenerate_spares_as_failures(self, monkeypatch):
+        scn = zero_bit(20)
+        ctx = montecarlo.build_context(scn, orthogonalize=True)
+        codewords = np.array([ctx.feedback.codebooks[0][b].codewords[0] for b in range(2)])
+        trial_runs = montecarlo._trial_runs
+
+        def collinear(ctx, start, stop):
+            """Every other trial's spares along user 0's codewords."""
+            for ctx, draws, spares in trial_runs(ctx, start, stop):
+                spares = spares.copy()
+                spares[::2, :, 0] = 2.0 * codewords
+                yield ctx, draws, spares
+
+        monkeypatch.setattr(montecarlo, "_trial_runs", collinear)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            log = montecarlo.run_trials(ctx, scn.trials)
+        assert not log.ok[::2].any() and log.ok[1::2].all()
+        assert montecarlo.aggregate(scn, log).failures == 10
+
+    def test_global_feedback_is_rejected_before_any_draw(self):
+        scn = small_fixed(feedback=FeedbackConfig(mode="global", global_bits=2,
+                                                  codebook_kind="random", training_seed=61))
+        with pytest.raises(ConfigurationError, match="requires per-cell feedback"):
+            montecarlo.build_context(scn, orthogonalize=True)
+
+    def test_per_cell_feedback_needs_room_for_the_other_users(self):
+        # three cooperating cells of one user each and 2 antennas: a user's
+        # direction on a BS cannot be orthogonal to the other two users'
+        geom = channel.Geometry(n_cells=3, bs_positions=[[0.0, 0.0], [500.0, 0.0],
+                                                         [1000.0, 0.0]])
+        scn = scenario.Scenario(
+            geometry=geom, n_tx=2, n_users=3,
+            placement=scenario.Placement(mode="fixed",
+                                         positions=[[100.0, 0.0], [600.0, 0.0], [900.0, 0.0]]),
+            feedback=FeedbackConfig(mode="per_cell", codebook_kind="random", training_seed=62,
+                                    bits=[[1, 1, 1]] * 3),
+            pairing=PairingPolicy(), trials=10)
+        assert montecarlo.build_context(scn).orthogonalize is False
+        with pytest.raises(ConfigurationError, match=r"needs n_tx > n_users - 1"):
+            montecarlo.build_context(scn, orthogonalize=True)
+
+    def test_perfect_csi_has_nothing_to_orthogonalize(self):
+        scn = small_fixed(trials=50, feedback=FeedbackConfig(mode="perfect"))
+        assert montecarlo.build_context(scn, orthogonalize=True).orthogonalize is False
+        plain, orthogonal = trial_log(scn), montecarlo.run_trials(
+            montecarlo.build_context(scn, orthogonalize=True), scn.trials)
+        for name in ("ideal", "quantized", "interference", "ok"):
+            assert np.array_equal(getattr(plain, name), getattr(orthogonal, name),
+                                  equal_nan=True)
 
 
 class TestRunCdf:
@@ -424,9 +509,9 @@ class TestBlockInvariance:
         sizes = []
         evaluate_block = montecarlo._evaluate_block
 
-        def recorder(ctx, alpha, small_scale, first):
+        def recorder(ctx, alpha, small_scale, spares=None):
             sizes.append(len(small_scale))
-            return evaluate_block(ctx, alpha, small_scale, first)
+            return evaluate_block(ctx, alpha, small_scale, spares)
 
         monkeypatch.setattr(montecarlo, "_evaluate_block", recorder)
         return sizes
