@@ -93,6 +93,50 @@ def receive_snr_db(distance_m, geom: Geometry):
     return geom.edge_snr_db - 10.0 * geom.pathloss_exponent * np.log10(d / geom.cell_radius_m)
 
 
+def link_snr(ms_positions, geom: Geometry) -> np.ndarray:
+    """(..., n_users, n_bs) linear receive SNRs of MSs at (..., n_users, 2)
+    positions, any leading axes being drops: one placement's SNR map, or a
+    whole range of random drops' in one pass."""
+    pos = np.asarray(ms_positions, dtype=float)
+    dist = np.linalg.norm(pos[..., :, None, :] - geom.bs_positions, axis=-1)
+    if np.any(dist <= 0.0):
+        raise ConfigurationError("MS positions must not coincide with a BS position")
+    # an SNR past the float range is inf, or NaN where an infinite path-loss
+    # exponent meets a distance of one cell radius; link_energies rejects either
+    with np.errstate(over="ignore", invalid="ignore"):
+        return 10.0 ** (receive_snr_db(dist, geom) / 10.0)
+
+
+def link_energies(snr_gamma_sq: np.ndarray, tx_power: float, noise_power: float) -> np.ndarray:
+    """The link energies ``snr_gamma_sq * noise_power / tx_power`` of
+    (..., n_users, n_bs) receive SNRs, after checking that every SNR, and
+    each user's sum of them, is finite and nonnegative and that both powers
+    are positive: the one check of every SNR map, whatever its leading axes."""
+    s = snr_gamma_sq
+    if not np.all((s >= 0) & (s < np.inf)):  # written so that NaN fails too
+        raise ConfigurationError("receive SNRs must be finite and nonnegative: check "
+                                 "geometry.edge_snr_db and pathloss_exponent")
+    with np.errstate(over="ignore"):  # a sum past the float range is inf, rejected here
+        total = s.sum(axis=-1)
+    if not np.all(total < np.inf):
+        raise ConfigurationError("each user's receive SNRs must have a finite sum: check "
+                                 "geometry.edge_snr_db and pathloss_exponent")
+    if tx_power <= 0 or noise_power <= 0:
+        raise ConfigurationError("tx_power and noise_power must be positive")
+    return s * noise_power / tx_power
+
+
+def energy_split(alpha_sq: np.ndarray) -> np.ndarray:
+    """(..., n_users, n_bs) share of each user's link energy carried by each
+    BS: the bound's beta and a global codebook's training profile. Rejects
+    any user with no link energy."""
+    total = alpha_sq.sum(axis=-1, keepdims=True)
+    if np.any(total <= 0):
+        user = np.argwhere(total[..., 0] <= 0)[0][-1]
+        raise ConfigurationError(f"user {int(user)} has no link energy")
+    return alpha_sq / total
+
+
 @dataclass
 class LargeScaleMap:
     """Per-link linear receive SNRs, the channel energies they imply, and
@@ -114,18 +158,7 @@ class LargeScaleMap:
         self.snr_gamma_sq = np.asarray(self.snr_gamma_sq, dtype=float)
         if self.snr_gamma_sq.ndim != 2:
             raise ConfigurationError("snr_gamma_sq must be an (n_users, n_bs) array")
-        s = self.snr_gamma_sq
-        if not np.all((s >= 0) & (s < np.inf)):  # written so that NaN fails too
-            raise ConfigurationError("receive SNRs must be finite and nonnegative: check "
-                                     "geometry.edge_snr_db and pathloss_exponent")
-        with np.errstate(over="ignore"):  # a sum past the float range is inf, rejected here
-            total = s.sum(axis=-1)
-        if not np.all(total < np.inf):
-            raise ConfigurationError("each user's receive SNRs must have a finite sum: check "
-                                     "geometry.edge_snr_db and pathloss_exponent")
-        if self.tx_power <= 0 or self.noise_power <= 0:
-            raise ConfigurationError("tx_power and noise_power must be positive")
-        self.alpha_sq = self.snr_gamma_sq * self.noise_power / self.tx_power
+        self.alpha_sq = link_energies(self.snr_gamma_sq, self.tx_power, self.noise_power)
 
     @property
     def n_users(self) -> int:
@@ -140,12 +173,8 @@ class LargeScaleMap:
         return np.sqrt(self.alpha_sq)
 
     def energy_split(self) -> np.ndarray:
-        """(n_users, n_bs) share of each user's link energy carried by each
-        BS: the bound's beta and a global codebook's training profile."""
-        total = self.alpha_sq.sum(axis=1, keepdims=True)
-        if np.any(total <= 0):
-            raise ConfigurationError(f"user {int(np.argmin(total))} has no link energy")
-        return self.alpha_sq / total
+        """(n_users, n_bs) ``energy_split`` of the map's link energies."""
+        return energy_split(self.alpha_sq)
 
 
 def build_large_scale(
@@ -167,15 +196,8 @@ def build_large_scale(
         raise ConfigurationError(
             f"expected {geom.n_cells} MS positions (one per cell), got {pos.shape[0]}"
         )
-    # (n_users, n_bs) distance matrix
-    dist = np.linalg.norm(pos[:, None, :] - geom.bs_positions[None, :, :], axis=2)
-    if np.any(dist <= 0.0):
-        raise ConfigurationError("MS positions must not coincide with a BS position")
-    # an SNR past the float range is inf, or NaN where an infinite path-loss
-    # exponent meets a distance of one cell radius; the map rejects either
-    with np.errstate(over="ignore", invalid="ignore"):
-        snr_gamma_sq = 10.0 ** (receive_snr_db(dist, geom) / 10.0)
-    return LargeScaleMap(snr_gamma_sq=snr_gamma_sq, tx_power=tx_power, noise_power=noise_power)
+    return LargeScaleMap(snr_gamma_sq=link_snr(pos, geom), tx_power=tx_power,
+                         noise_power=noise_power)
 
 
 def _check_dimensions(n_users: int, n_bs: int, n_tx: int) -> None:

@@ -1,21 +1,26 @@
 """Trial orchestration: reproducible Monte Carlo runs and random-drop CDFs.
 
-Trials come as a stream of (context, small-scale draws[, spares]) runs. A
-fixed placement's trials are drawn ``rng.STREAM_TRIALS`` at a time: stream
-block i, trials ``i * STREAM_TRIALS`` up to the next block, is one draw from
-substream (TRIAL, i), whatever range or block reads it. A random drop is one
-run of its own context, whose substream (DROP, d) draws its placement and
-then all its trials. One loop cuts the runs into blocks of at most
-``BLOCK_TRIALS`` trials, early only where the codebooks change between runs
-(a global codebook follows the user's energy split, so each cooperative drop
-may need its own). A block evaluates the configured feedback arm and the
-perfect-CSI arm on the same stacked channel draws (common random numbers):
-feedback, the optional per-block Gram-Schmidt, both zero-forcing precoders
-(each through the Gram matrix, with an SVD tail for ill-conditioned trials)
-and the rates. The per-trial values live in the ``TrialLog``, which
-aggregation folds in trial order; a random-drop range folds each drop's rows
-into its means. A block's temporaries are bounded whatever the trial count;
-a log holds three floats per user and an ``ok`` flag per trial of its range.
+Trials come as a stream of (context, link amplitudes, small-scale draws[,
+spares]) runs. A fixed placement's trials are drawn ``rng.STREAM_TRIALS`` at
+a time: stream block i, trials ``i * STREAM_TRIALS`` up to the next block, is
+one draw from substream (TRIAL, i), whatever range or block reads it. A
+random drop is one run of its own amplitudes, whose substream (DROP, d) draws
+its placement and then all its trials. A range of drops builds and checks
+the receive SNRs of all its placements in one pass, before any trial, and
+resolves its codebooks once, unless the codebooks follow each drop (a global
+codebook follows the user's energy split, so each cooperative drop needs its
+own). One loop cuts the runs into blocks of at most ``BLOCK_TRIALS`` trials,
+early only where the codebooks change between runs. A block evaluates the
+configured feedback arm and the perfect-CSI arm on the same stacked channel
+draws (common random numbers): feedback, the optional per-block
+Gram-Schmidt, both zero-forcing precoders (each through the Gram matrix, with
+an SVD tail for ill-conditioned trials) and the rates. The per-trial values
+live in the ``TrialLog``, which aggregation folds in trial order; a
+random-drop range folds the rows of all its drops into their means at once.
+A block's temporaries are bounded whatever the trial count; a log holds three
+floats per user and an ``ok`` flag per trial of its range, and a range of
+drops keeps each drop's generator (about 1.7 kB) from its positions to its
+trials.
 
 A trial evaluates to the same bits in a block of any size, alone or among
 others, so results do not depend on the block size, the chunk layout or the
@@ -34,6 +39,7 @@ worker count:
 from __future__ import annotations
 
 import concurrent.futures
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -147,26 +153,27 @@ def _small_scale(ctx: TrialContext, rng, trials: int) -> np.ndarray:
 
 
 def _trial_runs(ctx: TrialContext, start: int, stop: int):
-    """Trials ``start..stop`` as (context, small-scale draws[, spares]) runs,
-    one per stream block they touch: stream block i, trials ``i * STREAM_TRIALS``
-    up to the next block, is drawn whole from substream (TRIAL, i), and an
-    orthogonalized context's spares from (REDRAW, i), each cut to the range."""
-    ls, size = ctx.large_scale, rngmod.STREAM_TRIALS
+    """Trials ``start..stop`` as (context, link amplitudes, small-scale
+    draws[, spares]) runs, one per stream block they touch: stream block i,
+    trials ``i * STREAM_TRIALS`` up to the next block, is drawn whole from
+    substream (TRIAL, i), and an orthogonalized context's spares from
+    (REDRAW, i), each cut to the range."""
+    ls, size, alpha = ctx.large_scale, rngmod.STREAM_TRIALS, ctx.large_scale.alpha
     for i in range(start // size, -(-stop // size)):
         run = [_small_scale(ctx, rngmod.substream(ctx.master_seed, rngmod.TRIAL, i), size)]
         if ctx.orthogonalize:
             run.append(rngmod.complex_normal(rngmod.substream(ctx.master_seed, rngmod.REDRAW, i),
                                              (size, ls.n_bs, ls.n_users - 1, ctx.n_tx)))
-        yield ctx, *(draws[max(start - i * size, 0):stop - i * size] for draws in run)
+        yield ctx, alpha, *(draws[max(start - i * size, 0):stop - i * size] for draws in run)
 
 
 def _blocks(runs):
-    """Cut (context, draws...) runs, in order, into blocks of at most
-    ``BLOCK_TRIALS`` trials, each a list of (context, draws) pieces cut from
-    all of a run's draws at the same trials: a block is cut early only where
-    the codebooks change between runs."""
+    """Cut (context, amplitudes, draws...) runs, in order, into blocks of at
+    most ``BLOCK_TRIALS`` trials, each a list of (context, amplitudes, draws)
+    pieces cut from all of a run's draws at the same trials: a block is cut
+    early only where the codebooks change between runs."""
     block, size = [], 0
-    for ctx, *draws in runs:
+    for ctx, alpha, *draws in runs:
         if block and not block[-1][0].feedback.shares_codebooks(ctx.feedback):
             yield block
             block, size = [], 0
@@ -176,7 +183,7 @@ def _blocks(runs):
                 block, size = [], 0
             piece = [d[:BLOCK_TRIALS - size] for d in draws]
             draws = [d[len(piece[0]):] for d in draws]
-            block.append((ctx, piece))
+            block.append((ctx, alpha, piece))
             size += len(piece[0])
     if block:
         yield block
@@ -188,9 +195,9 @@ def _run_range(args) -> TrialLog:
     (runs, payload), start, stop = args
     logs = []
     for block in _blocks(runs(payload, start, stop)):
-        alpha = np.concatenate([np.broadcast_to(c.large_scale.alpha, draws[0].shape[:3])
-                                for c, draws in block])
-        draws = [np.concatenate(pieces) for pieces in zip(*(draws for _, draws in block))]
+        alpha = np.repeat(np.stack([a for _, a, _ in block]),
+                          [len(draws[0]) for *_, draws in block], axis=0)
+        draws = [np.concatenate(pieces) for pieces in zip(*(draws for *_, draws in block))]
         logs.append(_evaluate_block(block[0][0], alpha, *draws))
     return _concatenate(logs)
 
@@ -246,8 +253,8 @@ def large_scale_map(scn: scenariomod.Scenario, positions) -> channel.LargeScaleM
     )
 
 
-def _context(scn: scenariomod.Scenario, positions, orthogonalize=False) -> TrialContext:
-    large_scale = large_scale_map(scn, positions)
+def _context(scn: scenariomod.Scenario, large_scale: channel.LargeScaleMap,
+             orthogonalize=False) -> TrialContext:
     return TrialContext(
         large_scale=large_scale,
         n_tx=scn.n_tx,
@@ -271,7 +278,7 @@ def build_context(scn: scenariomod.Scenario, orthogonalize: bool = False) -> Tri
         raise ConfigurationError("orthogonal construction requires per-cell feedback")
     if mode == "per_cell" and scn.n_users - 1 >= scn.n_tx:
         raise ConfigurationError("per-block orthogonalization needs n_tx > n_users - 1")
-    return _context(scn, scn.placement.positions, mode == "per_cell")
+    return _context(scn, large_scale_map(scn, scn.placement.positions), mode == "per_cell")
 
 
 def aggregate(scn: scenariomod.Scenario, log: TrialLog) -> RunResult:
@@ -310,57 +317,93 @@ def run(scn: scenariomod.Scenario, workers: int = 1, orthogonalize: bool = False
 # Random drops
 # ---------------------------------------------------------------------------
 
-def _draw_positions(scn: scenariomod.Scenario, rng) -> np.ndarray:
-    """Uniform drop over each user's cell disc, excluding the d_min core.
+def _positions(scn: scenariomod.Scenario, uniforms: np.ndarray) -> np.ndarray:
+    """The (..., n_users, 2) positions of drops from their (..., 2 * n_users)
+    uniforms on [0, 1): user k takes its radius from ``uniforms[..., 2k]``
+    and its angle from ``uniforms[..., 2k + 1]``, uniform over its cell disc
+    outside the d_min core.
 
     User k belongs to cell k mod n_cells, so the single-cell multi-user
     baseline drops every user in the one cell.
     """
     geom = scn.geometry
-    out = np.zeros((scn.n_users, 2))
-    for k in range(scn.n_users):
-        center = geom.bs_positions[k % geom.n_cells]
-        u = rng.uniform()
-        radius = np.sqrt(geom.d_min_m**2 + (geom.cell_radius_m**2 - geom.d_min_m**2) * u)
-        angle = rng.uniform(0.0, 2.0 * np.pi)
-        out[k] = center + radius * np.array([np.cos(angle), np.sin(angle)])
-    return out
+    radius = np.sqrt(geom.d_min_m**2 + (geom.cell_radius_m**2 - geom.d_min_m**2)
+                     * uniforms[..., 0::2])
+    angle = 2.0 * np.pi * uniforms[..., 1::2]
+    centers = geom.bs_positions[np.arange(scn.n_users) % geom.n_cells]
+    return centers + radius[..., None] * np.stack([np.cos(angle), np.sin(angle)], axis=-1)
+
+
+def _draw_positions(scn: scenariomod.Scenario, rng) -> np.ndarray:
+    """One drop's (n_users, 2) positions from one draw of its 2 * n_users
+    uniforms: the doubles that a ``uniform()`` radius and a ``uniform(0, 2 pi)``
+    angle per user take from ``rng`` in turn, since uniform(0, 2 pi) is 2 pi u."""
+    return _positions(scn, rng.random(2 * scn.n_users))
 
 
 def _drop_runs(scn: scenariomod.Scenario, start: int, stop: int):
-    """Drops ``start..stop`` as (context, small-scale draws) runs, one per
-    drop: its substream (DROP, d) draws its positions, then all its trials."""
-    for d in range(start, stop):
-        rng = rngmod.substream(scn.master_seed, rngmod.DROP, d)
-        ctx = _context(scn, _draw_positions(scn, rng))
-        yield ctx, _small_scale(ctx, rng, scn.trials_per_drop)
+    """Drops ``start..stop`` as (context, link amplitudes, small-scale draws)
+    runs, one per drop: its substream (DROP, d) draws its positions, then all
+    its trials. The receive SNRs of the whole range are built and checked in
+    one pass before any trial is drawn.
+
+    Per-cell codebooks, and a single cell's global ones (each user's whole
+    energy is on the one BS), are the same for every drop, so the range
+    resolves them once, from its first drop's map, into one context that
+    all its drops share (a block reads only the powers and the user count
+    from the context's map). A cooperative global codebook follows its
+    user's energy split, so each cooperative drop resolves its own through
+    the cache, and ``_blocks`` cuts there.
+    """
+    gens = [rngmod.substream(scn.master_seed, rngmod.DROP, d) for d in range(start, stop)]
+    positions = _positions(scn, np.stack([gen.random(2 * scn.n_users) for gen in gens]))
+    snr = channel.link_snr(positions, scn.geometry)
+    alpha_sq = channel.link_energies(snr, scn.tx_power, scn.noise_power)
+
+    def context(snr_map):
+        return _context(scn, channel.LargeScaleMap(snr_map, scn.tx_power, scn.noise_power))
+
+    if scn.feedback.mode == "global" and scn.geometry.n_cells > 1:
+        contexts = map(context, snr)
+    else:
+        if scn.feedback.mode == "global":
+            channel.energy_split(alpha_sq)  # rejects a user with no link energy in any drop
+        contexts = itertools.repeat(context(snr[0]))
+    for gen, alpha, ctx in zip(gens, np.sqrt(alpha_sq), contexts):
+        yield ctx, alpha, _small_scale(ctx, gen, scn.trials_per_drop)
 
 
 def _drop_means(args) -> tuple:
     """Per-drop mean throughputs of drops ``start..stop`` (NaN where every
-    trial failed) and their failed trials: a worker sends back only these."""
+    trial failed) and their failed trials: a worker sends back only these.
+
+    The means of the whole range fold at once over a (drops, trials_per_drop,
+    n_users) view, a failed trial adding 0. These are the bits of each drop's
+    own ``mean(axis=0)`` over its passed trials: numpy sums both in trial
+    order, and a single user's column pairwise, which gives the same bits
+    when every trial of the drop passes (a single user's trial fails only
+    where its channel's energy underflows or overflows)."""
     scn, start, stop = args
     log = _run_range(((_drop_runs, scn), start, stop))
-    per_drop = scn.trials_per_drop
-    quant = np.full((stop - start, scn.n_users), np.nan)
-    ideal = np.full((stop - start, scn.n_users), np.nan)
-    for drop in range(stop - start):
-        rows = slice(drop * per_drop, (drop + 1) * per_drop)
-        ok = log.ok[rows]
-        if ok.any():
-            quant[drop] = log.quantized[rows][ok].mean(axis=0)
-            ideal[drop] = log.ideal[rows][ok].mean(axis=0)
-    return quant, ideal, int(np.count_nonzero(~log.ok))
+    ok = log.ok.reshape(stop - start, scn.trials_per_drop)
+    count = np.count_nonzero(ok, axis=1)[:, None]
+
+    def means(values):
+        total = np.where(ok[..., None], values.reshape(*ok.shape, -1), 0.0).sum(axis=1)
+        with np.errstate(invalid="ignore"):  # 0 / 0: a drop whose every trial failed
+            return total / count
+
+    return means(log.quantized), means(log.ideal), int(np.count_nonzero(~ok))
 
 
 def run_cdf(scn: scenariomod.Scenario, workers: int = 1) -> CdfResult:
     """Random-drop run: per-drop throughput averaged over small-scale fading."""
     if scn.placement.mode != "random_uniform":
         raise ConfigurationError("run_cdf requires random_uniform placement")
-    # Per-cell codebooks, and the global ones of a single cell, are the same
-    # for every drop: resolving drop 0's here caches them before the pool
-    # forks, so they are trained once and not once per worker.
-    _context(scn, _draw_positions(scn, rngmod.substream(scn.master_seed, rngmod.DROP, 0)))
+    # The codebooks a range resolves once are the same in every range:
+    # resolving drop 0's here caches them before the pool forks, so they are
+    # trained once and not once per worker.
+    next(_drop_runs(scn, 0, 1))
     parts = _map_ranges(_drop_means, scn, scn.drops, workers)
     quant = np.concatenate([p[0] for p in parts])
     ideal = np.concatenate([p[1] for p in parts])

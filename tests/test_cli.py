@@ -3,6 +3,9 @@ import copy
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from dataclasses import replace
@@ -12,7 +15,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import compsim
 from compsim import cli, montecarlo, quantization, scenario
+from compsim.errors import ConfigurationError
 from compsim import rng as rngmod
 from compsim.quantization import (build_codebook, codebook_text, expected_error,
                                   isotropic_directions)
@@ -486,6 +491,37 @@ def test_bad_input_exits_2_with_error_line(argv, message, fig3_arm_config,
     if message == _SNR_OVERFLOW:
         # run as a program, each warning would print to stderr before the error line
         assert err == message and not caught, [str(w.message) for w in caught]
+
+
+# At 1e308 dB every drop overflows. At 3070 dB only a link within about 116 m
+# of its BS does, and at seed 3 that is drop 3 of 4 alone: the last drop of
+# the one range must fail before any trial runs. (At 2 workers the first
+# worker's drops have finite SNRs near the float range, whose zero-forcing
+# matmul overflows and warns, so that pair is not listed.)
+@pytest.mark.parametrize("edge_snr_db, workers", [(3070.0, "1"), (1e308, "1"), (1e308, "2")])
+def test_random_drop_snr_overflow_exits_2_with_one_error_line(edge_snr_db, workers, tmp_path):
+    # run as a program, so that any warning or traceback a worker prints shows
+    comp = scenario.preset("fig5").arms[0].scenario
+    scn = replace(comp, drops=4, master_seed=3,
+                  geometry=replace(comp.geometry, edge_snr_db=edge_snr_db))
+    if edge_snr_db == 3070.0:
+        for d in range(scn.drops):
+            positions = montecarlo._draw_positions(scn, substream(3, rngmod.DROP, d))
+            if d < 3:
+                montecarlo.large_scale_map(scn, positions)
+            else:
+                with pytest.raises(ConfigurationError):
+                    montecarlo.large_scale_map(scn, positions)
+    config, out = tmp_path / "drops.json", tmp_path / "out.csv"
+    config.write_text(scenario.serialize(scn))
+    src = str(Path(compsim.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "compsim.cli", "simulate", "--config",
+                           str(config), "--workers", workers, "--out", str(out)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert (proc.returncode, proc.stderr) == (2, _SNR_OVERFLOW)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("variant", ["{huge_n_tx}", "{stream_block_n_tx}"])

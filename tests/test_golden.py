@@ -36,6 +36,9 @@ RECORDED = {
     "simulate fig5 single_cell_global_6bit drops=10": "4898c01173c8",
     "simulate fig5 comp_per_cell_3_3 drops=30 --workers 2": "f7a042cb9dd4",
     "simulate fig5 single_cell_global_6bit drops=30 --workers 2": "198f9f41cfec",
+    "simulate fig5 comp_per_cell_3_3 drops=37 trials_per_drop=7 --workers 2": "736fa99ae8e1",
+    "simulate fig5 single_cell_global_6bit drops=37 trials_per_drop=7 --workers 2":
+        "c5090ab122af",
     "simulate fig3 --trials 20 --seed 18446744073709551617": "e6cc27b2f2de",
     "bound fig3 --at 50 --verify-appendix --trials 2000 csv": "f63802976246",
     "bound fig3 --at 50 --verify-appendix --trials 2000 stdout": "9f1886bc5230",
@@ -91,6 +94,13 @@ def outputs(workdir: Path) -> dict:
         csv, _ = _cli(workdir, "simulate", "--config", str(config), "--seed", "3",
                       "--workers", "2")
         got[f"simulate fig5 {arm.label} drops=30 --workers 2"] = _digest(csv)
+        # uneven ranges: 37 drops of 7 trials, cut 19 + 18 between the workers
+        config.write_text(scenario.serialize(replace(arm.scenario, drops=37,
+                                                     trials_per_drop=7)))
+        csv, _ = _cli(workdir, "simulate", "--config", str(config), "--seed", "3",
+                      "--workers", "2")
+        got[f"simulate fig5 {arm.label} drops=37 trials_per_drop=7 --workers 2"] = \
+            _digest(csv)
     # a seed that spans three 32-bit words of the seed sequence's entropy
     csv, _ = _cli(workdir, "simulate", "--preset", "fig3", "--trials", "20",
                   "--seed", str(2**64 + 1))

@@ -247,10 +247,10 @@ class TestOrthogonalizedRuns:
 
         def collinear(ctx, start, stop):
             """Every other trial's spares along user 0's codewords."""
-            for ctx, draws, spares in trial_runs(ctx, start, stop):
+            for ctx, alpha, draws, spares in trial_runs(ctx, start, stop):
                 spares = spares.copy()
                 spares[::2, :, 0] = 2.0 * codewords
-                yield ctx, draws, spares
+                yield ctx, alpha, draws, spares
 
         monkeypatch.setattr(montecarlo, "_trial_runs", collinear)
         with warnings.catch_warnings():
@@ -326,6 +326,30 @@ class TestRunCdf:
         for k in range(2):
             assert np.linalg.norm(pts[k]) <= scn.geometry.cell_radius_m
 
+    @settings(max_examples=20, deadline=None)
+    @given(arm=st.sampled_from(["comp_per_cell_3_3", "single_cell_global_6bit"]),
+           n_users=st.integers(1, 3), master_seed=st.integers(0, 2**64),
+           drop=st.integers(0, 2**32))
+    def test_positions_read_a_radius_and_an_angle_uniform_per_user(self, arm, n_users,
+                                                                   master_seed, drop):
+        # one draw of 2 * n_users doubles: bit for bit the radius uniform()
+        # and angle uniform(0, 2 pi) of each user in turn, leaving the
+        # drop's generator where those calls leave it
+        scn = replace(drop_scenario(arm), n_users=n_users, feedback=FeedbackConfig())
+        geom = scn.geometry
+        rng = substream(master_seed, rngmod.DROP, drop)
+        reference = np.zeros((n_users, 2))
+        for k in range(n_users):
+            u = rng.uniform()
+            radius = np.sqrt(geom.d_min_m**2 + (geom.cell_radius_m**2 - geom.d_min_m**2) * u)
+            angle = rng.uniform(0.0, 2.0 * np.pi)
+            reference[k] = (geom.bs_positions[k % geom.n_cells]
+                            + radius * np.array([np.cos(angle), np.sin(angle)]))
+        drawn = substream(master_seed, rngmod.DROP, drop)
+        positions = montecarlo._draw_positions(scn, drawn)
+        assert positions.tobytes() == reference.tobytes()
+        assert drawn.random(3).tobytes() == rng.random(3).tobytes()
+
     def test_requires_random_placement_and_drops(self):
         fixed = small_fixed()
         with pytest.raises(ConfigurationError):
@@ -395,6 +419,95 @@ def test_each_worker_gets_one_contiguous_range(handed):
     scn = replace(scenario.preset("fig5").arms[0].scenario, drops=5, trials_per_drop=2)
     montecarlo.run_cdf(scn, workers=2)
     assert handed == [2, [(0, 3), (3, 5)]]
+
+
+class TestDropRanges:
+    @settings(max_examples=15, deadline=None)
+    @given(arm=st.sampled_from(["comp_per_cell_3_3", "single_cell_global_6bit"]),
+           master_seed=st.integers(0, 2**64), start=st.integers(0, 10**6),
+           drops=st.integers(1, 12), trials_per_drop=st.integers(1, 5),
+           powers=st.sampled_from([(1.0, 1.0), (2.0, 3.0), (10.0, 0.1)]))
+    @example(arm="comp_per_cell_3_3", master_seed=9501, start=0, drops=12, trials_per_drop=20,
+             powers=(1.0, 1.0))
+    def test_a_ranges_amplitudes_and_draws_are_each_drops_own(self, arm, master_seed, start,
+                                                               drops, trials_per_drop, powers):
+        # the one pass over a range gives every drop the bits of its own map,
+        # and each drop's substream still draws its positions, then its trials
+        tx_power, noise_power = powers
+        scn = replace(drop_scenario(arm), master_seed=master_seed, drops=start + drops,
+                      trials_per_drop=trials_per_drop, tx_power=tx_power,
+                      noise_power=noise_power)
+        runs = list(montecarlo._drop_runs(scn, start, start + drops))
+        assert len(runs) == drops
+        for d, (ctx, alpha, small_scale) in zip(range(start, start + drops), runs):
+            rng = substream(master_seed, rngmod.DROP, d)
+            large_scale = channel.build_large_scale(
+                montecarlo._draw_positions(scn, rng), scn.geometry, tx_power=tx_power,
+                noise_power=noise_power, require_one_per_cell=scn.n_users == scn.geometry.n_cells)
+            assert alpha.tobytes() == large_scale.alpha.tobytes()
+            draws = channel.sample_small_scale(scn.n_users, scn.geometry.n_cells, scn.n_tx, rng,
+                                               trials=trials_per_drop)
+            assert small_scale.tobytes() == draws.tobytes()
+            assert ctx.large_scale.tx_power == tx_power
+            assert ctx.large_scale.noise_power == noise_power
+
+    @pytest.mark.parametrize("arm, resolves", [("comp_per_cell_3_3", 1 + 2),
+                                               ("single_cell_global_6bit", 1 + 2),
+                                               ("comp_global_random", 1 + 5)])
+    def test_codebooks_resolve_once_per_range_unless_each_drop_needs_its_own(
+            self, arm, resolves, handed, monkeypatch):
+        # drop 0's in the parent before the pool, then once in each of the two
+        # ranges, or once per drop where the split sets the codebooks
+        calls = []
+        resolve_codebooks = quantization.resolve_codebooks
+
+        def spy(*args):
+            calls.append(args)
+            return resolve_codebooks(*args)
+
+        monkeypatch.setattr(quantization, "resolve_codebooks", spy)
+        montecarlo.run_cdf(replace(drop_scenario(arm), drops=5, trials_per_drop=3), workers=2)
+        assert handed == [2, [(0, 3), (3, 5)]]
+        assert len(calls) == resolves
+
+    def test_a_single_cell_drop_whose_user_has_no_energy_is_rejected(self):
+        # the range resolves drop 0's codebooks, yet a later drop whose SNR
+        # underflows to 0 at its distance is still rejected, as its own
+        # map's resolution rejects it (beyond about 170 m at these values)
+        single = drop_scenario("single_cell_global_6bit")
+        scn = replace(single, drops=4, trials_per_drop=1, master_seed=2,
+                      feedback=FeedbackConfig(mode="global", global_bits=1,
+                                              codebook_kind="random", training_seed=65),
+                      geometry=replace(single.geometry, edge_snr_db=-3300.0,
+                                       pathloss_exponent=40.0))
+        energies = [montecarlo.large_scale_map(scn, montecarlo._draw_positions(
+            scn, substream(scn.master_seed, rngmod.DROP, d))).alpha_sq for d in range(4)]
+        assert [e.all() for e in energies][:2] == [True, False]
+        with pytest.raises(ConfigurationError, match=r"^user \d has no link energy$"):
+            montecarlo.run_cdf(scn)
+
+    @pytest.mark.parametrize("n_users", [1, 2, 3])
+    def test_range_means_equal_each_drops_own_mean(self, n_users):
+        # global random codebooks of n_users bits on the single cell: codeword
+        # collisions fail some trials of a drop but not all
+        scn = replace(drop_scenario("single_cell_global_6bit"), n_users=n_users, drops=60,
+                      trials_per_drop=11, master_seed=78,
+                      feedback=FeedbackConfig(mode="global", global_bits=n_users,
+                                              codebook_kind="random", training_seed=43))
+        start, stop = 7, 60
+        log = montecarlo._run_range(((montecarlo._drop_runs, scn), start, stop))
+        quant, ideal, failed = montecarlo._drop_means((scn, start, stop))
+        ok = log.ok.reshape(stop - start, scn.trials_per_drop)
+        assert failed == np.count_nonzero(~ok)
+        if n_users > 1:
+            assert ((~ok).any(axis=1) & ok.any(axis=1)).any()  # partly failed drops
+        for drop in range(stop - start):
+            rows = slice(drop * scn.trials_per_drop, (drop + 1) * scn.trials_per_drop)
+            for got, values in ((quant, log.quantized), (ideal, log.ideal)):
+                if ok[drop].any():
+                    assert got[drop].tobytes() == values[rows][ok[drop]].mean(axis=0).tobytes()
+                else:
+                    assert np.isnan(got[drop]).all()
 
 
 class TestWorkerInvariance:
