@@ -3,7 +3,10 @@ a block of trials.
 
 The precoder is the pseudo-inverse of the stacked (reconstructed) channel
 matrix with each column renormalized to unit norm (per-user power
-constraint). SINR is always evaluated against the true channels:
+constraint). A well-conditioned trial takes it from the Gram matrix: in
+closed form for two users, by eigenvalues and an LU inverse for any other
+count; every other trial takes it from the SVD, which alone rejects. SINR
+is always evaluated against the true channels:
 SINR_k = P |g_k v_k|^2 / (sigma^2 + P sum_{j != k} |g_k v_j|^2).
 Every function takes a leading trial axis.
 """
@@ -12,6 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import rows
 from .errors import DomainError
 
 MAX_CONDITION_NUMBER = 1e8
@@ -39,9 +43,11 @@ def zf_precoder(reconstructed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     trial gets the same bits in a stack of any size:
 
     - **Gram path.** P = H^H G^-1 with G = H H^H, for every trial whose
-      eigenvalues (``eigvalsh``) satisfy lambda_min > GRAM_EIGENVALUE_RATIO *
-      lambda_max, that is cond(G) < 1e6 and cond(H) < 1e3. Such a trial is
-      "ok". Its error bound is derived below.
+      eigenvalues satisfy lambda_min > GRAM_EIGENVALUE_RATIO * lambda_max,
+      that is cond(G) < 1e6 and cond(H) < 1e3. Such a trial is "ok". A
+      two-user stack, as in every preset, takes it in closed form (below);
+      any other user count by ``eigvalsh`` and an LU ``inv``. Both error
+      bounds are derived below.
     - **SVD tail** (``_svd_path``), the pseudo-inverse from the singular
       values of H, for every other trial, among them any with more users
       than dimensions: a singular G has lambda_min at rounding level, far
@@ -51,9 +57,9 @@ def zf_precoder(reconstructed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
       with cond(H) < 1e3, is five orders inside the cap, so the SVD would
       call it "ok" too.
 
-    **Gram-path error bound.** Each unit column is within c u kappa^2 of the
-    exact unit column of H^+ = H^H G^-1, to first order in u = eps / 2, where
-    H has n = n_users rows, m = n_bs * n_tx columns, singular values
+    **Gram-path error bound (LU).** Each unit column is within c u kappa^2 of
+    the exact unit column of H^+ = H^H G^-1, to first order in u = eps / 2,
+    where H has n = n_users rows, m = n_bs * n_tx columns, singular values
     sigma_1 >= ... >= sigma_n and kappa = cond(H) = sigma_1 / sigma_n, and
 
         c = n (m + 2) + 3 (n + 11) nu + (n + 2) sqrt(n) + (m + 7) / 2.
@@ -90,25 +96,95 @@ def zf_precoder(reconstructed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     pivoting. That worst case is far above the growth of a Gram matrix in
     practice, so ``tests/test_precoding.py`` computes nu for each matrix it
     checks. At the threshold, kappa^2 u = 1.1e-10.
+
+    **Two-user closed form.** For n = 2, G = [[a0, b], [conj(b), a1]] with
+    a_k = ||h_k||^2 and b = sum conj(h_1) h_0, each one row reduction rounded
+    as for a single vector (``rows``). Its eigenvalues are mid -+ q, with
+    mid = (a0 + a1) / 2 and q = hypot((a0 - a1) / 2, |b|), and they take the
+    same ratio test. Its columns are H^H adj(G) / lambda_max, formed
+    elementwise, with adj(G) = [[a1, -b], [-conj(b), a0]] = det(G) G^-1: the
+    directions of H^H G^-1, with no matmul and no division by det(G).
+    Dividing by lambda_max = mid + q keeps each coefficient of adj(G) /
+    lambda_max within [0, 1] in size (|b| <= sqrt(a0 a1) <= lambda_max), so
+    the columns stay in the range of H's entries wherever G is finite; a
+    trial on the path has a_k >= lambda_min > GRAM_EIGENVALUE_RATIO
+    lambda_max, so none underflows either. Each unit column is within
+    c2 u kappa^2 of the exact one, with
+
+        c2 = 2 (m + 2) + 1 + 4 sqrt(2) + (m + 7) / 2.
+
+    1. Forming G: a0 and a1 sum 2 m real products and b is a complex inner
+       product of length m, so step 1's bound holds: ||E1|| <= 2 (m + 2) u
+       sigma_1^2.
+    2. The adjugate. Forming it is linear in G and exact: adj(G + E1) =
+       adj(G) + adj(E1) = det(G + E1) (G + E1)^-1, and ||adj(E1)|| = ||E1||
+       (for 2 x 2, adj(E) = J^T E^T J with J = [[0, 1], [-1, 0]]). On the
+       path lambda_min > 1e-6 lambda_max, far above ||E1||, so det(G + E1) >
+       0 and column k has the direction of (G + E1)^-1 e_k: step 2's
+       argument with E2 = 0, that is 2 (m + 2) u kappa^2 and no LU-growth
+       term. Dividing by the computed lambda_max rounds each entry of the
+       coefficients y = adj(G) e_k / lambda_max by at most u relative; an
+       error in lambda_max itself scales every column alike and drops out in
+       the normalization. That moves H^H y by at most u ||H|| ||y||, against
+       ||H^H y|| >= sigma_2 ||y||: u kappa <= u kappa^2.
+    3. Each entry of a column is a complex inner product of length n = 2 of
+       a row of H^H with y: step 3's (n + 2) sqrt(n) u kappa = 4 sqrt(2) u
+       kappa <= 4 sqrt(2) u kappa^2.
+    4. The normalization (``rows.norms``) sums the 2 m squares with the
+       depth of step 4's, (m + 7) u / 2.
+
+    At m = 8 and the threshold, c2 u kappa^2 = 3.8e-9.
     """
     H = np.ascontiguousarray(reconstructed, dtype=complex)
     if H.ndim != 3:
         raise DomainError("reconstructed channels must be a (trials, users, dims) stack")
     trials, users, dims = H.shape
-    G = H @ np.swapaxes(H.conj(), 1, 2)
-    eig = np.linalg.eigvalsh(G)
-    gram = eig[:, 0] > GRAM_EIGENVALUE_RATIO * eig[:, -1]
-    everything = gram.all()
-    rows = slice(None) if everything else gram  # a slice copies nothing
-    pinv = np.swapaxes(H[rows].conj(), 1, 2) @ np.linalg.inv(G[rows])
-    pinv /= np.linalg.norm(pinv, axis=1, keepdims=True)
+    gram, pinv = (_two_user_gram_path if users == 2 else _lu_gram_path)(H)
     reason = np.full(trials, "ok", dtype=_REASONS.dtype)
-    if everything:
+    if gram.all():
         return pinv, reason
     precoder = np.empty((trials, dims, users), dtype=complex)
     precoder[gram] = pinv
     precoder[~gram], reason[~gram] = _svd_path(H[~gram])
     return precoder, reason
+
+
+def _passing(gram: np.ndarray):
+    """The index of the trials that take the Gram path: a slice, which
+    copies nothing, when every trial does."""
+    return slice(None) if gram.all() else gram
+
+
+def _lu_gram_path(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Gram test of every matrix of the stack ``H`` by ``eigvalsh``, and
+    the unit columns H^H G^-1 of those that pass it by an LU inverse."""
+    G = H @ np.swapaxes(H.conj(), 1, 2)
+    eig = np.linalg.eigvalsh(G)
+    gram = eig[:, 0] > GRAM_EIGENVALUE_RATIO * eig[:, -1]
+    passing = _passing(gram)
+    pinv = np.swapaxes(H[passing].conj(), 1, 2) @ np.linalg.inv(G[passing])
+    pinv /= np.linalg.norm(pinv, axis=1, keepdims=True)
+    return gram, pinv
+
+
+def _two_user_gram_path(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Gram test of every matrix of the two-user stack ``H`` and the unit
+    columns H^H adj(G) / lambda_max of those that pass it, in closed form."""
+    a = rows.squared_norms(H)  # the diagonal of G
+    b = rows.inner(H[:, 1], H[:, 0])  # G[0, 1]
+    mid = (a[:, 0] + a[:, 1]) / 2
+    q = np.hypot((a[:, 0] - a[:, 1]) / 2, rows.magnitude(b))
+    largest = mid + q
+    gram = mid - q > GRAM_EIGENVALUE_RATIO * largest
+    passing = _passing(gram)
+    H, largest = H[passing], largest[passing]
+    off = b[passing] / largest
+    # row k of adj(G) H / lambda_max: the conjugate of column k, G being Hermitian
+    columns = H * (a[passing, ::-1] / largest[:, None])[:, :, None]
+    columns[:, 0] -= H[:, 1] * off[:, None]
+    columns[:, 1] -= H[:, 0] * off.conj()[:, None]
+    columns /= rows.norms(columns)[:, :, None]
+    return gram, np.swapaxes(columns, 1, 2).conj()
 
 
 def _svd_path(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -14,9 +14,15 @@ from __future__ import annotations
 import numpy as np
 
 
+def squared_norms(x: np.ndarray) -> np.ndarray:
+    """The squared ``np.linalg.norm`` of each row (last axis) of complex ``x``,
+    before its square root."""
+    return np.vecdot(x.real, x.real) + np.vecdot(x.imag, x.imag)
+
+
 def norms(x: np.ndarray) -> np.ndarray:
     """``np.linalg.norm`` of each row (last axis) of complex ``x``."""
-    return np.sqrt(np.vecdot(x.real, x.real) + np.vecdot(x.imag, x.imag))
+    return np.sqrt(squared_norms(x))
 
 
 def inner(c: np.ndarray, v: np.ndarray) -> np.ndarray:

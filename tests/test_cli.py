@@ -497,7 +497,7 @@ def test_bad_input_exits_2_with_error_line(argv, message, fig3_arm_config,
 # of its BS does, and at seed 3 that is drop 3 of 4 alone: the last drop of
 # the one range must fail before any trial runs. (At 2 workers the first
 # worker's drops have finite SNRs near the float range, whose zero-forcing
-# matmul overflows and warns, so that pair is not listed.)
+# Gram test overflows and warns, so that pair is not listed.)
 @pytest.mark.parametrize("edge_snr_db, workers", [(3070.0, "1"), (1e308, "1"), (1e308, "2")])
 def test_random_drop_snr_overflow_exits_2_with_one_error_line(edge_snr_db, workers, tmp_path):
     # run as a program, so that any warning or traceback a worker prints shows

@@ -31,15 +31,15 @@ RECORDED_NUMPY = "2.4.6"
 RECORDED_BLAS = "scipy-openblas 0.3.31.188.0"
 
 RECORDED = {
-    "simulate fig3 --trials 20": "6708c3f17f94",
-    "simulate fig5 comp_per_cell_3_3 drops=10": "79b82faea7a9",
-    "simulate fig5 single_cell_global_6bit drops=10": "4898c01173c8",
-    "simulate fig5 comp_per_cell_3_3 drops=30 --workers 2": "f7a042cb9dd4",
-    "simulate fig5 single_cell_global_6bit drops=30 --workers 2": "198f9f41cfec",
-    "simulate fig5 comp_per_cell_3_3 drops=37 trials_per_drop=7 --workers 2": "736fa99ae8e1",
+    "simulate fig3 --trials 20": "88a4ff8cefc3",
+    "simulate fig5 comp_per_cell_3_3 drops=10": "02e0af1c6b3f",
+    "simulate fig5 single_cell_global_6bit drops=10": "b6829c200095",
+    "simulate fig5 comp_per_cell_3_3 drops=30 --workers 2": "94cf131ac7e1",
+    "simulate fig5 single_cell_global_6bit drops=30 --workers 2": "04d6e4a71b10",
+    "simulate fig5 comp_per_cell_3_3 drops=37 trials_per_drop=7 --workers 2": "9aa3845c11fc",
     "simulate fig5 single_cell_global_6bit drops=37 trials_per_drop=7 --workers 2":
-        "c5090ab122af",
-    "simulate fig3 --trials 20 --seed 18446744073709551617": "e6cc27b2f2de",
+        "138e804ac9c3",
+    "simulate fig3 --trials 20 --seed 18446744073709551617": "f4ba3a80764a",
     "bound fig3 --at 50 --verify-appendix --trials 2000 csv": "f63802976246",
     "bound fig3 --at 50 --verify-appendix --trials 2000 stdout": "9f1886bc5230",
     "bound fig4 per_cell_4_2 --at 100 --verify-appendix --trials 2000 csv": "8787ca8d6eb0",
@@ -48,8 +48,8 @@ RECORDED = {
     "train-codebook --dimension 4 --bits 4 --seed 7104": "a26b905d3bb4",
     "train-codebook fig4 global_6bit --at 100 --user 0 --bits 2 --seed 7104": "30db6c9d7eb9",
     "train-codebook fig4 global_6bit --at 100 --user 0 --bits 6 --seed 7104": "1343dfe073f3",
-    "simulate fig4 global_6bit global_bits=2 --trials 20": "829d1f572d98",
-    "rate_loss_montecarlo fig3 ms2_150m at 100 m": "bd4c7b61bf45",
+    "simulate fig4 global_6bit global_bits=2 --trials 20": "0d4fcbf91fdc",
+    "rate_loss_montecarlo fig3 ms2_150m at 100 m": "71bae7be533d",
     "train_lloyd two point masses, 4 codewords": "54356682f7d6",
 }
 

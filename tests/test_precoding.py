@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -18,6 +19,8 @@ from compsim.precoding import (
     zf_precoder,
 )
 from compsim.rng import substream
+
+import test_golden
 
 EPS = np.finfo(float).eps
 GRAM_CONDITION = GRAM_EIGENVALUE_RATIO ** -0.5  # cond(H) below which the Gram path runs
@@ -96,6 +99,29 @@ def lu_growth(g) -> float:
         lower[k + 1:, k] = upper[k + 1:, k] / upper[k, k]
         upper[k + 1:] -= np.outer(lower[k + 1:, k], upper[k])
     return np.linalg.norm(np.abs(lower) @ np.abs(np.triu(upper)), 2) / np.linalg.norm(g, 2)
+
+
+def closed_form_constant(dim) -> float:
+    """c2 of zf_precoder's two-user closed form at m = ``dim``."""
+    return 2 * (dim + 2) + 1 + 4 * np.sqrt(2) + (dim + 7) / 2
+
+
+def gram_ratios(H) -> np.ndarray:
+    """lambda_min / lambda_max of each G = H H^H, by ``eigvalsh``."""
+    eig = np.linalg.eigvalsh(H @ np.swapaxes(H.conj(), 1, 2))
+    return eig[:, 0] / eig[:, -1]
+
+
+def two_user_straddling_stack(conditions=(1.0, 0.5 * GRAM_CONDITION, 2.0 * GRAM_CONDITION,
+                                           1e6, 1e9, 1e12), seed=180):
+    """Two-user matrices of the given conditions, with a rank-deficient one
+    inserted fourth: by default two below the Gram threshold, two above it
+    but "ok", and two past the condition cap."""
+    stack = np.concatenate([conditioned_channels(1, 2, 8, c, seed + i)
+                            for i, c in enumerate(conditions)])
+    rank = random_channels(2, 8, seed + 8)
+    rank[1] = 2.0 * rank[0]
+    return np.insert(stack, 3, rank, axis=0)
 
 
 def orthogonalize_rows(mat):
@@ -177,14 +203,14 @@ class TestZfPrecoder:
         assert np.max(np.abs(pre - svd_pre)) <= 1e-12
 
     @settings(max_examples=25, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), users=st.integers(2, 4), extra=st.integers(0, 8),
+    @given(seed=st.integers(0, 2**32 - 1), users=st.integers(3, 4), extra=st.integers(0, 8),
            log_condition=st.floats(0.0, 0.99 * np.log10(GRAM_CONDITION)))
     # cond(H) = 1, where the SVD path is itself 7.9e-15 from the exact
     # columns: this once failed a bound measured against the SVD path
     @example(seed=0, users=3, extra=0, log_condition=6.2e-15)
     def test_error_grows_as_the_squared_condition_number(self, seed, users, extra,
                                                           log_condition):
-        # zf_precoder's derived bound, c u cond(H)^2 from each exact unit
+        # zf_precoder's derived LU bound, c u cond(H)^2 from each exact unit
         # column, with u = eps / 2 and nu the growth of each Gram matrix's LU
         condition = 10.0 ** log_condition
         dim = users + extra
@@ -195,6 +221,23 @@ class TestZfPrecoder:
             c = (users * (dim + 2) + 3 * (users + 11) * lu_growth(h @ h.conj().T)
                  + (users + 2) * np.sqrt(users) + (dim + 7) / 2)
             assert exact_distance(h, columns) <= c * EPS / 2 * condition**2
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), extra=st.integers(0, 8),
+           log_condition=st.floats(0.0, 0.99 * np.log10(GRAM_CONDITION)))
+    @example(seed=0, extra=0, log_condition=6.2e-15)
+    @example(seed=1, extra=6, log_condition=0.99 * np.log10(GRAM_CONDITION))
+    def test_two_user_error_within_the_closed_form_bound(self, seed, extra, log_condition):
+        # the closed form's derived bound, c2 u cond(H)^2 from each exact
+        # unit column: no LU growth term
+        condition = 10.0 ** log_condition
+        dim = 2 + extra
+        H = conditioned_channels(8, 2, dim, condition, seed)
+        pre, reason = zf_precoder(H)
+        assert reason.tolist() == _svd_path(H)[1].tolist() == ["ok"] * 8
+        for h, columns in zip(H, pre):
+            assert exact_distance(h, columns) <= (closed_form_constant(dim) * EPS / 2
+                                                  * condition**2)
 
     def test_stack_straddling_the_gram_threshold_and_the_cap(self):
         # conditions below and above the Gram threshold (both "ok"), a
@@ -216,6 +259,104 @@ class TestZfPrecoder:
             alone, alone_reason = zf_precoder(stack[t:t + 1])
             assert alone_reason[0] == reason[t]
             assert np.array_equal(alone[0], pre[t], equal_nan=True)
+
+    def test_two_user_stack_straddling_the_gram_threshold_and_the_cap(self):
+        # the closed form's twin of the stack above
+        stack = two_user_straddling_stack()
+        pre, reason = zf_precoder(stack)
+        svd_pre, svd_reason = _svd_path(stack)
+        assert reason.tolist() == ["ok"] * 3 + ["rank", "ok", "condition cap", "condition cap"]
+        assert np.array_equal(reason, svd_reason)
+        # the trials past the threshold are the SVD's own, bit for bit
+        assert np.array_equal(pre[2:], svd_pre[2:], equal_nan=True)
+        for t in range(len(stack)):
+            alone, alone_reason = zf_precoder(stack[t:t + 1])
+            assert alone_reason[0] == reason[t]
+            assert np.array_equal(alone[0], pre[t], equal_nan=True)
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), extra=st.integers(0, 8),
+           log_offsets=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=16))
+    @example(seed=3, extra=6, log_offsets=[0.0, 1e-8, -1e-8, 1e-6, -1e-6, 1.0, -1.0])
+    def test_two_user_path_choice_equals_the_eigvalsh_test(self, seed, extra, log_offsets):
+        # the rows the closed form hands to the SVD tail are those whose
+        # eigvalsh ratio is at or below GRAM_EIGENVALUE_RATIO, away from
+        # rounding distance of it: cond(H) = GRAM_CONDITION 10^offset
+        H = np.concatenate([conditioned_channels(1, 2, 2 + extra,
+                                                 GRAM_CONDITION * 10.0**offset, seed + i)
+                            for i, offset in enumerate(log_offsets)])
+        ratio = gram_ratios(H)
+        H = H[np.abs(ratio / GRAM_EIGENVALUE_RATIO - 1.0) > 1e-9]
+        handed = []
+
+        def spy(stack):
+            handed.append(len(stack))
+            return _svd_path(stack)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(precoding, "_svd_path", spy)
+            zf_precoder(H)
+        assert sum(handed) == np.count_nonzero(gram_ratios(H) <= GRAM_EIGENVALUE_RATIO)
+
+    @pytest.mark.parametrize("scale", [1e150, 1e-150])
+    def test_two_user_stack_far_from_unit_scale(self, scale):
+        # no under- or overflow: the same reasons, and each unit column
+        # within the derived bound of the unscaled one. Both are within
+        # c2 u kappa^2 of their exact columns, and rounding the scaled
+        # entries moves the exact columns by at most 3 sqrt(2) u kappa^2.
+        # (Trials the SVD tail calls "ok" are left out: its columns of
+        # entries 1 / sigma overflow at 1e-150.)
+        conditions = list(np.geomspace(1.0, 0.99 * GRAM_CONDITION, 6)) + [1e9, 1e12]
+        H = two_user_straddling_stack(conditions, seed=400)
+        pre, reason = zf_precoder(H)
+        scaled, scaled_reason = zf_precoder(H * scale)
+        assert reason.tolist() == ["ok"] * 3 + ["rank"] + ["ok"] * 3 + ["condition cap"] * 2
+        assert np.array_equal(scaled_reason, reason)
+        assert np.array_equal(np.isnan(scaled), np.isnan(pre))
+        ok = reason == "ok"
+        s = np.linalg.svd(H[ok], compute_uv=False)
+        bound = (2 * closed_form_constant(8) + 3 * np.sqrt(2)) * EPS / 2 * (s[:, 0] / s[:, 1])**2
+        assert (np.linalg.norm(scaled[ok] - pre[ok], axis=1) <= bound[:, None]).all()
+
+    @pytest.mark.parametrize("edge_snr_db, throughput, ideal", [
+        (-2000.0, [0.0, 0.0], [0.0, 0.0]),
+        (1100.0, [4.198056529785481, 4.024055440150166],
+         [368.14622198094776, 368.11038925176587]),
+        (2000.0, [4.1980565297854815, 4.024055440150166], [667.11975052081, 667.0839177916282]),
+    ])
+    def test_fig3_at_extreme_snrs_keeps_its_numbers(self, edge_snr_db, throughput, ideal):
+        # fig3's first arm at 250 m, recorded before the two-user closed form:
+        # no trial fails, and the throughputs move in their last bits only
+        arm = scenario.preset("fig3").arms[0].scenario
+        scn = scenario.at_sweep_point(replace(arm, trials=300, geometry=replace(
+            arm.geometry, edge_snr_db=edge_snr_db)), 250.0)
+        with np.errstate(over="ignore"):  # the interference SE overflows at 2000 dB
+            result = montecarlo.run(scn)
+        assert result.failures == 0
+        assert result.throughput_mean.tolist() == pytest.approx(throughput, rel=1e-12, abs=0.0)
+        assert result.ideal_throughput_mean.tolist() == pytest.approx(ideal, rel=1e-12, abs=0.0)
+
+    @pytest.mark.skipif(
+        (np.__version__, test_golden._blas())
+        != (test_golden.RECORDED_NUMPY, test_golden.RECORDED_BLAS),
+        reason="digests recorded with the numpy and BLAS of tests/test_golden.py")
+    @pytest.mark.parametrize("users, digest", [
+        (1, "deb1866061eb6ceda1e58cd3253870041358d982499474259925be38e5bbd4bc"),
+        (3, "bf85ea217d3bc2904aef4a48313464c2099f01c0eeebb71220244d45a5562b36"),
+        (4, "24db43c1d2b23f039da3689909f8387c14a642b1ce3ba1b31278331b3c11d50a"),
+    ])
+    def test_other_user_counts_keep_their_bits(self, users, digest):
+        # recorded before the two-user closed form: Gaussian trials, one with
+        # a zero row and six conditions across the threshold and the cap
+        z = substream(2024, 2, users).standard_normal((24, users, 8, 2))
+        conditions = (1.0, 0.5 * GRAM_CONDITION, 2.0 * GRAM_CONDITION, 1e6, 1e9, 1e12)
+        rank = random_channels(users, 8, 310 + users)
+        rank[-1] = 0.0
+        H = np.concatenate([z[..., 0] + 1j * z[..., 1], rank[None]]
+                           + [conditioned_channels(1, users, 8, c, 300 + i)
+                              for i, c in enumerate(conditions)])
+        pre, reason = zf_precoder(H)
+        assert hashlib.sha256(pre.tobytes() + reason.tobytes()).hexdigest() == digest
 
     def test_reasons_equal_the_svd_path_on_preset_runs(self, monkeypatch):
         # every trial of small fig3, fig4 global_6bit and fig5 runs, both arms
